@@ -13,7 +13,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy import constants
 
 __all__ = [
     "AmbientMedium",
@@ -27,6 +26,13 @@ __all__ = [
     "rotate",
     "validity_check",
 ]
+
+# CODATA 2022 values (as in scipy.constants), inlined because importing
+# scipy.constants costs about 0.2 s on every import of the package.
+EPSILON_0 = 8.8541878188e-12    # F/m
+MU_0 = 1.25663706127e-06        # N/A^2
+ELEMENTARY_CHARGE = 1.602176634e-19   # C
+ELECTRON_MASS = 9.1093837139e-31      # kg
 
 NONRETARDED_WARN_RATIO = 0.5  # omega*mu*sigma#/k0 above this flags a marginal regime
 
@@ -115,8 +121,8 @@ class ConductivityTensor:
 class AmbientMedium:
     """Homogeneous isotropic ambient medium and the working frequency."""
 
-    epsilon: float = constants.epsilon_0
-    mu: float = constants.mu_0
+    epsilon: float = EPSILON_0
+    mu: float = MU_0
     omega: float = 1.0
 
     def __post_init__(self):
@@ -127,11 +133,11 @@ class AmbientMedium:
 
     @classmethod
     def vacuum(cls, omega: float) -> "AmbientMedium":
-        return cls(constants.epsilon_0, constants.mu_0, omega)
+        return cls(EPSILON_0, MU_0, omega)
 
     @classmethod
     def relative(cls, eps_r: float, mu_r: float, omega: float) -> "AmbientMedium":
-        return cls(eps_r * constants.epsilon_0, mu_r * constants.mu_0, omega)
+        return cls(eps_r * EPSILON_0, mu_r * MU_0, omega)
 
     @property
     def k0(self) -> float:
@@ -205,8 +211,8 @@ def magneto_hydrodynamic(
     omega: float,
     n0: float,
     b0: float,
-    charge: float = constants.e,
-    mass: float = constants.m_e,
+    charge: float = ELEMENTARY_CHARGE,
+    mass: float = ELECTRON_MASS,
     tau: float | None = None,
 ) -> ConductivityTensor:
     """Conductivity of a magnetized electron fluid (local linear response).

@@ -29,7 +29,7 @@ from .conductivity import (
     validity_check,
 )
 from .kernel import Problem, Variant
-from .quadrature import adaptive_gk
+from .quadrature import QuadratureError, adaptive_gk
 from .spectrum import (
     RealAxisZeroError,
     SpectrumReport,
@@ -152,7 +152,9 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
     Returns the root reached from the supplied guess (Re q keeps the
     guess's sign; the relation is not symmetric under q -> -q unless
     sigma_xy = sigma_yx, and crossing Re q = 0 is a failure).  On success
-    the index and the bulk census are re-verified at the root.
+    the index and the bulk census are re-verified at the root.  A residual
+    that cannot be evaluated (nonzero index, real-axis zero of the symbol,
+    stalled quadrature) gives NO_SOLUTION with the reason in the message.
     """
     q_guess = complex(q_guess)
     want_sign = sign_q(q_guess)
@@ -173,7 +175,7 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
     try:
         f0 = f_guarded(q0)
         f1 = f_guarded(q1)
-    except (IndexClassificationError, RealAxisZeroError) as exc:
+    except (IndexClassificationError, RealAxisZeroError, QuadratureError) as exc:
         return DispersionSolution(
             q=q_guess, residual=complex(math.nan, math.nan), iterations=n_eval,
             nu_k_at_solution=getattr(exc, "nu_k", None),
@@ -204,6 +206,14 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
                     break
                 except (IndexClassificationError, RealAxisZeroError) as exc:
                     index_flips.append(f"q={q_next:.6g}: {exc}")
+                except QuadratureError as exc:
+                    # a stall means the residual cannot be resolved here,
+                    # not that the step crossed an index boundary; halving
+                    # only repeats stalled quadratures
+                    return DispersionSolution(
+                        q=q1, residual=f1, iterations=n_eval, nu_k_at_solution=None,
+                        classification=Classification.NO_SOLUTION, validity=validity,
+                        message=f"residual undefined at q={q_next:.6g}: {exc}")
             step *= 0.5
             q_next = q1 + step
             tries += 1

@@ -20,7 +20,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import special
 
 from .branches import Sheet, sheet_sqrt
 from .kernel import Problem, Variant, p_of_xi
@@ -247,6 +246,9 @@ def _e_power(power: float, beta: float, cut: float) -> complex:
         if power <= 1.0:
             raise ValueError("divergent tail: power <= 1 with beta = 0")
         return complex(cut ** (1.0 - power) / (power - 1.0))
+    # imported here: scipy.special dominates the package's import time
+    from scipy import special
+
     root = np.sqrt(complex(-1j * beta))
     val = complex(np.sqrt(math.pi) / root * special.erfc(root * math.sqrt(cut)))
     p = 0.5

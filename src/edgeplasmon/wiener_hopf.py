@@ -17,7 +17,11 @@ The transform is evaluated two ways: a pointwise adaptive form used by
 ``split_q`` (linear subtraction of L near the pole, exact closed forms for
 the subtracted part, tail folded to a finite interval), and a reusable
 fixed-node table (``CauchyTable``) for batch evaluations along shifted
-contours (field profiles, boundary-factorization sweeps).
+contours (field profiles, boundary-factorization sweeps).  The table
+sums the same subtracted quadrature in expanded form, as real matrix
+products of pole kernels 1/(t_j - z_i) against node moments fixed at
+build time; nodes within a rounding-relevant distance of a point keep
+their subtracted term, so the expansion adds no large partial sums.
 """
 
 from __future__ import annotations
@@ -165,10 +169,10 @@ class UnwrappedLogKernel:
             self._cache[key] = (roots, coeffs, phi_p, phi_m)
         return self._cache[key]
 
-    def cauchy_table(self, max_panel_width: float | None = None) -> "CauchyTable":
-        key = ("table", max_panel_width)
+    def cauchy_table(self) -> "CauchyTable":
+        key = "table"
         if key not in self._cache:
-            self._cache[key] = CauchyTable.build(self, max_panel_width=max_panel_width)
+            self._cache[key] = CauchyTable.build(self)
         return self._cache[key]
 
 
@@ -452,35 +456,106 @@ def lambda_pm(problem: Problem, kernel: UnwrappedLogKernel, xi: complex,
 # ---------------------------------------------------------------------------
 
 
+# Elements per fill buffer of _pole_sums: the two float64 buffers of a
+# block (1 MB together) stay in a core's L2 cache between their fill and
+# the matrix product that reads them.
+POLE_SUM_BLOCK = 1 << 16
+
+# A table node j is near a point z when w_j > NEAR_POLE_RATIO |t_j - z|.
+# Its term is left out of the expanded sums and added in subtracted form,
+# so no expanded term exceeds NEAR_POLE_RATIO |L|.  At this ratio at most
+# one node, a neighbour of Re z in the sorted nodes, is near any point:
+# Kronrod-15 node gaps exceed 2 w/NEAR_POLE_RATIO.
+NEAR_POLE_RATIO = 100.0
+
+
+def _pole_sums(nodes: np.ndarray, z: np.ndarray, moments: np.ndarray,
+               skip: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+    """S[i, k] = Sum_j W[j, k] / (nodes[j] - z[i]) for real nodes and complex z.
+
+    ``moments`` holds the complex columns W as reals, [Re W, Im W].  With
+    d = t - Re z, 1/(t - z) = (d + i Im z)/(d^2 + Im z^2): its real part
+    and 1/(d^2 + Im z^2) are filled block by block into two real buffers,
+    each multiplied by ``moments``, and Im z is applied per row afterwards.
+    ``skip`` = (point indices, ascending; node indices) names pairs left
+    out of the sums.
+    """
+    k = moments.shape[1] // 2
+    re_s = np.empty((z.size, 2 * k))
+    im_s = np.empty((z.size, 2 * k))
+    rows = max(1, min(z.size, POLE_SUM_BLOCK // nodes.size))
+    re_k = np.empty((rows, nodes.size))
+    inv = np.empty((rows, nodes.size))
+    for start in range(0, z.size, rows):
+        sl = slice(start, min(start + rows, z.size))
+        n = sl.stop - start
+        d, den = re_k[:n], inv[:n]
+        np.subtract(nodes, z.real[sl, None], out=d)
+        np.multiply(d, d, out=den)
+        den += np.square(z.imag[sl, None])
+        np.reciprocal(den, out=den)
+        d *= den
+        if skip is not None:
+            lo, hi = np.searchsorted(skip[0], (start, sl.stop))
+            cells = (skip[0][lo:hi] - start, skip[1][lo:hi])
+            d[cells] = 0.0
+            den[cells] = 0.0
+        np.matmul(den, moments, out=im_s[sl])
+        np.matmul(d, moments, out=re_s[sl])
+    im_s *= z.imag[:, None]
+    return (re_s[:, :k] - im_s[:, k:]) + 1j * (re_s[:, k:] + im_s[:, :k])
+
+
+def _as_real_columns(columns: np.ndarray) -> np.ndarray:
+    return np.column_stack([columns.real, columns.imag])
+
+
 class CauchyTable:
     """Fixed discretization of the Cauchy transform for batch evaluation.
 
     Same subtraction scheme as ``cauchy_transform`` but with nodes built
     once per kernel: a panelized main interval [-span, span] plus folded
     log-spaced tail nodes.  Accuracy is validated in the test suite
-    against the pointwise adaptive route.
+    against the pointwise adaptive route, and ``phi`` against the dense
+    subtracted sum over the same nodes.
+
+    ``phi`` evaluates the same discrete sums in expanded form.  With
+    K_ij = w_j/(t_j - z_i) the subtracted main sum is linear in c0, c1:
+
+        Sum_j w_j (L_j - c0 - c1 (t_j - t0))/(t_j - z)
+            = K.L - c0 K.1 - c1 (Sum_j w_j + (z - t0) K.1),
+
+    since w (t - t0)/(t - z) = w + (z - t0) w/(t - z) term by term.  K.L
+    and K.1 come from real matrix products against the node moments
+    [w L, w] stored at build time (``_pole_sums``).  The folded tail,
+    Sum_k [w tau (L+ - L-) + z w (L+ + L-)]/(tau^2 - z^2), is the same
+    kind of sum over the nodes tau^2 at the point z^2.
+
+    Rounding: an expanded term w_j L_j/(t_j - z) is as large as w|L|/delta
+    at |Im z| = delta, where the subtracted numerator is near zero, and
+    the summation error of the large partial sums stays in the result
+    (above 1e-9 for a point within 1e-9 kappa of a node of the widest
+    panels at delta = 1e-7 kappa).  Nodes that near a point are therefore
+    summed in subtracted form (``NEAR_POLE_RATIO``); every other term is
+    below NEAR_POLE_RATIO |L|.
     """
 
-    def __init__(self, kernel, span, nodes, weights, lvals,
-                 tail_z, tail_w, tail_lp, tail_lm):
+    def __init__(self, kernel, span, nodes, weights, lvals, moments,
+                 tail_z, tail_moments):
         self.kernel = kernel
         self.span = span
-        self.nodes = nodes
+        self.nodes = nodes                  # ascending
         self.weights = weights
         self.lvals = lvals
+        self.moments = moments              # [w L, w], real columns
         self.tail_z = tail_z
-        self.tail_w = tail_w
-        self.tail_lp = tail_lp
-        self.tail_lm = tail_lm
+        self.tail_moments = tail_moments    # [w tau (L+ - L-), w (L+ + L-)], real columns
 
     @classmethod
-    def build(cls, kernel: UnwrappedLogKernel, *, span: float | None = None,
-              max_panel_width: float | None = None) -> "CauchyTable":
+    def build(cls, kernel: UnwrappedLogKernel) -> "CauchyTable":
         scale = kernel.scale
-        span = span or 64.0 * scale
+        span = 64.0 * scale
         width = scale / 24.0
-        if max_panel_width is not None:
-            width = min(width, max_panel_width)
         inner_edge = 8.0 * scale
         n_inner = int(np.ceil(2.0 * inner_edge / width))
         edges = [np.linspace(-inner_edge, inner_edge, n_inner + 1)]
@@ -515,10 +590,22 @@ class CauchyTable:
         tail_w = u_w * span / (u_nodes * u_nodes)
         tail_lp = kernel.log_values(tail_z)
         tail_lm = kernel.log_values(-tail_z)
-        return cls(kernel, span, nodes, weights, lvals,
-                   tail_z, tail_w, tail_lp, tail_lm)
+        tail_moments = _as_real_columns(np.column_stack(
+            [tail_w * tail_z * (tail_lp - tail_lm), tail_w * (tail_lp + tail_lm)]))
+        moments = _as_real_columns(np.column_stack([weights * lvals, weights]))
+        return cls(kernel, span, nodes, weights, lvals, moments, tail_z, tail_moments)
 
-    def phi(self, xi0, chunk: int = 512) -> np.ndarray:
+    def _near_pairs(self, xi0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(point, node) index pairs with w_j > NEAR_POLE_RATIO |t_j - z_i|,
+        points ascending."""
+        last = self.nodes.size - 1
+        right = np.searchsorted(self.nodes, xi0.real).clip(1, last)
+        cand = np.stack([right - 1, right], axis=1)
+        near = self.weights[cand] > NEAR_POLE_RATIO * np.abs(self.nodes[cand] - xi0[:, None])
+        rows, col = np.nonzero(near)
+        return rows, cand[rows, col]
+
+    def phi(self, xi0) -> np.ndarray:
         """Phi at a batch of off-axis points (PV on the axis), vectorized.
 
         Valid while Re xi0 stays inside ~3/4 of the table span, where the
@@ -549,15 +636,15 @@ class CauchyTable:
         )
         closed = c0 * log_term + c1 * (2.0 * span + (xi0 - t0) * log_term)
 
-        for start in range(0, xi0.size, chunk):
-            sl = slice(start, min(start + chunk, xi0.size))
-            z = xi0[sl][:, None]
-            tt = t0[sl][:, None]
-            num = self.lvals[None, :] - c0[sl][:, None] - c1[sl][:, None] * (self.nodes[None, :] - tt)
-            main = (num / (self.nodes[None, :] - z) * self.weights[None, :]).sum(axis=1)
-            tnum = (self.tail_z[None, :] * (self.tail_lp - self.tail_lm)[None, :]
-                    + z * (self.tail_lp + self.tail_lm)[None, :])
-            tail = (tnum / (self.tail_z[None, :] ** 2 - z * z)
-                    * self.tail_w[None, :]).sum(axis=1)
-            out[sl] = (main + closed[sl] + tail) / (2j * math.pi)
+        near_i, near_j = self._near_pairs(xi0)
+        k_l, k_1 = _pole_sums(self.nodes, xi0, self.moments, skip=(near_i, near_j)).T
+        main = k_l - c0 * k_1 - c1 * (self.weights.sum() + (xi0 - t0) * k_1)
+        # near pairs: the subtracted term, plus the c1 w_j that Sum_j w_j
+        # above counted for a node missing from K.1
+        t, w, c1_near = self.nodes[near_j], self.weights[near_j], c1[near_i]
+        np.add.at(main, near_i, w * (c1_near + (self.lvals[near_j] - c0[near_i]
+                                                - c1_near * (t - t0[near_i]))
+                                     / (t - xi0[near_i])))
+        t_p, t_s = _pole_sums(self.tail_z * self.tail_z, xi0 * xi0, self.tail_moments).T
+        out[:] = (main + closed + t_p + xi0 * t_s) / (2j * math.pi)
         return out

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import constants
 
+from edgeplasmon import conductivity as cond
 from edgeplasmon import (
     AmbientMedium,
     ConductivityTensor,
@@ -90,6 +94,23 @@ class TestMagnetoHydrodynamic:
     def test_passive(self):
         s = magneto_hydrodynamic(**self.params_for_ratio(40.0))
         assert s.is_passive(tol=1e-9)
+
+
+class TestPhysicalConstants:
+    def test_inlined_codata_values_match_scipy(self):
+        assert cond.EPSILON_0 == constants.epsilon_0
+        assert cond.MU_0 == constants.mu_0
+        assert cond.ELEMENTARY_CHARGE == constants.e
+        assert cond.ELECTRON_MASS == constants.m_e
+
+    def test_package_import_does_not_load_scipy(self):
+        code = ("import sys, edgeplasmon, edgeplasmon.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60)
+        assert out.stdout.strip() == "[]"
 
 
 class TestNondimensionalize:

@@ -94,6 +94,20 @@ class TestSolve:
         assert sol.classification is Classification.NO_SOLUTION
         assert "undefined" in sol.message or "blocked" in sol.message
 
+    def test_quadrature_stall_is_classified(self):
+        # a fuzzed passive tensor whose residual quadrature stalls on the
+        # secant path (round-off above the absolute error floor)
+        sigma = ConductivityTensor(
+            8.272235546181581e-05 + 0.22738122556957482j,
+            -6.165810675334501e-06 - 0.07540526128244206j,
+            -6.165810675334501e-06 + 0.04150899273059509j,
+            1.6118453392545493e-06 + 0.004430523848386819j,
+            nondimensional=True)
+        q = -11.33996405995937 - 0.11339964059959369j
+        sol = solve(Problem.single_sheet(sigma, q), q)
+        assert sol.classification is Classification.NO_SOLUTION
+        assert "quadrature stalled" in sol.message
+
     def test_validity_report_attached(self, solutions):
         rep = solutions["A"].validity
         assert rep.nonretarded_ratio == pytest.approx(0.2 * math.sqrt(2))

@@ -17,6 +17,8 @@ from edgeplasmon import (
     quadratic_roots,
     split_q,
 )
+from edgeplasmon.field import _vertical_panels
+from edgeplasmon.quadrature import gk_nodes_weights
 from conftest import make_sigma
 
 
@@ -273,3 +275,119 @@ class TestCauchyTable:
             z = 7.7 + 1j * delta
             ref = cauchy_transform(kernel, z).value
             assert abs(complex(table.phi(np.array([z]))[0]) - ref) < 2e-8
+
+
+def _dense_table_phi(kernel, xi0, chunk=512):
+    """Reference for CauchyTable.phi: the same quadrature (panelized main
+    interval plus folded tail) summed term by term in the subtracted form
+    Sum_j w_j (L_j - c0 - c1 (t_j - t0))/(t_j - z).  Returns the value and
+    the main and tail nodes, which must coincide with the table's."""
+    scale = kernel.scale
+    span = 64.0 * scale
+    width = scale / 24.0
+    inner_edge = 8.0 * scale
+    inner = np.linspace(-inner_edge, inner_edge, int(np.ceil(2.0 * inner_edge / width)) + 1)
+    grow, right = inner_edge, [inner_edge]
+    while grow < span:
+        grow = min(grow * 1.2, span)
+        right.append(grow)
+    right = np.asarray(right)
+    edges = np.unique(np.concatenate([-right[::-1], inner, right]))
+    panels = [gk_nodes_weights(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    nodes = np.concatenate([n for n, _ in panels])
+    weights = np.concatenate([w for _, w in panels])
+    lvals = kernel.log_values(nodes)
+    u_edges = 2.0 ** -np.arange(0, 41, dtype=float)
+    u_panels = [gk_nodes_weights(lo, hi) for hi, lo in zip(u_edges[:-1], u_edges[1:])]
+    u_nodes = np.concatenate([n for n, _ in u_panels])
+    tail_z = span / u_nodes
+    tail_w = np.concatenate([w for _, w in u_panels]) * span / (u_nodes * u_nodes)
+    tail_lp = kernel.log_values(tail_z)
+    tail_lm = kernel.log_values(-tail_z)
+
+    xi0 = np.atleast_1d(np.asarray(xi0, dtype=complex))
+    out = np.empty(xi0.shape, dtype=complex)
+    t0 = np.clip(xi0.real, -0.75 * span, 0.75 * span)
+    c0 = kernel.log_values(t0)
+    c1 = kernel.dlog_on_axis(t0.astype(complex))
+    on_axis = xi0.imag == 0.0
+    log_term = np.where(
+        on_axis,
+        np.log(np.abs(span - xi0.real)) - np.log(np.abs(span + xi0.real)),
+        np.log(np.where(on_axis, 1.0, span - xi0))
+        - np.log(np.where(on_axis, 1.0, -span - xi0)),
+    )
+    closed = c0 * log_term + c1 * (2.0 * span + (xi0 - t0) * log_term)
+    for start in range(0, xi0.size, chunk):
+        sl = slice(start, min(start + chunk, xi0.size))
+        z = xi0[sl][:, None]
+        num = lvals[None, :] - c0[sl][:, None] - c1[sl][:, None] * (nodes[None, :] - t0[sl][:, None])
+        main = (num / (nodes[None, :] - z) * weights[None, :]).sum(axis=1)
+        tnum = tail_z[None, :] * (tail_lp - tail_lm)[None, :] + z * (tail_lp + tail_lm)[None, :]
+        tail = (tnum / (tail_z[None, :] ** 2 - z * z) * tail_w[None, :]).sum(axis=1)
+        out[sl] = (main + closed[sl] + tail) / (2j * math.pi)
+    return out, nodes, tail_z
+
+
+class TestCauchyTableOracle:
+    """The expanded matrix-product form of CauchyTable.phi against the
+    dense subtracted sum over the same nodes, at the points the field
+    routines use."""
+
+    TOL = 1e-9
+
+    @pytest.fixture(params=["B", "C"])
+    def kernel(self, request, root_kernels):
+        return root_kernels[request.param]
+
+    def _check(self, kernel, pts):
+        table = kernel.cauchy_table()
+        ref, nodes, tail_z = _dense_table_phi(kernel, pts)
+        assert np.array_equal(nodes, table.nodes)
+        assert np.array_equal(tail_z, table.tail_z)
+        got = table.phi(pts)
+        assert got.shape == pts.shape
+        err = np.abs(got - ref)
+        assert err.max() <= self.TOL, f"max |diff| {err.max():.3e} at {pts[err.argmax()]}"
+
+    def test_near_axis_contours(self, kernel, rng):
+        kappa = kernel.scale
+        delta = 1e-7 * kappa
+        t = kernel.cauchy_table().nodes
+        inside = t[np.abs(t) < 40.0 * kappa]
+        # real parts on table nodes and within 1e-9 kappa of them
+        picked = rng.choice(inside, 150, replace=False)
+        near = np.concatenate([picked[:50], picked[50:] + rng.uniform(-1e-9, 1e-9, 100) * kappa])
+        xs = np.concatenate([np.linspace(-40.0 * kappa, 40.0 * kappa, 601), near])
+        self._check(kernel, np.concatenate([xs + 1j * delta, xs - 1j * delta]))
+
+    def test_rotated_tail_rays(self, kernel):
+        # the vertical rays of field._rotated_tail at its default span
+        kappa = kernel.scale
+        prob = kernel.problem
+        span = max(32.0 * kappa, 3.0 * abs(prob.q))
+        delta = 1e-7 * kappa
+        rays = []
+        for x in (0.05, -0.07, 0.35, -0.4):
+            s_nodes, _ = _vertical_panels(45.0 / abs(x), struct=span)
+            rot = 1.0 if x > 0 else -1.0
+            for end in (span, -span):
+                rays.append(end - 1j * rot * delta + 1j * rot * s_nodes)
+        self._check(kernel, np.concatenate(rays))
+
+    def test_on_axis_principal_value(self, kernel, rng):
+        t = kernel.cauchy_table().nodes
+        inside = np.flatnonzero(np.abs(t[:-1]) < 40.0 * kernel.scale)
+        j = rng.choice(inside, 200, replace=False)
+        self._check(kernel, 0.5 * (t[j] + t[j + 1]) + 0j)
+
+    def test_trivial_kernel_gives_zero(self):
+        kernel = build_log_kernel(Problem.single_sheet(
+            ConductivityTensor.diagonal(0, 0, nondimensional=True), 4.0))
+        out = kernel.cauchy_table().phi(np.array([1.0 + 1e-7j, -3.0, 2.0 - 5.0j]))
+        assert np.array_equal(out, np.zeros(3, dtype=complex))
+
+    def test_far_near_axis_point_rejected(self, root_kernels):
+        table = root_kernels["C"].cauchy_table()
+        with pytest.raises(ValueError, match="3/4 of the table span"):
+            table.phi(np.array([0.9 * table.span + 1e-7j]))
