@@ -160,8 +160,12 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
     want_sign = sign_q(q_guess)
     validity = _validity_of(problem)
 
+    kernel = None
+
     def f_at(q):
-        return residual(problem.with_q(q), rtol=rtol)
+        nonlocal kernel
+        kernel = build_log_kernel(problem.with_q(q))
+        return residual(kernel.problem, kernel=kernel, rtol=rtol)
 
     n_eval = 0
     index_flips: list[str] = []
@@ -231,9 +235,9 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
             classification=Classification.NO_SOLUTION, validity=validity,
             message=f"no convergence in {maxiter} iterations (|F| = {abs(f1):.3e})")
 
-    # re-verify index and census at the root
-    root_problem = problem.with_q(q1)
-    kernel = build_log_kernel(root_problem)
+    # re-verify index and census at the root, on the kernel of the last
+    # residual, which was evaluated at q1
+    root_problem = kernel.problem
     nu = kernel.nu_k
     if problem.variant is Variant.TWO_SHEET:
         _, right = root_problem.sides()

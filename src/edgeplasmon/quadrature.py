@@ -4,7 +4,9 @@ scipy.integrate.quad drives scalar callbacks, which is far too slow for the
 nested Cauchy integrals used by the split functions; this integrator
 evaluates the integrand on whole batches of nodes (numpy arrays) and
 bisects the worst segments until the global error estimate meets the
-tolerance.  Complex-valued integrands are handled natively.
+tolerance.  Complex-valued integrands are handled natively, and so are
+vector integrands: k integrals over the same interval that share every
+integrand evaluation, each held to its own tolerance.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ class QuadratureError(RuntimeError):
 
 @dataclasses.dataclass(frozen=True)
 class QuadResult:
-    value: complex
-    error: float
+    value: complex | np.ndarray     # length-k arrays for a vector integrand
+    error: float | np.ndarray
     n_eval: int
     n_segments: int
 
@@ -63,15 +65,18 @@ def gk_nodes_weights(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eval_segments(f, lo, hi):
-    """Kronrod estimate, Gauss estimate and error for a batch of segments."""
-    half = 0.5 * (hi - lo)[:, None]
-    mid = 0.5 * (hi + lo)[:, None]
-    nodes = mid + half * _XK[None, :]
-    vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
-    ik = (vals * _WK[None, :]).sum(axis=1) * half[:, 0]
-    ig = (vals[:, 1::2] * _WG[None, :]).sum(axis=1) * half[:, 0]
+    """Kronrod estimates and errors for a batch of segments: shape (n_seg,),
+    or (k, n_seg) for a vector integrand."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    nodes = mid[:, None] + half[:, None] * _XK[None, :]
+    vals = np.asarray(f(nodes.ravel()))
+    # components first, so every row sums its own 15 contiguous values
+    vals = vals.T.reshape(vals.shape[1:] + nodes.shape)
+    ik = (vals * _WK).sum(axis=-1) * half
+    ig = (vals[..., 1::2] * _WG).sum(axis=-1) * half
     # quadpack-style rescaled error estimate
-    resabs = (np.abs(vals) * _WK[None, :]).sum(axis=1) * np.abs(half[:, 0])
+    resabs = (np.abs(vals) * _WK).sum(axis=-1) * np.abs(half)
     diff = np.abs(ik - ig)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.where(
@@ -94,9 +99,13 @@ def adaptive_gk(
 ) -> QuadResult:
     """Integrate vectorized ``f`` over [a, b] to the requested tolerance.
 
-    ``initial`` may supply interior breakpoints (sorted, within (a, b)) so
-    known features (near-singular points, oscillation scales) are resolved
-    from the start.
+    ``f`` maps n nodes to n values, or to an (n, k) array for k integrals
+    computed in one pass; each component k then meets its own tolerance
+    max(atol, rtol |I_k|), a segment is bisected by its largest
+    error-to-tolerance ratio over the components, and ``value`` and
+    ``error`` are length-k arrays.  ``initial`` may supply interior
+    breakpoints (sorted, within (a, b)) so known features (near-singular
+    points, oscillation scales) are resolved from the start.
     """
     if initial is not None and len(initial) > 0:
         pts = np.asarray(initial, dtype=float)
@@ -108,31 +117,39 @@ def adaptive_gk(
     vals, errs, n_eval = _eval_segments(f, lo, hi)
 
     while True:
-        total = vals.sum()
-        tol = max(atol, rtol * abs(total))
-        err_total = errs.sum()
-        if err_total <= tol:
+        total = vals.sum(axis=-1)
+        tol = np.maximum(atol, rtol * np.abs(total))
+        err_total = errs.sum(axis=-1)
+        if np.all(err_total <= tol):
             break
         if len(lo) >= max_segments:
+            i = np.argmax(err_total / tol)
             raise QuadratureError(
-                f"quadrature stalled at {len(lo)} segments, error {err_total:.3e} > {tol:.3e}"
+                f"quadrature stalled at {len(lo)} segments, error "
+                f"{err_total.flat[i]:.3e} > {tol.flat[i]:.3e}"
             )
-        # bisect every segment holding more than its proportional error share
-        worst = errs > max(tol / max(len(lo), 1), 0.25 * errs.max())
+        # bisect every segment holding more than its proportional error
+        # share; a vector integrand compares errors in units of tolerance
+        if errs.ndim == 1:
+            score, unit = errs, tol
+        else:
+            score, unit = (errs / tol[:, None]).max(axis=0), 1.0
+        worst = score > max(unit / max(len(lo), 1), 0.25 * score.max())
         if not np.any(worst):
-            worst = errs == errs.max()
+            worst = score == score.max()
         lo_w, hi_w = lo[worst], hi[worst]
         mid_w = 0.5 * (lo_w + hi_w)
         new_lo = np.concatenate([lo[~worst], lo_w, mid_w])
         new_hi = np.concatenate([hi[~worst], mid_w, hi_w])
-        keep_vals, keep_errs = vals[~worst], errs[~worst]
+        keep_vals, keep_errs = vals[..., ~worst], errs[..., ~worst]
         add_vals, add_errs, n_more = _eval_segments(
             f, np.concatenate([lo_w, mid_w]), np.concatenate([mid_w, hi_w])
         )
         n_eval += n_more
         lo, hi = new_lo, new_hi
-        vals = np.concatenate([keep_vals, add_vals])
-        errs = np.concatenate([keep_errs, add_errs])
+        vals = np.concatenate([keep_vals, add_vals], axis=-1)
+        errs = np.concatenate([keep_errs, add_errs], axis=-1)
 
-    return QuadResult(value=complex(vals.sum()), error=float(errs.sum()),
-                      n_eval=n_eval, n_segments=len(lo))
+    if vals.ndim == 1:
+        total, err_total = complex(total), float(err_total)
+    return QuadResult(value=total, error=err_total, n_eval=n_eval, n_segments=len(lo))

@@ -14,8 +14,11 @@ makes the dispersion-relation logarithms land on the branch the edge
 condition needs.
 
 The transform is evaluated two ways: a pointwise adaptive form used by
-``split_q`` (linear subtraction of L near the pole, exact closed forms for
-the subtracted part, tail folded to a finite interval), and a reusable
+``split_q`` and the dispersion residual (linear subtraction of L near the
+pole, exact closed forms for the subtracted part, tail folded to a finite
+interval; the main interval and the tail of one or several points, such
+as the pair xi^+- of a residual, are integrated in one adaptive pass
+that shares every evaluation of L), and a reusable
 fixed-node table (``CauchyTable``) for batch evaluations along shifted
 contours (field profiles, boundary-factorization sweeps).  The table
 sums the same subtracted quadrature in expanded form, as real matrix
@@ -164,8 +167,7 @@ class UnwrappedLogKernel:
                 raise NonzeroIndexError(self.nu_k)
             roots = quadratic_roots(self.problem.sigma, self.problem.q)
             coeffs = split_coefficients(self.problem.sigma, self.problem.q)
-            phi_p = cauchy_transform(self, roots.xi_plus)
-            phi_m = cauchy_transform(self, roots.xi_minus)
+            phi_p, phi_m = cauchy_transform(self, [roots.xi_plus, roots.xi_minus])
             self._cache[key] = (roots, coeffs, phi_p, phi_m)
         return self._cache[key]
 
@@ -269,31 +271,22 @@ def _span_for(kernel: UnwrappedLogKernel, xi0: complex) -> float:
     return max(64.0 * kernel.scale, 4.0 * abs(xi0))
 
 
-def _closed_log_term(span: float, xi0: complex):
-    """Int_{-span}^{span} dz/(z - xi0), continuous for xi0 off the axis;
-    principal-value result for xi0 exactly on the axis."""
-    if xi0.imag != 0.0:
-        return complex(np.log(span - xi0) - np.log(-span - xi0))
-    x = xi0.real
-    return complex(math.log(abs(span - x)) - math.log(abs(-span - x)))
+def _closed_terms(span: float, xi0: np.ndarray, t0: np.ndarray,
+                  c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
+    """Int_{-span}^{span} (c0 + c1 (z - t0))/(z - xi0) dz, vectorized over
+    points; continuous off the axis, principal value exactly on it."""
+    on_axis = xi0.imag == 0.0
+    log_term = np.where(
+        on_axis,
+        np.log(np.abs(span - xi0.real)) - np.log(np.abs(span + xi0.real)),
+        np.log(np.where(on_axis, 1.0, span - xi0))
+        - np.log(np.where(on_axis, 1.0, -span - xi0)),
+    )
+    return c0 * log_term + c1 * (2.0 * span + (xi0 - t0) * log_term)
 
 
-def _tail_integrand(kernel: UnwrappedLogKernel, span: float, xi0: complex):
-    """Folded tail |zeta| > span mapped to u in (0, 1] via zeta = span/u."""
-
-    def h(u):
-        u = np.asarray(u, dtype=float)
-        zeta = span / u
-        lp = kernel.log_values(zeta)
-        lm = kernel.log_values(-zeta)
-        num = zeta * (lp - lm) + xi0 * (lp + lm)
-        return num / (zeta * zeta - xi0 * xi0) * (span / (u * u))
-
-    return h
-
-
-def cauchy_transform(kernel: UnwrappedLogKernel, xi0: complex,
-                     *, rtol: float = 1e-11) -> SplitValue:
+def cauchy_transform(kernel: UnwrappedLogKernel, xi0, *,
+                     rtol: float = 1e-11) -> SplitValue | list[SplitValue]:
     """Phi(xi0) = (1/2 pi i) Int L(z)/(z - xi0) dz over the real axis.
 
     Q_+(xi0) = Phi(xi0) for Im xi0 > 0 and Q_-(xi0) = -Phi(xi0) for
@@ -301,39 +294,53 @@ def cauchy_transform(kernel: UnwrappedLogKernel, xi0: complex,
     (used by the Plemelj boundary formulas).  L is subtracted linearly
     about t0 = Re xi0 so near-axis points (boundary-value probes, low-loss
     roots) cost no more than well-separated ones.
+
+    ``xi0`` may be one point, which gives one ``SplitValue``, or a
+    sequence of points, which gives a list of them.  All points are
+    integrated in one adaptive pass over s in [-1, 2] that shares every
+    evaluation of L: s in [-1, 1] is the main interval z = span s, and
+    s in (1, 2] the tail |z| > span folded onto u = 2 - s by z = +-span/u.
+    Each point meets its own tolerance and gets its own error estimate.
     """
+    points = np.atleast_1d(np.asarray(xi0, dtype=complex))
     if kernel.trivial:
-        return SplitValue(0.0 + 0.0j, SplitHalf.PLUS, complex(xi0), 0.0)
-    xi0 = complex(xi0)
-    span = _span_for(kernel, xi0)
-    t0 = float(np.clip(xi0.real, -0.75 * span, 0.75 * span))
-    c0 = complex(kernel.log_values(np.array([t0]))[0])
-    c1 = complex(kernel.dlog_on_axis(np.array([t0 + 0.0j]))[0])
+        values, errors = np.zeros(points.size, dtype=complex), np.zeros(points.size)
+    else:
+        span = max(_span_for(kernel, complex(x)) for x in points)
+        t0 = np.clip(points.real, -0.75 * span, 0.75 * span)
+        c0 = kernel.log_values(t0)
+        c1 = kernel.dlog_on_axis(t0.astype(complex))
+        xc, t0c, c0c, c1c = (v[:, None] for v in (points, t0, c0, c1))
 
-    def g(z):
-        z = np.asarray(z, dtype=float)
-        lv = kernel.log_values(z)
-        return (lv - c0 - c1 * (z - t0)) / (z - xi0)
+        def integrand(s):
+            tail = s > 1.0
+            main = ~tail
+            z = span * s[main]
+            u = 2.0 - s[tail]
+            zeta = span / u
+            lz, lp, lm = np.split(kernel.log_values(np.concatenate([z, zeta, -zeta])),
+                                  [z.size, z.size + zeta.size])
+            out = np.empty((points.size, s.size), dtype=complex)
+            out[:, main] = (lz - c0c - c1c * (z - t0c)) / (z - xc) * span
+            out[:, tail] = ((zeta * (lp - lm) + xc * (lp + lm))
+                            / (zeta * zeta - xc * xc) * (span / (u * u)))
+            return out.T
 
-    seeds = sorted({s for s in (
-        -4.0 * kernel.scale, -kernel.scale, 0.0, kernel.scale, 4.0 * kernel.scale,
-        t0 - kernel.scale, t0 - 0.1 * kernel.scale, t0,
-        t0 + 0.1 * kernel.scale, t0 + kernel.scale,
-        xi0.real) if -span < s < span})
-    main = adaptive_gk(g, -span, span, rtol=rtol, atol=1e-14,
-                       initial=np.array(seeds))
-
-    log_term = _closed_log_term(span, xi0)
-    closed = c0 * log_term + c1 * (2.0 * span + (xi0 - t0) * log_term)
-
-    tail = adaptive_gk(_tail_integrand(kernel, span, xi0), 0.0, 1.0,
-                       rtol=rtol, atol=1e-14,
-                       initial=np.geomspace(1e-10, 0.5, 12))
-
-    value = (main.value + closed + tail.value) / (2j * math.pi)
-    err = (main.error + tail.error) / TWO_PI
-    half = SplitHalf.PLUS if xi0.imag >= 0 else SplitHalf.MINUS
-    return SplitValue(complex(value), half, xi0, float(err))
+        scale = kernel.scale
+        seeds = np.concatenate([
+            [-4.0 * scale, -scale, 0.0, scale, 4.0 * scale],
+            (t0[:, None] + scale * np.array([-1.0, -0.1, 0.0, 0.1, 1.0])).ravel(),
+            points.real]) / span
+        breaks = np.concatenate([seeds[np.abs(seeds) < 1.0], [1.0],
+                                 2.0 - np.geomspace(1e-10, 0.5, 12)])
+        res = adaptive_gk(integrand, -1.0, 2.0, rtol=rtol, atol=1e-14,
+                          initial=np.unique(breaks))
+        values = (res.value + _closed_terms(span, points, t0, c0, c1)) / (2j * math.pi)
+        errors = res.error / TWO_PI
+    out = [SplitValue(complex(v), SplitHalf.PLUS if x.imag >= 0 else SplitHalf.MINUS,
+                      complex(x), float(e))
+           for v, x, e in zip(values, points, errors)]
+    return out[0] if np.ndim(xi0) == 0 else out
 
 
 def split_q(kernel: UnwrappedLogKernel, xi0: complex, half: SplitHalf,
@@ -397,9 +404,8 @@ _ROOT_SERIES_BAND = 1e-6
 
 def _phi_derivative(kernel: UnwrappedLogKernel, xi0: complex, *, rtol=1e-10) -> complex:
     h = 1e-5 * kernel.scale
-    a = cauchy_transform(kernel, xi0 + h, rtol=rtol).value
-    b = cauchy_transform(kernel, xi0 - h, rtol=rtol).value
-    return (a - b) / (2.0 * h)
+    a, b = cauchy_transform(kernel, [xi0 + h, xi0 - h], rtol=rtol)
+    return (a.value - b.value) / (2.0 * h)
 
 
 def lambda_pm(problem: Problem, kernel: UnwrappedLogKernel, xi: complex,
@@ -627,24 +633,21 @@ class CauchyTable:
         t0 = np.clip(xi0.real, -0.75 * span, 0.75 * span)
         c0 = kernel.log_values(t0)
         c1 = kernel.dlog_on_axis(t0.astype(complex))
-        on_axis = xi0.imag == 0.0
-        log_term = np.where(
-            on_axis,
-            np.log(np.abs(span - xi0.real)) - np.log(np.abs(span + xi0.real)),
-            np.log(np.where(on_axis, 1.0, span - xi0))
-            - np.log(np.where(on_axis, 1.0, -span - xi0)),
-        )
-        closed = c0 * log_term + c1 * (2.0 * span + (xi0 - t0) * log_term)
+        closed = _closed_terms(span, xi0, t0, c0, c1)
 
         near_i, near_j = self._near_pairs(xi0)
-        k_l, k_1 = _pole_sums(self.nodes, xi0, self.moments, skip=(near_i, near_j)).T
+        # a node equal to an on-axis point is a near pair: its 1/0 cell is skipped
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k_l, k_1 = _pole_sums(self.nodes, xi0, self.moments, skip=(near_i, near_j)).T
         main = k_l - c0 * k_1 - c1 * (self.weights.sum() + (xi0 - t0) * k_1)
         # near pairs: the subtracted term, plus the c1 w_j that Sum_j w_j
         # above counted for a node missing from K.1
         t, w, c1_near = self.nodes[near_j], self.weights[near_j], c1[near_i]
-        np.add.at(main, near_i, w * (c1_near + (self.lvals[near_j] - c0[near_i]
-                                                - c1_near * (t - t0[near_i]))
-                                     / (t - xi0[near_i])))
+        num = self.lvals[near_j] - c0[near_i] - c1_near * (t - t0[near_i])
+        dt = t - xi0[near_i]
+        # at a node equal to an on-axis point the fraction's limit is 0
+        frac = np.divide(num, dt, out=np.zeros_like(num), where=dt != 0)
+        np.add.at(main, near_i, w * (c1_near + frac))
         t_p, t_s = _pole_sums(self.tail_z * self.tail_z, xi0 * xi0, self.tail_moments).T
         out[:] = (main + closed + t_p + xi0 * t_s) / (2j * math.pi)
         return out

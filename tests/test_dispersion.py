@@ -24,8 +24,11 @@ from edgeplasmon import (
     trace_curve,
     vm_isotropic_residual,
 )
+from edgeplasmon import dispersion, wiener_hopf
 from edgeplasmon.branches import principal_log
 from edgeplasmon.dispersion import q_sum_asymptotic
+from edgeplasmon.quadrature import QuadratureError, adaptive_gk
+from edgeplasmon.wiener_hopf import build_log_kernel
 from conftest import CASE_REFERENCE_Q, make_sigma
 
 
@@ -95,8 +98,9 @@ class TestSolve:
         assert "undefined" in sol.message or "blocked" in sol.message
 
     def test_quadrature_stall_is_classified(self):
-        # a fuzzed passive tensor whose residual quadrature stalls on the
-        # secant path (round-off above the absolute error floor)
+        # a fuzzed passive tensor whose residual quadrature stalled on the
+        # secant path while the main interval, with an integral near 0,
+        # had a tolerance of its own; any classified result with a reason
         sigma = ConductivityTensor(
             8.272235546181581e-05 + 0.22738122556957482j,
             -6.165810675334501e-06 - 0.07540526128244206j,
@@ -106,7 +110,38 @@ class TestSolve:
         q = -11.33996405995937 - 0.11339964059959369j
         sol = solve(Problem.single_sheet(sigma, q), q)
         assert sol.classification is Classification.NO_SOLUTION
+        assert sol.message
+
+    @pytest.mark.parametrize("fail_at, where", [(1, "at the guess"), (3, "at q=")])
+    def test_quadrature_error_is_classified(self, monkeypatch, fail_at, where):
+        # one adaptive pass per residual: call 3 is the first secant step
+        calls = 0
+
+        def stalling_gk(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            if calls >= fail_at:
+                raise QuadratureError("quadrature stalled at 4000 segments")
+            return adaptive_gk(*args, **kwargs)
+
+        monkeypatch.setattr(wiener_hopf, "adaptive_gk", stalling_gk)
+        sol = solve(Problem.single_sheet(make_sigma("A"), 12.0), 12.0)
+        assert sol.classification is Classification.NO_SOLUTION
+        assert sol.message.startswith("residual undefined " + where)
         assert "quadrature stalled" in sol.message
+
+    def test_root_reuses_the_last_residual_kernel(self, monkeypatch):
+        built = []
+
+        def counting_build(prob, **kwargs):
+            built.append(prob.q)
+            return build_log_kernel(prob, **kwargs)
+
+        monkeypatch.setattr(dispersion, "build_log_kernel", counting_build)
+        sol = solve(Problem.single_sheet(make_sigma("B"), 13.9 + 0.14j), 13.9 + 0.14j)
+        assert sol.converged
+        assert len(built) == sol.iterations
+        assert built[-1] == sol.q
 
     def test_validity_report_attached(self, solutions):
         rep = solutions["A"].validity

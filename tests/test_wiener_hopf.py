@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,33 @@ class TestSplitQ:
         recon = np.mean(vals)  # mean over the circle = center value
         direct = cauchy_transform(kernel, z0).value
         assert abs(recon - direct) < 1e-6
+
+
+class TestCauchyTransformBatch:
+    """Several points in one adaptive pass against one pass per point."""
+
+    def test_root_pair_matches_single_points(self, root_kernels):
+        for name, kernel in root_kernels.items():
+            r = quadratic_roots(kernel.problem.sigma, kernel.problem.q)
+            pair = cauchy_transform(kernel, [r.xi_plus, r.xi_minus])
+            for got, x in zip(pair, (r.xi_plus, r.xi_minus)):
+                one = cauchy_transform(kernel, x)
+                assert got.eval_point == x and got.half is one.half
+                assert abs(got.value - one.value) <= 1e-12, f"case {name} at {x}"
+                assert 0.0 < got.quadrature_error_estimate < 1e-8
+
+    def test_mixed_off_axis_and_principal_value(self, root_kernels):
+        kernel = root_kernels["B"]
+        pts = [7.7 - 0.3j, -2.4 + 0j]
+        batch = cauchy_transform(kernel, pts)
+        assert [b.half for b in batch] == [SplitHalf.MINUS, SplitHalf.PLUS]
+        for got, x in zip(batch, pts):
+            assert abs(got.value - cauchy_transform(kernel, x).value) <= 1e-12
+
+    def test_trivial_kernel_batch(self):
+        kernel = build_log_kernel(Problem.single_sheet(
+            ConductivityTensor.diagonal(0, 0, nondimensional=True), 4.0))
+        assert [v.value for v in cauchy_transform(kernel, [1j, -2.0])] == [0, 0]
 
 
 class TestBoundaryValues:
@@ -380,6 +408,15 @@ class TestCauchyTableOracle:
         inside = np.flatnonzero(np.abs(t[:-1]) < 40.0 * kernel.scale)
         j = rng.choice(inside, 200, replace=False)
         self._check(kernel, 0.5 * (t[j] + t[j + 1]) + 0j)
+
+    def test_on_axis_point_at_a_node(self, kernel):
+        # the subtracted fraction is 0/0 there; its limit is 0
+        table = kernel.cauchy_table()
+        x = table.nodes[3000]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = complex(table.phi(x + 0j)[0])
+        assert abs(got - cauchy_transform(kernel, x).value) <= self.TOL
 
     def test_trivial_kernel_gives_zero(self):
         kernel = build_log_kernel(Problem.single_sheet(
