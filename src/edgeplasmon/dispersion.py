@@ -29,7 +29,7 @@ from .conductivity import (
     validity_check,
 )
 from .kernel import Problem, Variant
-from .quadrature import QuadratureError, adaptive_gk
+from .quadrature import QuadratureError, adaptive_gk_to_infinity
 from .spectrum import (
     RealAxisZeroError,
     SpectrumReport,
@@ -68,8 +68,7 @@ class IndexClassificationError(RuntimeError):
         self.nu_k = nu_k
 
 
-def residual(problem: Problem, *, kernel: UnwrappedLogKernel | None = None,
-             rtol: float = 1e-11) -> complex:
+def residual(problem: Problem, *, kernel: UnwrappedLogKernel | None = None) -> complex:
     """Dispersion residual at problem.q: F for single-sheet/interface,
     A(q) for two-sheet.  Raises IndexClassificationError when nu_K != 0."""
     if kernel is None:
@@ -108,18 +107,9 @@ def vm_isotropic_residual(problem: Problem, *, rtol: float = 1e-11) -> complex:
         root = np.sqrt(1.0 + z * z)
         return principal_log(1.0 + amp * root) / (1.0 + z * z)
 
-    main = adaptive_gk(integrand, 0.0, 60.0, rtol=rtol,
-                       initial=np.array([0.5, 1.0, 2.0, 5.0, 15.0]))
-
-    def tail(u):
-        u = np.asarray(u, dtype=float)
-        z = 60.0 / u
-        root = np.sqrt(1.0 + z * z)
-        return principal_log(1.0 + amp * root) / (1.0 + z * z) * (60.0 / (u * u))
-
-    tail_part = adaptive_gk(tail, 0.0, 1.0, rtol=rtol,
-                            initial=np.geomspace(1e-8, 0.5, 8))
-    t_val = (main.value + tail_part.value) / math.pi
+    res = adaptive_gk_to_infinity(integrand, 60.0, rtol=rtol,
+                                  initial=[0.5, 1.0, 2.0, 5.0, 15.0])
+    t_val = res.value / math.pi
     return complex(1j * sig.yx / sig.xx * sg * np.tanh(t_val) + 1.0)
 
 
@@ -146,7 +136,7 @@ def _validity_of(problem: Problem) -> ValidityReport:
 
 
 def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
-          maxiter: int = 60, rtol: float = 1e-11) -> DispersionSolution:
+          maxiter: int = 60) -> DispersionSolution:
     """Damped complex secant iteration on the dispersion residual.
 
     Returns the root reached from the supplied guess (Re q keeps the
@@ -165,7 +155,7 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
     def f_at(q):
         nonlocal kernel
         kernel = build_log_kernel(problem.with_q(q))
-        return residual(kernel.problem, kernel=kernel, rtol=rtol)
+        return residual(kernel.problem, kernel=kernel)
 
     n_eval = 0
     index_flips: list[str] = []
@@ -256,8 +246,7 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
         message=message)
 
 
-def classify(problem: Problem, *, tol: float = 1e-8,
-             rtol: float = 1e-11) -> Classification:
+def classify(problem: Problem, *, tol: float = 1e-8) -> Classification:
     """Region classification at fixed (q, omega).
 
     nu_K > 0: continuum of admissible q (CONTINUUM_REGION); nu_K < 0: no
@@ -269,7 +258,7 @@ def classify(problem: Problem, *, tol: float = 1e-8,
         return Classification.CONTINUUM_REGION
     if kernel.nu_k < 0:
         return Classification.NO_SOLUTION
-    f = residual(problem, kernel=kernel, rtol=rtol)
+    f = residual(problem, kernel=kernel)
     return (Classification.DISCRETE_EPP if abs(f) < tol
             else Classification.NO_SOLUTION)
 
@@ -356,22 +345,14 @@ def _f_single(lw: LongwaveParams, alpha: complex, rtol: float) -> tuple[complex,
     seeds = np.array(sorted({0.5, 1.0, 2.0, abs(alpha), 2 * abs(alpha),
                              abs(pole.real) or 0.5,
                              min(1.0 / max(abs(qb), 1e-12), 0.5 * z_big)}))
-    main = adaptive_gk(integrand, 0.0, z_big, rtol=rtol,
-                       initial=seeds[seeds < z_big])
-
-    def tail(u):
-        u = np.asarray(u, dtype=float)
-        z = z_big / u
-        return ((num(z) - c) / (z * z - alpha * alpha)) * (z_big / (u * u))
-
-    tail_part = adaptive_gk(tail, 0.0, 1.0, rtol=rtol,
-                            initial=np.geomspace(1e-8, 0.5, 10))
-    value = main.value + tail_part.value
+    res = adaptive_gk_to_infinity(integrand, z_big, rtol=rtol,
+                                  initial=seeds[seeds < z_big])
+    value = res.value
     if subtract:
         if alpha.imag == 0:
             raise ValueError("alpha exactly on the ray; integral needs deformation")
         value += c * (1j * math.pi * math.copysign(1.0, alpha.imag) / (2.0 * alpha))
-    return complex(value), main.error + tail_part.error
+    return complex(value), res.error
 
 
 def f_pm_direct(lw: LongwaveParams, *, rtol: float = 1e-10) -> tuple[complex, complex]:

@@ -9,9 +9,10 @@ With the splitting in hand, the potential on either side of the edge is
 normalized to phi0 = 1.  The 1/(xi - xi^+-) partial-fraction pieces of
 Lambda are integrated in closed form (they give the C^+ e^{i xi^+ x} /
 -C^- e^{i xi^- x} terms); the remainder decays algebraically and is
-integrated on a contour shifted off the axis by a small delta, with
-measured power-law tails corrected analytically via incomplete-gamma
-(erfc) factors.
+integrated on a contour shifted off the axis by a small delta.  Beyond
+the panelized span the profile contour turns into the half-plane where
+e^{i xi x} decays; the x -> 0 edge integral instead adds its fitted
+algebraic tails in closed form.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ import math
 
 import numpy as np
 
-from .branches import Sheet, sheet_sqrt
-from .kernel import Problem, Variant, p_of_xi
-from .quadrature import _WG, _WK, _XK, gk_nodes_weights
+from .kernel import Problem, Variant, dp_dxi, p_of_xi
+from .quadrature import gk_nodes_weights, gk_panel_sums
 from .spectrum import SpectrumReport, bulk_zeros
 from .wiener_hopf import UnwrappedLogKernel, cauchy_transform
 
@@ -107,16 +107,15 @@ def edge_limits(problem: Problem, kernel: UnwrappedLogKernel) -> EdgeLimits:
         e_mqm = np.exp(phi_v)            # e^{-Q_-} = e^{+Phi} below the axis
         return (cp * a / (xi - xp) + cm * b / (xi - xm)) * e_mqm
 
-    nodes, weights, panel_shape = _panel_nodes(span, max_width=kernel.scale / 6.0,
-                                               kernel=kernel)
-    vals = s_minus(nodes)
-    integral = complex((vals * weights).sum())
+    nodes, half = _panel_nodes(span, max_width=kernel.scale / 6.0, kernel=kernel)
+    panels, diff = gk_panel_sums(s_minus(nodes).reshape(half.size, -1), half)
+    integral = complex(panels.sum())
     # two-term power tails, no oscillation (x -> 0+ limit already taken)
     fit_r = _fit_tail(s_minus, span, 1.5)
     fit_l = _fit_tail(lambda t: s_minus(-t), span, 1.5)
-    integral += _tail_value(fit_r[:2], 1.5, 0.0, span)
-    integral += _tail_value(fit_l[:2], 1.5, 0.0, span)
-    err = (_panel_error(vals, panel_shape, weights)
+    integral += _tail_value(fit_r[:2], 1.5, span)
+    integral += _tail_value(fit_l[:2], 1.5, span)
+    err = (float(np.abs(diff).sum())
            + (fit_r[2] + fit_l[2]) * span) / (2.0 * math.pi)
     phi_plus = cp - integral / TWO_PI_I
     return EdgeLimits(complex(phi_plus), complex(phi_minus), complex(div_coeff),
@@ -169,16 +168,6 @@ class SppDecomposition:
 DEGENERATE_POLE_BAND = 1e-6
 
 
-def _p_prime(problem: Problem, xi: complex) -> complex:
-    """d P / d xi on the first sheet at a point away from the branch cut."""
-    a, b, c = problem.quad_coeffs()
-    q = complex(problem.q)
-    w = complex(sheet_sqrt(xi, q, Sheet.FIRST))
-    num = a * xi * xi + b * xi + c
-    dnum = 2.0 * a * xi + b
-    return 0.5j * (dnum - num * xi / (w * w)) / w
-
-
 def spp_decomposition(problem: Problem, kernel: UnwrappedLogKernel) -> SppDecomposition:
     """Per-mode amplitudes of the bulk-SPP residue sum for x > 0.
 
@@ -210,7 +199,7 @@ def spp_decomposition(problem: Problem, kernel: UnwrappedLogKernel) -> SppDecomp
     for z in locs:
         e_qp = np.exp(cauchy_transform(kernel, z).value)   # e^{Q_+(xi_l)}, Im z > 0
         bracket = coeffs.c_minus * b / (z - xm) + coeffs.c_plus * a / (z - xp)
-        amp = -bracket * e_qp / _p_prime(problem, z)
+        amp = -bracket * e_qp / dp_dxi(problem, z)
         modes.append(SppMode(wavenumber=z, amplitude=complex(amp)))
     modes.sort(key=lambda m: m.wavenumber.imag)
     return SppDecomposition(
@@ -235,27 +224,11 @@ class FieldProfile:
     residue_part: np.ndarray | None = None
 
 
-def _e_power(power: float, beta: float, cut: float) -> complex:
-    """Int_cut^inf t^(-power) e^(i beta t) dt for half-integer powers.
-
-    Base case p = 1/2 via the complementary error function; higher powers
-    by the recursion E_{p+1} = (cut^-p e^{i beta cut} + i beta E_p)/p.
-    beta = 0 is allowed for power > 1 (plain algebraic tail).
-    """
-    if beta == 0.0:
-        if power <= 1.0:
-            raise ValueError("divergent tail: power <= 1 with beta = 0")
-        return complex(cut ** (1.0 - power) / (power - 1.0))
-    # imported here: scipy.special dominates the package's import time
-    from scipy import special
-
-    root = np.sqrt(complex(-1j * beta))
-    val = complex(np.sqrt(math.pi) / root * special.erfc(root * math.sqrt(cut)))
-    p = 0.5
-    while p < power - 0.25:
-        val = (cut ** (-p) * np.exp(1j * beta * cut) + 1j * beta * val) / p
-        p += 1.0
-    return complex(val)
+def _e_power(power: float, cut: float) -> float:
+    """Int_cut^inf t^(-power) dt for power > 1."""
+    if power <= 1.0:
+        raise ValueError("divergent tail: power <= 1")
+    return cut ** (1.0 - power) / (power - 1.0)
 
 
 def _fit_tail(s_fun, cut: float, power: float):
@@ -275,14 +248,15 @@ def _fit_tail(s_fun, cut: float, power: float):
     return complex(coef_a), complex(coef_b), float(resid)
 
 
-def _tail_value(coefs, power: float, beta: float, cut: float) -> complex:
+def _tail_value(coefs, power: float, cut: float) -> complex:
     a_c, b_c = coefs
-    return a_c * _e_power(power, beta, cut) + b_c * _e_power(power + 1.0, beta, cut)
+    return a_c * _e_power(power, cut) + b_c * _e_power(power + 1.0, cut)
 
 
 def _panel_nodes(span: float, max_width: float,
                  kernel: UnwrappedLogKernel | None = None):
-    """GK15 nodes/weights tiling [-span, span]; returns (nodes, weights, shape).
+    """GK15 nodes tiling [-span, span], 15 per panel in order, and the
+    panel half widths.
 
     When a kernel is given, its adaptive phase grid contributes panel
     edges, so sharp symbol features (near-axis zeros) are resolved even
@@ -294,33 +268,18 @@ def _panel_nodes(span: float, max_width: float,
         g = kernel.grid
         inner = g[(g > -span) & (g < span)][::4]
         edges = np.unique(np.concatenate([edges, inner]))
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * _XK[None, :]).ravel()
-    weights = (half[:, None] * _WK[None, :]).ravel()
-    return nodes, weights, (len(half), _XK.size)
-
-
-def _panel_error(vals: np.ndarray, shape, weights: np.ndarray) -> float:
-    """Embedded Gauss-Kronrod difference summed over panels."""
-    v = vals.reshape(shape)
-    w = weights.reshape(shape)
-    ik = (v * w).sum(axis=1)
-    ig = (v[:, 1::2] * w[:, 1::2] / _WK[1::2] * _WG).sum(axis=1)
-    return float(np.abs(ik - ig).sum())
+    nodes, _ = gk_nodes_weights(edges[:-1], edges[1:])
+    return nodes.ravel(), 0.5 * np.diff(edges)
 
 
 def _vertical_panels(length: float, struct: float):
-    """Dyadic GK panels on [0, length], refined toward 0 until the first
-    panel is shorter than the integrand's structural scale."""
+    """GK15 nodes and half widths of dyadic panels on [0, length], refined
+    toward 0 until the first panel is shorter than the integrand's
+    structural scale."""
     levels = int(np.clip(math.ceil(math.log2(length / (0.25 * struct))), 6, 26))
     edges = np.concatenate(([0.0], length * 2.0 ** -np.arange(levels, -1.0, -1.0)))
-    nodes_list, w_list = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        n, w = gk_nodes_weights(lo, hi)
-        nodes_list.append(n)
-        w_list.append(w)
-    return np.concatenate(nodes_list), np.concatenate(w_list)
+    nodes, _ = gk_nodes_weights(edges[:-1], edges[1:])
+    return nodes.ravel(), 0.5 * np.diff(edges)
 
 
 def _rotated_tail(prob: Problem, table, consts, end: complex, x: float,
@@ -337,7 +296,7 @@ def _rotated_tail(prob: Problem, table, consts, end: complex, x: float,
     xp, xm, cp, cm, a, b = consts
     rot = 1.0 if x > 0 else -1.0
     length = 45.0 / abs(x)
-    s_nodes, s_w = _vertical_panels(length, struct=abs(end.real))
+    s_nodes, s_half = _vertical_panels(length, struct=abs(end.real))
     xi = end + 1j * rot * s_nodes
     phi_v = table.phi(xi)
     bracket = cp * a / (xi - xp) + cm * b / (xi - xm)
@@ -354,17 +313,12 @@ def _rotated_tail(prob: Problem, table, consts, end: complex, x: float,
         if below.any():
             factor[below] *= p_of_xi(prob, xi[below])
     vals = bracket * factor * np.exp(1j * xi * x)
-    total = 1j * rot * complex((vals * s_w).sum())
-    # error: embedded Gauss difference over the dyadic panels
-    shape = (-1, _XK.size)
-    v = (vals * s_w).reshape(shape)
-    ig = (v[:, 1::2] / _WK[1::2] * _WG).sum(axis=1)
-    err = float(np.abs(v.sum(axis=1) - ig).sum())
-    return total, err
+    panels, diff = gk_panel_sums(vals.reshape(s_half.size, -1), s_half)
+    return 1j * rot * complex(panels.sum()), float(np.abs(diff).sum())
 
 
 def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
-                *, target_error: float = 1e-4, span: float | None = None,
+                *, target_error: float = 1e-4,
                 include_residue: bool = False) -> FieldProfile:
     """Potential phi(x) near the edge, phi0 = 1, x in units of 1/k0.
 
@@ -387,7 +341,7 @@ def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
     table = kernel.cauchy_table()
     scale = kernel.scale
     delta = 1e-7 * scale
-    span = span or max(32.0 * scale, 3.0 * abs(problem.q))
+    span = max(32.0 * scale, 3.0 * abs(problem.q))
 
     phi = np.empty(x_values.shape, dtype=complex)
     err = np.empty(x_values.shape, dtype=float)
@@ -399,28 +353,23 @@ def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
         xs = x_values[mask]
         xmax = np.abs(xs).max()
         width = min(scale / 8.0, 3.0 / xmax)
-        nodes, weights, shape = _panel_nodes(span, max_width=width, kernel=kernel)
+        nodes, half = _panel_nodes(span, max_width=width, kernel=kernel)
         xi = nodes - 1j * side * delta
         phi_v = table.phi(xi)
         bracket = cp * a / (xi - xp) + cm * b / (xi - xm)
         # e^{-Q_-} = e^{+Phi} below the axis; e^{+Q_+} = e^{+Phi} above it
         s_vals = bracket * np.exp(phi_v)
 
-        sw = s_vals * weights
-        g_scale = np.zeros(_XK.size)
-        g_scale[1::2] = _WG / _WK[1::2]
         ends = (span - 1j * side * delta, -span - 1j * side * delta)
         for i, x in enumerate(xs):
             # contour factor e^{i xi x} = e^{i t x} e^{side * delta * x}
             osc = np.exp(1j * nodes * x + delta * side * x)
-            vals_x = sw * osc
-            ik = vals_x.sum()
-            ig = (vals_x.reshape(shape) * g_scale[None, :]).sum()
+            panels, diff = gk_panel_sums((s_vals * osc).reshape(half.size, -1), half)
             tail_r, err_r = _rotated_tail(problem, table, consts, ends[0], x,
                                           on_sheet=side > 0)
             tail_l, err_l = _rotated_tail(problem, table, consts, ends[1], x,
                                           on_sheet=side > 0)
-            integral = ik + tail_r - tail_l
+            integral = panels.sum() + tail_r - tail_l
             if side > 0:
                 # Lambda_- e^{-Q_-} = C^+/(xi-xi^+) + C^-/(xi-xi^-) - s_-
                 value = cp * np.exp(1j * xp * x) - integral / TWO_PI_I
@@ -429,7 +378,7 @@ def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
                 value = cm * np.exp(1j * xm * x) + integral / TWO_PI_I
             idx = np.flatnonzero(mask)[i]
             phi[idx] = value
-            err[idx] = (abs(ik - ig) + err_r + err_l) / (2.0 * math.pi)
+            err[idx] = (abs(diff.sum()) + err_r + err_l) / (2.0 * math.pi)
 
     flags = err > target_error
     residue = None

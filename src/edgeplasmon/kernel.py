@@ -23,7 +23,7 @@ import numpy as np
 from .branches import Sheet, sheet_sqrt
 from .conductivity import ConductivityTensor
 
-__all__ = ["Problem", "Variant", "khat", "p_left_right", "p_of_xi"]
+__all__ = ["Problem", "Variant", "dlogp_dxi", "dp_dxi", "khat", "p_left_right", "p_of_xi"]
 
 
 class Variant(enum.Enum):
@@ -128,12 +128,26 @@ def khat(xi, q: complex):
     return 0.5 / sheet_sqrt(xi, q, Sheet.FIRST)
 
 
-def _p_single(sigma_eff: ConductivityTensor, q: complex, xi, sheet: Sheet):
-    xi = np.asarray(xi, dtype=complex)
+def _num_and_root(sigma_eff: ConductivityTensor, q: complex, xi, sheet: Sheet):
+    """Numerator sigma_xx xi^2 + (sigma_xy + sigma_yx) q xi + sigma_yy q^2 and
+    the sheet's square root (xi^2 + q^2)^(1/2), so P = 1 + (i/2) num/root."""
     w = sheet_sqrt(xi, q, sheet)
     num = sigma_eff.xx * xi * xi + sigma_eff.off_sum * q * xi + sigma_eff.yy * q * q
+    return num, w
+
+
+def _p_single(sigma_eff: ConductivityTensor, q: complex, xi, sheet: Sheet):
+    xi = np.asarray(xi, dtype=complex)
+    num, w = _num_and_root(sigma_eff, q, xi, sheet)
     out = 1.0 + 0.5j * num / w
     return out[()] if np.ndim(out) == 0 else out
+
+
+def _p_dp_single(sigma_eff: ConductivityTensor, q: complex, xi):
+    """(P, dP/dxi) of one sheet on the first Riemann sheet, from one root."""
+    num, w = _num_and_root(sigma_eff, q, xi, Sheet.FIRST)
+    dnum = 2.0 * sigma_eff.xx * xi + sigma_eff.off_sum * q
+    return 1.0 + 0.5j * num / w, 0.5j * (dnum - num * xi / (xi * xi + q * q)) / w
 
 
 def p_of_xi(problem: Problem, xi, sheet: Sheet = Sheet.FIRST):
@@ -148,6 +162,43 @@ def p_of_xi(problem: Problem, xi, sheet: Sheet = Sheet.FIRST):
             raise ZeroDivisionError("P^L vanishes at the evaluation point")
         return pr / pl
     return _p_single(problem.sigma_eff, q, xi, sheet)
+
+
+def _sides_p_dp(problem: Problem, xi):
+    """((P^L, P^L'), (P^R, P^R')) of a two-sheet problem on the first sheet."""
+    q = complex(problem.q)
+    kf = problem.kernel_factor
+    return (_p_dp_single(problem.sigma_left.scaled(kf), q, xi),
+            _p_dp_single(problem.sigma_right.scaled(kf), q, xi))
+
+
+def dp_dxi(problem: Problem, xi):
+    """dP/dxi on the first sheet, away from the branch points; vectorized.
+
+    For TWO_SHEET this is the derivative of the ratio P^R/P^L.
+    """
+    xi = np.asarray(xi, dtype=complex)
+    if problem.variant is Variant.TWO_SHEET:
+        (pl, dl), (pr, dr) = _sides_p_dp(problem, xi)
+        out = (dr * pl - pr * dl) / (pl * pl)
+    else:
+        out = _p_dp_single(problem.sigma_eff, complex(problem.q), xi)[1]
+    return out[()] if out.ndim == 0 else out
+
+
+def dlogp_dxi(problem: Problem, xi):
+    """d ln P/dxi on the first sheet, away from the branch points; vectorized.
+
+    For TWO_SHEET this is d ln P^R/dxi - d ln P^L/dxi.
+    """
+    xi = np.asarray(xi, dtype=complex)
+    if problem.variant is Variant.TWO_SHEET:
+        (pl, dl), (pr, dr) = _sides_p_dp(problem, xi)
+        out = dr / pr - dl / pl
+    else:
+        p, dp = _p_dp_single(problem.sigma_eff, complex(problem.q), xi)
+        out = dp / p
+    return out[()] if out.ndim == 0 else out
 
 
 def p_left_right(problem: Problem, xi, sheet: Sheet = Sheet.FIRST):

@@ -6,7 +6,10 @@ evaluates the integrand on whole batches of nodes (numpy arrays) and
 bisects the worst segments until the global error estimate meets the
 tolerance.  Complex-valued integrands are handled natively, and so are
 vector integrands: k integrals over the same interval that share every
-integrand evaluation, each held to its own tolerance.
+integrand evaluation, each held to its own tolerance.  The same
+Kronrod-15 panels with their embedded Gauss-7 error serve fixed-node
+callers, and ``adaptive_gk_to_infinity`` folds [0, inf) onto a finite
+interval.
 """
 
 from __future__ import annotations
@@ -15,7 +18,14 @@ import dataclasses
 
 import numpy as np
 
-__all__ = ["QuadratureError", "QuadResult", "adaptive_gk", "gk_nodes_weights"]
+__all__ = [
+    "QuadratureError",
+    "QuadResult",
+    "adaptive_gk",
+    "adaptive_gk_to_infinity",
+    "gk_nodes_weights",
+    "gk_panel_sums",
+]
 
 # 15-point Kronrod rule with embedded 7-point Gauss rule on [-1, 1].
 _XK = np.array([
@@ -43,7 +53,8 @@ _WG = np.array([
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive refinement hit the segment cap before reaching tolerance."""
+    """Adaptive refinement hit the segment cap before reaching tolerance,
+    or the integrand was not finite."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,27 +68,43 @@ class QuadResult:
         return iter((self.value, self.error))
 
 
-def gk_nodes_weights(a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod-15 nodes and weights mapped to [a, b]."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    return mid + half * _XK, half * _WK
+def gk_nodes_weights(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod-15 nodes and weights mapped to [a, b].
+
+    ``a`` and ``b`` may be arrays of panel ends; the result then has one
+    row of 15 nodes (weights) per panel.
+    """
+    half = 0.5 * (np.asarray(b) - np.asarray(a))
+    mid = 0.5 * (np.asarray(a) + np.asarray(b))
+    return mid[..., None] + half[..., None] * _XK, half[..., None] * _WK
+
+
+def gk_panel_sums(vals: np.ndarray, half) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod sums of panels and their differences from the embedded Gauss-7 sums.
+
+    ``vals`` holds integrand values at the nodes of ``gk_nodes_weights``,
+    15 per panel along the last axis, and ``half`` the panel half widths.
+    Returns (Kronrod sum, Kronrod - Gauss) per panel; the difference is
+    the embedded error estimate, kept signed so callers choose how to add
+    it up.
+    """
+    ik = (vals * _WK).sum(axis=-1) * half
+    ig = (vals[..., 1::2] * _WG).sum(axis=-1) * half
+    return ik, ik - ig
 
 
 def _eval_segments(f, lo, hi):
     """Kronrod estimates and errors for a batch of segments: shape (n_seg,),
     or (k, n_seg) for a vector integrand."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = mid[:, None] + half[:, None] * _XK[None, :]
+    nodes, _ = gk_nodes_weights(lo, hi)
     vals = np.asarray(f(nodes.ravel()))
     # components first, so every row sums its own 15 contiguous values
     vals = vals.T.reshape(vals.shape[1:] + nodes.shape)
-    ik = (vals * _WK).sum(axis=-1) * half
-    ig = (vals[..., 1::2] * _WG).sum(axis=-1) * half
+    half = 0.5 * (hi - lo)
+    ik, diff = gk_panel_sums(vals, half)
+    diff = np.abs(diff)
     # quadpack-style rescaled error estimate
     resabs = (np.abs(vals) * _WK).sum(axis=-1) * np.abs(half)
-    diff = np.abs(ik - ig)
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = np.where(
             resabs > 0, np.minimum(1.0, (200.0 * diff / np.maximum(resabs, 1e-300)) ** 1.5), 0.0
@@ -137,6 +164,9 @@ def adaptive_gk(
         worst = score > max(unit / max(len(lo), 1), 0.25 * score.max())
         if not np.any(worst):
             worst = score == score.max()
+            if not np.any(worst):
+                # only a nan score selects no segment for bisection
+                raise QuadratureError(f"integrand is not finite on [{a:.6g}, {b:.6g}]")
         lo_w, hi_w = lo[worst], hi[worst]
         mid_w = 0.5 * (lo_w + hi_w)
         new_lo = np.concatenate([lo[~worst], lo_w, mid_w])
@@ -153,3 +183,22 @@ def adaptive_gk(
     if vals.ndim == 1:
         total, err_total = complex(total), float(err_total)
     return QuadResult(value=total, error=err_total, n_eval=n_eval, n_segments=len(lo))
+
+
+def adaptive_gk_to_infinity(f, cut: float, *, rtol: float, initial) -> QuadResult:
+    """Integrate vectorized ``f`` over [0, inf) in one adaptive pass.
+
+    The pass runs over s in [0, 2] with z = cut s for s <= 1 and
+    z = cut/(2 - s) beyond, so [cut, inf) is folded onto (1, 2].
+    ``initial`` holds breakpoints in z within (0, cut); the fold gets
+    log-spaced breakpoints toward s = 2, where z grows without bound.
+    """
+    def integrand(s):
+        main = s <= 1.0
+        z = np.where(main, cut * s, cut / (2.0 - s))
+        jac = np.where(main, cut, z / (2.0 - s))
+        return (np.asarray(f(z)).T * jac).T
+
+    breaks = np.concatenate([np.asarray(initial, dtype=float) / cut, [1.0],
+                             2.0 - np.geomspace(1e-8, 0.5, 10)])
+    return adaptive_gk(integrand, 0.0, 2.0, rtol=rtol, initial=np.unique(breaks))

@@ -33,6 +33,7 @@ __all__ = [
     "bulk_zeros",
     "conjecture_check",
     "dual_winding_index",
+    "phase_winding",
     "problem_scale",
     "quadratic_roots",
     "split_coefficients",
@@ -222,31 +223,42 @@ def unwrapped_phase_grid(
     return xs, ang, vals
 
 
-def _winding_from_problem(problem: Problem, sheet: Sheet) -> int:
+def phase_winding(problem: Problem, sheet: Sheet):
+    """arg P on the given sheet, unwrapped on [-m, m] with m = 100 times
+    the problem scale, and its winding number.
+
+    Returns (nodes, unwrapped_phase, winding, scale).  Raises
+    RealAxisZeroError when P has a zero or a pole on the axis, or when the
+    phase change is not close to a whole number of turns (tail not
+    converged, or a zero near the axis).
+    """
     scale = problem_scale(problem)
-    m = 100.0 * scale
 
     def pfun(x):
-        return p_of_xi(problem, x, sheet)
+        try:
+            return p_of_xi(problem, x, sheet)
+        except ZeroDivisionError as exc:
+            # a pole of P^R/P^L on the axis leaves the index as undefined as a zero
+            raise RealAxisZeroError(f"{exc}; index undefined (pole on contour)") from exc
 
-    xs, ang, _ = unwrapped_phase_grid(pfun, m, scale)
+    xs, ang, _ = unwrapped_phase_grid(pfun, 100.0 * scale, scale)
     turns = (ang[-1] - ang[0]) / (2.0 * math.pi)
     nu = round(turns)
     if abs(turns - nu) > 0.2:
         raise RealAxisZeroError(
             f"phase change {turns:.3f} turns is not close to an integer; "
             "tail not converged or symbol near a real-axis zero")
-    return int(nu)
+    return xs, ang, int(nu), scale
 
 
 def winding_index(problem: Problem) -> int:
     """Krein index: winding number of P(xi) (the ratio P^R/P^L for two sheets)."""
-    return _winding_from_problem(problem, Sheet.FIRST)
+    return phase_winding(problem, Sheet.FIRST)[2]
 
 
 def dual_winding_index(problem: Problem) -> int:
     """Winding of the second-sheet (dual) symbol P*."""
-    return _winding_from_problem(problem, Sheet.SECOND)
+    return phase_winding(problem, Sheet.SECOND)[2]
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,13 @@ import math
 import numpy as np
 
 from .branches import Sheet, principal_log
-from .kernel import Problem, Variant, p_of_xi
+from .kernel import Problem, Variant, dlogp_dxi, p_of_xi
 from .quadrature import adaptive_gk, gk_nodes_weights
 from .spectrum import (
-    problem_scale,
+    RealAxisZeroError,
+    phase_winding,
     quadratic_roots,
     split_coefficients,
-    unwrapped_phase_grid,
 )
 
 __all__ = [
@@ -95,15 +95,14 @@ class UnwrappedLogKernel:
 
     def __init__(self, problem: Problem, grid: np.ndarray, phase: np.ndarray,
                  m_cutoff: float, scale: float, nu_k: int,
-                 tail_power: int, tail_const: complex, trivial: bool = False):
+                 tail_const: complex, trivial: bool = False):
         self.problem = problem
         self.grid = grid
         self.phase = phase
         self.m_cutoff = m_cutoff
         self.scale = scale
         self.nu_k = nu_k
-        self.tail_power = tail_power      # L ~ tail_power*ln(zeta) + tail_const
-        self.tail_const = tail_const
+        self.tail_const = tail_const      # L ~ p ln(zeta) + tail_const, p in {-1, 0, 1}
         self.trivial = trivial
         self._cache: dict = {}
 
@@ -114,30 +113,13 @@ class UnwrappedLogKernel:
 
     def dlog_on_axis(self, zeta):
         """d/dzeta ln P(zeta): single valued, no unwrap needed."""
-        prob = self.problem
         if self.trivial:
             return np.zeros_like(np.asarray(zeta, dtype=complex))
-        if prob.variant is Variant.TWO_SHEET:
-            left, right = prob.sides()
-            out = 0.0
-            if right.sigma.frobenius:
-                out = _dlogp_single(right, zeta)
-            if left.sigma.frobenius:
-                out = out - _dlogp_single(left, zeta)
-            return out
-        return _dlogp_single(prob, zeta)
+        return dlogp_dxi(self.problem, zeta)
 
     def phase_at(self, zeta):
         """Unwrapped arg P at real zeta (grid-pinned; tail-pinned beyond m)."""
-        zeta = np.asarray(zeta, dtype=float)
-        if self.trivial:
-            return np.zeros_like(zeta)
-        pa = np.angle(self.p_on_axis(zeta))
-        ref = np.interp(zeta, self.grid, self.phase,
-                        left=self.phase[0], right=self.phase[-1])
-        n = np.round((ref - pa) / TWO_PI)
-        out = pa + TWO_PI * n
-        return out[()] if out.ndim == 0 else out
+        return self.log_values(zeta).imag
 
     def log_values(self, zeta):
         """L(zeta) = ln|P| + i * (unwrapped arg P), vectorized over real zeta."""
@@ -178,74 +160,44 @@ class UnwrappedLogKernel:
         return self._cache[key]
 
 
-def _dlogp_single(problem: Problem, zeta):
-    """P'/P for a single-sheet symbol, first Riemann sheet."""
-    zeta = np.asarray(zeta, dtype=complex)
-    q = complex(problem.q)
-    a, b, c = problem.quad_coeffs()
-    w2 = zeta * zeta + q * q
-    w = np.sqrt(np.where(w2.imag == 0.0, w2.real.astype(complex), w2))
-    flip = (w.real == 0.0) & (w.imag < 0.0)
-    w = np.where(flip, -w, w)
-    num = a * zeta * zeta + b * zeta + c
-    dnum = 2.0 * a * zeta + b
-    p = 1.0 + 0.5j * num / w
-    dp = 0.5j * (dnum - num * zeta / w2) / w
-    return dp / p
-
-
-def _tail_model(problem: Problem) -> tuple[int, complex]:
-    """(power p, constant) of the large-zeta law L ~ p ln zeta + constant."""
+def _tail_constant(problem: Problem) -> complex:
+    """Constant of the large-zeta law L ~ p ln zeta + constant."""
     if problem.variant is Variant.TWO_SHEET:
         left, right = problem.sides()
         lz = left.sigma.frobenius == 0
         rz = right.sigma.frobenius == 0
         if lz and rz:
-            return 0, 0.0 + 0.0j
+            return 0.0 + 0.0j
         if lz:
-            return 1, complex(principal_log(0.5j * right.sigma_eff.xx))
+            return complex(principal_log(0.5j * right.sigma_eff.xx))
         if rz:
-            return -1, -complex(principal_log(0.5j * left.sigma_eff.xx))
+            return -complex(principal_log(0.5j * left.sigma_eff.xx))
         lxx, rxx = left.sigma_eff.xx, right.sigma_eff.xx
         if lxx == 0 or rxx == 0:
             raise ValueError("two-sheet tail undefined: a nonzero side has sigma_xx = 0")
-        return 0, complex(principal_log(rxx / lxx))
+        return complex(principal_log(rxx / lxx))
     sxx = problem.sigma_eff.xx
     if problem.sigma.frobenius == 0:
-        return 0, 0.0 + 0.0j
+        return 0.0 + 0.0j
     if sxx == 0:
         raise ValueError("sigma_xx = 0: symbol does not follow the ln(kappa xi) tail law")
-    return 1, complex(principal_log(0.5j * sxx))
+    return complex(principal_log(0.5j * sxx))
 
 
-def build_log_kernel(problem: Problem, *, m_factor: float = 100.0) -> UnwrappedLogKernel:
+def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
     """Construct the unwrapped log-symbol for one (sheet, q) configuration.
 
-    The phase is unwrapped continuously on [-m, m] with m = m_factor times
-    the problem scale, then the global 2-pi-i branch constant is fixed by
-    matching L(m) + L(-m) against the analytic tail law.  The winding
-    index is a byproduct and is stored on the kernel.
+    The phase is unwrapped continuously on [-m, m] (``phase_winding``,
+    which also gives the winding index stored on the kernel), then the
+    global 2-pi-i branch constant is fixed by matching L(m) against the
+    analytic tail law.
     """
-    scale = problem_scale(problem)
-    m = m_factor * scale
-    tail_power, tail_const = _tail_model(problem)
-
+    tail_const = _tail_constant(problem)
+    xs, theta, nu, scale = phase_winding(problem, Sheet.FIRST)
     if problem.variant is not Variant.TWO_SHEET and problem.sigma.frobenius == 0:
-        grid = np.array([-m, 0.0, m])
-        return UnwrappedLogKernel(problem, grid, np.zeros(3), m, scale, 0,
-                                  tail_power, tail_const, trivial=True)
-
-    def pfun(x):
-        return p_of_xi(problem, x, Sheet.FIRST)
-
-    xs, theta, vals = unwrapped_phase_grid(pfun, m, scale)
-
-    turns = (theta[-1] - theta[0]) / TWO_PI
-    nu = round(turns)
-    if abs(turns - nu) > 0.2:
-        raise RuntimeError(
-            f"phase change {turns:.3f} turns not close to an integer; "
-            "unwrapping unreliable (symbol near a real-axis zero?)")
+        # P = 1: zero phase, zero index
+        return UnwrappedLogKernel(problem, xs, theta, xs[-1], scale, nu, tail_const,
+                                  trivial=True)
 
     # fix the global branch against the right tail alone: arg P(m) must
     # approach Im tail_const (mod 2 pi); this stays well defined for
@@ -253,13 +205,12 @@ def build_log_kernel(problem: Problem, *, m_factor: float = 100.0) -> UnwrappedL
     drift = theta[-1] - tail_const.imag
     k = round(drift / TWO_PI)
     if abs(drift - TWO_PI * k) > 1.0:
-        raise RuntimeError(
+        raise RealAxisZeroError(
             f"failed to close the phase normalization (tail drift {drift:.3f} "
-            "rad); increase m_factor or check the symbol tails")
+            "rad); symbol tails not converged at the cutoff")
     theta = theta - TWO_PI * k
 
-    return UnwrappedLogKernel(problem, xs, theta, m, scale, int(nu),
-                              tail_power, tail_const)
+    return UnwrappedLogKernel(problem, xs, theta, xs[-1], scale, nu, tail_const)
 
 
 # ---------------------------------------------------------------------------
@@ -574,24 +525,12 @@ class CauchyTable:
         right = np.asarray(right)
         edges = np.unique(np.concatenate([-right[::-1], edges[0], right]))
 
-        nodes_list, w_list = [], []
-        for a, b_ in zip(edges[:-1], edges[1:]):
-            n, w = gk_nodes_weights(a, b_)
-            nodes_list.append(n)
-            w_list.append(w)
-        nodes = np.concatenate(nodes_list)
-        weights = np.concatenate(w_list)
+        nodes, weights = (v.ravel() for v in gk_nodes_weights(edges[:-1], edges[1:]))
         lvals = kernel.log_values(nodes)
 
         # folded tail: zeta = span/u on dyadic u-panels down to u ~ 1e-12
         u_edges = 2.0 ** -np.arange(0, 41, dtype=float)
-        tz_list, tw_list = [], []
-        for hi, lo in zip(u_edges[:-1], u_edges[1:]):
-            n, w = gk_nodes_weights(lo, hi)
-            tz_list.append(n)
-            tw_list.append(w)
-        u_nodes = np.concatenate(tz_list)
-        u_w = np.concatenate(tw_list)
+        u_nodes, u_w = (v.ravel() for v in gk_nodes_weights(u_edges[1:], u_edges[:-1]))
         tail_z = span / u_nodes
         tail_w = u_w * span / (u_nodes * u_nodes)
         tail_lp = kernel.log_values(tail_z)

@@ -16,23 +16,8 @@ from conftest import make_sigma
 
 
 class TestTailIntegrals:
-    @pytest.mark.parametrize("power", [0.5, 1.5, 2.5])
-    @pytest.mark.parametrize("beta", [0.8, -1.7, 0.05])
-    def test_against_brute_force(self, power, beta):
-        cut = 30.0
-        val = _e_power(power, beta, cut)
-        # brute force: dense Simpson plus the boundary term of one
-        # integration by parts for the stretch beyond the grid
-        big = cut + 4000.0 / abs(beta)
-        t = np.linspace(cut, big, 2_000_001)
-        from scipy.integrate import simpson
-        brute = simpson(t ** -power * np.exp(1j * beta * t), x=t)
-        brute += -big ** -power * np.exp(1j * beta * big) / (1j * beta)
-        assert val == pytest.approx(
-            brute, abs=3.0 * power * big ** -(power + 1.0) / beta ** 2 + 1e-9)
-
     def test_algebraic_limit(self):
-        assert _e_power(1.5, 0.0, 25.0) == pytest.approx(2.0 / math.sqrt(25.0))
+        assert _e_power(1.5, 25.0) == pytest.approx(2.0 / math.sqrt(25.0))
 
 
 class TestEdgeLimits:

@@ -7,6 +7,8 @@ from edgeplasmon import (
     Problem,
     Sheet,
     Variant,
+    dlogp_dxi,
+    dp_dxi,
     khat,
     p_left_right,
     p_of_xi,
@@ -124,6 +126,25 @@ class TestProblem:
         interf = Problem.interface(make_sigma("C"), 20.0 + 0.2j, 1.0, 1.0)
         xi = np.linspace(-25, 25, 51) + 0.1j
         assert np.array_equal(p_of_xi(single, xi), p_of_xi(interf, xi))
+
+
+class TestDerivative:
+    @pytest.mark.parametrize("variant", ["single", "interface", "two-sheet"])
+    def test_against_central_difference(self, variant, rng):
+        q = 21.657 + 0.217j
+        prob = {
+            "single": Problem.single_sheet(make_sigma("C"), q),
+            "interface": Problem.interface(make_sigma("C"), q, 1.0, 4.0),
+            "two-sheet": Problem.two_sheet(make_sigma("B"), make_sigma("C"), q),
+        }[variant]
+        # off-axis points well away from the branch points +-iq and the cut
+        xi = rng.uniform(-40.0, 40.0, 200) + 1j * rng.uniform(-5.0, 5.0, 200)
+        h = 1e-4
+        p = p_of_xi(prob, xi)
+        diff = (p_of_xi(prob, xi + h) - p_of_xi(prob, xi - h)) / (2.0 * h)
+        got = dp_dxi(prob, xi)
+        assert np.max(np.abs(got - diff) / np.abs(got)) < 1e-7
+        assert np.max(np.abs(dlogp_dxi(prob, xi) - got / p) / np.abs(got / p)) < 1e-12
 
 
 class TestTwoSheet:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import event, given, reject, settings
+from hypothesis import strategies as st
 
 from edgeplasmon import (
     AssignmentRule,
@@ -11,6 +13,7 @@ from edgeplasmon import (
     Problem,
     RealAxisZeroError,
     Sheet,
+    build_log_kernel,
     bulk_zeros,
     conjecture_check,
     dual_winding_index,
@@ -185,7 +188,68 @@ class TestBulkZeros:
             assert rep.n_star_plus == rep.n_star_minus
 
 
+@st.composite
+def problems(draw, variant):
+    # Im q / Re q above the loss ratio with |q| below the SPP wavenumber
+    # 2/|sigma_xx| puts zeros of P across the axis: the nonzero-index pockets
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = random_passive_tensor(rng)
+    q = (draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.3, 1.5)) * 2.0
+         / abs(sigma.xx) * complex(1.0, draw(st.floats(0.0, 0.15))))
+    if variant == "single":
+        return Problem.single_sheet(sigma, q)
+    if variant == "interface":
+        return Problem.interface(sigma, q, draw(st.floats(1.0, 6.0)),
+                                 draw(st.floats(1.0, 6.0)))
+    return Problem.two_sheet(random_passive_tensor(rng), sigma, q)
+
+
+def _pocket_problem(variant):
+    """A problem of each variant whose index is -1."""
+    q = 0.85 * (21.657 + 0.217j)
+    if variant == "single":
+        return Problem.single_sheet(make_sigma("C"), q)
+    if variant == "interface":
+        return Problem.interface(make_sigma("C"), q, 1.0, 1.0)
+    zero = ConductivityTensor.diagonal(0, 0, nondimensional=True)
+    return Problem.two_sheet(zero, make_sigma("C"), q)
+
+
+def _check_kernel_index_and_reflection(prob):
+    # the log-kernel's index is the winding index, and q -> -q maps
+    # P(xi) to P(-xi), which reverses the winding
+    nu = winding_index(prob)
+    assert build_log_kernel(prob).nu_k == nu
+    assert winding_index(prob.with_q(-prob.q)) == -nu
+    return nu
+
+
 class TestWindingIndex:
+    @pytest.mark.parametrize("variant", ["single", "interface", "two-sheet"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_index_and_reflection(self, variant, data):
+        prob = data.draw(problems(variant))
+        try:
+            nu = _check_kernel_index_and_reflection(prob)
+        except RealAxisZeroError:
+            reject()
+        event(f"nu = {nu}")
+
+    @pytest.mark.parametrize("variant", ["single", "interface", "two-sheet"])
+    def test_kernel_index_and_reflection_in_a_pocket(self, variant):
+        assert _check_kernel_index_and_reflection(_pocket_problem(variant)) == -1
+
+    def test_pole_on_axis_is_a_real_axis_error(self):
+        # a lossless left sheet whose P^L vanishes at a phase-grid node
+        left = ConductivityTensor.diagonal(0.02j, 0.02j, nondimensional=True)
+        right = ConductivityTensor.diagonal(0.02j, 0.02 + 0.02j, nondimensional=True)
+        prob = Problem.two_sheet(left, right, -2.0)
+        with pytest.raises(RealAxisZeroError, match="pole on contour"):
+            winding_index(prob)
+        with pytest.raises(RealAxisZeroError, match="pole on contour"):
+            build_log_kernel(prob)
+
     def test_zero_for_empty_sheet(self):
         prob = Problem.single_sheet(
             ConductivityTensor.diagonal(0, 0, nondimensional=True), 3.0)
