@@ -13,6 +13,15 @@ integrated on a contour shifted off the axis by a small delta.  Beyond
 the panelized span the profile contour turns into the half-plane where
 e^{i xi x} decays; the x -> 0 edge integral instead adds its fitted
 algebraic tails in closed form.
+
+Both routines use one real-axis contour per kernel: t -+ i delta with
+delta = 1e-7 kappa, GK15 panels on [-span, span], span = max(40 kappa,
+3|q|), at most kappa/8 wide (and at most 3/max|x| for a profile), with
+the kernel's phase grid adding panel edges.  One ``CauchyTable.phi``
+pass gives Phi on both sides of it (x > 0 and the edge limits use the
+lower side, x < 0 the upper one), memoized on the kernel beside its
+root constants and Cauchy table, so whichever of ``edge_limits`` and
+``phi_profile`` runs second reuses it.
 """
 
 from __future__ import annotations
@@ -69,6 +78,12 @@ def _constants(kernel: UnwrappedLogKernel):
     return roots, coeffs, a, b
 
 
+def _bracket(consts, xi):
+    """C^+ a/(xi - xi^+) + C^- b/(xi - xi^-), the pole part of s_+-."""
+    xp, xm, cp, cm, a, b = consts
+    return cp * a / (xi - xp) + cm * b / (xi - xm)
+
+
 def edge_limits(problem: Problem, kernel: UnwrappedLogKernel) -> EdgeLimits:
     """Edge limits of phi by the closed-form contour evaluations.
 
@@ -97,26 +112,25 @@ def edge_limits(problem: Problem, kernel: UnwrappedLogKernel) -> EdgeLimits:
     # phi(0+) = C^+ - (1/2 pi i) Int [C^+ a/(xi-xi^+) + C^- b/(xi-xi^-)]
     # e^{-Q_-(xi)} dxi, whose closed-down evaluation is C^+ + C^-; computing
     # the integral numerically cross-checks the splitting.
+    contour = _field_contour(kernel, kernel.scale / 8.0)
     table = kernel.cauchy_table()
-    span = 40.0 * kernel.scale
-    delta = 1e-7 * kernel.scale
+    span, delta = contour.span, contour.delta
+    consts = (xp, xm, cp, cm, a, b)
 
     def s_minus(t):
         xi = t - 1j * delta
-        phi_v = table.phi(xi)
-        e_mqm = np.exp(phi_v)            # e^{-Q_-} = e^{+Phi} below the axis
-        return (cp * a / (xi - xp) + cm * b / (xi - xm)) * e_mqm
+        # e^{-Q_-} = e^{+Phi} below the axis
+        return _bracket(consts, xi) * np.exp(table.phi(xi))
 
-    nodes, half = _panel_nodes(span, max_width=kernel.scale / 6.0, kernel=kernel)
-    panels, diff = gk_panel_sums(s_minus(nodes).reshape(half.size, -1), half)
+    s_vals = _bracket(consts, contour.nodes - 1j * delta) * np.exp(contour.phi_below)
+    panels, diff = gk_panel_sums(s_vals.reshape(contour.half.size, -1), contour.half)
     integral = complex(panels.sum())
     # two-term power tails, no oscillation (x -> 0+ limit already taken)
     fit_r = _fit_tail(s_minus, span, 1.5)
     fit_l = _fit_tail(lambda t: s_minus(-t), span, 1.5)
     integral += _tail_value(fit_r[:2], 1.5, span)
     integral += _tail_value(fit_l[:2], 1.5, span)
-    err = (float(np.abs(diff).sum())
-           + (fit_r[2] + fit_l[2]) * span) / (2.0 * math.pi)
+    err = (float(np.abs(diff).sum()) + fit_r[2] + fit_l[2]) / (2.0 * math.pi)
     phi_plus = cp - integral / TWO_PI_I
     return EdgeLimits(complex(phi_plus), complex(phi_minus), complex(div_coeff),
                       phi_plus_error=err)
@@ -234,10 +248,13 @@ def _e_power(power: float, cut: float) -> float:
 def _fit_tail(s_fun, cut: float, power: float):
     """Two-term amplitude fit s(t) ~ A t^-power + B t^-(power+1) on [0.8c, c].
 
-    Returns (A, B, residual_estimate) with the residual measured at an
-    interior checkpoint; the fit absorbs the next-order term, which
+    Returns (A, B, tail_error).  The fit absorbs the next-order term, which
     matters when the leading amplitude nearly vanishes (at dispersion
     roots the leading coefficient is the residual A(q) itself).
+    tail_error estimates the error of the fitted tail integral from the
+    fit's miss at an interior checkpoint: the miss is taken to come from
+    a next-order term D t^-(power+2), whose tail integral the same fit
+    misses by a fixed multiple of its checkpoint miss (about 77 c).
     """
     t1, t2, t3 = 0.8 * cut, cut, 0.9 * cut
     s1, s2, s3 = s_fun(np.array([t1, t2, t3]))
@@ -245,7 +262,13 @@ def _fit_tail(s_fun, cut: float, power: float):
                   [t2 ** -power, t2 ** -(power + 1.0)]], dtype=complex)
     coef_a, coef_b = np.linalg.solve(m, np.array([s1, s2]))
     resid = abs(s3 - coef_a * t3 ** -power - coef_b * t3 ** -(power + 1.0))
-    return complex(coef_a), complex(coef_b), float(resid)
+    # the same fit of the unit next-order term: its checkpoint miss and
+    # the error of its fitted tail integral
+    nxt = power + 2.0
+    n_a, n_b = np.linalg.solve(m.real, np.array([t1 ** -nxt, t2 ** -nxt]))
+    miss = t3 ** -nxt - n_a * t3 ** -power - n_b * t3 ** -(power + 1.0)
+    tail_miss = _e_power(nxt, cut) - _tail_value((n_a, n_b), power, cut)
+    return complex(coef_a), complex(coef_b), float(resid * abs(tail_miss / miss))
 
 
 def _tail_value(coefs, power: float, cut: float) -> complex:
@@ -272,6 +295,35 @@ def _panel_nodes(span: float, max_width: float,
     return nodes.ravel(), 0.5 * np.diff(edges)
 
 
+@dataclasses.dataclass(frozen=True)
+class _Contour:
+    """The real-axis field contour t -+ i delta and Phi on both sides."""
+
+    span: float
+    delta: float
+    nodes: np.ndarray          # t, GK15 nodes of [-span, span]
+    half: np.ndarray           # panel half widths
+    phi_below: np.ndarray      # Phi(t - i delta)
+    phi_above: np.ndarray      # Phi(t + i delta)
+
+
+def _field_contour(kernel: UnwrappedLogKernel, width: float) -> _Contour:
+    """The contour with panels at most ``width`` wide, memoized on the
+    kernel: ``edge_limits`` and ``phi_profile`` share it whenever their
+    widths agree, and one ``CauchyTable.phi`` pass gives both sides."""
+    def build():
+        # the error of the edge limits' fitted tails falls like span^-2.5:
+        # on sheet D at its root |phi(0+) - 1| is 1.6e-4 at 20 kappa,
+        # 4.7e-5 at 32 kappa and 2.7e-5 at 40 kappa
+        span = max(40.0 * kernel.scale, 3.0 * abs(kernel.problem.q))
+        delta = 1e-7 * kernel.scale
+        nodes, half = _panel_nodes(span, max_width=width, kernel=kernel)
+        below, above = kernel.cauchy_table().phi(nodes - 1j * delta, conjugate=True)
+        return _Contour(span, delta, nodes, half, below, above)
+
+    return kernel.memo(("field_contour", width), build)
+
+
 def _vertical_panels(length: float, struct: float):
     """GK15 nodes and half widths of dyadic panels on [0, length], refined
     toward 0 until the first panel is shorter than the integrand's
@@ -293,13 +345,12 @@ def _rotated_tail(prob: Problem, table, consts, end: complex, x: float,
     e^{+Q_+} -> P e^{Phi} below it.  Exponential decay makes the
     truncation error negligible for every |x|.
     """
-    xp, xm, cp, cm, a, b = consts
     rot = 1.0 if x > 0 else -1.0
     length = 45.0 / abs(x)
     s_nodes, s_half = _vertical_panels(length, struct=abs(end.real))
     xi = end + 1j * rot * s_nodes
     phi_v = table.phi(xi)
-    bracket = cp * a / (xi - xp) + cm * b / (xi - xm)
+    bracket = _bracket(consts, xi)
     if on_sheet:
         # e^{-Q_-}: natural below the axis, e^{Phi}/P above
         factor = np.exp(phi_v)
@@ -339,46 +390,35 @@ def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
     cp, cm = coeffs.c_plus, coeffs.c_minus
     consts = (xp, xm, cp, cm, a, b)
     table = kernel.cauchy_table()
-    scale = kernel.scale
-    delta = 1e-7 * scale
-    span = max(32.0 * scale, 3.0 * abs(problem.q))
+    xmax = np.abs(x_values).max(initial=0.0)
+    width = kernel.scale / 8.0 if xmax == 0.0 else min(kernel.scale / 8.0, 3.0 / xmax)
+    contour = _field_contour(kernel, width)
+    nodes, half, delta = contour.nodes, contour.half, contour.delta
+    # e^{-Q_-} = e^{+Phi} below the axis (x > 0); e^{+Q_+} = e^{+Phi} above it (x < 0)
+    s_vals = {}
+    for side, phi_v in ((1.0, contour.phi_below), (-1.0, contour.phi_above)):
+        if np.any(x_values * side > 0):
+            xi = nodes - 1j * side * delta
+            s_vals[side] = _bracket(consts, xi) * np.exp(phi_v)
 
     phi = np.empty(x_values.shape, dtype=complex)
     err = np.empty(x_values.shape, dtype=float)
-
-    for side in (1.0, -1.0):
-        mask = (x_values * side) > 0
-        if not mask.any():
-            continue
-        xs = x_values[mask]
-        xmax = np.abs(xs).max()
-        width = min(scale / 8.0, 3.0 / xmax)
-        nodes, half = _panel_nodes(span, max_width=width, kernel=kernel)
-        xi = nodes - 1j * side * delta
-        phi_v = table.phi(xi)
-        bracket = cp * a / (xi - xp) + cm * b / (xi - xm)
-        # e^{-Q_-} = e^{+Phi} below the axis; e^{+Q_+} = e^{+Phi} above it
-        s_vals = bracket * np.exp(phi_v)
-
-        ends = (span - 1j * side * delta, -span - 1j * side * delta)
-        for i, x in enumerate(xs):
-            # contour factor e^{i xi x} = e^{i t x} e^{side * delta * x}
-            osc = np.exp(1j * nodes * x + delta * side * x)
-            panels, diff = gk_panel_sums((s_vals * osc).reshape(half.size, -1), half)
-            tail_r, err_r = _rotated_tail(problem, table, consts, ends[0], x,
-                                          on_sheet=side > 0)
-            tail_l, err_l = _rotated_tail(problem, table, consts, ends[1], x,
-                                          on_sheet=side > 0)
-            integral = panels.sum() + tail_r - tail_l
-            if side > 0:
-                # Lambda_- e^{-Q_-} = C^+/(xi-xi^+) + C^-/(xi-xi^-) - s_-
-                value = cp * np.exp(1j * xp * x) - integral / TWO_PI_I
-            else:
-                # Lambda_+ e^{+Q_+} = -C^+/(xi-xi^+) - C^-/(xi-xi^-) + s_+
-                value = cm * np.exp(1j * xm * x) + integral / TWO_PI_I
-            idx = np.flatnonzero(mask)[i]
-            phi[idx] = value
-            err[idx] = (abs(diff.sum()) + err_r + err_l) / (2.0 * math.pi)
+    for i, x in enumerate(x_values):
+        side = 1.0 if x > 0 else -1.0
+        # contour factor e^{i xi x} = e^{i t x} e^{side * delta * x}
+        osc = np.exp(1j * nodes * x + delta * side * x)
+        panels, diff = gk_panel_sums((s_vals[side] * osc).reshape(half.size, -1), half)
+        tails = [_rotated_tail(problem, table, consts, end - 1j * side * delta, x,
+                               on_sheet=side > 0)
+                 for end in (contour.span, -contour.span)]
+        integral = panels.sum() + tails[0][0] - tails[1][0]
+        if side > 0:
+            # Lambda_- e^{-Q_-} = C^+/(xi-xi^+) + C^-/(xi-xi^-) - s_-
+            phi[i] = cp * np.exp(1j * xp * x) - integral / TWO_PI_I
+        else:
+            # Lambda_+ e^{+Q_+} = -C^+/(xi-xi^+) - C^-/(xi-xi^-) + s_+
+            phi[i] = cm * np.exp(1j * xm * x) + integral / TWO_PI_I
+        err[i] = (abs(diff.sum()) + tails[0][1] + tails[1][1]) / (2.0 * math.pi)
 
     flags = err > target_error
     residue = None

@@ -32,6 +32,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import weakref
 
 import numpy as np
 
@@ -141,23 +142,31 @@ class UnwrappedLogKernel:
 
     # -- memoized derived objects ---------------------------------------
 
-    def root_constants(self):
-        """(roots, coeffs, phi_plus, phi_minus) at xi^+-, computed once."""
-        key = "root_constants"
+    def memo(self, key, build):
+        """``build()``, computed once per kernel and key.
+
+        A memoized value must not refer back to the kernel: the kernel
+        would then sit in a reference cycle and outlive its last user
+        until a cyclic garbage collection.
+        """
         if key not in self._cache:
-            if self.nu_k != 0:
-                raise NonzeroIndexError(self.nu_k)
-            roots = quadratic_roots(self.problem.sigma, self.problem.q)
-            coeffs = split_coefficients(self.problem.sigma, self.problem.q)
-            phi_p, phi_m = cauchy_transform(self, [roots.xi_plus, roots.xi_minus])
-            self._cache[key] = (roots, coeffs, phi_p, phi_m)
+            self._cache[key] = build()
         return self._cache[key]
 
+    def root_constants(self):
+        """(roots, coeffs, phi_plus, phi_minus) at xi^+-, computed once."""
+        return self.memo("root_constants", self._root_constants)
+
+    def _root_constants(self):
+        if self.nu_k != 0:
+            raise NonzeroIndexError(self.nu_k)
+        roots = quadratic_roots(self.problem.sigma, self.problem.q)
+        coeffs = split_coefficients(self.problem.sigma, self.problem.q)
+        phi_p, phi_m = cauchy_transform(self, [roots.xi_plus, roots.xi_minus])
+        return roots, coeffs, phi_p, phi_m
+
     def cauchy_table(self) -> "CauchyTable":
-        key = "table"
-        if key not in self._cache:
-            self._cache[key] = CauchyTable.build(self)
-        return self._cache[key]
+        return self.memo("table", lambda: CauchyTable.build(self))
 
 
 def _tail_constant(problem: Problem) -> complex:
@@ -427,15 +436,19 @@ NEAR_POLE_RATIO = 100.0
 
 
 def _pole_sums(nodes: np.ndarray, z: np.ndarray, moments: np.ndarray,
-               skip: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-    """S[i, k] = Sum_j W[j, k] / (nodes[j] - z[i]) for real nodes and complex z.
+               skip: tuple[np.ndarray, np.ndarray] | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """S[i, k] = Sum_j W[j, k] / (nodes[j] - z[i]) for real nodes and complex
+    z, at z and at conj(z).
 
     ``moments`` holds the complex columns W as reals, [Re W, Im W].  With
     d = t - Re z, 1/(t - z) = (d + i Im z)/(d^2 + Im z^2): its real part
     and 1/(d^2 + Im z^2) are filled block by block into two real buffers,
     each multiplied by ``moments``, and Im z is applied per row afterwards.
-    ``skip`` = (point indices, ascending; node indices) names pairs left
-    out of the sums.
+    Neither buffer depends on the sign of Im z, so the sums at conj(z) come
+    from the same products with that factor negated, bit for bit what a
+    separate call at conj(z) returns.  ``skip`` = (point indices,
+    ascending; node indices) names pairs left out of the sums.
     """
     k = moments.shape[1] // 2
     re_s = np.empty((z.size, 2 * k))
@@ -460,7 +473,8 @@ def _pole_sums(nodes: np.ndarray, z: np.ndarray, moments: np.ndarray,
         np.matmul(den, moments, out=im_s[sl])
         np.matmul(d, moments, out=re_s[sl])
     im_s *= z.imag[:, None]
-    return (re_s[:, :k] - im_s[:, k:]) + 1j * (re_s[:, k:] + im_s[:, :k])
+    re_a, re_b, im_a, im_b = re_s[:, :k], re_s[:, k:], im_s[:, :k], im_s[:, k:]
+    return (re_a - im_b) + 1j * (re_b + im_a), (re_a + im_b) + 1j * (re_b - im_a)
 
 
 def _as_real_columns(columns: np.ndarray) -> np.ndarray:
@@ -495,11 +509,16 @@ class CauchyTable:
     panels at delta = 1e-7 kappa).  Nodes that near a point are therefore
     summed in subtracted form (``NEAR_POLE_RATIO``); every other term is
     below NEAR_POLE_RATIO |L|.
+
+    A table holds its kernel by a weak reference, so the kernel that
+    memoizes it must stay alive while the table is used.
     """
 
     def __init__(self, kernel, span, nodes, weights, lvals, moments,
                  tail_z, tail_moments):
-        self.kernel = kernel
+        # a strong reference back to the kernel that memoizes the table
+        # would keep both alive until a cyclic garbage collection
+        self.kernel = weakref.proxy(kernel)
         self.span = span
         self.nodes = nodes                  # ascending
         self.weights = weights
@@ -550,19 +569,21 @@ class CauchyTable:
         rows, col = np.nonzero(near)
         return rows, cand[rows, col]
 
-    def phi(self, xi0) -> np.ndarray:
+    def phi(self, xi0, *, conjugate: bool = False):
         """Phi at a batch of off-axis points (PV on the axis), vectorized.
 
         Valid while Re xi0 stays inside ~3/4 of the table span, where the
         pole subtraction is anchored; use ``cauchy_transform`` for far
-        points (it sizes its own interval).
+        points (it sizes its own interval).  With ``conjugate`` it returns
+        (Phi(xi0), Phi(conj xi0)) from the same pole sums: the mirrored
+        side of a contour costs only its closed and near-node terms, and
+        its values equal those of a separate call bit for bit.
         """
         xi0 = np.atleast_1d(np.asarray(xi0, dtype=complex))
-        out = np.empty(xi0.shape, dtype=complex)
         kernel = self.kernel
         if kernel.trivial:
-            out[:] = 0.0
-            return out
+            out = np.zeros(xi0.shape, dtype=complex)
+            return (out, out.copy()) if conjugate else out
         span = self.span
         far = np.abs(xi0.real) > 0.78 * span
         if far.any() and np.any(np.abs(xi0.imag[far]) < np.abs(xi0.real[far])):
@@ -572,21 +593,25 @@ class CauchyTable:
         t0 = np.clip(xi0.real, -0.75 * span, 0.75 * span)
         c0 = kernel.log_values(t0)
         c1 = kernel.dlog_on_axis(t0.astype(complex))
-        closed = _closed_terms(span, xi0, t0, c0, c1)
-
         near_i, near_j = self._near_pairs(xi0)
         # a node equal to an on-axis point is a near pair: its 1/0 cell is skipped
         with np.errstate(divide="ignore", invalid="ignore"):
-            k_l, k_1 = _pole_sums(self.nodes, xi0, self.moments, skip=(near_i, near_j)).T
-        main = k_l - c0 * k_1 - c1 * (self.weights.sum() + (xi0 - t0) * k_1)
-        # near pairs: the subtracted term, plus the c1 w_j that Sum_j w_j
-        # above counted for a node missing from K.1
+            k_sums = _pole_sums(self.nodes, xi0, self.moments, skip=(near_i, near_j))
+        tail_sums = _pole_sums(self.tail_z * self.tail_z, xi0 * xi0, self.tail_moments)
+        # near pairs: the subtracted numerator, plus the c1 w_j that Sum_j w_j
+        # below counts for a node missing from K.1
         t, w, c1_near = self.nodes[near_j], self.weights[near_j], c1[near_i]
         num = self.lvals[near_j] - c0[near_i] - c1_near * (t - t0[near_i])
-        dt = t - xi0[near_i]
-        # at a node equal to an on-axis point the fraction's limit is 0
-        frac = np.divide(num, dt, out=np.zeros_like(num), where=dt != 0)
-        np.add.at(main, near_i, w * (c1_near + frac))
-        t_p, t_s = _pole_sums(self.tail_z * self.tail_z, xi0 * xi0, self.tail_moments).T
-        out[:] = (main + closed + t_p + xi0 * t_s) / (2j * math.pi)
-        return out
+        points = (xi0, np.conj(xi0)) if conjugate else (xi0,)
+        sides = []
+        for z, pole, tail in zip(points, k_sums, tail_sums):
+            k_l, k_1 = pole.T
+            t_p, t_s = tail.T
+            main = k_l - c0 * k_1 - c1 * (self.weights.sum() + (z - t0) * k_1)
+            dt = t - z[near_i]
+            # at a node equal to an on-axis point the fraction's limit is 0
+            frac = np.divide(num, dt, out=np.zeros_like(num), where=dt != 0)
+            np.add.at(main, near_i, w * (c1_near + frac))
+            closed = _closed_terms(span, z, t0, c0, c1)
+            sides.append((main + closed + t_p + z * t_s) / (2j * math.pi))
+        return tuple(sides) if conjugate else sides[0]

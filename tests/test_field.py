@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +14,27 @@ from edgeplasmon import (
     spp_decomposition,
 )
 from edgeplasmon.field import _e_power
+from edgeplasmon.wiener_hopf import CauchyTable
 from conftest import make_sigma
+
+# a strongly anisotropic sheet whose symbol dips sharply near the axis
+ANISOTROPIC_SIGMA = ConductivityTensor(
+    0.00758834 + 0.13428145j, -0.00539091 + 0.05977965j,
+    0.00717298 + 0.05977965j, 0.00666203 + 0.07213536j,
+    nondimensional=True)
+
+# q within 1e-9 relative of the root of ANISOTROPIC_SIGMA near 18.6 at which
+# a contour panel edge under the sharp peak of s_-(t) near t = -24.59 was
+# once lost (phi_plus_error ~ 1e-2, |phi(0+) - phi(0-)| ~ 1.2e-4)
+NEAR_ROOT_Q = (
+    48.54517881326049 + 7.80268360488206j,
+    48.54517884835899 + 7.8026835755645205j,
+    48.54517884006949 + 7.802683628958937j,
+    48.54517879970316 + 7.802683632566909j,
+    48.5451788396524 + 7.802683654041642j,
+    48.54517884725514 + 7.802683628688954j,
+    48.54517879294491 + 7.802683622853255j,
+)
 
 
 class TestTailIntegrals:
@@ -62,16 +84,70 @@ class TestEdgeLimits:
         # kernel's adaptive grid to resolve it (fixed-width tiling once
         # left a 4e-3 continuity defect here)
         from edgeplasmon import solve
-        sigma = ConductivityTensor(
-            0.00758834 + 0.13428145j, -0.00539091 + 0.05977965j,
-            0.00717298 + 0.05977965j, 0.00666203 + 0.07213536j,
-            nondimensional=True)
-        sol = solve(Problem.single_sheet(sigma, 18.6), 18.6)
+        sol = solve(Problem.single_sheet(ANISOTROPIC_SIGMA, 18.6), 18.6)
         assert sol.converged
-        prob = Problem.single_sheet(sigma, sol.q)
+        prob = Problem.single_sheet(ANISOTROPIC_SIGMA, sol.q)
         el = edge_limits(prob, build_log_kernel(prob))
         assert abs(el.phi_plus - el.phi_minus) < 1e-4
         assert el.phi_plus_error < 1e-4
+
+    @pytest.mark.parametrize("q", NEAR_ROOT_Q, ids=lambda q: f"{q.real:.14f}")
+    def test_strongly_anisotropic_near_root(self, q):
+        # the accuracy must not hang on which kernel-grid nodes become
+        # panel edges as q moves within the solver's rounding of the root
+        prob = Problem.single_sheet(ANISOTROPIC_SIGMA, q)
+        el = edge_limits(prob, build_log_kernel(prob))
+        assert abs(el.phi_plus - el.phi_minus) < 1e-4
+        assert el.phi_plus_error < 1e-4
+
+    def test_error_estimate_bounds_true_error(self, root_problems, root_kernels):
+        # the closed-down value of phi(0+) is C^+ + C^- = 1
+        for name in "ABCD":
+            kern = root_kernels[name]
+            _, coeffs, _, _ = kern.root_constants()
+            el = edge_limits(root_problems[name], kern)
+            true = abs(el.phi_plus - (coeffs.c_plus + coeffs.c_minus))
+            assert true <= el.phi_plus_error < 1e-4, name
+
+    def test_shares_one_contour_pass_with_the_profile(self, root_problems,
+                                                      monkeypatch):
+        # one phi pass over the real-axis contour, for both sides, whichever
+        # of edge_limits and phi_profile runs first
+        calls = []
+        phi = CauchyTable.phi
+
+        def counted(table, xi0, **kwargs):
+            calls.append((np.size(xi0), kwargs.get("conjugate", False)))
+            return phi(table, xi0, **kwargs)
+
+        monkeypatch.setattr(CauchyTable, "phi", counted)
+        prob = root_problems["C"]
+        for first_limits in (True, False):
+            calls.clear()
+            kern = build_log_kernel(prob)
+            if first_limits:
+                edge_limits(prob, kern)
+            phi_profile(prob, kern, [-0.4, -0.07, 0.1, 0.35])
+            if not first_limits:
+                edge_limits(prob, kern)
+            contour = [n for n, both in calls if both]
+            assert len(contour) == 1
+            assert sum(n for n, _ in calls) - contour[0] < 0.1 * contour[0]
+
+    def test_kernel_freed_without_cycle_collection(self, root_problems):
+        # kernel -> memo -> table must not point back at the kernel, or the
+        # kernel and its memoized arrays wait for a cyclic collection
+        prob = root_problems["C"]
+        gc.disable()
+        try:
+            kern = build_log_kernel(prob)
+            edge_limits(prob, kern)
+            phi_profile(prob, kern, [-0.4, 0.35])
+            ref = weakref.ref(kern)
+            del kern
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_two_sheet_limits(self):
         zero = ConductivityTensor.diagonal(0, 0, nondimensional=True)

@@ -18,7 +18,7 @@ from edgeplasmon import (
     quadratic_roots,
     split_q,
 )
-from edgeplasmon.field import _vertical_panels
+from edgeplasmon.field import _field_contour, _vertical_panels
 from edgeplasmon.quadrature import gk_nodes_weights
 from conftest import make_sigma
 
@@ -390,11 +390,10 @@ class TestCauchyTableOracle:
         self._check(kernel, np.concatenate([xs + 1j * delta, xs - 1j * delta]))
 
     def test_rotated_tail_rays(self, kernel):
-        # the vertical rays of field._rotated_tail at its default span
-        kappa = kernel.scale
-        prob = kernel.problem
-        span = max(32.0 * kappa, 3.0 * abs(prob.q))
-        delta = 1e-7 * kappa
+        # the vertical rays of field._rotated_tail from the ends of the
+        # field contour
+        contour = _field_contour(kernel, kernel.scale / 8.0)
+        span, delta = contour.span, contour.delta
         rays = []
         for x in (0.05, -0.07, 0.35, -0.4):
             s_nodes, _ = _vertical_panels(45.0 / abs(x), struct=span)
@@ -402,6 +401,16 @@ class TestCauchyTableOracle:
             for end in (span, -span):
                 rays.append(end - 1j * rot * delta + 1j * rot * s_nodes)
         self._check(kernel, np.concatenate(rays))
+
+    def test_conjugate_side_from_the_shared_pass(self, kernel):
+        # the field contour's upper side comes out of its lower side's pole
+        # sums, bit for bit what a separate call gives
+        contour = _field_contour(kernel, kernel.scale / 8.0)
+        table = kernel.cauchy_table()
+        upper = table.phi(contour.nodes + 1j * contour.delta)
+        lower = table.phi(contour.nodes - 1j * contour.delta)
+        assert np.array_equal(contour.phi_above, upper)
+        assert np.array_equal(contour.phi_below, lower)
 
     def test_on_axis_principal_value(self, kernel, rng):
         t = kernel.cauchy_table().nodes
