@@ -31,6 +31,7 @@ from .conductivity import (
 from .kernel import Problem, Variant
 from .quadrature import QuadratureError, adaptive_gk_to_infinity
 from .spectrum import (
+    DegenerateQuadraticError,
     RealAxisZeroError,
     SpectrumReport,
     bulk_zeros,
@@ -144,7 +145,7 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
     sigma_xy = sigma_yx, and crossing Re q = 0 is a failure).  On success
     the index and the bulk census are re-verified at the root.  A residual
     that cannot be evaluated (nonzero index, real-axis zero of the symbol,
-    stalled quadrature) gives NO_SOLUTION with the reason in the message.
+    unresolved series, sigma_xx = 0) gives NO_SOLUTION and the reason.
     """
     q_guess = complex(q_guess)
     want_sign = sign_q(q_guess)
@@ -169,7 +170,8 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
     try:
         f0 = f_guarded(q0)
         f1 = f_guarded(q1)
-    except (IndexClassificationError, RealAxisZeroError, QuadratureError) as exc:
+    except (IndexClassificationError, RealAxisZeroError, QuadratureError,
+            DegenerateQuadraticError) as exc:
         return DispersionSolution(
             q=q_guess, residual=complex(math.nan, math.nan), iterations=n_eval,
             nu_k_at_solution=getattr(exc, "nu_k", None),
@@ -201,9 +203,9 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
                 except (IndexClassificationError, RealAxisZeroError) as exc:
                     index_flips.append(f"q={q_next:.6g}: {exc}")
                 except QuadratureError as exc:
-                    # a stall means the residual cannot be resolved here,
-                    # not that the step crossed an index boundary; halving
-                    # only repeats stalled quadratures
+                    # an unresolved series means the residual cannot be
+                    # resolved here, not that the step crossed an index
+                    # boundary; halving would only repeat it
                     return DispersionSolution(
                         q=q1, residual=f1, iterations=n_eval, nu_k_at_solution=None,
                         classification=Classification.NO_SOLUTION, validity=validity,
@@ -251,9 +253,13 @@ def classify(problem: Problem, *, tol: float = 1e-8) -> Classification:
 
     nu_K > 0: continuum of admissible q (CONTINUUM_REGION); nu_K < 0: no
     nontrivial solution (NO_SOLUTION); nu_K = 0: discrete EPP iff the
-    residual vanishes at this q.
+    residual vanishes at this q.  A sheet with sigma_xx = 0 has no
+    dispersion relation of this form and gives NO_SOLUTION.
     """
-    kernel = build_log_kernel(problem)
+    try:
+        kernel = build_log_kernel(problem)
+    except DegenerateQuadraticError:
+        return Classification.NO_SOLUTION
     if kernel.nu_k > 0:
         return Classification.CONTINUUM_REGION
     if kernel.nu_k < 0:

@@ -18,10 +18,10 @@ Both routines use one real-axis contour per kernel: t -+ i delta with
 delta = 1e-7 kappa, GK15 panels on [-span, span], span = max(40 kappa,
 3|q|), at most kappa/8 wide (and at most 3/max|x| for a profile), with
 the kernel's phase grid adding panel edges.  One ``CauchyTable.phi``
-pass gives Phi on both sides of it (x > 0 and the edge limits use the
-lower side, x < 0 the upper one), memoized on the kernel beside its
-root constants and Cauchy table, so whichever of ``edge_limits`` and
-``phi_profile`` runs second reuses it.
+pass of the kernel's series gives Phi on both sides of it (x > 0 and
+the edge limits use the lower side, x < 0 the upper one), memoized on
+the kernel, so whichever of ``edge_limits`` and ``phi_profile`` runs
+second reuses it.  Both add Phi's error estimate, carried through s_+-.
 """
 
 from __future__ import annotations
@@ -130,7 +130,9 @@ def edge_limits(problem: Problem, kernel: UnwrappedLogKernel) -> EdgeLimits:
     fit_l = _fit_tail(lambda t: s_minus(-t), span, 1.5)
     integral += _tail_value(fit_r[:2], 1.5, span)
     integral += _tail_value(fit_l[:2], 1.5, span)
-    err = (float(np.abs(diff).sum()) + fit_r[2] + fit_l[2]) / (2.0 * math.pi)
+    # an error dPhi moves s_- = bracket e^{Phi} by |s_-| dPhi
+    phi_err = table.error_estimate * _abs_integral(s_vals, contour.half)
+    err = (float(np.abs(diff).sum()) + fit_r[2] + fit_l[2] + phi_err) / (2.0 * math.pi)
     phi_plus = cp - integral / TWO_PI_I
     return EdgeLimits(complex(phi_plus), complex(phi_minus), complex(div_coeff),
                       phi_plus_error=err)
@@ -271,6 +273,11 @@ def _fit_tail(s_fun, cut: float, power: float):
     return complex(coef_a), complex(coef_b), float(resid * abs(tail_miss / miss))
 
 
+def _abs_integral(vals: np.ndarray, half: np.ndarray) -> float:
+    """Int |f| over GK15 panels from the values of f at their nodes."""
+    return float(gk_panel_sums(np.abs(vals).reshape(half.size, -1), half)[0].sum())
+
+
 def _tail_value(coefs, power: float, cut: float) -> complex:
     a_c, b_c = coefs
     return a_c * _e_power(power, cut) + b_c * _e_power(power + 1.0, cut)
@@ -343,7 +350,7 @@ def _rotated_tail(prob: Problem, table, consts, end: complex, x: float,
     Beyond the span the symbol has no zeros, so the integrand continues
     analytically across the real axis: e^{-Q_-} -> e^{Phi}/P above it and
     e^{+Q_+} -> P e^{Phi} below it.  Exponential decay makes the
-    truncation error negligible for every |x|.
+    truncation error negligible for every |x|.  Also returns Int |integrand|.
     """
     rot = 1.0 if x > 0 else -1.0
     length = 45.0 / abs(x)
@@ -365,7 +372,8 @@ def _rotated_tail(prob: Problem, table, consts, end: complex, x: float,
             factor[below] *= p_of_xi(prob, xi[below])
     vals = bracket * factor * np.exp(1j * xi * x)
     panels, diff = gk_panel_sums(vals.reshape(s_half.size, -1), s_half)
-    return 1j * rot * complex(panels.sum()), float(np.abs(diff).sum())
+    return (1j * rot * complex(panels.sum()), float(np.abs(diff).sum()),
+            _abs_integral(vals, s_half))
 
 
 def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
@@ -379,8 +387,8 @@ def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
     with s_+ = [C^+ a/(xi-xi^+) + C^- b/(xi-xi^-)] e^{Q_+}.  The integrals
     run along contours shifted off the axis by delta; beyond the panelized
     span the path turns into the half-plane where the oscillation decays
-    exponentially.  Per-point error estimates (embedded Gauss rule) drive
-    the accuracy flags.
+    exponentially.  Per-point error estimates (embedded Gauss rule and
+    Phi's error through s_+-) drive the accuracy flags.
     """
     x_values = np.asarray(x_values, dtype=float)
     if np.any(x_values == 0.0):
@@ -395,11 +403,12 @@ def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
     contour = _field_contour(kernel, width)
     nodes, half, delta = contour.nodes, contour.half, contour.delta
     # e^{-Q_-} = e^{+Phi} below the axis (x > 0); e^{+Q_+} = e^{+Phi} above it (x < 0)
-    s_vals = {}
+    s_vals, s_abs = {}, {}
     for side, phi_v in ((1.0, contour.phi_below), (-1.0, contour.phi_above)):
         if np.any(x_values * side > 0):
             xi = nodes - 1j * side * delta
             s_vals[side] = _bracket(consts, xi) * np.exp(phi_v)
+            s_abs[side] = _abs_integral(s_vals[side], half)
 
     phi = np.empty(x_values.shape, dtype=complex)
     err = np.empty(x_values.shape, dtype=float)
@@ -418,7 +427,10 @@ def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
         else:
             # Lambda_+ e^{+Q_+} = -C^+/(xi-xi^+) - C^-/(xi-xi^-) + s_+
             phi[i] = cm * np.exp(1j * xm * x) + integral / TWO_PI_I
-        err[i] = (abs(diff.sum()) + tails[0][1] + tails[1][1]) / (2.0 * math.pi)
+        # |e^{i xi x}| = e^{side delta x} on the contour
+        s_int = s_abs[side] * math.exp(side * delta * x) + tails[0][2] + tails[1][2]
+        err[i] = (abs(diff.sum()) + tails[0][1] + tails[1][1]
+                  + table.error_estimate * s_int) / (2.0 * math.pi)
 
     flags = err > target_error
     residue = None

@@ -1,15 +1,13 @@
 """Vectorized adaptive Gauss-Kronrod quadrature.
 
-scipy.integrate.quad drives scalar callbacks, which is far too slow for the
-nested Cauchy integrals used by the split functions; this integrator
-evaluates the integrand on whole batches of nodes (numpy arrays) and
-bisects the worst segments until the global error estimate meets the
+The integrand is evaluated on whole batches of nodes (numpy arrays), and
+the worst segments are bisected until the global error estimate meets the
 tolerance.  Complex-valued integrands are handled natively, and so are
 vector integrands: k integrals over the same interval that share every
 integrand evaluation, each held to its own tolerance.  The same
 Kronrod-15 panels with their embedded Gauss-7 error serve fixed-node
-callers, and ``adaptive_gk_to_infinity`` folds [0, inf) onto a finite
-interval.
+callers (the field contours), and ``adaptive_gk_to_infinity`` folds
+[0, inf) onto a finite interval for the independent residual checks.
 """
 
 from __future__ import annotations

@@ -11,36 +11,41 @@ Q_- = -Phi below it.  The branch of L is pinned by continuous unwrapping
 along the real axis plus the requirement that L match the principal
 large-xi form (ln of i*sigma_xx*xi/2 for a single sheet), which is what
 makes the dispersion-relation logarithms land on the branch the edge
-condition needs.
+condition needs.  L grows like ln|xi|; the integral is symmetric at
+infinity.
 
-The transform is evaluated two ways: a pointwise adaptive form used by
-``split_q`` and the dispersion residual (linear subtraction of L near the
-pole, exact closed forms for the subtracted part, tail folded to a finite
-interval; the main interval and the tail of one or several points, such
-as the pair xi^+- of a residual, are integrated in one adaptive pass
-that shares every evaluation of L), and a reusable
-fixed-node table (``CauchyTable``) for batch evaluations along shifted
-contours (field profiles, boundary-factorization sweeps).  The table
-sums the same subtracted quadrature in expanded form, as real matrix
-products of pole kernels 1/(t_j - z_i) against node moments fixed at
-build time; nodes within a rounding-relevant distance of a point keep
-their subtracted term, so the expansion adds no large partial sums.
+Phi has one representation per kernel, a spectral series on Weideman's
+rational basis (``CauchyTable``; J.A.C. Weideman, Math. Comp. 64 (1995)
+745).  The map xi = kappa tan(theta/2) takes the real axis onto the circle
+rho = e^{i theta} = (kappa + i xi)/(kappa - i xi) and the upper half-plane
+into |rho| < 1, so a Fourier series in theta splits term by term: rho^n is
+a plus function for n > 0 and a minus function for n < 0.  Three parts of
+L are split in closed form instead: its ln|xi| growth; the kink at
+theta = pi of its part odd in sqrt(xi^2 + q^2), b/|xi| + e sgn(xi)/xi^2
++ ...; and one log per first-sheet zero of P.  N doubles until the FFT
+coefficients of the smooth remainder beyond N/4 sum below ``SERIES_TOL``,
+and the coefficients left out bound Phi's error.  When |q| is far below
+the problem scale, the structure of sqrt(xi^2 + q^2) at |q| is carried by
+a few more series of the same kind, one per factor of up to 16 in scale, so
+that N stays bounded as |q|/scale -> 0.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
-import weakref
 
 import numpy as np
 
-from .branches import Sheet, principal_log
-from .kernel import Problem, Variant, dlogp_dxi, p_of_xi
-from .quadrature import adaptive_gk, gk_nodes_weights
+from .branches import Sheet, principal_log, sheet_sqrt
+from .kernel import Problem, Variant, p_of_xi
+from .quadrature import QuadratureError
 from .spectrum import (
+    DegenerateQuadraticError,
     RealAxisZeroError,
+    bulk_zeros,
     phase_winding,
     quadratic_roots,
     split_coefficients,
@@ -91,7 +96,7 @@ class UnwrappedLogKernel:
     Stores an adaptive phase grid on [-m, m] (steps < pi/2) from which the
     2-pi branch of arg P at any real point is recovered by interpolation;
     moduli and principal phases are always evaluated exactly from the
-    symbol, so quadrature accuracy is not limited by the grid.
+    symbol, so the series accuracy is not limited by the grid.
     """
 
     def __init__(self, problem: Problem, grid: np.ndarray, phase: np.ndarray,
@@ -107,16 +112,7 @@ class UnwrappedLogKernel:
         self.trivial = trivial
         self._cache: dict = {}
 
-    # -- symbol evaluations on (a neighborhood of) the real axis --------
-
-    def p_on_axis(self, zeta):
-        return p_of_xi(self.problem, zeta, Sheet.FIRST)
-
-    def dlog_on_axis(self, zeta):
-        """d/dzeta ln P(zeta): single valued, no unwrap needed."""
-        if self.trivial:
-            return np.zeros_like(np.asarray(zeta, dtype=complex))
-        return dlogp_dxi(self.problem, zeta)
+    # -- symbol evaluations on the real axis ----------------------------
 
     def phase_at(self, zeta):
         """Unwrapped arg P at real zeta (grid-pinned; tail-pinned beyond m)."""
@@ -127,7 +123,7 @@ class UnwrappedLogKernel:
         zeta = np.asarray(zeta, dtype=float)
         if self.trivial:
             return np.zeros(zeta.shape, dtype=complex)
-        vals = self.p_on_axis(zeta)
+        vals = p_of_xi(self.problem, zeta, Sheet.FIRST)
         pa = np.angle(vals)
         ref = np.interp(zeta, self.grid, self.phase,
                         left=self.phase[0], right=self.phase[-1])
@@ -166,31 +162,34 @@ class UnwrappedLogKernel:
         return roots, coeffs, phi_p, phi_m
 
     def cauchy_table(self) -> "CauchyTable":
+        """The spectral series of Phi, built once per kernel."""
         return self.memo("table", lambda: CauchyTable.build(self))
+
+
+def _signed_sheets(problem: Problem) -> list[tuple[int, Problem]]:
+    """(sign, single-sheet problem) for each nonzero sheet whose log enters
+    L with that sign: the sheet itself, or the right (+1) and left (-1)
+    sheet of a two-sheet problem."""
+    if problem.variant is Variant.TWO_SHEET:
+        left, right = problem.sides()
+        sheets = ((-1, left), (1, right))
+    else:
+        sheets = ((1, problem),)
+    out = [(sign, prob) for sign, prob in sheets if prob.sigma.frobenius != 0]
+    if any(prob.sigma_eff.xx == 0 for _, prob in out):
+        raise DegenerateQuadraticError(
+            "sigma_xx = 0: symbol does not follow the ln(kappa xi) tail law")
+    return out
 
 
 def _tail_constant(problem: Problem) -> complex:
     """Constant of the large-zeta law L ~ p ln zeta + constant."""
-    if problem.variant is Variant.TWO_SHEET:
-        left, right = problem.sides()
-        lz = left.sigma.frobenius == 0
-        rz = right.sigma.frobenius == 0
-        if lz and rz:
-            return 0.0 + 0.0j
-        if lz:
-            return complex(principal_log(0.5j * right.sigma_eff.xx))
-        if rz:
-            return -complex(principal_log(0.5j * left.sigma_eff.xx))
-        lxx, rxx = left.sigma_eff.xx, right.sigma_eff.xx
-        if lxx == 0 or rxx == 0:
-            raise ValueError("two-sheet tail undefined: a nonzero side has sigma_xx = 0")
-        return complex(principal_log(rxx / lxx))
-    sxx = problem.sigma_eff.xx
-    if problem.sigma.frobenius == 0:
-        return 0.0 + 0.0j
-    if sxx == 0:
-        raise ValueError("sigma_xx = 0: symbol does not follow the ln(kappa xi) tail law")
-    return complex(principal_log(0.5j * sxx))
+    sheets = _signed_sheets(problem)
+    if len(sheets) == 2:
+        (_, left), (_, right) = sheets
+        return complex(principal_log(right.sigma_eff.xx / left.sigma_eff.xx))
+    return sum((sign * complex(principal_log(0.5j * prob.sigma_eff.xx))
+                for sign, prob in sheets), 0j)
 
 
 def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
@@ -200,6 +199,10 @@ def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
     which also gives the winding index stored on the kernel), then the
     global 2-pi-i branch constant is fixed by matching L(m) against the
     analytic tail law.
+
+    Raises ``DegenerateQuadraticError`` (a ``ValueError``) when a nonzero
+    sheet has sigma_xx = 0, where L has no ln|xi| tail law, and
+    ``RealAxisZeroError`` when P vanishes on or next to the real axis.
     """
     tail_const = _tail_constant(problem)
     xs, theta, nu, scale = phase_winding(problem, Sheet.FIRST)
@@ -223,89 +226,31 @@ def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
 
 
 # ---------------------------------------------------------------------------
-# Cauchy transform of L: pointwise adaptive evaluation
+# Split-function values
 # ---------------------------------------------------------------------------
 
 
-def _span_for(kernel: UnwrappedLogKernel, xi0: complex) -> float:
-    return max(64.0 * kernel.scale, 4.0 * abs(xi0))
-
-
-def _closed_terms(span: float, xi0: np.ndarray, t0: np.ndarray,
-                  c0: np.ndarray, c1: np.ndarray) -> np.ndarray:
-    """Int_{-span}^{span} (c0 + c1 (z - t0))/(z - xi0) dz, vectorized over
-    points; continuous off the axis, principal value exactly on it."""
-    on_axis = xi0.imag == 0.0
-    log_term = np.where(
-        on_axis,
-        np.log(np.abs(span - xi0.real)) - np.log(np.abs(span + xi0.real)),
-        np.log(np.where(on_axis, 1.0, span - xi0))
-        - np.log(np.where(on_axis, 1.0, -span - xi0)),
-    )
-    return c0 * log_term + c1 * (2.0 * span + (xi0 - t0) * log_term)
-
-
-def cauchy_transform(kernel: UnwrappedLogKernel, xi0, *,
-                     rtol: float = 1e-11) -> SplitValue | list[SplitValue]:
+def cauchy_transform(kernel: UnwrappedLogKernel, xi0) -> SplitValue | list[SplitValue]:
     """Phi(xi0) = (1/2 pi i) Int L(z)/(z - xi0) dz over the real axis.
 
     Q_+(xi0) = Phi(xi0) for Im xi0 > 0 and Q_-(xi0) = -Phi(xi0) for
     Im xi0 < 0.  On the axis the principal-value transform is returned
-    (used by the Plemelj boundary formulas).  L is subtracted linearly
-    about t0 = Re xi0 so near-axis points (boundary-value probes, low-loss
-    roots) cost no more than well-separated ones.
-
-    ``xi0`` may be one point, which gives one ``SplitValue``, or a
-    sequence of points, which gives a list of them.  All points are
-    integrated in one adaptive pass over s in [-1, 2] that shares every
-    evaluation of L: s in [-1, 1] is the main interval z = span s, and
-    s in (1, 2] the tail |z| > span folded onto u = 2 - s by z = +-span/u.
-    Each point meets its own tolerance and gets its own error estimate.
+    (used by the Plemelj boundary formulas).  The values come from the
+    kernel's spectral series (``CauchyTable``) and carry its error
+    estimate.  ``xi0`` may be one point, which gives one ``SplitValue``,
+    or a sequence of points, which gives a list of them.
     """
     points = np.atleast_1d(np.asarray(xi0, dtype=complex))
-    if kernel.trivial:
-        values, errors = np.zeros(points.size, dtype=complex), np.zeros(points.size)
-    else:
-        span = max(_span_for(kernel, complex(x)) for x in points)
-        t0 = np.clip(points.real, -0.75 * span, 0.75 * span)
-        c0 = kernel.log_values(t0)
-        c1 = kernel.dlog_on_axis(t0.astype(complex))
-        xc, t0c, c0c, c1c = (v[:, None] for v in (points, t0, c0, c1))
-
-        def integrand(s):
-            tail = s > 1.0
-            main = ~tail
-            z = span * s[main]
-            u = 2.0 - s[tail]
-            zeta = span / u
-            lz, lp, lm = np.split(kernel.log_values(np.concatenate([z, zeta, -zeta])),
-                                  [z.size, z.size + zeta.size])
-            out = np.empty((points.size, s.size), dtype=complex)
-            out[:, main] = (lz - c0c - c1c * (z - t0c)) / (z - xc) * span
-            out[:, tail] = ((zeta * (lp - lm) + xc * (lp + lm))
-                            / (zeta * zeta - xc * xc) * (span / (u * u)))
-            return out.T
-
-        scale = kernel.scale
-        seeds = np.concatenate([
-            [-4.0 * scale, -scale, 0.0, scale, 4.0 * scale],
-            (t0[:, None] + scale * np.array([-1.0, -0.1, 0.0, 0.1, 1.0])).ravel(),
-            points.real]) / span
-        breaks = np.concatenate([seeds[np.abs(seeds) < 1.0], [1.0],
-                                 2.0 - np.geomspace(1e-10, 0.5, 12)])
-        res = adaptive_gk(integrand, -1.0, 2.0, rtol=rtol, atol=1e-14,
-                          initial=np.unique(breaks))
-        values = (res.value + _closed_terms(span, points, t0, c0, c1)) / (2j * math.pi)
-        errors = res.error / TWO_PI
+    table = kernel.cauchy_table()
+    values = table.phi(points)
     out = [SplitValue(complex(v), SplitHalf.PLUS if x.imag >= 0 else SplitHalf.MINUS,
-                      complex(x), float(e))
-           for v, x, e in zip(values, points, errors)]
+                      complex(x), table.error_estimate)
+           for v, x in zip(values, points)]
     return out[0] if np.ndim(xi0) == 0 else out
 
 
-def split_q(kernel: UnwrappedLogKernel, xi0: complex, half: SplitHalf,
-            *, rtol: float = 1e-11) -> SplitValue:
-    """Split-function value Q_+(xi0) or Q_-(xi0) by Cauchy quadrature.
+def split_q(kernel: UnwrappedLogKernel, xi0: complex, half: SplitHalf) -> SplitValue:
+    """Split-function value Q_+(xi0) or Q_-(xi0).
 
     PLUS requires Im xi0 > 0 and MINUS requires Im xi0 < 0 (each split
     function is evaluated in its own half-plane of analyticity); points on
@@ -322,13 +267,12 @@ def split_q(kernel: UnwrappedLogKernel, xi0: complex, half: SplitHalf,
         raise ValueError("Q_+ is evaluated in the upper half-plane (Im xi0 > 0)")
     if half is SplitHalf.MINUS and xi0.imag > 0:
         raise ValueError("Q_- is evaluated in the lower half-plane (Im xi0 < 0)")
-    phi = cauchy_transform(kernel, xi0, rtol=rtol)
+    phi = cauchy_transform(kernel, xi0)
     sign = 1.0 if half is SplitHalf.PLUS else -1.0
     return SplitValue(sign * phi.value, half, xi0, phi.quadrature_error_estimate)
 
 
-def boundary_split_q(kernel: UnwrappedLogKernel, x: float, half: SplitHalf,
-                     *, rtol: float = 1e-11) -> SplitValue:
+def boundary_split_q(kernel: UnwrappedLogKernel, x: float, half: SplitHalf) -> SplitValue:
     """Plemelj boundary value on the real axis:
 
     Q_+-(x -+/+ i0) = L(x)/2 +- (1/2 pi i) PV Int L(z)/(z - x) dz.
@@ -336,7 +280,7 @@ def boundary_split_q(kernel: UnwrappedLogKernel, x: float, half: SplitHalf,
     if kernel.nu_k != 0:
         raise NonzeroIndexError(kernel.nu_k)
     x = float(x)
-    pv = cauchy_transform(kernel, complex(x), rtol=rtol)
+    pv = cauchy_transform(kernel, complex(x))
     half_l = 0.5 * complex(kernel.log_values(np.array([x]))[0])
     sign = 1.0 if half is SplitHalf.PLUS else -1.0
     return SplitValue(half_l + sign * pv.value, half, complex(x),
@@ -362,14 +306,18 @@ def q_asymptotic(problem: Problem, xi: complex, half: SplitHalf) -> complex:
 _ROOT_SERIES_BAND = 1e-6
 
 
-def _phi_derivative(kernel: UnwrappedLogKernel, xi0: complex, *, rtol=1e-10) -> complex:
-    h = 1e-5 * kernel.scale
-    a, b = cauchy_transform(kernel, [xi0 + h, xi0 - h], rtol=rtol)
-    return (a.value - b.value) / (2.0 * h)
+def _phi_derivative(kernel: UnwrappedLogKernel, xi0: complex) -> complex:
+    """dPhi/dxi at an off-axis point by Cauchy's integral formula on the
+    series: the mean of Phi(xi0 + r w)/(r w) over the 32nd roots of unity
+    w, on a circle of radius r = |Im xi0|/4 that stays in the half-plane
+    of xi0 (the trapezoid rule's error there is below 4^-32)."""
+    w = np.exp(2j * math.pi * np.arange(32) / 32)
+    r = 0.25 * abs(complex(xi0).imag)
+    return complex(np.mean(kernel.cauchy_table().phi(xi0 + r * w) / (r * w)))
 
 
 def lambda_pm(problem: Problem, kernel: UnwrappedLogKernel, xi: complex,
-              half: SplitHalf, *, rtol: float = 1e-10) -> complex:
+              half: SplitHalf) -> complex:
     """The splitting functions
 
     Lambda_+(xi) = -C+ [e^{-Q+(xi)} - e^{-Q+(xi+)}]/(xi - xi+)
@@ -385,233 +333,373 @@ def lambda_pm(problem: Problem, kernel: UnwrappedLogKernel, xi: complex,
     """
     xi = complex(xi)
     roots, coeffs, phi_p, phi_m = kernel.root_constants()
-    xp, xm = roots.xi_plus, roots.xi_minus
-    cp, cm = coeffs.c_plus, coeffs.c_minus
-    a = np.exp(-phi_p.value)   # e^{-Q_+(xi^+)}
-    b = np.exp(-phi_m.value)   # e^{+Q_-(xi^-)}
-
     if xi.imag == 0.0:
         raise ValueError("Lambda evaluation needs an off-axis point; shift by "
                          "+-i*delta for boundary probes")
-    natural_upper = xi.imag > 0
+    a = np.exp(-phi_p.value)   # e^{-Q_+(xi^+)}
+    b = np.exp(-phi_m.value)   # e^{+Q_-(xi^-)}
+    s = 1 if half is SplitHalf.PLUS else -1
+    # f = e^{-Q_+(xi)} (PLUS) or e^{+Q_-(xi)} (MINUS), e^{-Phi} on its own side
+    f = np.exp(-cauchy_transform(kernel, xi).value)
+    if (xi.imag > 0) != (s > 0):
+        f = f * p_of_xi(problem, xi, Sheet.FIRST) ** -s
 
-    phi = cauchy_transform(kernel, xi, rtol=rtol).value
-    e_phi = np.exp(-phi)
-    if half is SplitHalf.PLUS:
-        # f = e^{-Q_+(xi)} continued across the axis if needed
-        f = e_phi if natural_upper else e_phi / p_of_xi(problem, xi, Sheet.FIRST)
-        if abs(xi - xp) < _ROOT_SERIES_BAND * kernel.scale:
-            term_p = cp * _phi_derivative(kernel, xp) * a
-        else:
-            term_p = -cp * (f - a) / (xi - xp)
-        term_m = cm * (b - f) / (xi - xm)
-        return complex(term_p + term_m)
-    # f = e^{+Q_-(xi)}
-    f = e_phi if not natural_upper else e_phi * p_of_xi(problem, xi, Sheet.FIRST)
-    if abs(xi - xm) < _ROOT_SERIES_BAND * kernel.scale:
-        # d/dxi e^{Q_-} at xi^-: Q_-' = -Phi'
-        term_m = cm * (-_phi_derivative(kernel, xm)) * b
-    else:
-        term_m = cm * (f - b) / (xi - xm)
-    term_p = -cp * (a - f) / (xi - xp)
-    return complex(term_m + term_p)
+    def term(c, root, value, at_own_root):
+        # c (value - f)/(xi - root); at the root of the own half its limit
+        # is -c f'(root) = c Phi'(root) value
+        if at_own_root and abs(xi - root) < _ROOT_SERIES_BAND * kernel.scale:
+            return c * _phi_derivative(kernel, root) * value
+        return c * (value - f) / (xi - root)
+
+    return complex(s * (term(coeffs.c_plus, roots.xi_plus, a, s > 0)
+                        + term(coeffs.c_minus, roots.xi_minus, b, s < 0)))
 
 
 # ---------------------------------------------------------------------------
-# Batched Cauchy transform on fixed nodes
+# The spectral series of Phi
 # ---------------------------------------------------------------------------
 
+# Phi's absolute error target, and the range of N
+SERIES_TOL = 1e-13
+SERIES_N_MIN = 256
+SERIES_N_MAX = 1 << 16
 
-# Elements per fill buffer of _pole_sums: the two float64 buffers of a
-# block (1 MB together) stay in a core's L2 cache between their fill and
-# the matrix product that reads them.
-POLE_SUM_BLOCK = 1 << 16
+# Branch points +-iq well inside the scales of the sheets: below |q| =
+# ROOT_TOP min 2/|sigma_xx|, the root's structure is peeled off in levels
+# whose branch-point radii grow from |q| to that top radius by ratios of at
+# most ROOT_RATIO, each level on its own map; ROOT_ORDER sets how closely
+# the stand-in roots follow the true one at large |xi|.
+ROOT_TOP = 0.1
+ROOT_RATIO = 16.0
+ROOT_ORDER = 8
 
-# A table node j is near a point z when w_j > NEAR_POLE_RATIO |t_j - z|.
-# Its term is left out of the expanded sums and added in subtracted form,
-# so no expanded term exceeds NEAR_POLE_RATIO |L|.  At this ratio at most
-# one node, a neighbour of Re z in the sorted nodes, is near any point:
-# Kronrod-15 node gaps exceed 2 w/NEAR_POLE_RATIO.
-NEAR_POLE_RATIO = 100.0
+# Order J of the closed-form kink split: the remainder's coefficients then
+# fall like n^-(J+3), and the four reference roots need N = 256.
+KINK_ORDER = 7
+KINK_SAMPLES = 64
+
+# Up to this many points the power sums are one matrix product
+POWERS_MAX_POINTS = 64
+
+# Below |r| = DEEP_RADIUS the kink is summed from its first KINK_TERMS
+# coefficients (|r|^KINK_TERMS < 1e-19): its closed form's r^-J terms
+# would lose up to |r|^-J in rounding there.
+DEEP_RADIUS = 0.7
+KINK_TERMS = 128
 
 
-def _pole_sums(nodes: np.ndarray, z: np.ndarray, moments: np.ndarray,
-               skip: tuple[np.ndarray, np.ndarray] | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """S[i, k] = Sum_j W[j, k] / (nodes[j] - z[i]) for real nodes and complex
-    z, at z and at conj(z).
+def _c(n):
+    """Fourier coefficients of cos(theta/2) on (-pi, pi)."""
+    n = np.asarray(n, dtype=float)
+    return (2.0 / math.pi) * (-1.0) ** n / (1.0 - 4.0 * n * n)
 
-    ``moments`` holds the complex columns W as reals, [Re W, Im W].  With
-    d = t - Re z, 1/(t - z) = (d + i Im z)/(d^2 + Im z^2): its real part
-    and 1/(d^2 + Im z^2) are filled block by block into two real buffers,
-    each multiplied by ``moments``, and Im z is applied per row afterwards.
-    Neither buffer depends on the sign of Im z, so the sums at conj(z) come
-    from the same products with that factor negated, bit for bit what a
-    separate call at conj(z) returns.  ``skip`` = (point indices,
-    ascending; node indices) names pairs left out of the sums.
+
+def _c_plus(r):
+    """Sum_{n>0} c_n r^n = ((1 + r) atanh(sqrt(-r))/sqrt(-r) - 1)/pi."""
+    u = np.sqrt(-r)
+    return ((1.0 + r) * np.arctanh(u) / u - 1.0) / math.pi
+
+
+def _kink_taylor(sheets, kappa: float) -> np.ndarray:
+    """Taylor coefficients pi_0..pi_J in u = xi/(xi^2 + kappa^2) at xi = inf
+    of A = sqrt(xi^2 + kappa^2) Sum_sheets sign atanh(y).
+
+    Each sheet's log is ln(1 + X) = ln(X^2 - 1)/2 + atanh(y), y = 1/X, and
+    only atanh(y), odd in sqrt(xi^2 + q^2), has a kink at theta = pi.  In
+    w = 1/xi, y = -2i w sqrt(1 + q^2 w^2)/(a2 + a1 w + a0 w^2) (``quad_coeffs``);
+    A is analytic in u for |u| < 1/(2 kappa), kappa the problem scale, and
+    an FFT on |u| = 1/(4 kappa) gives pi_0 = b = -2i/s_xx, pi_1 = e, ...
     """
-    k = moments.shape[1] // 2
-    re_s = np.empty((z.size, 2 * k))
-    im_s = np.empty((z.size, 2 * k))
-    rows = max(1, min(z.size, POLE_SUM_BLOCK // nodes.size))
-    re_k = np.empty((rows, nodes.size))
-    inv = np.empty((rows, nodes.size))
-    for start in range(0, z.size, rows):
-        sl = slice(start, min(start + rows, z.size))
-        n = sl.stop - start
-        d, den = re_k[:n], inv[:n]
-        np.subtract(nodes, z.real[sl, None], out=d)
-        np.multiply(d, d, out=den)
-        den += np.square(z.imag[sl, None])
-        np.reciprocal(den, out=den)
-        d *= den
-        if skip is not None:
-            lo, hi = np.searchsorted(skip[0], (start, sl.stop))
-            cells = (skip[0][lo:hi] - start, skip[1][lo:hi])
-            d[cells] = 0.0
-            den[cells] = 0.0
-        np.matmul(den, moments, out=im_s[sl])
-        np.matmul(d, moments, out=re_s[sl])
-    im_s *= z.imag[:, None]
-    re_a, re_b, im_a, im_b = re_s[:, :k], re_s[:, k:], im_s[:, :k], im_s[:, k:]
-    return (re_a - im_b) + 1j * (re_b + im_a), (re_a + im_b) + 1j * (re_b - im_a)
+    u = np.exp(2j * math.pi * np.arange(KINK_SAMPLES) / KINK_SAMPLES) / (4.0 * kappa)
+    w = 2.0 * u / (1.0 + np.sqrt(1.0 - 4.0 * (kappa * u) ** 2))
+    atanh = np.zeros(u.shape, dtype=complex)
+    for sign, prob in sheets:
+        a2, a1, a0 = prob.quad_coeffs()
+        atanh += sign * np.arctanh(-2j * w * np.sqrt(1.0 + (prob.q * w) ** 2)
+                                   / (a2 + a1 * w + a0 * w * w))
+    order = np.arange(KINK_ORDER + 1)
+    coeffs = np.fft.fft(np.sqrt(1.0 + (kappa * w) ** 2) * atanh / w) / KINK_SAMPLES
+    return coeffs[order] * (4.0 * kappa) ** order
 
 
-def _as_real_columns(columns: np.ndarray) -> np.ndarray:
-    return np.column_stack([columns.real, columns.imag])
+@functools.cache
+def _kink_matrices():
+    """Constant maps from tau_m, m = -J..J: SIN (columns k = 0..J) gives
+    the tau_m of sin(theta)^k; PI the Pi_n, n = -J+1..J, with
+    Pi_n = Sum_{m>=n} tau_m c_{m-n} (n >= 1), -Sum_{m<n} tau_m c_{n-m}
+    (n <= 0); DEEP kappa f_n, n = 1..KINK_TERMS; C0 kappa f_0; AT_PI
+    kappa Sum_{n>0} f_n (-1)^n, from c_+(-1) = -1/pi.  Built on first use,
+    so importing the package does no numerical work."""
+    j = KINK_ORDER
+    m = np.arange(-j, j + 1)
+    theta = TWO_PI * np.arange(2 * j + 2) / (2 * j + 2)
+    sin = np.exp(-1j * np.outer(m, theta)) @ np.sin(theta)[:, None] ** np.arange(j + 1) / theta.size
+    n = np.arange(-j + 1, j + 1)[:, None]
+    pi = np.where(n >= 1, _c(m - n) * (m >= n), -_c(n - m) * (m < n))
+    at_pi = -(-1.0) ** m / math.pi + (-1.0) ** n[:, 0] @ pi
+    return sin, pi, _c(np.arange(1, KINK_TERMS + 1)[:, None] - m), _c(m), at_pi
+
+
+class _KinkSplit:
+    """Closed-form split of f(xi) = (xi^2 + kappa^2)^(-1/2) Sum_k pi_k u^k,
+    u = xi/(xi^2 + kappa^2) = sin(theta)/(2 kappa), on the map of its own
+    kappa.  On the circle f = cos(theta/2) T(rho)/kappa with the Laurent
+    polynomial T = Sum_{|m|<=J} tau_m rho^m, so f_n = Sum_m tau_m c_{n-m}/kappa
+    and Sum_{n>0} f_n r^n = [T(r) c_+(r) + Pi(r)]/kappa (``_kink_matrices``).
+    The n < 0 side is the same with tau reversed.
+    """
+
+    def __init__(self, pis: np.ndarray, kappa: float):
+        self.pis, self.kappa = pis, kappa
+        sin, pi_map, deep, c0, at_pi = _kink_matrices()
+        tau = sin @ (pis / (2.0 * kappa) ** np.arange(pis.size))
+        self.f0 = complex(c0 @ tau) / kappa
+        self.at_pi, self.sides = {}, {}     # at_pi[s] = Sum_{n>0} f_{s n} (-1)^n
+        for sign, t in ((1, tau), (-1, tau[::-1])):
+            self.at_pi[sign] = complex(at_pi @ t) / kappa
+            self.sides[sign] = (t[::-1], (pi_map @ t)[::-1], deep @ t / kappa)
+
+    def values(self, xi: np.ndarray) -> np.ndarray:
+        """f on the real axis."""
+        rr = xi * xi + self.kappa ** 2
+        return np.polyval(self.pis[::-1], xi / rr) / np.sqrt(rr)
+
+    def plus_sum(self, r: np.ndarray, sign: int) -> np.ndarray:
+        """Sum_{n>0} f_{sign n} r^n for |r| <= 1, r != -1."""
+        t, pi_n, deep = self.sides[sign]
+        out = np.empty(r.shape, dtype=complex)
+        near = np.abs(r) >= DEEP_RADIUS
+        rn = r[near]
+        out[near] = ((np.polyval(t, rn) * _c_plus(rn) + np.polyval(pi_n, rn) * rn)
+                     * rn ** -KINK_ORDER / self.kappa)
+        out[~near] = r[~near, None] ** np.arange(1, KINK_TERMS + 1) @ deep
+        return out
+
+
+def _rho(kappa, z):
+    return (kappa + 1j * z) / (kappa - 1j * z)
+
+
+def _zero_log(z, zero):
+    """weight ln((z - xi_z)/(z - pole)): a pure minus function for a zero
+    above the axis (pole i kappa), a pure plus function below it."""
+    location, weight, pole = zero
+    return weight * np.log((z - location) / (z - pole))
+
+
+def _root_radii(q: complex, top: float) -> list[float]:
+    """Branch-point radii kappa_0 = |q| < ... < kappa_m = top of the levels,
+    in equal ratios of at most ROOT_RATIO; [|q|] when |q| is not below top."""
+    ratio = top / abs(q)
+    m = math.ceil(math.log(ratio) / math.log(ROOT_RATIO)) if ratio > 1.0 else 0
+    return [abs(q) * ratio ** (j / m) for j in range(m + 1)] if m else [abs(q)]
+
+
+def _stand_in_root(xi, q: complex, kappa: float):
+    """sqrt(xi^2 + q^2) to order ROOT_ORDER in t = (q^2 - kappa^2)/(xi^2 +
+    kappa^2) about sqrt(xi^2 + kappa^2): singular only at +-i kappa, and
+    off the true root by O(|xi|^(-2 ROOT_ORDER - 1)) at large |xi|."""
+    rr = xi * xi + kappa * kappa
+    binom = np.cumprod([1.0] + [(0.5 - k) / (k + 1) for k in range(ROOT_ORDER)])
+    return np.sqrt(rr) * np.polyval(binom[::-1], (q * q - kappa * kappa) / rr)
+
+
+def _log_ratio(sheets, xi, w_num, w_den):
+    """ln P(w_num)/P(w_den), P = Prod_sheets (1 + (i/2) num/w)^sign with
+    the root (xi^2 + q^2)^(1/2) replaced by w, along the sorted real xi,
+    unwrapped from 0 at xi = -inf, where both roots agree."""
+    ratio = np.ones(xi.shape, dtype=complex)
+    for sign, prob in sheets:
+        a2, a1, a0 = prob.quad_coeffs()
+        num = 0.5j * ((a2 * xi + a1) * xi + a0)
+        ratio *= ((1.0 + num / w_num) / (1.0 + num / w_den)) ** sign
+    return np.log(np.abs(ratio)) + 1j * np.unwrap(np.angle(ratio))
+
+
+def _fft_series(values, kappa: float):
+    """FFT coefficients a_n of values(nodes) on the map of kappa, N doubled
+    from SERIES_N_MIN until the coefficients beyond N/4 sum below
+    SERIES_TOL, or to the rounding floor (below 100x the target and no
+    longer halving).  Returns (nodes, a, tail, alias) with tail[K] =
+    Sum_{|n| > K} |a_n| and alias = tail[N/4]."""
+    n, prev = SERIES_N_MIN, math.inf
+    while True:
+        nodes = kappa * np.tan(0.5 * math.pi * (2.0 * np.arange(n) + 1.0 - n) / n)
+        k = np.fft.fftfreq(n, 1.0 / n)
+        a = np.fft.fft(values(nodes)) * (-1.0) ** k * np.exp(-1j * math.pi * k / n) / n
+        by_order = np.bincount(np.abs(k).astype(int), weights=np.abs(a))
+        tail = np.append(np.cumsum(by_order[::-1])[-2::-1], 0.0)
+        alias = tail[n // 4]
+        if alias <= SERIES_TOL or 0.5 * prev < alias <= 100.0 * SERIES_TOL:
+            return nodes, a, tail, alias
+        if n >= SERIES_N_MAX:
+            raise QuadratureError(
+                f"spectral series of L not resolved at N = {n}: coefficients "
+                f"beyond N/4 sum to {alias:.3e} > {SERIES_TOL:.1e}")
+        n, prev = 2 * n, alias
+
+
+class _Series:
+    """Sum_{n>0} a_{s n} r^n, r = rho(s xi0), on the map of kappa, cut at
+    the fewest terms that meet the target (N/4 at the rounding floor).
+    ``half0`` = a_0/2 and ``at_pi`` = Sum_{n>0} (a_-n - a_n) (-1)^n/2 enter
+    the constants; ``error`` sums the coefficients left out and the
+    aliasing proxy."""
+
+    def __init__(self, kappa: float, a: np.ndarray, tail: np.ndarray, alias: float):
+        n = a.size
+        order = max(1, int(np.argmax(tail <= SERIES_TOL)) if alias <= SERIES_TOL else n // 4)
+        a_pos, a_neg = a[1:order + 1], a[-1:-order - 1:-1]
+        self.kappa, self.half0 = kappa, 0.5 * a[0]
+        self.at_pi = 0.5 * (a_neg - a_pos) @ (-1.0) ** np.arange(1, order + 1)
+        self.coeffs = np.stack([a_pos, a_neg, np.conj(a_neg), np.conj(a_pos)])
+        self.error = float(tail[order] + alias)
+
+
+def _power_sums(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Sum_{n=1}^{K} rows[:, n-1] r^n for each row: by Horner over a batch
+    of points, by one product with the powers of r for a few (where the
+    K steps of the loop would cost more than the arithmetic)."""
+    if r.size <= POWERS_MAX_POINTS:
+        return rows @ np.cumprod(np.broadcast_to(r, (rows.shape[1], r.size)), axis=0)
+    acc = np.zeros((rows.shape[0], r.size), dtype=complex)
+    for col in rows.T[::-1]:
+        acc += col[:, None]
+        acc *= r
+    return acc
 
 
 class CauchyTable:
-    """Fixed discretization of the Cauchy transform for batch evaluation.
+    """The spectral series of Phi for one kernel.
 
-    Same subtraction scheme as ``cauchy_transform`` but with nodes built
-    once per kernel: a panelized main interval [-span, span] plus folded
-    log-spaced tail nodes.  Accuracy is validated in the test suite
-    against the pointwise adaptive route, and ``phi`` against the dense
-    subtracted sum over the same nodes.
+    With s = 1 above the axis and s = -1 below it, r = rho(s xi0) (|r| <= 1)
+    and a_n the FFT coefficients of the smooth remainder of L,
 
-    ``phi`` evaluates the same discrete sums in expanded form.  With
-    K_ij = w_j/(t_j - z_i) the subtracted main sum is linear in c0, c1:
+        Phi = s [Sum_{n>0} a_{s n} r^n + K_s + (p/2) ln(xi0 + s i kappa)]
+              + C_s + s Sum_{zeros of the other side} l_z(xi0),
 
-        Sum_j w_j (L_j - c0 - c1 (t_j - t0))/(t_j - z)
-            = K.L - c0 K.1 - c1 (Sum_j w_j + (z - t0) K.1),
+    and the mean of both sides on the axis (the principal value).  K_s
+    are the kink's closed-form sums (on the map of the problem scale; the
+    series' kappa, sqrt(kappa_m scale), balances the branch points at
+    +-i kappa_m against it) and l_z the zero logs; C_s = s (a_0 + f_0 +
+    c)/2 + S - i pi p/4 holds the regularization at infinity S = (Sum_{n<0}
+    - Sum_{n>0}) (a_n + f_n) (-1)^n/2.  Two sheets take the difference of
+    the sheets' laws; the trivial kernel has no terms at all.
 
-    since w (t - t0)/(t - z) = w + (z - t0) w/(t - z) term by term.  K.L
-    and K.1 come from real matrix products against the node moments
-    [w L, w] stored at build time (``_pole_sums``).  The folded tail,
-    Sum_k [w tau (L+ - L-) + z w (L+ + L-)]/(tau^2 - z^2), is the same
-    kind of sum over the nodes tau^2 at the point z^2.
+    kappa_m is |q| unless |q| is below ROOT_TOP times the smallest 2/|s_xx|
+    of the sheets.  One map cannot resolve both the root's branch points
+    +-iq and the scale there (N would grow like sqrt(scale/|q|)), so the
+    root's structure is peeled off in levels: L = L_top + Sum_j D_j, D_j =
+    ln P(w_j) - ln P(w_j+1), where w_0 is the true root and w_j
+    (``_stand_in_root``) has its branch points at +-i kappa_j, the radii
+    rising geometrically to kappa_m = ROOT_TOP min 2/|s_xx|
+    (``_root_radii``).  Each D_j has its structure between kappa_j and
+    kappa_j+1 and vanishes at infinity, so it is a plain series on the map
+    of sqrt(kappa_j kappa_j+1); L_top = L - ln P(w_0)/P(w_m) is the series
+    above, less the zeros of P inside kappa_m, which the levels carry; Phi
+    is the sum of all of them.  Every series then takes N = 256 to 1024 on
+    the magnetoplasmon sheet, whatever |q|/scale.
 
-    Rounding: an expanded term w_j L_j/(t_j - z) is as large as w|L|/delta
-    at |Im z| = delta, where the subtracted numerator is near zero, and
-    the summation error of the large partial sums stays in the result
-    (above 1e-9 for a point within 1e-9 kappa of a node of the widest
-    panels at delta = 1e-7 kappa).  Nodes that near a point are therefore
-    summed in subtracted form (``NEAR_POLE_RATIO``); every other term is
-    below NEAR_POLE_RATIO |L|.
-
-    A table holds its kernel by a weak reference, so the kernel that
-    memoizes it must stay alive while the table is used.
+    ``nodes`` are the N collocation points kappa tan(theta_j/2), theta_j =
+    -pi + 2 pi (j + 1/2)/N, of the top series; ``tail_z`` is empty.
+    ``error_estimate`` sums, over the series, the coefficients left out of
+    the evaluation and those beyond N/4 (the aliasing proxy).
     """
 
-    def __init__(self, kernel, span, nodes, weights, lvals, moments,
-                 tail_z, tail_moments):
-        # a strong reference back to the kernel that memoizes the table
-        # would keep both alive until a cyclic garbage collection
-        self.kernel = weakref.proxy(kernel)
-        self.span = span
-        self.nodes = nodes                  # ascending
-        self.weights = weights
-        self.lvals = lvals
-        self.moments = moments              # [w L, w], real columns
-        self.tail_z = tail_z
-        self.tail_moments = tail_moments    # [w tau (L+ - L-), w (L+ + L-)], real columns
+    tail_z = np.zeros(0)
+
+    def __init__(self, nodes, series, kink, zeros, p, consts):
+        self.nodes, self.series, self.kink, self.zeros = nodes, series, kink, zeros
+        self.kappa = series[0].kappa
+        self.p, self.consts = p, consts
+        self.error_estimate = sum(part.error for part in series)
 
     @classmethod
     def build(cls, kernel: UnwrappedLogKernel) -> "CauchyTable":
-        scale = kernel.scale
-        span = 64.0 * scale
-        width = scale / 24.0
-        inner_edge = 8.0 * scale
-        n_inner = int(np.ceil(2.0 * inner_edge / width))
-        edges = [np.linspace(-inner_edge, inner_edge, n_inner + 1)]
-        # geometric panels out to the span on both sides
-        grow = inner_edge
-        right = [inner_edge]
-        while grow < span:
-            grow = min(grow * 1.2, span)
-            right.append(grow)
-        right = np.asarray(right)
-        edges = np.unique(np.concatenate([-right[::-1], edges[0], right]))
+        if kernel.nu_k != 0:
+            raise NonzeroIndexError(kernel.nu_k)
+        problem, scale = kernel.problem, kernel.scale
+        q = complex(problem.q)
+        sheets = _signed_sheets(problem)
+        radii = _root_radii(q, ROOT_TOP * min(
+            (2.0 / abs(prob.sigma_eff.xx) for _, prob in sheets), default=0.0))
+        kappa = math.sqrt(radii[-1] * scale)
+        p, c = sum(sign for sign, _ in sheets), kernel.tail_const
+        kink = _KinkSplit(_kink_taylor(sheets, scale), scale)
+        # zeros inside the top radius are zeros of P(w_0) alone: the levels
+        # carry them
+        inner = radii[-1] if len(radii) > 1 else 0.0
+        zeros = [(rec.location, sign, math.copysign(kappa, rec.location.imag) * 1j)
+                 for sign, prob in sheets for rec in bulk_zeros(prob).zeros
+                 if rec.sheet is Sheet.FIRST and not rec.marginal
+                 and abs(rec.location) > inner]
 
-        nodes, weights = (v.ravel() for v in gk_nodes_weights(edges[:-1], edges[1:]))
-        lvals = kernel.log_values(nodes)
+        def root(xi, j):
+            return sheet_sqrt(xi, q, Sheet.FIRST) if j == 0 else _stand_in_root(xi, q, radii[j])
 
-        # folded tail: zeta = span/u on dyadic u-panels down to u ~ 1e-12
-        u_edges = 2.0 ** -np.arange(0, 41, dtype=float)
-        u_nodes, u_w = (v.ravel() for v in gk_nodes_weights(u_edges[1:], u_edges[:-1]))
-        tail_z = span / u_nodes
-        tail_w = u_w * span / (u_nodes * u_nodes)
-        tail_lp = kernel.log_values(tail_z)
-        tail_lm = kernel.log_values(-tail_z)
-        tail_moments = _as_real_columns(np.column_stack(
-            [tail_w * tail_z * (tail_lp - tail_lm), tail_w * (tail_lp + tail_lm)]))
-        moments = _as_real_columns(np.column_stack([weights * lvals, weights]))
-        return cls(kernel, span, nodes, weights, lvals, moments, tail_z, tail_moments)
+        def remainder(nodes):
+            rem = (kernel.log_values(nodes) - c - kink.values(nodes)
+                   - 0.5 * p * np.log(nodes * nodes + kappa ** 2))
+            if len(radii) > 1:
+                rem -= _log_ratio(sheets, nodes, root(nodes, 0), root(nodes, len(radii) - 1))
+            for zero in zeros:
+                rem -= _zero_log(nodes, zero)
+            return rem
 
-    def _near_pairs(self, xi0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(point, node) index pairs with w_j > NEAR_POLE_RATIO |t_j - z_i|,
-        points ascending."""
-        last = self.nodes.size - 1
-        right = np.searchsorted(self.nodes, xi0.real).clip(1, last)
-        cand = np.stack([right - 1, right], axis=1)
-        near = self.weights[cand] > NEAR_POLE_RATIO * np.abs(self.nodes[cand] - xi0[:, None])
-        rows, col = np.nonzero(near)
-        return rows, cand[rows, col]
+        nodes, a, tail, alias = _fft_series(remainder, kappa)
+        series = [_Series(kappa, a, tail, alias)]
+        for j in range(len(radii) - 1):
+            def level(xi, j=j):
+                return _log_ratio(sheets, xi, root(xi, j), root(xi, j + 1))
+            kappa_j = math.sqrt(radii[j] * radii[j + 1])
+            series.append(_Series(kappa_j, *_fft_series(level, kappa_j)[1:]))
+
+        half0 = sum(part.half0 for part in series) + 0.5 * (kink.f0 + c)
+        s_inf = sum(part.at_pi for part in series) + 0.5 * (kink.at_pi[-1] - kink.at_pi[1])
+        consts = {s: s * half0 + s_inf - 0.25j * math.pi * p for s in (1, -1)}
+        return cls(nodes, series, kink, zeros, p, consts)
+
+    def _side(self, z, series, s):
+        """Phi above (s = 1) or below (s = -1) the axis, or its boundary
+        value on it, from the summed power series ``series`` at rho(s z)."""
+        kink = self.kink.plus_sum(_rho(self.kink.kappa, s * z), s)
+        out = s * (series + kink + 0.5 * self.p * np.log(z + s * 1j * self.kappa))
+        out += self.consts[s]
+        for zero in self.zeros:
+            if s * zero[0].imag < 0:
+                out += s * _zero_log(z, zero)
+        return out
 
     def phi(self, xi0, *, conjugate: bool = False):
-        """Phi at a batch of off-axis points (PV on the axis), vectorized.
+        """Phi at a batch of points anywhere in the plane (PV on the axis).
 
-        Valid while Re xi0 stays inside ~3/4 of the table span, where the
-        pole subtraction is anchored; use ``cauchy_transform`` for far
-        points (it sizes its own interval).  With ``conjugate`` it returns
-        (Phi(xi0), Phi(conj xi0)) from the same pole sums: the mirrored
-        side of a contour costs only its closed and near-node terms, and
-        its values equal those of a separate call bit for bit.
+        With ``conjugate`` it returns (Phi(xi0), Phi(conj xi0)) from one
+        pass over the series: r(conj xi0) = conj r(xi0), so the mirrored
+        side's power sums are the conjugates of sums with conjugated
+        coefficients, taken in the same Horner pass.
         """
         xi0 = np.atleast_1d(np.asarray(xi0, dtype=complex))
-        kernel = self.kernel
-        if kernel.trivial:
-            out = np.zeros(xi0.shape, dtype=complex)
-            return (out, out.copy()) if conjugate else out
-        span = self.span
-        far = np.abs(xi0.real) > 0.78 * span
-        if far.any() and np.any(np.abs(xi0.imag[far]) < np.abs(xi0.real[far])):
-            raise ValueError(
-                "CauchyTable.phi: near-axis point beyond 3/4 of the table "
-                "span; enlarge the table or use cauchy_transform")
-        t0 = np.clip(xi0.real, -0.75 * span, 0.75 * span)
-        c0 = kernel.log_values(t0)
-        c1 = kernel.dlog_on_axis(t0.astype(complex))
-        near_i, near_j = self._near_pairs(xi0)
-        # a node equal to an on-axis point is a near pair: its 1/0 cell is skipped
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k_sums = _pole_sums(self.nodes, xi0, self.moments, skip=(near_i, near_j))
-        tail_sums = _pole_sums(self.tail_z * self.tail_z, xi0 * xi0, self.tail_moments)
-        # near pairs: the subtracted numerator, plus the c1 w_j that Sum_j w_j
-        # below counts for a node missing from K.1
-        t, w, c1_near = self.nodes[near_j], self.weights[near_j], c1[near_i]
-        num = self.lvals[near_j] - c0[near_i] - c1_near * (t - t0[near_i])
-        points = (xi0, np.conj(xi0)) if conjugate else (xi0,)
-        sides = []
-        for z, pole, tail in zip(points, k_sums, tail_sums):
-            k_l, k_1 = pole.T
-            t_p, t_s = tail.T
-            main = k_l - c0 * k_1 - c1 * (self.weights.sum() + (z - t0) * k_1)
-            dt = t - z[near_i]
-            # at a node equal to an on-axis point the fraction's limit is 0
-            frac = np.divide(num, dt, out=np.zeros_like(num), where=dt != 0)
-            np.add.at(main, near_i, w * (c1_near + frac))
-            closed = _closed_terms(span, z, t0, c0, c1)
-            sides.append((main + closed + t_p + z * t_s) / (2j * math.pi))
-        return tuple(sides) if conjugate else sides[0]
+        z = xi0.ravel()
+        side = np.where(z.imag < 0, -1, 1)
+        own, other = np.zeros(z.size, dtype=complex), np.zeros(z.size, dtype=complex)
+        for part in self.series:
+            r = _rho(part.kappa, side * z)
+            for s, rows in ((1, [0, 2]), (-1, [1, 3])):
+                m = side == s
+                sums = _power_sums(part.coeffs[rows], r[m])
+                own[m] += sums[0]
+                other[m] += np.conj(sums[1])     # sums at conj r, the other side
+        vals = np.empty(z.size, dtype=complex)
+        for s in (1, -1):
+            m = side == s
+            vals[m] = self._side(z[m], own[m], s)
+        axis = z.imag == 0
+        if axis.any():
+            vals[axis] = 0.5 * (vals[axis] + self._side(z[axis], other[axis], -1))
+        if not conjugate:
+            return vals.reshape(xi0.shape)
+        mirror = vals.copy()
+        for s in (1, -1):
+            m = (side == s) & ~axis
+            mirror[m] = self._side(np.conj(z[m]), other[m], -s)
+        return vals.reshape(xi0.shape), mirror.reshape(xi0.shape)

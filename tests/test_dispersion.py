@@ -24,11 +24,11 @@ from edgeplasmon import (
     trace_curve,
     vm_isotropic_residual,
 )
-from edgeplasmon import dispersion, wiener_hopf
+from edgeplasmon import dispersion
 from edgeplasmon.branches import principal_log
 from edgeplasmon.dispersion import q_sum_asymptotic
-from edgeplasmon.quadrature import QuadratureError, adaptive_gk
-from edgeplasmon.wiener_hopf import build_log_kernel
+from edgeplasmon.quadrature import QuadratureError
+from edgeplasmon.wiener_hopf import CauchyTable, build_log_kernel
 from conftest import CASE_REFERENCE_Q, make_sigma
 
 
@@ -114,21 +114,34 @@ class TestSolve:
 
     @pytest.mark.parametrize("fail_at, where", [(1, "at the guess"), (3, "at q=")])
     def test_quadrature_error_is_classified(self, monkeypatch, fail_at, where):
-        # one adaptive pass per residual: call 3 is the first secant step
+        # one series per residual kernel: call 3 is the first secant step
         calls = 0
+        build = CauchyTable.build
 
-        def stalling_gk(*args, **kwargs):
+        def unresolved_build(kernel):
             nonlocal calls
             calls += 1
             if calls >= fail_at:
-                raise QuadratureError("quadrature stalled at 4000 segments")
-            return adaptive_gk(*args, **kwargs)
+                raise QuadratureError("spectral series of L not resolved")
+            return build(kernel)
 
-        monkeypatch.setattr(wiener_hopf, "adaptive_gk", stalling_gk)
+        monkeypatch.setattr(CauchyTable, "build", unresolved_build)
         sol = solve(Problem.single_sheet(make_sigma("A"), 12.0), 12.0)
         assert sol.classification is Classification.NO_SOLUTION
         assert sol.message.startswith("residual undefined " + where)
-        assert "quadrature stalled" in sol.message
+        assert "not resolved" in sol.message
+
+    def test_sheet_without_sigma_xx_is_classified(self):
+        # diag(0, 0.2i) is passive but its symbol has no ln|xi| tail law,
+        # so there is no dispersion relation of this form
+        prob = Problem.single_sheet(
+            ConductivityTensor.diagonal(0, 0.2j, nondimensional=True), 10 + 0.1j)
+        sol = solve(prob, 10 + 0.1j)
+        assert sol.classification is Classification.NO_SOLUTION
+        assert "sigma_xx = 0" in sol.message
+        assert classify(prob) is Classification.NO_SOLUTION
+        with pytest.raises(ValueError, match="sigma_xx = 0"):
+            build_log_kernel(prob)
 
     def test_root_reuses_the_last_residual_kernel(self, monkeypatch):
         built = []

@@ -13,8 +13,10 @@ from edgeplasmon import (
     phi_profile,
     spp_decomposition,
 )
-from edgeplasmon.field import _e_power
+from edgeplasmon import wiener_hopf
+from edgeplasmon.field import _e_power, _field_contour
 from edgeplasmon.wiener_hopf import CauchyTable
+from cauchy_oracle import adaptive_phi
 from conftest import make_sigma
 
 # a strongly anisotropic sheet whose symbol dips sharply near the axis
@@ -99,6 +101,19 @@ class TestEdgeLimits:
         el = edge_limits(prob, build_log_kernel(prob))
         assert abs(el.phi_plus - el.phi_minus) < 1e-4
         assert el.phi_plus_error < 1e-4
+
+    def test_anisotropic_contour_resolves_near_axis_zero(self):
+        # P has a first-sheet zero at -24.606+0.153i, 0.153 above the field
+        # contour of ANISOTROPIC_SIGMA at its root; fixed kappa/24 quadrature
+        # panels once missed it and left Phi off by up to 2.8e-6 near
+        # t = -24.6 (the oracle's own error there is ~2.3e-10)
+        kernel = build_log_kernel(Problem.single_sheet(ANISOTROPIC_SIGMA, NEAR_ROOT_Q[0]))
+        contour = _field_contour(kernel, kernel.scale / 8.0)
+        t = contour.nodes
+        pick = np.concatenate([np.arange(0, t.size, 97),
+                               np.flatnonzero(np.abs(t + 24.6) < 1.0)[::3]])
+        ref, _ = adaptive_phi(kernel, t[pick] - 1j * contour.delta)
+        assert np.abs(contour.phi_below[pick] - ref).max() < 1e-9
 
     def test_error_estimate_bounds_true_error(self, root_problems, root_kernels):
         # the closed-down value of phi(0+) is C^+ + C^- = 1
@@ -239,6 +254,20 @@ class TestPhiProfile:
         dec_rate = spp_decomposition(prob, kern).slowest_decay_rate
         measured = -np.diff(np.log(diff)) / np.diff(xs)
         assert np.all(measured > dec_rate)
+
+    @pytest.mark.parametrize("name, x", [("A", -0.07), ("C", -1e-5)])
+    def test_error_estimate_bounds_series_error(self, name, x, root_problems,
+                                                monkeypatch):
+        # the estimate carries Phi's error through s_+; the reference
+        # profile comes from the series at twice the nodes and a tenth of
+        # the tail target
+        prob = root_problems[name]
+        kern = build_log_kernel(prob)
+        prof = phi_profile(prob, kern, [x])
+        monkeypatch.setattr(wiener_hopf, "SERIES_N_MIN", 2 * kern.cauchy_table().nodes.size)
+        monkeypatch.setattr(wiener_hopf, "SERIES_TOL", 0.1 * wiener_hopf.SERIES_TOL)
+        ref = phi_profile(prob, build_log_kernel(prob), [x])
+        assert abs(prof.phi[0] - ref.phi[0]) <= prof.error_estimate[0] < 1e-10
 
     def test_error_flags_fire_with_tight_target(self, root_problems, root_kernels):
         prob, kern = root_problems["A"], root_kernels["A"]
