@@ -1,8 +1,8 @@
 """Branch-correct elementary complex functions shared by kernel and quadrature code.
 
 Everything downstream (symbol evaluation, zero census, Cauchy integrals)
-depends on a single consistent choice of Riemann sheet for sqrt(xi^2 + q^2)
-and a single principal-log convention, so both live here and nowhere else.
+depends on one choice of Riemann sheet for sqrt(xi^2 + q^2), one principal-log
+convention and one phase unwrap, so they live here and nowhere else.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ __all__ = [
     "principal_log",
     "sheet_sqrt",
     "sign_q",
+    "unwrapped_angle",
 ]
 
 
@@ -84,3 +85,13 @@ def principal_log(w):
         raise ValueError("log of zero")
     out = np.log(w)
     return out[()] if out.ndim == 0 else out
+
+
+def unwrapped_angle(w):
+    """arg w along a 1-D sequence, continued across the cut: each step of
+    the principal angle is taken to the nearest whole turn, and the turns
+    are summed.  Agrees with np.unwrap(np.angle(w)) wherever no step is an
+    odd multiple of pi beyond +-pi."""
+    ang = np.angle(w)
+    ang[1:] -= 2.0 * np.pi * np.cumsum(np.round(np.diff(ang) / (2.0 * np.pi)))
+    return ang

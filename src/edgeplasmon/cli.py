@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import sys
@@ -43,6 +44,9 @@ EXIT_CONFIG = 2
 
 class ConfigError(ValueError):
     pass
+
+
+NUMERICAL_ERRORS = (RealAxisZeroError, ValueError, RuntimeError)  # exit 1, or an index row error
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +194,7 @@ SOLVE_COLUMNS = ["omega", "re_q", "im_q", "nu_k", "n_plus", "n_minus",
 
 
 def _solve_row(cfg, omega: float, guess: complex) -> dict:
-    medium = _parse_medium({**cfg.get("medium", {}), "omega": omega}
-                           if cfg.get("medium") else {"omega": omega})
+    medium = _parse_medium({**(cfg.get("medium") or {}), "omega": omega})
     problem = _parse_problem(cfg, medium, guess)
     tol = float(cfg.get("solve", {}).get("tol", 1e-10))
     t0 = time.perf_counter()
@@ -229,11 +232,12 @@ INDEX_COLUMNS = ["omega", "re_q", "im_q", "nu_k", "nu_k_star", "n_plus",
 
 
 def _index_row(cfg, omega: float, q: complex) -> dict:
-    medium = _parse_medium({**cfg.get("medium", {}), "omega": omega}
-                           if cfg.get("medium") else {"omega": omega})
-    problem = _parse_problem(cfg, medium, q)
+    """One index row; a numerical failure at this point leaves the row's
+    fields empty and puts the error in ``conjecture_agrees``."""
     t0 = time.perf_counter()
     try:
+        medium = _parse_medium({**(cfg.get("medium") or {}), "omega": omega})
+        problem = _parse_problem(cfg, medium, q)
         res = conjecture_check(problem)
         nu_star = dual_winding_index(problem)
         row = {
@@ -246,9 +250,11 @@ def _index_row(cfg, omega: float, q: complex) -> dict:
             "conjecture_agrees": "" if res.agrees is None else res.agrees,
             "_ok": True,
         }
-    except RealAxisZeroError as exc:
-        row = {k: "" for k in INDEX_COLUMNS if k not in ("omega", "re_q", "im_q", "wall_ms")}
-        row.update({"conjecture_agrees": f"error: {exc}", "_ok": False})
+    except ConfigError:
+        raise
+    except NUMERICAL_ERRORS as exc:
+        row = {**dict.fromkeys(INDEX_COLUMNS, ""), "conjecture_agrees": f"error: {exc}",
+               "_ok": False}
     row.update({"omega": omega, "re_q": q.real, "im_q": q.imag,
                 "wall_ms": int(round(1000.0 * (time.perf_counter() - t0)))})
     return row
@@ -296,18 +302,14 @@ def cmd_sweep(cfg, args) -> int:
         raise ConfigError(f"sweep: missing {exc}") from exc
     points = [(p, f) for p in phis for f in factors]
     rows = _dispatch(_sweep_point, cfg, points, args.jobs)
-    # annotate index transitions along each constant-phi line
-    by_phi: dict[float, list[dict]] = {}
+    # annotate index transitions along each constant-phi line, across failed rows
+    last: dict[float, int] = {}
     for row in rows:
-        by_phi.setdefault(row["phi_pi"], []).append(row)
-    for group in by_phi.values():
-        prev = None
-        for row in group:
-            nu = row["nu_k"]
-            if prev is not None and nu != "" and prev != "" and nu != prev:
-                row["index_transition"] = f"nu {prev}->{nu}"
-            if nu != "":
-                prev = nu
+        phi, nu = row["phi_pi"], row["nu_k"]
+        if nu != "" and last.get(phi, nu) != nu:
+            row["index_transition"] = f"nu {last[phi]}->{nu}"
+        if nu != "":
+            last[phi] = nu
     ok = all(r.pop("_ok", False) for r in rows)
     _write_rows(rows, SWEEP_COLUMNS, args.out, args.format)
     return EXIT_OK if ok else EXIT_NUMERICAL
@@ -400,26 +402,15 @@ def cmd_validate(cfg, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-_WORKER_CFG = None
-
-
-def _pool_init(cfg):
-    global _WORKER_CFG
-    _WORKER_CFG = cfg
-
-
-def _pool_call(payload):
-    fn, point = payload
-    return fn(_WORKER_CFG, *point)
-
-
 def _dispatch(fn, cfg, points, jobs: int):
-    """Run fn(cfg, *point) for each point, preserving input order."""
+    """Run fn(cfg, *point) for each point, preserving input order.  The pool
+    takes about four chunks per worker: a round trip per row costs more
+    than an index row."""
     if jobs <= 1 or len(points) <= 1:
         return [fn(cfg, *p) for p in points]
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=jobs, initializer=_pool_init, initargs=(cfg,)) as pool:
-        return list(pool.map(_pool_call, [(fn, p) for p in points]))
+    chunksize = math.ceil(len(points) / (4 * jobs))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(functools.partial(fn, cfg), *zip(*points), chunksize=chunksize))
 
 
 COMMANDS = {
@@ -468,7 +459,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG
-    except (RealAxisZeroError, ValueError, RuntimeError) as exc:
+    except NUMERICAL_ERRORS as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 
 import numpy as np
 
-from .branches import Sheet, sign_q
+from .branches import Sheet, sign_q, unwrapped_angle
 from .conductivity import ConductivityTensor
-from .kernel import Problem, Variant, p_of_xi
+from .kernel import Problem, Variant, _num_and_root, p_of_xi
 
 __all__ = [
     "AssignmentRule",
@@ -183,24 +184,33 @@ def problem_scale(problem: Problem) -> float:
     return scale
 
 
+@functools.cache
+def _unit_phase_grid() -> np.ndarray:
+    """Starting nodes of ``unwrapped_phase_grid`` per unit scale: 1601 uniform
+    on [-4, 4] and 200 geometric out to each of +-100.  Built on first use,
+    so importing the package does no numerical work."""
+    outer = np.geomspace(4.0, 100.0, 200)
+    grid = np.unique(np.concatenate([-outer[::-1], np.linspace(-4.0, 4.0, 1601), outer]))
+    grid.flags.writeable = False
+    return grid
+
+
 def unwrapped_phase_grid(
     pfun,
-    m: float,
     scale: float,
     *,
     max_step_rad: float = 0.5 * math.pi,
     max_nodes: int = 400_000,
 ):
-    """Sample arg of ``pfun`` on [-m, m], continuously unwrapped.
+    """Sample arg of ``pfun`` on |xi| <= 100 ``scale``, continuously unwrapped.
 
     ``pfun`` must be vectorized over a real array.  The grid is refined
     until adjacent phase steps are below ``max_step_rad``, which both makes
-    np.unwrap exact and lets callers pin log branches by interpolation.
-    Returns (nodes, unwrapped_phase, values_at_nodes).
+    the unwrap (``unwrapped_angle``) exact and lets callers pin log
+    branches by interpolation.  Returns (nodes, unwrapped_phase,
+    values_at_nodes).
     """
-    inner = np.linspace(-4.0 * scale, 4.0 * scale, 1601)
-    outer = np.geomspace(4.0 * scale, m, 200)
-    xs = np.unique(np.concatenate([-outer[::-1], inner, outer]))
+    xs = scale * _unit_phase_grid()
     while True:
         vals = pfun(xs)
         mod = np.abs(vals)
@@ -208,9 +218,8 @@ def unwrapped_phase_grid(
             raise RealAxisZeroError(
                 f"symbol modulus {mod.min():.3e} on the real axis; "
                 "index/splitting undefined (zero on contour)")
-        ang = np.unwrap(np.angle(vals))
-        steps = np.abs(np.diff(ang))
-        bad = steps > max_step_rad
+        ang = unwrapped_angle(vals)
+        bad = np.abs(np.diff(ang)) > max_step_rad
         # refine through sharp modulus dips too, where the phase turns fastest
         bad |= np.abs(np.diff(np.log(mod))) > 0.7
         if not bad.any():
@@ -241,7 +250,7 @@ def phase_winding(problem: Problem, sheet: Sheet):
             # a pole of P^R/P^L on the axis leaves the index as undefined as a zero
             raise RealAxisZeroError(f"{exc}; index undefined (pole on contour)") from exc
 
-    xs, ang, _ = unwrapped_phase_grid(pfun, 100.0 * scale, scale)
+    xs, ang, _ = unwrapped_phase_grid(pfun, scale)
     turns = (ang[-1] - ang[0]) / (2.0 * math.pi)
     nu = round(turns)
     if abs(turns - nu) > 0.2:
@@ -308,7 +317,8 @@ def bulk_zeros(problem: Problem) -> SpectrumReport:
 
     Clearing the square root from P = 0 gives the quartic
     N_eff(xi)^2 + 4 (xi^2 + q^2) = 0 whose roots are exactly the zeros of
-    P * P*; each root is attributed to a sheet by back-substitution.
+    P * P*; each root is attributed to the sheet whose symbol it satisfies
+    better, P = 1 + (i/2) num/w or P* = 1 - (i/2) num/w, all roots at once.
     Roots within MARGINAL_BAND of the real axis or of the branch points
     +-iq are flagged marginal and excluded from the counts.
     """
@@ -323,51 +333,33 @@ def bulk_zeros(problem: Problem) -> SpectrumReport:
         raise DegenerateQuadraticError(
             "degenerate quadratic; formulation requires sigma_xx != 0")
     # (a xi^2 + b xi + c)^2 + 4 xi^2 + 4 q^2, degree 4 in xi
-    coeffs = np.array([
-        a * a,
-        2.0 * a * b,
-        b * b + 2.0 * a * c + 4.0,
-        2.0 * b * c,
-        c * c + 4.0 * q * q,
-    ], dtype=complex)
-    roots = np.roots(coeffs)
+    roots = np.roots([a * a, 2.0 * a * b, b * b + 2.0 * a * c + 4.0, 2.0 * b * c,
+                      c * c + 4.0 * q * q])
 
-    records: list[ZeroRecord] = []
-    counts = {(Sheet.FIRST, HalfPlane.UPPER): 0, (Sheet.FIRST, HalfPlane.LOWER): 0,
-              (Sheet.SECOND, HalfPlane.UPPER): 0, (Sheet.SECOND, HalfPlane.LOWER): 0}
-    n_marginal = 0
-    for root in roots:
-        r = complex(root)
-        scale = max(abs(r), 1.0)
-        marginal = abs(r.imag) < MARGINAL_BAND * scale
-        for bp in (1j * q, -1j * q):
-            marginal = marginal or abs(r - bp) < MARGINAL_BAND * scale
-        if marginal:
-            n_marginal += 1
-            records.append(ZeroRecord(r, Sheet.FIRST, HalfPlane.UPPER, True, math.nan))
-            continue
-        res1 = abs(p_of_xi(problem, r, Sheet.FIRST))
-        res2 = abs(p_of_xi(problem, r, Sheet.SECOND))
-        sheet = Sheet.FIRST if res1 <= res2 else Sheet.SECOND
-        residual = min(res1, res2)
-        if residual > CLASSIFY_RESIDUAL:
-            # a sound quartic root always satisfies one sheet; treat numerical
-            # failures as marginal rather than miscounting
-            n_marginal += 1
-            records.append(ZeroRecord(r, sheet, HalfPlane.UPPER, True, residual))
-            continue
-        half = HalfPlane.UPPER if r.imag > 0 else HalfPlane.LOWER
-        counts[(sheet, half)] += 1
-        records.append(ZeroRecord(r, sheet, half, False, residual))
-
-    return SpectrumReport(
-        zeros=tuple(records),
-        n_plus=counts[(Sheet.FIRST, HalfPlane.UPPER)],
-        n_minus=counts[(Sheet.FIRST, HalfPlane.LOWER)],
-        n_star_plus=counts[(Sheet.SECOND, HalfPlane.UPPER)],
-        n_star_minus=counts[(Sheet.SECOND, HalfPlane.LOWER)],
-        n_marginal=n_marginal,
-    )
+    band = MARGINAL_BAND * np.maximum(np.abs(roots), 1.0)
+    marginal = ((np.abs(roots.imag) < band) | (np.abs(roots - 1j * q) < band)
+                | (np.abs(roots + 1j * q) < band))
+    # |P| and |P*| at the other roots; a marginal root may sit on +-iq,
+    # where the square root is not defined, so it keeps a nan residual
+    res = np.full((2, roots.size), math.nan)
+    if not marginal.all():
+        num, w = _num_and_root(problem.sigma_eff, q, roots[~marginal], Sheet.FIRST)
+        t = 0.5j * num / w
+        res[:, ~marginal] = np.abs([1.0 + t, 1.0 - t])
+    second = res[1] < res[0]
+    residual = np.minimum(res[0], res[1])
+    # a sound quartic root always satisfies one sheet; treat numerical
+    # failures as marginal rather than miscounting
+    flagged = ~(residual <= CLASSIFY_RESIDUAL)
+    upper = flagged | (roots.imag > 0)
+    records = tuple(
+        ZeroRecord(r, Sheet.SECOND if s2 else Sheet.FIRST,
+                   HalfPlane.UPPER if up else HalfPlane.LOWER, f, e)
+        for r, s2, up, f, e in zip(roots.tolist(), second.tolist(), upper.tolist(),
+                                   flagged.tolist(), residual.tolist()))
+    # (N+, N-, N*+, N*-): the report's fields in order
+    census = np.bincount((2 * second + ~upper)[~flagged], minlength=4).tolist()
+    return SpectrumReport(records, *census, n_marginal=int(np.count_nonzero(flagged)))
 
 
 @dataclasses.dataclass(frozen=True)

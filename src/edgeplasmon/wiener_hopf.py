@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .branches import Sheet, principal_log, sheet_sqrt
+from .branches import Sheet, principal_log, sheet_sqrt, unwrapped_angle
 from .kernel import Problem, Variant, p_of_xi
 from .quadrature import QuadratureError
 from .spectrum import (
@@ -513,7 +513,7 @@ def _log_ratio(sheets, xi, w_num, w_den):
         a2, a1, a0 = prob.quad_coeffs()
         num = 0.5j * ((a2 * xi + a1) * xi + a0)
         ratio *= ((1.0 + num / w_num) / (1.0 + num / w_den)) ** sign
-    return np.log(np.abs(ratio)) + 1j * np.unwrap(np.angle(ratio))
+    return np.log(np.abs(ratio)) + 1j * unwrapped_angle(ratio)
 
 
 def _fft_series(values, kappa: float):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeplasmon import BranchPointError, Sheet, principal_log, sheet_sqrt, sign_q
+from edgeplasmon.branches import unwrapped_angle
 
 
 class TestSheetSqrt:
@@ -84,3 +85,20 @@ class TestPrincipalLog:
     def test_round_trip(self, re, im):
         z = complex(re, im)
         assert principal_log(np.exp(z)) == pytest.approx(z, abs=1e-12)
+
+
+class TestUnwrappedAngle:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 3000), st.floats(0.01, 3.0))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_numpy_unwrap(self, seed, n, spread):
+        # random walks of the phase, steps of up to a few radians, with
+        # random moduli; the principal angle jumps at every crossing of the cut
+        rng = np.random.default_rng(seed)
+        phase = np.cumsum(rng.normal(scale=spread, size=n))
+        w = rng.uniform(0.1, 10.0, size=n) * np.exp(1j * phase)
+        np.testing.assert_allclose(unwrapped_angle(w), np.unwrap(np.angle(w)),
+                                   rtol=0, atol=1e-12)
+
+    def test_recovers_a_slow_phase(self):
+        phase = np.linspace(-3.0, 40.0, 4001)    # starts on the principal branch
+        assert np.abs(unwrapped_angle(np.exp(1j * phase)) - phase).max() < 1e-12

@@ -161,6 +161,24 @@ class TestIndexCommand:
         assert row["conjecture_agrees"] == "true"
         assert row["nu_k_star"] == "0"
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_point_keeps_its_row(self, tmp_path, capsys, jobs):
+        # sigma_xx = 0: every point fails, and each still writes its row
+        cfg = {
+            "sheet": {"tensor": {"xx": [0.0, 0.0], "yy": [0.0, 0.2],
+                                 "nondimensional": True}},
+            "index": {"q_values": [[12.0, 0.1], [-12.0, 0.1]]},
+        }
+        code, out, _ = run_cli(capsys, "index", "--config",
+                               write_cfg(tmp_path, cfg), "--jobs", jobs)
+        assert code == 1
+        rows = parse_csv(out)
+        assert [r["re_q"] for r in rows] == ["12", "-12"]
+        for row in rows:
+            assert row["conjecture_agrees"].startswith("error: ")
+            assert "sigma_xx" in row["conjecture_agrees"]
+            assert row["nu_k"] == row["n_plus"] == row["conjecture_rhs"] == ""
+
 
 class TestSweepCommand:
     def test_transition_annotation(self, tmp_path, capsys):
@@ -196,6 +214,35 @@ class TestSweepCommand:
             return rows
 
         assert strip(serial) == strip(parallel)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_point_keeps_the_other_rows(self, tmp_path, capsys, jobs):
+        # q_factor 0 gives Re q = 0 at that point only; the index transition
+        # is still annotated across the failed row
+        cfg = {
+            "sheet": {"tensor": {"xx": [0.001, 0.1], "yy": [0.002, 0.2],
+                                 "nondimensional": True}},
+            "sweep": {"phis_pi": [0.4], "q_factors": [0.75, 0.0, 0.85],
+                      "q_base": [21.657, 0.217]},
+        }
+        code, out, _ = run_cli(capsys, "sweep", "--config",
+                               write_cfg(tmp_path, cfg), "--jobs", jobs)
+        assert code == 1
+        rows = parse_csv(out)
+        assert [r["q_factor"] for r in rows] == ["0.75", "0", "0.84999999999999998"]
+        assert rows[1]["conjecture_agrees"].startswith("error: Re q = 0")
+        assert [r["nu_k"] for r in rows] == ["0", "", "-1"]
+        assert [r["index_transition"] for r in rows] == ["", "", "nu 0->-1"]
+        assert rows[0]["conjecture_agrees"] == rows[2]["conjecture_agrees"] == "true"
+
+    def test_config_error_is_not_a_row_error(self, tmp_path, capsys):
+        cfg = {
+            "sheet": {"model": {"kind": "unknown"}},
+            "sweep": {"phis_pi": [0.4], "q_factors": [0.75],
+                      "q_base": [16.438, 0.164]},
+        }
+        code, _, err = run_cli(capsys, "sweep", "--config", write_cfg(tmp_path, cfg))
+        assert code == 2 and "unknown model" in err
 
 
 class TestFieldCommand:

@@ -21,7 +21,12 @@ from edgeplasmon import (
     split_coefficients,
     winding_index,
 )
-from edgeplasmon.spectrum import unwrapped_phase_grid
+from edgeplasmon.spectrum import (
+    CLASSIFY_RESIDUAL,
+    MARGINAL_BAND,
+    HalfPlane,
+    unwrapped_phase_grid,
+)
 from edgeplasmon.kernel import p_of_xi
 from conftest import make_sigma
 
@@ -133,6 +138,57 @@ class TestSplitCoefficients:
         assert t == pytest.approx(sbar.off_diff)
 
 
+def census_by_back_substitution(problem, roots):
+    """The census root by root: marginal test, then |P| and |P*| from two
+    scalar symbol evaluations; [(location, sheet, half, marginal, residual)]
+    and the counts (N+, N-, N*+, N*-, marginal)."""
+    q = complex(problem.q)
+    records, counts = [], dict.fromkeys(
+        [(Sheet.FIRST, HalfPlane.UPPER), (Sheet.FIRST, HalfPlane.LOWER),
+         (Sheet.SECOND, HalfPlane.UPPER), (Sheet.SECOND, HalfPlane.LOWER)], 0)
+    n_marginal = 0
+    for root in roots:
+        r = complex(root)
+        scale = max(abs(r), 1.0)
+        marginal = abs(r.imag) < MARGINAL_BAND * scale
+        for bp in (1j * q, -1j * q):
+            marginal = marginal or abs(r - bp) < MARGINAL_BAND * scale
+        if marginal:
+            n_marginal += 1
+            records.append((r, Sheet.FIRST, HalfPlane.UPPER, True, math.nan))
+            continue
+        res1 = abs(p_of_xi(problem, r, Sheet.FIRST))
+        res2 = abs(p_of_xi(problem, r, Sheet.SECOND))
+        sheet = Sheet.FIRST if res1 <= res2 else Sheet.SECOND
+        residual = min(res1, res2)
+        if residual > CLASSIFY_RESIDUAL:
+            n_marginal += 1
+            records.append((r, sheet, HalfPlane.UPPER, True, residual))
+            continue
+        half = HalfPlane.UPPER if r.imag > 0 else HalfPlane.LOWER
+        counts[(sheet, half)] += 1
+        records.append((r, sheet, half, False, residual))
+    return records, (*counts.values(), n_marginal)
+
+
+def assert_census_matches_back_substitution(prob):
+    rep = bulk_zeros(prob)
+    records, counts = census_by_back_substitution(prob, [z.location for z in rep.zeros])
+    assert (*rep.counts(), rep.n_marginal) == counts
+    for z, (loc, sheet, half, marginal, residual) in zip(rep.zeros, records):
+        assert (z.location, z.sheet, z.half_plane, z.marginal) == (loc, sheet, half, marginal)
+        if math.isnan(residual):
+            assert math.isnan(z.residual)
+        else:
+            assert z.residual == pytest.approx(residual, rel=1e-12, abs=0)
+
+
+# a quartic root of this sheet sits on the branch point +iq
+BRANCH_POINT_SIGMA = ConductivityTensor(0.01 + 0.2j, 0.05, 0.05, 0.01 + 0.1j,
+                                        nondimensional=True)
+BRANCH_POINT_Q = 10.0 + 0.1j
+
+
 class TestBulkZeros:
     def test_case_b_census(self):
         rep = bulk_zeros(Problem.single_sheet(make_sigma("B"), 13.928 + 0.140j))
@@ -171,6 +227,29 @@ class TestBulkZeros:
                         bulk_zeros(prob.with_q(-prob.q)).zeros),
                        key=lambda w: (round(w.real, 7), round(w.imag, 7)))
         assert np.allclose(plus, minus, rtol=1e-9)
+
+    @pytest.mark.parametrize("variant", ["single", "interface"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_back_substitution(self, data, variant):
+        assert_census_matches_back_substitution(data.draw(problems(variant)))
+
+    @pytest.mark.parametrize("prob", [
+        Problem.single_sheet(make_sigma("A"), 12.172),    # marginal at +-iq
+        Problem.single_sheet(BRANCH_POINT_SIGMA, BRANCH_POINT_Q),
+        Problem.single_sheet(make_sigma("D"), 0.75 * (16.438 + 0.164j)),
+    ], ids=["lossless", "branch-point", "D-pocket"])
+    def test_matches_back_substitution_at_marginal_roots(self, prob):
+        assert_census_matches_back_substitution(prob)
+
+    def test_root_on_a_branch_point(self):
+        # one quartic root falls on +iq, where the square root is undefined:
+        # it is marginal, and the other three are still attributed
+        rep = bulk_zeros(Problem.single_sheet(BRANCH_POINT_SIGMA, BRANCH_POINT_Q))
+        assert rep.counts() == (2, 0, 0, 1) and rep.n_marginal == 1
+        (marginal,) = [z for z in rep.zeros if z.marginal]
+        assert marginal.location == pytest.approx(1j * BRANCH_POINT_Q, rel=1e-12)
+        assert math.isnan(marginal.residual)
 
     def test_symmetric_census_for_even_symbol(self, rng):
         for _ in range(20):
@@ -277,8 +356,7 @@ class TestWindingIndex:
             return p_of_xi(prob, x, Sheet.FIRST)
 
         for step in (0.5 * math.pi, 0.25 * math.pi):
-            xs, ang, _ = unwrapped_phase_grid(pfun, 100.0 * scale, scale,
-                                              max_step_rad=step)
+            xs, ang, _ = unwrapped_phase_grid(pfun, scale, max_step_rad=step)
             assert round((ang[-1] - ang[0]) / (2 * math.pi)) == -1
 
     def test_real_axis_zero_detected(self):
