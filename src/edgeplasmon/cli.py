@@ -33,7 +33,7 @@ from .dispersion import (
     solve,
 )
 from .kernel import Problem
-from .spectrum import RealAxisZeroError, conjecture_check, dual_winding_index
+from .spectrum import conjecture_check, dual_winding_index
 from .wiener_hopf import build_log_kernel
 from .field import phi_profile
 
@@ -46,7 +46,7 @@ class ConfigError(ValueError):
     pass
 
 
-NUMERICAL_ERRORS = (RealAxisZeroError, ValueError, RuntimeError)  # exit 1, or an index row error
+NUMERICAL_ERRORS = (ValueError, RuntimeError)  # exit 1, or an index row error
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,12 @@ class IndexClassificationError(RuntimeError):
         self.nu_k = nu_k
 
 
+# what makes the residual undefined at a q: nonzero index, real-axis zero
+# of the symbol, unresolved series, sigma_xx = 0
+RESIDUAL_FAILURES = (IndexClassificationError, RealAxisZeroError, QuadratureError,
+                     DegenerateQuadraticError)
+
+
 def residual(problem: Problem, *, kernel: UnwrappedLogKernel | None = None) -> complex:
     """Dispersion residual at problem.q: F for single-sheet/interface,
     A(q) for two-sheet.  Raises IndexClassificationError when nu_K != 0."""
@@ -170,8 +176,7 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
     try:
         f0 = f_guarded(q0)
         f1 = f_guarded(q1)
-    except (IndexClassificationError, RealAxisZeroError, QuadratureError,
-            DegenerateQuadraticError) as exc:
+    except RESIDUAL_FAILURES as exc:
         return DispersionSolution(
             q=q_guess, residual=complex(math.nan, math.nan), iterations=n_eval,
             nu_k_at_solution=getattr(exc, "nu_k", None),
@@ -253,18 +258,16 @@ def classify(problem: Problem, *, tol: float = 1e-8) -> Classification:
 
     nu_K > 0: continuum of admissible q (CONTINUUM_REGION); nu_K < 0: no
     nontrivial solution (NO_SOLUTION); nu_K = 0: discrete EPP iff the
-    residual vanishes at this q.  A sheet with sigma_xx = 0 has no
-    dispersion relation of this form and gives NO_SOLUTION.
+    residual vanishes at this q.  Where the residual is undefined
+    (``RESIDUAL_FAILURES``) the result is NO_SOLUTION, as from ``solve``.
     """
     try:
         kernel = build_log_kernel(problem)
-    except DegenerateQuadraticError:
+        if kernel.nu_k > 0:
+            return Classification.CONTINUUM_REGION
+        f = residual(problem, kernel=kernel)    # nu_K < 0 raises here
+    except RESIDUAL_FAILURES:
         return Classification.NO_SOLUTION
-    if kernel.nu_k > 0:
-        return Classification.CONTINUUM_REGION
-    if kernel.nu_k < 0:
-        return Classification.NO_SOLUTION
-    f = residual(problem, kernel=kernel)
     return (Classification.DISCRETE_EPP if abs(f) < tol
             else Classification.NO_SOLUTION)
 

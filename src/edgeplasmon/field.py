@@ -18,10 +18,10 @@ Both routines use one real-axis contour per kernel: t -+ i delta with
 delta = 1e-7 kappa, GK15 panels on [-span, span], span = max(40 kappa,
 3|q|), at most kappa/8 wide (and at most 3/max|x| for a profile), with
 the kernel's phase grid adding panel edges.  One ``CauchyTable.phi``
-pass of the kernel's series gives Phi on both sides of it (x > 0 and
-the edge limits use the lower side, x < 0 the upper one), memoized on
-the kernel, so whichever of ``edge_limits`` and ``phi_profile`` runs
-second reuses it.  Both add Phi's error estimate, carried through s_+-.
+call on the points of both sides gives Phi there (x > 0 and the edge
+limits use the lower side, x < 0 the upper one), memoized on the
+kernel, so whichever of ``edge_limits`` and ``phi_profile`` runs second
+reuses it.  Both add Phi's error estimate, carried through s_+-.
 """
 
 from __future__ import annotations
@@ -72,10 +72,10 @@ class EdgeLimits:
 
 
 def _constants(kernel: UnwrappedLogKernel):
+    """(xi^+, xi^-, C^+, C^-, a, b) with a = e^{-Q_+(xi^+)}, b = e^{Q_-(xi^-)}."""
     roots, coeffs, phi_p, phi_m = kernel.root_constants()
-    a = complex(np.exp(-phi_p.value))   # e^{-Q_+(xi^+)}
-    b = complex(np.exp(-phi_m.value))   # e^{+Q_-(xi^-)}
-    return roots, coeffs, a, b
+    return (roots.xi_plus, roots.xi_minus, coeffs.c_plus, coeffs.c_minus,
+            complex(np.exp(-phi_p.value)), complex(np.exp(-phi_m.value)))
 
 
 def _bracket(consts, xi):
@@ -97,9 +97,8 @@ def edge_limits(problem: Problem, kernel: UnwrappedLogKernel) -> EdgeLimits:
     phi(0+-) = 1 -+ A xi^-+ e^{-+Q_-+(xi^-+)} / (xi^+ - xi^-) ... with the
     divergent portion carrying the prefactor A.
     """
-    roots, coeffs, a, b = _constants(kernel)
-    xp, xm = roots.xi_plus, roots.xi_minus
-    cp, cm = coeffs.c_plus, coeffs.c_minus
+    consts = _constants(kernel)
+    xp, xm, cp, cm, a, b = consts
     div_coeff = cp * a + cm * b
 
     if problem.variant is Variant.TWO_SHEET:
@@ -115,7 +114,6 @@ def edge_limits(problem: Problem, kernel: UnwrappedLogKernel) -> EdgeLimits:
     contour = _field_contour(kernel, kernel.scale / 8.0)
     table = kernel.cauchy_table()
     span, delta = contour.span, contour.delta
-    consts = (xp, xm, cp, cm, a, b)
 
     def s_minus(t):
         xi = t - 1j * delta
@@ -198,8 +196,8 @@ def spp_decomposition(problem: Problem, kernel: UnwrappedLogKernel) -> SppDecomp
     if problem.variant is Variant.TWO_SHEET:
         raise ValueError("residue decomposition implemented for single-sheet "
                          "and interface variants")
-    roots, coeffs, a, b = _constants(kernel)
-    xp, xm = roots.xi_plus, roots.xi_minus
+    consts = _constants(kernel)
+    xp, _, cp, *_ = consts
     census = bulk_zeros(problem)
     upper = census.upper_first_sheet()
     locs = [z.location for z in upper]
@@ -214,14 +212,13 @@ def spp_decomposition(problem: Problem, kernel: UnwrappedLogKernel) -> SppDecomp
     modes = []
     for z in locs:
         e_qp = np.exp(cauchy_transform(kernel, z).value)   # e^{Q_+(xi_l)}, Im z > 0
-        bracket = coeffs.c_minus * b / (z - xm) + coeffs.c_plus * a / (z - xp)
-        amp = -bracket * e_qp / dp_dxi(problem, z)
+        amp = -_bracket(consts, z) * e_qp / dp_dxi(problem, z)
         modes.append(SppMode(wavenumber=z, amplitude=complex(amp)))
     modes.sort(key=lambda m: m.wavenumber.imag)
     return SppDecomposition(
         modes=tuple(modes),
         explicit_wavenumber=xp,
-        explicit_amplitude=coeffs.c_plus,
+        explicit_amplitude=cp,
         census=census,
     )
 
@@ -317,7 +314,7 @@ class _Contour:
 def _field_contour(kernel: UnwrappedLogKernel, width: float) -> _Contour:
     """The contour with panels at most ``width`` wide, memoized on the
     kernel: ``edge_limits`` and ``phi_profile`` share it whenever their
-    widths agree, and one ``CauchyTable.phi`` pass gives both sides."""
+    widths agree, and one ``CauchyTable.phi`` call gives both sides."""
     def build():
         # the error of the edge limits' fitted tails falls like span^-2.5:
         # on sheet D at its root |phi(0+) - 1| is 1.6e-4 at 20 kappa,
@@ -325,7 +322,8 @@ def _field_contour(kernel: UnwrappedLogKernel, width: float) -> _Contour:
         span = max(40.0 * kernel.scale, 3.0 * abs(kernel.problem.q))
         delta = 1e-7 * kernel.scale
         nodes, half = _panel_nodes(span, max_width=width, kernel=kernel)
-        below, above = kernel.cauchy_table().phi(nodes - 1j * delta, conjugate=True)
+        below, above = np.split(kernel.cauchy_table().phi(
+            np.concatenate([nodes - 1j * delta, nodes + 1j * delta])), 2)
         return _Contour(span, delta, nodes, half, below, above)
 
     return kernel.memo(("field_contour", width), build)
@@ -341,36 +339,28 @@ def _vertical_panels(length: float, struct: float):
     return nodes.ravel(), 0.5 * np.diff(edges)
 
 
-def _rotated_tail(prob: Problem, table, consts, end: complex, x: float,
-                  on_sheet: bool) -> tuple[complex, float]:
+def _rotated_tail(prob: Problem, table, consts, end: complex,
+                  x: float) -> tuple[complex, float, float]:
     """Tail Int s(xi) e^(i xi x) dxi from xi = end out to infinity, taken
     along the vertical ray where e^(i xi x) decays (upward for x > 0,
     downward for x < 0).
 
     Beyond the span the symbol has no zeros, so the integrand continues
-    analytically across the real axis: e^{-Q_-} -> e^{Phi}/P above it and
-    e^{+Q_+} -> P e^{Phi} below it.  Exponential decay makes the
-    truncation error negligible for every |x|.  Also returns Int |integrand|.
+    analytically across the real axis: for x > 0, e^{-Q_-} -> e^{Phi}/P
+    above it, and for x < 0, e^{+Q_+} -> P e^{Phi} below it.  Exponential
+    decay makes the truncation error negligible for every |x|.  Returns
+    the tail, its embedded-rule error and Int |integrand|.
     """
     rot = 1.0 if x > 0 else -1.0
     length = 45.0 / abs(x)
     s_nodes, s_half = _vertical_panels(length, struct=abs(end.real))
     xi = end + 1j * rot * s_nodes
-    phi_v = table.phi(xi)
-    bracket = _bracket(consts, xi)
-    if on_sheet:
-        # e^{-Q_-}: natural below the axis, e^{Phi}/P above
-        factor = np.exp(phi_v)
-        above = xi.imag > 0
-        if above.any():
-            factor[above] /= p_of_xi(prob, xi[above])
-    else:
-        # e^{+Q_+}: natural above the axis, P e^{Phi} below
-        factor = np.exp(phi_v)
-        below = xi.imag < 0
-        if below.any():
-            factor[below] *= p_of_xi(prob, xi[below])
-    vals = bracket * factor * np.exp(1j * xi * x)
+    factor = np.exp(table.phi(xi))
+    crossed = xi.imag * rot > 0
+    if crossed.any():
+        p = p_of_xi(prob, xi[crossed])
+        factor[crossed] = factor[crossed] / p if x > 0 else factor[crossed] * p
+    vals = _bracket(consts, xi) * factor * np.exp(1j * xi * x)
     panels, diff = gk_panel_sums(vals.reshape(s_half.size, -1), s_half)
     return (1j * rot * complex(panels.sum()), float(np.abs(diff).sum()),
             _abs_integral(vals, s_half))
@@ -393,10 +383,8 @@ def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
     x_values = np.asarray(x_values, dtype=float)
     if np.any(x_values == 0.0):
         raise ValueError("x = 0 is handled by edge_limits, not the profile")
-    roots, coeffs, a, b = _constants(kernel)
-    xp, xm = roots.xi_plus, roots.xi_minus
-    cp, cm = coeffs.c_plus, coeffs.c_minus
-    consts = (xp, xm, cp, cm, a, b)
+    consts = _constants(kernel)
+    xp, xm, cp, cm, *_ = consts
     table = kernel.cauchy_table()
     xmax = np.abs(x_values).max(initial=0.0)
     width = kernel.scale / 8.0 if xmax == 0.0 else min(kernel.scale / 8.0, 3.0 / xmax)
@@ -417,8 +405,7 @@ def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
         # contour factor e^{i xi x} = e^{i t x} e^{side * delta * x}
         osc = np.exp(1j * nodes * x + delta * side * x)
         panels, diff = gk_panel_sums((s_vals[side] * osc).reshape(half.size, -1), half)
-        tails = [_rotated_tail(problem, table, consts, end - 1j * side * delta, x,
-                               on_sheet=side > 0)
+        tails = [_rotated_tail(problem, table, consts, end - 1j * side * delta, x)
                  for end in (contour.span, -contour.span)]
         integral = panels.sum() + tails[0][0] - tails[1][0]
         if side > 0:

@@ -3,8 +3,10 @@ the bulk-SPP zero census on both Riemann sheets, and the winding index.
 
 The index nu_K is the winding number of P(xi) along the real axis.  The
 census counts zeros of P on the first sheet (N^+/N^- by half-plane) and on
-the second sheet (N*^+/N*^-); the two are conjecturally related by
-nu_K = (N^+ - N^-)/2 + (N*^+ - N*^-)/2.
+the second sheet (N*^+/N*^-).  P P* = 1 + num^2/(4(xi^2 + q^2)) has the
+census quartic as numerator and its poles +-iq one in each half-plane, so
+nu_K + nu* = (N^+ - N^-)/2 + (N*^+ - N*^-)/2, nu* the index of P*, wherever
+no zero is marginal: the census conjecture (nu_K alone) is nu* = 0.
 """
 
 from __future__ import annotations

@@ -542,9 +542,9 @@ def _fft_series(values, kappa: float):
 class _Series:
     """Sum_{n>0} a_{s n} r^n, r = rho(s xi0), on the map of kappa, cut at
     the fewest terms that meet the target (N/4 at the rounding floor).
-    ``half0`` = a_0/2 and ``at_pi`` = Sum_{n>0} (a_-n - a_n) (-1)^n/2 enter
-    the constants; ``error`` sums the coefficients left out and the
-    aliasing proxy."""
+    ``coeffs`` holds the rows a_n and a_-n, n = 1..order; ``half0`` = a_0/2
+    and ``at_pi`` = Sum_{n>0} (a_-n - a_n) (-1)^n/2 enter the constants;
+    ``error`` sums the coefficients left out and the aliasing proxy."""
 
     def __init__(self, kappa: float, a: np.ndarray, tail: np.ndarray, alias: float):
         n = a.size
@@ -552,19 +552,19 @@ class _Series:
         a_pos, a_neg = a[1:order + 1], a[-1:-order - 1:-1]
         self.kappa, self.half0 = kappa, 0.5 * a[0]
         self.at_pi = 0.5 * (a_neg - a_pos) @ (-1.0) ** np.arange(1, order + 1)
-        self.coeffs = np.stack([a_pos, a_neg, np.conj(a_neg), np.conj(a_pos)])
+        self.coeffs = {1: a_pos, -1: a_neg}
         self.error = float(tail[order] + alias)
 
 
-def _power_sums(rows: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Sum_{n=1}^{K} rows[:, n-1] r^n for each row: by Horner over a batch
-    of points, by one product with the powers of r for a few (where the
-    K steps of the loop would cost more than the arithmetic)."""
+def _power_sums(row: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Sum_{n=1}^{K} row[n-1] r^n: by Horner over a batch of points, by
+    one product with the powers of r for a few (where the K steps of the
+    loop would cost more than the arithmetic)."""
     if r.size <= POWERS_MAX_POINTS:
-        return rows @ np.cumprod(np.broadcast_to(r, (rows.shape[1], r.size)), axis=0)
-    acc = np.zeros((rows.shape[0], r.size), dtype=complex)
-    for col in rows.T[::-1]:
-        acc += col[:, None]
+        return row @ np.cumprod(np.broadcast_to(r, (row.size, r.size)), axis=0)
+    acc = np.zeros(r.size, dtype=complex)
+    for coef in row[::-1]:
+        acc += coef
         acc *= r
     return acc
 
@@ -578,13 +578,14 @@ class CauchyTable:
         Phi = s [Sum_{n>0} a_{s n} r^n + K_s + (p/2) ln(xi0 + s i kappa)]
               + C_s + s Sum_{zeros of the other side} l_z(xi0),
 
-    and the mean of both sides on the axis (the principal value).  K_s
-    are the kink's closed-form sums (on the map of the problem scale; the
-    series' kappa, sqrt(kappa_m scale), balances the branch points at
-    +-i kappa_m against it) and l_z the zero logs; C_s = s (a_0 + f_0 +
-    c)/2 + S - i pi p/4 holds the regularization at infinity S = (Sum_{n<0}
-    - Sum_{n>0}) (a_n + f_n) (-1)^n/2.  Two sheets take the difference of
-    the sheets' laws; the trivial kernel has no terms at all.
+    each point on its own side only, and the mean of both sides on the
+    axis (the principal value).  K_s are the kink's closed-form sums (on
+    the map of the problem scale; the series' kappa, sqrt(kappa_m scale),
+    balances the branch points at +-i kappa_m against it) and l_z the zero
+    logs; C_s = s (a_0 + f_0 + c)/2 + S - i pi p/4 holds the regularization
+    at infinity S = (Sum_{n<0} - Sum_{n>0}) (a_n + f_n) (-1)^n/2.  Two
+    sheets take the difference of the sheets' laws; the trivial kernel has
+    no terms at all.
 
     kappa_m is |q| unless |q| is below ROOT_TOP times the smallest 2/|s_xx|
     of the sheets.  One map cannot resolve both the root's branch points
@@ -659,47 +660,29 @@ class CauchyTable:
         consts = {s: s * half0 + s_inf - 0.25j * math.pi * p for s in (1, -1)}
         return cls(nodes, series, kink, zeros, p, consts)
 
-    def _side(self, z, series, s):
+    def _side(self, z, s):
         """Phi above (s = 1) or below (s = -1) the axis, or its boundary
-        value on it, from the summed power series ``series`` at rho(s z)."""
-        kink = self.kink.plus_sum(_rho(self.kink.kappa, s * z), s)
-        out = s * (series + kink + 0.5 * self.p * np.log(z + s * 1j * self.kappa))
-        out += self.consts[s]
+        value on it from that side, with every series summed at rho(s z)."""
+        out = sum(_power_sums(part.coeffs[s], _rho(part.kappa, s * z))
+                  for part in self.series)
+        out += self.kink.plus_sum(_rho(self.kink.kappa, s * z), s)
+        out = s * (out + 0.5 * self.p * np.log(z + s * 1j * self.kappa)) + self.consts[s]
         for zero in self.zeros:
             if s * zero[0].imag < 0:
                 out += s * _zero_log(z, zero)
         return out
 
-    def phi(self, xi0, *, conjugate: bool = False):
-        """Phi at a batch of points anywhere in the plane (PV on the axis).
-
-        With ``conjugate`` it returns (Phi(xi0), Phi(conj xi0)) from one
-        pass over the series: r(conj xi0) = conj r(xi0), so the mirrored
-        side's power sums are the conjugates of sums with conjugated
-        coefficients, taken in the same Horner pass.
-        """
+    def phi(self, xi0):
+        """Phi at a batch of points anywhere in the plane: each point on
+        its own side, and the principal value (the mean of both sides) on
+        the axis."""
         xi0 = np.atleast_1d(np.asarray(xi0, dtype=complex))
         z = xi0.ravel()
-        side = np.where(z.imag < 0, -1, 1)
-        own, other = np.zeros(z.size, dtype=complex), np.zeros(z.size, dtype=complex)
-        for part in self.series:
-            r = _rho(part.kappa, side * z)
-            for s, rows in ((1, [0, 2]), (-1, [1, 3])):
-                m = side == s
-                sums = _power_sums(part.coeffs[rows], r[m])
-                own[m] += sums[0]
-                other[m] += np.conj(sums[1])     # sums at conj r, the other side
         vals = np.empty(z.size, dtype=complex)
-        for s in (1, -1):
-            m = side == s
-            vals[m] = self._side(z[m], own[m], s)
+        for s, m in ((1, z.imag > 0), (-1, z.imag < 0)):
+            if m.any():
+                vals[m] = self._side(z[m], s)
         axis = z.imag == 0
         if axis.any():
-            vals[axis] = 0.5 * (vals[axis] + self._side(z[axis], other[axis], -1))
-        if not conjugate:
-            return vals.reshape(xi0.shape)
-        mirror = vals.copy()
-        for s in (1, -1):
-            m = (side == s) & ~axis
-            mirror[m] = self._side(np.conj(z[m]), other[m], -s)
-        return vals.reshape(xi0.shape), mirror.reshape(xi0.shape)
+            vals[axis] = 0.5 * (self._side(z[axis], 1) + self._side(z[axis], -1))
+        return vals.reshape(xi0.shape)

@@ -203,6 +203,24 @@ class TestClassify:
                                              1.3 * solutions["C"].q)) \
             is Classification.NO_SOLUTION
 
+    def test_real_axis_zero_as_solve_classifies_it(self):
+        # the lossless sheet at q = 5 has a zero of P on the real axis: no
+        # dispersion relation there, for classify as for solve
+        prob = Problem.single_sheet(make_sigma("A"), 5.0)
+        sol = solve(prob, 5.0)
+        assert sol.classification is Classification.NO_SOLUTION
+        assert "on the real axis" in sol.message
+        assert classify(prob) is Classification.NO_SOLUTION
+
+    def test_unresolved_series_as_solve_classifies_it(self, solutions, monkeypatch):
+        def unresolved_build(kernel):
+            raise QuadratureError("spectral series of L not resolved")
+
+        monkeypatch.setattr(CauchyTable, "build", unresolved_build)
+        prob = Problem.single_sheet(make_sigma("C"), solutions["C"].q)
+        assert solve(prob, prob.q).classification is Classification.NO_SOLUTION
+        assert classify(prob) is Classification.NO_SOLUTION
+
 
 class TestTraceCurve:
     def test_constant_tensor_family(self, solutions):

@@ -394,3 +394,36 @@ class TestConjecture:
         assert winding_index(two) == -1
         left, right = two.sides()
         assert winding_index(right) == -1
+
+
+class TestIndexIdentity:
+    # P P* = 1 + num^2/(4(xi^2 + q^2)) is rational: its numerator is the
+    # census quartic and its poles +-iq lie one in each half-plane, so the
+    # argument principle gives nu + nu* = (N^+ - N^-)/2 + (N*^+ - N*^-)/2
+    # whenever no zero is marginal (right minus left for two sheets).  The
+    # conjecture nu = that sum is the same as nu* = 0.
+    @pytest.mark.parametrize("variant", ["single", "interface", "two-sheet"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_index_plus_dual_index_is_the_census(self, variant, data):
+        prob = data.draw(problems(variant))
+        try:
+            res = conjecture_check(prob)
+            nu_star = dual_winding_index(prob)
+        except RealAxisZeroError:
+            reject()
+        if res.agrees is None:
+            reject()
+        event(f"nu* = {nu_star}")
+        assert res.nu_k + nu_star == res.rhs
+
+    def test_holds_where_the_conjecture_fails(self):
+        # a passive sheet with nu* = 1 and no marginal zero
+        sigma = ConductivityTensor(0.1938 - 0.2335j, 0.2292 + 0.0461j,
+                                   0.1549 + 0.1317j, 0.1998 + 0.2649j,
+                                   nondimensional=True)
+        prob = Problem.single_sheet(sigma, -16.27 - 0.68j)
+        res, nu_star = conjecture_check(prob), dual_winding_index(prob)
+        assert res.report.counts() == (1, 1, 2, 0) and res.report.n_marginal == 0
+        assert (res.nu_k, nu_star, res.agrees) == (0, 1, False)
+        assert res.nu_k + nu_star == res.rhs
