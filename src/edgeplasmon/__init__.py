@@ -42,7 +42,7 @@ from .field import (
     phi_profile,
     spp_decomposition,
 )
-from .kernel import Problem, Variant, dlogp_dxi, dp_dxi, khat, p_left_right, p_of_xi
+from .kernel import Problem, Variant, dp_dxi, khat, p_of_xi
 from .spectrum import (
     AssignmentRule,
     ConjectureResult,

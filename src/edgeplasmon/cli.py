@@ -271,7 +271,7 @@ def cmd_index(cfg, args) -> int:
     return EXIT_OK if ok else EXIT_NUMERICAL
 
 
-SWEEP_COLUMNS = ["phi_pi", "q_factor", "re_q", "im_q", "nu_k", "n_plus",
+SWEEP_COLUMNS = ["phi_pi", "q_factor", "re_q", "im_q", "nu_k", "nu_k_star", "n_plus",
                  "n_minus", "nstar_plus", "nstar_minus", "n_marginal",
                  "conjecture_rhs", "conjecture_agrees", "index_transition",
                  "wall_ms"]

@@ -233,14 +233,10 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
             message=f"no convergence in {maxiter} iterations (|F| = {abs(f1):.3e})")
 
     # re-verify index and census at the root, on the kernel of the last
-    # residual, which was evaluated at q1
-    root_problem = kernel.problem
+    # residual, which was evaluated at q1; the census is that of the first
+    # signed sheet (the right one for two sheets)
     nu = kernel.nu_k
-    if problem.variant is Variant.TWO_SHEET:
-        _, right = root_problem.sides()
-        census = bulk_zeros(right)
-    else:
-        census = bulk_zeros(root_problem)
+    census = bulk_zeros(kernel.problem.signed_sheets()[0][1])
     classification = (Classification.DISCRETE_EPP if nu == 0
                       else Classification.NO_SOLUTION)
     message = "" if nu == 0 else f"converged but nu_K = {nu} at the root"

@@ -9,8 +9,15 @@ conductivities in sqrt(eps/mu)) the symbol reads
 where f is a kernel factor: 1 for a sheet in a uniform medium, and
 2/(eps_r1 + eps_r2) when the sheet sits at the interface of two dielectric
 half-spaces (then k0 and the conductivity scale refer to vacuum).  The
-second Riemann sheet (Re sqrt < 0) gives the dual symbol P*.  For two
-coplanar sheets the relevant symbol is the ratio P^R / P^L.
+second Riemann sheet (Re sqrt < 0) gives the dual symbol P*.
+
+Every symbol is one product over signed sheets (``Problem.signed_sheets``),
+
+    P = Prod_sheets (1 + (i/2) num_sheet / w)^sign,
+
+with one root w for all sheets: the sheet itself with sign +1, or for two
+coplanar sheets the right one (+1) and the left one (-1), so P = P^R / P^L.
+``p_of_xi`` and ``dp_dxi`` are the one evaluation of that product.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import numpy as np
 from .branches import Sheet, sheet_sqrt
 from .conductivity import ConductivityTensor
 
-__all__ = ["Problem", "Variant", "dlogp_dxi", "dp_dxi", "khat", "p_left_right", "p_of_xi"]
+__all__ = ["Problem", "Variant", "dp_dxi", "khat", "p_of_xi"]
 
 
 class Variant(enum.Enum):
@@ -110,17 +117,17 @@ class Problem:
         q = complex(self.q)
         return s.xx, s.off_sum * q, s.yy * q * q
 
-    def sides(self) -> tuple["Problem", "Problem"]:
-        """Per-side single-sheet problems of a two-sheet configuration."""
+    def signed_sheets(self) -> tuple[tuple[int, "Problem"], ...]:
+        """(sign, single-sheet problem) per factor P_sheet^sign of the symbol:
+        ((1, self),), or the right (+1) then the left (-1) sheet of a
+        two-sheet problem, so that the product is P^R/P^L.  A zero sheet is
+        kept (its factor is 1)."""
         if self.variant is not Variant.TWO_SHEET:
-            raise ValueError("sides() applies to two-sheet problems only")
-        left = dataclasses.replace(
-            self, variant=Variant.SINGLE_SHEET, sigma=self.sigma_left,
-            sigma_left=None, sigma_right=None)
-        right = dataclasses.replace(
-            self, variant=Variant.SINGLE_SHEET, sigma=self.sigma_right,
-            sigma_left=None, sigma_right=None)
-        return left, right
+            return ((1, self),)
+        right, left = (dataclasses.replace(self, variant=Variant.SINGLE_SHEET, sigma=sigma,
+                                           sigma_left=None, sigma_right=None)
+                       for sigma in (self.sigma_right, self.sigma_left))
+        return ((1, right), (-1, left))
 
 
 def khat(xi, q: complex):
@@ -128,26 +135,33 @@ def khat(xi, q: complex):
     return 0.5 / sheet_sqrt(xi, q, Sheet.FIRST)
 
 
-def _num_and_root(sigma_eff: ConductivityTensor, q: complex, xi, sheet: Sheet):
-    """Numerator sigma_xx xi^2 + (sigma_xy + sigma_yx) q xi + sigma_yy q^2 and
-    the sheet's square root (xi^2 + q^2)^(1/2), so P = 1 + (i/2) num/root."""
-    w = sheet_sqrt(xi, q, sheet)
-    num = sigma_eff.xx * xi * xi + sigma_eff.off_sum * q * xi + sigma_eff.yy * q * q
-    return num, w
+def _numerator(sigma_eff: ConductivityTensor, q: complex, xi):
+    """sigma_xx xi^2 + (sigma_xy + sigma_yx) q xi + sigma_yy q^2."""
+    return sigma_eff.xx * xi * xi + sigma_eff.off_sum * q * xi + sigma_eff.yy * q * q
 
 
-def _p_single(sigma_eff: ConductivityTensor, q: complex, xi, sheet: Sheet):
-    xi = np.asarray(xi, dtype=complex)
-    num, w = _num_and_root(sigma_eff, q, xi, sheet)
-    out = 1.0 + 0.5j * num / w
-    return out[()] if np.ndim(out) == 0 else out
-
-
-def _p_dp_single(sigma_eff: ConductivityTensor, q: complex, xi):
-    """(P, dP/dxi) of one sheet on the first Riemann sheet, from one root."""
-    num, w = _num_and_root(sigma_eff, q, xi, Sheet.FIRST)
-    dnum = 2.0 * sigma_eff.xx * xi + sigma_eff.off_sum * q
-    return 1.0 + 0.5j * num / w, 0.5j * (dnum - num * xi / (xi * xi + q * q)) / w
+def _compose(problem: Problem, xi, w, derivative: bool = False):
+    """(P, dP/dxi) of P = Prod_sheets (1 + (i/2) num/w)^sign with the root w
+    (dP/dxi is None unless ``derivative``; it needs w^2 = xi^2 + q^2).  A
+    zero of a divisor sheet raises ZeroDivisionError."""
+    q = complex(problem.q)
+    p = dp = None
+    for sign, side in problem.signed_sheets():
+        s = side.sigma_eff
+        num = _numerator(s, q, xi)
+        f = 1.0 + 0.5j * num / w
+        df = (0.5j * (2.0 * s.xx * xi + s.off_sum * q - num * xi / (xi * xi + q * q)) / w
+              if derivative else None)
+        if p is None:
+            # the +1 sheet comes first; a later one divides
+            p, dp = f, df
+            continue
+        if np.any(f == 0):
+            raise ZeroDivisionError("P^L vanishes at the evaluation point")
+        if derivative:
+            dp = (dp * f - p * df) / (f * f)
+        p = p / f
+    return p, dp
 
 
 def p_of_xi(problem: Problem, xi, sheet: Sheet = Sheet.FIRST):
@@ -155,21 +169,9 @@ def p_of_xi(problem: Problem, xi, sheet: Sheet = Sheet.FIRST):
 
     For TWO_SHEET this is the ratio P^R/P^L; a zero of P^L raises.
     """
-    q = complex(problem.q)
-    if problem.variant is Variant.TWO_SHEET:
-        pl, pr = p_left_right(problem, xi, sheet)
-        if np.any(pl == 0):
-            raise ZeroDivisionError("P^L vanishes at the evaluation point")
-        return pr / pl
-    return _p_single(problem.sigma_eff, q, xi, sheet)
-
-
-def _sides_p_dp(problem: Problem, xi):
-    """((P^L, P^L'), (P^R, P^R')) of a two-sheet problem on the first sheet."""
-    q = complex(problem.q)
-    kf = problem.kernel_factor
-    return (_p_dp_single(problem.sigma_left.scaled(kf), q, xi),
-            _p_dp_single(problem.sigma_right.scaled(kf), q, xi))
+    xi = np.asarray(xi, dtype=complex)
+    out = _compose(problem, xi, sheet_sqrt(xi, complex(problem.q), sheet))[0]
+    return out[()] if out.ndim == 0 else out
 
 
 def dp_dxi(problem: Problem, xi):
@@ -178,35 +180,5 @@ def dp_dxi(problem: Problem, xi):
     For TWO_SHEET this is the derivative of the ratio P^R/P^L.
     """
     xi = np.asarray(xi, dtype=complex)
-    if problem.variant is Variant.TWO_SHEET:
-        (pl, dl), (pr, dr) = _sides_p_dp(problem, xi)
-        out = (dr * pl - pr * dl) / (pl * pl)
-    else:
-        out = _p_dp_single(problem.sigma_eff, complex(problem.q), xi)[1]
+    out = _compose(problem, xi, sheet_sqrt(xi, complex(problem.q), Sheet.FIRST), True)[1]
     return out[()] if out.ndim == 0 else out
-
-
-def dlogp_dxi(problem: Problem, xi):
-    """d ln P/dxi on the first sheet, away from the branch points; vectorized.
-
-    For TWO_SHEET this is d ln P^R/dxi - d ln P^L/dxi.
-    """
-    xi = np.asarray(xi, dtype=complex)
-    if problem.variant is Variant.TWO_SHEET:
-        (pl, dl), (pr, dr) = _sides_p_dp(problem, xi)
-        out = dr / pr - dl / pl
-    else:
-        p, dp = _p_dp_single(problem.sigma_eff, complex(problem.q), xi)
-        out = dp / p
-    return out[()] if out.ndim == 0 else out
-
-
-def p_left_right(problem: Problem, xi, sheet: Sheet = Sheet.FIRST):
-    """(P^L, P^R) for a two-sheet problem."""
-    if problem.variant is not Variant.TWO_SHEET:
-        raise ValueError("p_left_right applies to two-sheet problems only")
-    q = complex(problem.q)
-    kf = problem.kernel_factor
-    pl = _p_single(problem.sigma_left.scaled(kf), q, xi, sheet)
-    pr = _p_single(problem.sigma_right.scaled(kf), q, xi, sheet)
-    return pl, pr

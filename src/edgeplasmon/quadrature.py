@@ -62,9 +62,6 @@ class QuadResult:
     n_eval: int
     n_segments: int
 
-    def __iter__(self):
-        return iter((self.value, self.error))
-
 
 def gk_nodes_weights(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Kronrod-15 nodes and weights mapped to [a, b].

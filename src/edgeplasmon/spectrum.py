@@ -18,9 +18,9 @@ import math
 
 import numpy as np
 
-from .branches import Sheet, sign_q, unwrapped_angle
+from .branches import Sheet, sheet_sqrt, sign_q, unwrapped_angle
 from .conductivity import ConductivityTensor
-from .kernel import Problem, Variant, _num_and_root, p_of_xi
+from .kernel import Problem, Variant, _compose, p_of_xi
 
 __all__ = [
     "AssignmentRule",
@@ -173,8 +173,7 @@ def _roots_or_none(sigma: ConductivityTensor, q: complex):
 def problem_scale(problem: Problem) -> float:
     """Characteristic wavenumber scale: max of |q|, |xi^+-|, |k_sp|, 1."""
     scale = max(abs(problem.q), 1.0)
-    sides = problem.sides() if problem.variant is Variant.TWO_SHEET else (problem,)
-    for prob in sides:
+    for _, prob in problem.signed_sheets():
         sig = prob.sigma_eff
         if sig.frobenius == 0:
             continue
@@ -320,12 +319,12 @@ def bulk_zeros(problem: Problem) -> SpectrumReport:
     Clearing the square root from P = 0 gives the quartic
     N_eff(xi)^2 + 4 (xi^2 + q^2) = 0 whose roots are exactly the zeros of
     P * P*; each root is attributed to the sheet whose symbol it satisfies
-    better, P = 1 + (i/2) num/w or P* = 1 - (i/2) num/w, all roots at once.
+    better, P or its dual P* (the root w taken as -w), all roots at once.
     Roots within MARGINAL_BAND of the real axis or of the branch points
     +-iq are flagged marginal and excluded from the counts.
     """
     if problem.variant is Variant.TWO_SHEET:
-        raise ValueError("two-sheet census applies per side; use problem.sides()")
+        raise ValueError("two-sheet census applies per side; use problem.signed_sheets()")
     q = complex(problem.q)
     a, b, c = problem.quad_coeffs()
     if a == 0 and b == 0 and c == 0:
@@ -341,13 +340,14 @@ def bulk_zeros(problem: Problem) -> SpectrumReport:
     band = MARGINAL_BAND * np.maximum(np.abs(roots), 1.0)
     marginal = ((np.abs(roots.imag) < band) | (np.abs(roots - 1j * q) < band)
                 | (np.abs(roots + 1j * q) < band))
-    # |P| and |P*| at the other roots; a marginal root may sit on +-iq,
-    # where the square root is not defined, so it keeps a nan residual
+    # |P| and |P*| at the other roots, from one root w (P* takes -w); a
+    # marginal root may sit on +-iq, where the square root is not defined,
+    # so it keeps a nan residual
     res = np.full((2, roots.size), math.nan)
     if not marginal.all():
-        num, w = _num_and_root(problem.sigma_eff, q, roots[~marginal], Sheet.FIRST)
-        t = 0.5j * num / w
-        res[:, ~marginal] = np.abs([1.0 + t, 1.0 - t])
+        xi = roots[~marginal]
+        w = sheet_sqrt(xi, q, Sheet.FIRST)
+        res[:, ~marginal] = np.abs([_compose(problem, xi, w)[0], _compose(problem, xi, -w)[0]])
     second = res[1] < res[0]
     residual = np.minimum(res[0], res[1])
     # a sound quartic root always satisfies one sheet; treat numerical
@@ -373,18 +373,16 @@ class ConjectureResult:
 
 
 def conjecture_check(problem: Problem) -> ConjectureResult:
-    """Compare the winding index against the half-integer census combination."""
+    """Compare the winding index against the half-integer census combination.
+
+    The combination is the signed sum over the sheets (right minus left for
+    two sheets); ``report`` is the census of the first signed sheet.
+    """
     nu = winding_index(problem)
-    if problem.variant is Variant.TWO_SHEET:
-        left, right = problem.sides()
-        rep_l = bulk_zeros(left) if left.sigma.frobenius else None
-        report = bulk_zeros(right)
-        rhs = report.conjecture_rhs - (rep_l.conjecture_rhs if rep_l else 0.0)
-        marginal = report.n_marginal + (rep_l.n_marginal if rep_l else 0)
-    else:
-        report = bulk_zeros(problem)
-        rhs = report.conjecture_rhs
-        marginal = report.n_marginal
+    reports = [(sign, bulk_zeros(prob)) for sign, prob in problem.signed_sheets()]
+    rhs = sum(sign * rep.conjecture_rhs for sign, rep in reports)
+    marginal = sum(rep.n_marginal for _, rep in reports)
+    report = reports[0][1]
     agrees: bool | None = (rhs == nu)
     if marginal:
         agrees = None

@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 from .branches import Sheet, principal_log, sheet_sqrt, unwrapped_angle
-from .kernel import Problem, Variant, p_of_xi
+from .kernel import Problem, _compose, p_of_xi
 from .quadrature import QuadratureError
 from .spectrum import (
     DegenerateQuadraticError,
@@ -100,12 +100,10 @@ class UnwrappedLogKernel:
     """
 
     def __init__(self, problem: Problem, grid: np.ndarray, phase: np.ndarray,
-                 m_cutoff: float, scale: float, nu_k: int,
-                 tail_const: complex, trivial: bool = False):
+                 scale: float, nu_k: int, tail_const: complex, trivial: bool = False):
         self.problem = problem
         self.grid = grid
         self.phase = phase
-        self.m_cutoff = m_cutoff
         self.scale = scale
         self.nu_k = nu_k
         self.tail_const = tail_const      # L ~ p ln(zeta) + tail_const, p in {-1, 0, 1}
@@ -113,10 +111,6 @@ class UnwrappedLogKernel:
         self._cache: dict = {}
 
     # -- symbol evaluations on the real axis ----------------------------
-
-    def phase_at(self, zeta):
-        """Unwrapped arg P at real zeta (grid-pinned; tail-pinned beyond m)."""
-        return self.log_values(zeta).imag
 
     def log_values(self, zeta):
         """L(zeta) = ln|P| + i * (unwrapped arg P), vectorized over real zeta."""
@@ -130,11 +124,6 @@ class UnwrappedLogKernel:
         n = np.round((ref - pa) / TWO_PI)
         out = np.log(np.abs(vals)) + 1j * (pa + TWO_PI * n)
         return out[()] if out.ndim == 0 else out
-
-    @property
-    def base_value(self) -> complex:
-        """L at xi = 0."""
-        return complex(self.log_values(np.array([0.0]))[0])
 
     # -- memoized derived objects ---------------------------------------
 
@@ -167,26 +156,20 @@ class UnwrappedLogKernel:
 
 
 def _signed_sheets(problem: Problem) -> list[tuple[int, Problem]]:
-    """(sign, single-sheet problem) for each nonzero sheet whose log enters
-    L with that sign: the sheet itself, or the right (+1) and left (-1)
-    sheet of a two-sheet problem."""
-    if problem.variant is Variant.TWO_SHEET:
-        left, right = problem.sides()
-        sheets = ((-1, left), (1, right))
-    else:
-        sheets = ((1, problem),)
-    out = [(sign, prob) for sign, prob in sheets if prob.sigma.frobenius != 0]
+    """The nonzero sheets of ``problem.signed_sheets()``, whose logs enter L
+    with their signs."""
+    out = [(sign, prob) for sign, prob in problem.signed_sheets()
+           if prob.sigma.frobenius != 0]
     if any(prob.sigma_eff.xx == 0 for _, prob in out):
         raise DegenerateQuadraticError(
             "sigma_xx = 0: symbol does not follow the ln(kappa xi) tail law")
     return out
 
 
-def _tail_constant(problem: Problem) -> complex:
+def _tail_constant(sheets) -> complex:
     """Constant of the large-zeta law L ~ p ln zeta + constant."""
-    sheets = _signed_sheets(problem)
     if len(sheets) == 2:
-        (_, left), (_, right) = sheets
+        (_, right), (_, left) = sheets
         return complex(principal_log(right.sigma_eff.xx / left.sigma_eff.xx))
     return sum((sign * complex(principal_log(0.5j * prob.sigma_eff.xx))
                 for sign, prob in sheets), 0j)
@@ -204,12 +187,12 @@ def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
     sheet has sigma_xx = 0, where L has no ln|xi| tail law, and
     ``RealAxisZeroError`` when P vanishes on or next to the real axis.
     """
-    tail_const = _tail_constant(problem)
+    sheets = _signed_sheets(problem)
+    tail_const = _tail_constant(sheets)
     xs, theta, nu, scale = phase_winding(problem, Sheet.FIRST)
-    if problem.variant is not Variant.TWO_SHEET and problem.sigma.frobenius == 0:
+    if not sheets:
         # P = 1: zero phase, zero index
-        return UnwrappedLogKernel(problem, xs, theta, xs[-1], scale, nu, tail_const,
-                                  trivial=True)
+        return UnwrappedLogKernel(problem, xs, theta, scale, nu, tail_const, trivial=True)
 
     # fix the global branch against the right tail alone: arg P(m) must
     # approach Im tail_const (mod 2 pi); this stays well defined for
@@ -222,7 +205,7 @@ def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
             "rad); symbol tails not converged at the cutoff")
     theta = theta - TWO_PI * k
 
-    return UnwrappedLogKernel(problem, xs, theta, xs[-1], scale, nu, tail_const)
+    return UnwrappedLogKernel(problem, xs, theta, scale, nu, tail_const)
 
 
 # ---------------------------------------------------------------------------
@@ -504,15 +487,11 @@ def _stand_in_root(xi, q: complex, kappa: float):
     return np.sqrt(rr) * np.polyval(binom[::-1], (q * q - kappa * kappa) / rr)
 
 
-def _log_ratio(sheets, xi, w_num, w_den):
-    """ln P(w_num)/P(w_den), P = Prod_sheets (1 + (i/2) num/w)^sign with
-    the root (xi^2 + q^2)^(1/2) replaced by w, along the sorted real xi,
-    unwrapped from 0 at xi = -inf, where both roots agree."""
-    ratio = np.ones(xi.shape, dtype=complex)
-    for sign, prob in sheets:
-        a2, a1, a0 = prob.quad_coeffs()
-        num = 0.5j * ((a2 * xi + a1) * xi + a0)
-        ratio *= ((1.0 + num / w_num) / (1.0 + num / w_den)) ** sign
+def _log_ratio(problem: Problem, xi, w_num, w_den):
+    """ln P(w_num)/P(w_den), P the symbol with the root (xi^2 + q^2)^(1/2)
+    replaced by w, along the sorted real xi, unwrapped from 0 at xi = -inf,
+    where both roots agree."""
+    ratio = _compose(problem, xi, w_num)[0] / _compose(problem, xi, w_den)[0]
     return np.log(np.abs(ratio)) + 1j * unwrapped_angle(ratio)
 
 
@@ -642,7 +621,7 @@ class CauchyTable:
             rem = (kernel.log_values(nodes) - c - kink.values(nodes)
                    - 0.5 * p * np.log(nodes * nodes + kappa ** 2))
             if len(radii) > 1:
-                rem -= _log_ratio(sheets, nodes, root(nodes, 0), root(nodes, len(radii) - 1))
+                rem -= _log_ratio(problem, nodes, root(nodes, 0), root(nodes, len(radii) - 1))
             for zero in zeros:
                 rem -= _zero_log(nodes, zero)
             return rem
@@ -651,7 +630,7 @@ class CauchyTable:
         series = [_Series(kappa, a, tail, alias)]
         for j in range(len(radii) - 1):
             def level(xi, j=j):
-                return _log_ratio(sheets, xi, root(xi, j), root(xi, j + 1))
+                return _log_ratio(problem, xi, root(xi, j), root(xi, j + 1))
             kappa_j = math.sqrt(radii[j] * radii[j + 1])
             series.append(_Series(kappa_j, *_fft_series(level, kappa_j)[1:]))
 

@@ -15,7 +15,7 @@ import mpmath as mp
 import numpy as np
 
 from edgeplasmon.branches import Sheet
-from edgeplasmon.kernel import dlogp_dxi
+from edgeplasmon.kernel import dp_dxi, p_of_xi
 from edgeplasmon.quadrature import adaptive_gk
 from edgeplasmon.spectrum import bulk_zeros
 
@@ -53,7 +53,8 @@ def _adaptive_chunk(kernel, points, rtol):
     span = max(max(64.0 * scale, 4.0 * abs(x)) for x in points)
     t0 = np.clip(points.real, -0.75 * span, 0.75 * span)
     c0 = kernel.log_values(t0)
-    c1 = dlogp_dxi(kernel.problem, t0.astype(complex))
+    t0c = t0.astype(complex)
+    c1 = dp_dxi(kernel.problem, t0c) / p_of_xi(kernel.problem, t0c)
     xc, t0c, c0c, c1c = (v[:, None] for v in (points, t0, c0, c1))
 
     def integrand(s):

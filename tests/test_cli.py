@@ -196,6 +196,23 @@ class TestSweepCommand:
         assert rows[1]["index_transition"] == "nu 0->-1"
         assert rows[2]["index_transition"] == "nu -1->0"
 
+    def test_dual_index_column(self, tmp_path, capsys):
+        # the passive sheet on which the census conjecture fails: nu* = 1
+        cfg = {
+            "sheet": {"tensor": {"xx": [0.1938, -0.2335], "xy": [0.2292, 0.0461],
+                                 "yx": [0.1549, 0.1317], "yy": [0.1998, 0.2649],
+                                 "nondimensional": True}},
+            "sweep": {"phis_pi": [0.0], "q_factors": [1.0, 1.5, 2.5],
+                      "q_base": [-16.27, -0.68]},
+        }
+        code, out, _ = run_cli(capsys, "sweep", "--config", write_cfg(tmp_path, cfg))
+        assert code == 0
+        assert out.splitlines()[0].split(",")[4:6] == ["nu_k", "nu_k_star"]
+        rows = [r for r in parse_csv(out) if r["n_marginal"] == "0"]
+        assert rows and "1" in [r["nu_k_star"] for r in rows]
+        for r in rows:
+            assert int(r["nu_k"]) + int(r["nu_k_star"]) == float(r["conjecture_rhs"])
+
     def test_parallel_jobs_match_serial(self, tmp_path, capsys):
         cfg = {
             "sheet": {"tensor": {"xx": [0.001, 0.1], "yy": [0.002, 0.2],

@@ -7,10 +7,8 @@ from edgeplasmon import (
     Problem,
     Sheet,
     Variant,
-    dlogp_dxi,
     dp_dxi,
     khat,
-    p_left_right,
     p_of_xi,
     quadratic_roots,
 )
@@ -128,34 +126,43 @@ class TestProblem:
         assert np.array_equal(p_of_xi(single, xi), p_of_xi(interf, xi))
 
 
+ZERO = ConductivityTensor.diagonal(0, 0, nondimensional=True)
+
+
 class TestDerivative:
-    @pytest.mark.parametrize("variant", ["single", "interface", "two-sheet"])
+    @pytest.mark.parametrize("variant", ["single", "interface", "two-sheet",
+                                         "zero-left", "zero-right"])
     def test_against_central_difference(self, variant, rng):
         q = 21.657 + 0.217j
         prob = {
             "single": Problem.single_sheet(make_sigma("C"), q),
             "interface": Problem.interface(make_sigma("C"), q, 1.0, 4.0),
             "two-sheet": Problem.two_sheet(make_sigma("B"), make_sigma("C"), q),
+            "zero-left": Problem.two_sheet(ZERO, make_sigma("A"), q),
+            "zero-right": Problem.two_sheet(make_sigma("A"), ZERO, q),
         }[variant]
         # off-axis points well away from the branch points +-iq and the cut
         xi = rng.uniform(-40.0, 40.0, 200) + 1j * rng.uniform(-5.0, 5.0, 200)
         h = 1e-4
-        p = p_of_xi(prob, xi)
         diff = (p_of_xi(prob, xi + h) - p_of_xi(prob, xi - h)) / (2.0 * h)
         got = dp_dxi(prob, xi)
         assert np.max(np.abs(got - diff) / np.abs(got)) < 1e-7
-        assert np.max(np.abs(dlogp_dxi(prob, xi) - got / p) / np.abs(got / p)) < 1e-12
 
 
 class TestTwoSheet:
     def test_left_vacuum_ratio_reduces_to_single(self):
-        zero = ConductivityTensor.diagonal(0, 0, nondimensional=True)
-        two = Problem.two_sheet(zero, make_sigma("A"), 12.0)
+        two = Problem.two_sheet(ZERO, make_sigma("A"), 12.0)
         single = Problem.single_sheet(make_sigma("A"), 12.0)
         xi = np.linspace(-30, 30, 61) + 0.05j
-        pl, pr = p_left_right(two, xi)
-        assert np.all(pl == 1.0)
-        assert np.max(np.abs(p_of_xi(two, xi) - p_of_xi(single, xi))) < 1e-15
+        for sheet in Sheet:
+            assert np.array_equal(p_of_xi(two, xi, sheet), p_of_xi(single, xi, sheet))
+
+    def test_right_vacuum_ratio_is_the_reciprocal(self):
+        two = Problem.two_sheet(make_sigma("A"), ZERO, 12.0)
+        single = Problem.single_sheet(make_sigma("A"), 12.0)
+        xi = np.linspace(-30, 30, 61) + 0.05j
+        for sheet in Sheet:
+            assert np.array_equal(p_of_xi(two, xi, sheet), 1.0 / p_of_xi(single, xi, sheet))
 
     def test_difference_tensor(self):
         two = Problem.two_sheet(make_sigma("B"), make_sigma("A"), 11.0)
@@ -167,9 +174,12 @@ class TestTwoSheet:
         with pytest.raises(ValueError, match="sigma_L != sigma_R"):
             Problem.two_sheet(make_sigma("A"), make_sigma("A"), 12.0)
 
-    def test_sides(self):
+    def test_signed_sheets(self):
         two = Problem.two_sheet(make_sigma("B"), make_sigma("A"), 11.0)
-        left, right = two.sides()
-        assert left.variant is Variant.SINGLE_SHEET
+        (s_right, right), (s_left, left) = two.signed_sheets()
+        assert (s_right, s_left) == (1, -1)
+        assert left.variant is right.variant is Variant.SINGLE_SHEET
         assert left.sigma.isclose(make_sigma("B"), 0)
         assert right.sigma.isclose(make_sigma("A"), 0)
+        single = Problem.single_sheet(make_sigma("A"), 11.0)
+        assert single.signed_sheets() == ((1, single),)

@@ -283,6 +283,25 @@ def problems(draw, variant):
     return Problem.two_sheet(random_passive_tensor(rng), sigma, q)
 
 
+# the passive sheet on which the census conjecture fails (nu* = 1 at
+# COUNTEREXAMPLE_Q with no marginal zero)
+COUNTEREXAMPLE = np.array([[0.1938 - 0.2335j, 0.2292 + 0.0461j],
+                           [0.1549 + 0.1317j, 0.1998 + 0.2649j]])
+COUNTEREXAMPLE_Q = -16.27 - 0.68j
+
+
+def near_counterexample(rng):
+    """A single sheet with each entry of COUNTEREXAMPLE moved by at most
+    0.02, at q = f COUNTEREXAMPLE_Q with f in [0.8, 3]; None when the
+    moved tensor is not passive."""
+    radius, turn = 0.02 * np.sqrt(rng.uniform(size=(2, 2))), rng.uniform(size=(2, 2))
+    move = radius * np.exp(2j * math.pi * turn)
+    sigma = ConductivityTensor.from_matrix(COUNTEREXAMPLE + move, nondimensional=True)
+    if not sigma.is_passive():
+        return None
+    return Problem.single_sheet(sigma, rng.uniform(0.8, 3.0) * COUNTEREXAMPLE_Q)
+
+
 def _pocket_problem(variant):
     """A problem of each variant whose index is -1."""
     q = 0.85 * (21.657 + 0.217j)
@@ -392,8 +411,22 @@ class TestConjecture:
         q = 0.85 * (21.657 + 0.217j)
         two = Problem.two_sheet(zero, make_sigma("C"), q)
         assert winding_index(two) == -1
-        left, right = two.sides()
+        (_, right), _ = two.signed_sheets()
         assert winding_index(right) == -1
+
+    def test_zero_side_census(self):
+        # the signed census sum: a vacuum left sheet leaves the right
+        # sheet's, a vacuum right sheet gives minus the left sheet's
+        zero = ConductivityTensor.diagonal(0, 0, nondimensional=True)
+        q = 0.85 * (21.657 + 0.217j)
+        single = conjecture_check(Problem.single_sheet(make_sigma("C"), q))
+        right = conjecture_check(Problem.two_sheet(zero, make_sigma("C"), q))
+        left = conjecture_check(Problem.two_sheet(make_sigma("C"), zero, q))
+        assert (single.nu_k, single.rhs) == (-1, -1)
+        assert (right.nu_k, right.rhs, right.agrees) == (-1, -1, True)
+        assert (left.nu_k, left.rhs, left.agrees) == (1, 1, True)
+        assert right.report == single.report
+        assert left.report.counts() == (0, 0, 0, 0)
 
 
 class TestIndexIdentity:
@@ -417,12 +450,41 @@ class TestIndexIdentity:
         event(f"nu* = {nu_star}")
         assert res.nu_k + nu_star == res.rhs
 
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_index_plus_dual_index_near_the_counterexample(self, seed):
+        # the strategy above draws nu* = 0 only; around the counterexample
+        # nu* = 1 is common
+        prob = near_counterexample(np.random.default_rng(seed))
+        if prob is None:
+            reject()
+        try:
+            res = conjecture_check(prob)
+            nu_star = dual_winding_index(prob)
+        except RealAxisZeroError:
+            reject()
+        if res.agrees is None:
+            reject()
+        event(f"nu* = {nu_star}")
+        assert res.nu_k + nu_star == res.rhs
+
+    def test_dual_index_one_occurs_near_the_counterexample(self):
+        found = []
+        for seed in range(32):
+            prob = near_counterexample(np.random.default_rng(seed))
+            if prob is None:
+                continue
+            res = conjecture_check(prob)
+            nu_star = dual_winding_index(prob)
+            if res.report.n_marginal == 0:
+                assert res.nu_k + nu_star == res.rhs
+                found.append(nu_star)
+        assert 1 in found and 0 in found
+
     def test_holds_where_the_conjecture_fails(self):
         # a passive sheet with nu* = 1 and no marginal zero
-        sigma = ConductivityTensor(0.1938 - 0.2335j, 0.2292 + 0.0461j,
-                                   0.1549 + 0.1317j, 0.1998 + 0.2649j,
-                                   nondimensional=True)
-        prob = Problem.single_sheet(sigma, -16.27 - 0.68j)
+        sigma = ConductivityTensor.from_matrix(COUNTEREXAMPLE, nondimensional=True)
+        prob = Problem.single_sheet(sigma, COUNTEREXAMPLE_Q)
         res, nu_star = conjecture_check(prob), dual_winding_index(prob)
         assert res.report.counts() == (1, 1, 2, 0) and res.report.n_marginal == 0
         assert (res.nu_k, nu_star, res.agrees) == (0, 1, False)
