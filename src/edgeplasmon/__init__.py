@@ -22,7 +22,6 @@ from .conductivity import (
 from .dispersion import (
     Classification,
     DispersionSolution,
-    IndexClassificationError,
     LongwaveParams,
     classify,
     f_pm_direct,
@@ -62,7 +61,6 @@ from .spectrum import (
 from .wiener_hopf import (
     NonzeroIndexError,
     SplitHalf,
-    SplitValue,
     UnwrappedLogKernel,
     boundary_split_q,
     build_log_kernel,

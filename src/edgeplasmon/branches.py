@@ -36,33 +36,22 @@ class Sheet(enum.Enum):
     SECOND = 2
 
 
-def _clean_imag(z):
-    # Map -0.0 imaginary parts to +0.0 so values on the negative real axis
-    # land on the Im > 0 side of the cut (principal convention Im in (-pi, pi]).
-    z = np.asarray(z, dtype=complex)
-    fix = z.imag == 0.0
-    if np.any(fix):
-        z = np.where(fix, z.real.astype(complex), z)
-    return z
-
-
 def sheet_sqrt(xi, q, sheet: Sheet = Sheet.FIRST):
     """sqrt(xi^2 + q^2) on the requested Riemann sheet.
 
-    Computed as the principal square root followed by a sign fix, which
-    guarantees evenness in xi and the exact sheet condition Re w > 0
-    (FIRST) or Re w < 0 (SECOND).  The tie Re w = 0 (lossless sheets with
-    real q put the value on the cut) is resolved to Im w > 0 on the first
-    sheet, so that xi^+ = +i|q| sits in the upper half-plane.
+    The principal square root, which has Re w >= 0, then the sheet's sign:
+    this gives evenness in xi and the exact sheet condition Re w > 0
+    (FIRST) or Re w < 0 (SECOND).  Adding 0.0 turns a -0.0 imaginary part
+    into +0.0, so the tie Re w = 0 (lossless sheets with real q put the
+    value on the cut) goes to Im w > 0 on the first sheet, and
+    xi^+ = +i|q| sits in the upper half-plane.
     """
-    z = _clean_imag(np.asarray(xi, dtype=complex) ** 2 + complex(q) ** 2)
+    xi = np.asarray(xi, dtype=complex)
+    q = complex(q)
+    z = xi * xi + q * q + 0.0
     if np.any(z == 0):
         raise BranchPointError("xi^2 + q^2 = 0: branch point of the kernel")
     w = np.sqrt(z)
-    # principal sqrt already has Re >= 0; resolve Re == 0 toward Im > 0
-    flip = (w.real == 0.0) & (w.imag < 0.0)
-    if np.any(flip):
-        w = np.where(flip, -w, w)
     if sheet is Sheet.SECOND:
         w = -w
     return w[()] if w.ndim == 0 else w
@@ -79,8 +68,9 @@ def sign_q(q: complex) -> int:
 
 
 def principal_log(w):
-    """Natural log with Im in (-pi, pi]; negative reals map to +i*pi."""
-    w = _clean_imag(w)
+    """Natural log with Im in (-pi, pi]; negative reals map to +i*pi (adding
+    0.0 turns a -0.0 imaginary part into +0.0)."""
+    w = np.asarray(w, dtype=complex) + 0.0
     if np.any(w == 0):
         raise ValueError("log of zero")
     out = np.log(w)

@@ -245,7 +245,7 @@ def _index_row(cfg, omega: float, q: complex) -> dict:
             "n_plus": res.report.n_plus, "n_minus": res.report.n_minus,
             "nstar_plus": res.report.n_star_plus,
             "nstar_minus": res.report.n_star_minus,
-            "n_marginal": res.report.n_marginal,
+            "n_marginal": res.n_marginal,
             "conjecture_rhs": res.rhs,
             "conjecture_agrees": "" if res.agrees is None else res.agrees,
             "_ok": True,
@@ -300,6 +300,10 @@ def cmd_sweep(cfg, args) -> int:
         factors = [float(f) for f in node["q_factors"]]
     except KeyError as exc:
         raise ConfigError(f"sweep: missing {exc}") from exc
+    if (cfg.get("problem") or {}).get("variant") in ("two-sheet", "two_sheet"):
+        raise ConfigError("sweep: phis_pi rotates the top-level 'sheet', which a "
+                          "two-sheet problem does not use; run 'index' with "
+                          "rotation_phi_pi set on each problem sheet instead")
     points = [(p, f) for p in phis for f in factors]
     rows = _dispatch(_sweep_point, cfg, points, args.jobs)
     # annotate index transitions along each constant-phi line, across failed rows

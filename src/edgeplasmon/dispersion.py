@@ -42,7 +42,6 @@ from .wiener_hopf import NonzeroIndexError, UnwrappedLogKernel, build_log_kernel
 __all__ = [
     "Classification",
     "DispersionSolution",
-    "IndexClassificationError",
     "LongwaveParams",
     "classify",
     "f_pm_direct",
@@ -61,35 +60,24 @@ class Classification(enum.Enum):
     NO_SOLUTION = "no-solution"
 
 
-class IndexClassificationError(RuntimeError):
-    """The dispersion relation does not exist at this (q, omega): nu_K != 0."""
-
-    def __init__(self, nu_k: int):
-        super().__init__(f"nu_K = {nu_k} != 0: no discrete dispersion relation here")
-        self.nu_k = nu_k
-
-
 # what makes the residual undefined at a q: nonzero index, real-axis zero
 # of the symbol, unresolved series, sigma_xx = 0
-RESIDUAL_FAILURES = (IndexClassificationError, RealAxisZeroError, QuadratureError,
+RESIDUAL_FAILURES = (NonzeroIndexError, RealAxisZeroError, QuadratureError,
                      DegenerateQuadraticError)
 
 
 def residual(problem: Problem, *, kernel: UnwrappedLogKernel | None = None) -> complex:
     """Dispersion residual at problem.q: F for single-sheet/interface,
-    A(q) for two-sheet.  Raises IndexClassificationError when nu_K != 0."""
+    A(q) for two-sheet.  Raises ``NonzeroIndexError`` (carrying ``nu_k``)
+    when nu_K != 0, where no discrete dispersion relation exists."""
     if kernel is None:
         kernel = build_log_kernel(problem)
-    try:
-        roots, coeffs, phi_p, phi_m = kernel.root_constants()
-    except NonzeroIndexError as exc:
-        raise IndexClassificationError(exc.nu_k) from exc
+    roots, coeffs, phi_p, phi_m = kernel.root_constants()
     if problem.variant is Variant.TWO_SHEET:
-        return complex(coeffs.c_plus * np.exp(-phi_p.value)
-                       + coeffs.c_minus * np.exp(-phi_m.value))
+        return complex(coeffs.c_plus * np.exp(-phi_p)
+                       + coeffs.c_minus * np.exp(-phi_m))
     # Q_+(xi^+) = Phi(xi^+), Q_-(xi^-) = -Phi(xi^-)
-    return complex(phi_p.value - phi_m.value
-                   - principal_log(-coeffs.c_plus / coeffs.c_minus))
+    return complex(phi_p - phi_m - principal_log(-coeffs.c_plus / coeffs.c_minus))
 
 
 def vm_isotropic_residual(problem: Problem, *, rtol: float = 1e-11) -> complex:
@@ -149,39 +137,36 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
     Returns the root reached from the supplied guess (Re q keeps the
     guess's sign; the relation is not symmetric under q -> -q unless
     sigma_xy = sigma_yx, and crossing Re q = 0 is a failure).  On success
-    the index and the bulk census are re-verified at the root.  A residual
-    that cannot be evaluated (nonzero index, real-axis zero of the symbol,
-    unresolved series, sigma_xx = 0) gives NO_SOLUTION and the reason.
+    nu_K = 0 at the root (a residual exists only there) and the bulk census
+    at the root is attached.  A residual that cannot be evaluated (nonzero
+    index, real-axis zero of the symbol, unresolved series, sigma_xx = 0)
+    gives NO_SOLUTION and the reason.
     """
     q_guess = complex(q_guess)
     want_sign = sign_q(q_guess)
     validity = _validity_of(problem)
-
-    kernel = None
-
-    def f_at(q):
-        nonlocal kernel
-        kernel = build_log_kernel(problem.with_q(q))
-        return residual(kernel.problem, kernel=kernel)
-
     n_eval = 0
     index_flips: list[str] = []
 
-    def f_guarded(q):
+    def f_at(q):
         nonlocal n_eval
         n_eval += 1
-        return f_at(q)
+        return residual(problem.with_q(q))
+
+    def no_solution(q, f, message, nu_k=None):
+        return DispersionSolution(
+            q=q, residual=f, iterations=n_eval, nu_k_at_solution=nu_k,
+            classification=Classification.NO_SOLUTION, validity=validity,
+            message=message)
 
     q0, q1 = q_guess, q_guess * (1.0 + 1e-4)
     try:
-        f0 = f_guarded(q0)
-        f1 = f_guarded(q1)
+        f0 = f_at(q0)
+        f1 = f_at(q1)
     except RESIDUAL_FAILURES as exc:
-        return DispersionSolution(
-            q=q_guess, residual=complex(math.nan, math.nan), iterations=n_eval,
-            nu_k_at_solution=getattr(exc, "nu_k", None),
-            classification=Classification.NO_SOLUTION, validity=validity,
-            message=f"residual undefined at the guess: {exc}")
+        return no_solution(q_guess, complex(math.nan, math.nan),
+                           f"residual undefined at the guess: {exc}",
+                           getattr(exc, "nu_k", None))
 
     it = 0
     while it < maxiter:
@@ -189,10 +174,7 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
             break
         denom = f1 - f0
         if denom == 0:
-            return DispersionSolution(
-                q=q1, residual=f1, iterations=n_eval, nu_k_at_solution=None,
-                classification=Classification.NO_SOLUTION, validity=validity,
-                message="secant stalled (flat residual)")
+            return no_solution(q1, f1, "secant stalled (flat residual)")
         step = -f1 * (q1 - q0) / denom
         max_step = 0.3 * abs(q1)
         if abs(step) > max_step:
@@ -203,49 +185,36 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
         while tries < 8:
             if q_next.real * want_sign > 0:
                 try:
-                    f_next = f_guarded(q_next)
+                    f_next = f_at(q_next)
                     break
-                except (IndexClassificationError, RealAxisZeroError) as exc:
+                except (NonzeroIndexError, RealAxisZeroError) as exc:
                     index_flips.append(f"q={q_next:.6g}: {exc}")
                 except QuadratureError as exc:
                     # an unresolved series means the residual cannot be
                     # resolved here, not that the step crossed an index
                     # boundary; halving would only repeat it
-                    return DispersionSolution(
-                        q=q1, residual=f1, iterations=n_eval, nu_k_at_solution=None,
-                        classification=Classification.NO_SOLUTION, validity=validity,
-                        message=f"residual undefined at q={q_next:.6g}: {exc}")
+                    return no_solution(q1, f1,
+                                       f"residual undefined at q={q_next:.6g}: {exc}")
             step *= 0.5
             q_next = q1 + step
             tries += 1
         else:
-            return DispersionSolution(
-                q=q1, residual=f1, iterations=n_eval, nu_k_at_solution=None,
-                classification=Classification.NO_SOLUTION, validity=validity,
-                message="iteration path blocked: " + "; ".join(index_flips[-3:]))
+            return no_solution(q1, f1,
+                               "iteration path blocked: " + "; ".join(index_flips[-3:]))
         q0, f0, q1, f1 = q1, f1, q_next, f_next
         it += 1
 
     if abs(f1) >= tol:
-        return DispersionSolution(
-            q=q1, residual=f1, iterations=n_eval, nu_k_at_solution=None,
-            classification=Classification.NO_SOLUTION, validity=validity,
-            message=f"no convergence in {maxiter} iterations (|F| = {abs(f1):.3e})")
+        return no_solution(q1, f1, f"no convergence in {maxiter} iterations "
+                                   f"(|F| = {abs(f1):.3e})")
 
-    # re-verify index and census at the root, on the kernel of the last
-    # residual, which was evaluated at q1; the census is that of the first
-    # signed sheet (the right one for two sheets)
-    nu = kernel.nu_k
-    census = bulk_zeros(kernel.problem.signed_sheets()[0][1])
-    classification = (Classification.DISCRETE_EPP if nu == 0
-                      else Classification.NO_SOLUTION)
-    message = "" if nu == 0 else f"converged but nu_K = {nu} at the root"
-    if index_flips:
-        message = (message + "; " if message else "") + \
-            "index flips on path: " + "; ".join(index_flips)
+    # f1 was evaluated, so nu_K = 0 at q1 (a residual raises otherwise); the
+    # census is that of the first signed sheet (the right one for two sheets)
+    census = bulk_zeros(problem.with_q(q1).signed_sheets()[0][1])
+    message = "index flips on path: " + "; ".join(index_flips) if index_flips else ""
     return DispersionSolution(
-        q=q1, residual=f1, iterations=n_eval, nu_k_at_solution=nu,
-        classification=classification, validity=validity, census=census,
+        q=q1, residual=f1, iterations=n_eval, nu_k_at_solution=0,
+        classification=Classification.DISCRETE_EPP, validity=validity, census=census,
         message=message)
 
 

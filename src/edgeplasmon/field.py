@@ -75,7 +75,7 @@ def _constants(kernel: UnwrappedLogKernel):
     """(xi^+, xi^-, C^+, C^-, a, b) with a = e^{-Q_+(xi^+)}, b = e^{Q_-(xi^-)}."""
     roots, coeffs, phi_p, phi_m = kernel.root_constants()
     return (roots.xi_plus, roots.xi_minus, coeffs.c_plus, coeffs.c_minus,
-            complex(np.exp(-phi_p.value)), complex(np.exp(-phi_m.value)))
+            complex(np.exp(-phi_p)), complex(np.exp(-phi_m)))
 
 
 def _bracket(consts, xi):
@@ -211,7 +211,7 @@ def spp_decomposition(problem: Problem, kernel: UnwrappedLogKernel) -> SppDecomp
                 raise ValueError("coincident SPP zeros; residue decomposition singular")
     modes = []
     for z in locs:
-        e_qp = np.exp(cauchy_transform(kernel, z).value)   # e^{Q_+(xi_l)}, Im z > 0
+        e_qp = np.exp(cauchy_transform(kernel, z))   # e^{Q_+(xi_l)}, Im z > 0
         amp = -_bracket(consts, z) * e_qp / dp_dxi(problem, z)
         modes.append(SppMode(wavenumber=z, amplitude=complex(amp)))
     modes.sort(key=lambda m: m.wavenumber.imag)

@@ -105,8 +105,8 @@ def _check_factorization(_verbose):
     kernel = build_log_kernel(prob)
     worst = 0.0
     for x in np.linspace(-25.0, 25.0, 21):
-        qp = split_q(kernel, x + 1e-4j, SplitHalf.PLUS).value
-        qm = split_q(kernel, x - 1e-4j, SplitHalf.MINUS).value
+        qp = split_q(kernel, x + 1e-4j, SplitHalf.PLUS)
+        qm = split_q(kernel, x - 1e-4j, SplitHalf.MINUS)
         p_ref = complex(p_of_xi(prob, x, Sheet.FIRST))
         worst = max(worst, abs(np.exp(qp + qm) - p_ref) / abs(p_ref))
     return worst < 1e-2, f"worst relative factorization error {worst:.2e}"
@@ -117,8 +117,8 @@ def _check_plemelj(_verbose):
     kernel = build_log_kernel(prob)
     worst = 0.0
     for x in (-8.0, 1.5, 11.0):
-        qp = boundary_split_q(kernel, x, SplitHalf.PLUS).value
-        qm = boundary_split_q(kernel, x, SplitHalf.MINUS).value
+        qp = boundary_split_q(kernel, x, SplitHalf.PLUS)
+        qm = boundary_split_q(kernel, x, SplitHalf.MINUS)
         ref = complex(kernel.log_values(np.array([x]))[0])
         worst = max(worst, abs(qp + qm - ref))
     return worst < 1e-9, f"worst |Q+ + Q- - ln P| on axis {worst:.2e}"

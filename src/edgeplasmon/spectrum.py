@@ -370,20 +370,20 @@ class ConjectureResult:
     rhs: float
     agrees: bool | None  # None when marginal zeros make the census indeterminate
     report: SpectrumReport
+    n_marginal: int      # marginal zeros of all sheets; nonzero makes agrees None
 
 
 def conjecture_check(problem: Problem) -> ConjectureResult:
     """Compare the winding index against the half-integer census combination.
 
     The combination is the signed sum over the sheets (right minus left for
-    two sheets); ``report`` is the census of the first signed sheet.
+    two sheets); ``report`` is the census of the first signed sheet, and
+    ``n_marginal`` counts the marginal zeros of every sheet.
     """
     nu = winding_index(problem)
     reports = [(sign, bulk_zeros(prob)) for sign, prob in problem.signed_sheets()]
     rhs = sum(sign * rep.conjecture_rhs for sign, rep in reports)
     marginal = sum(rep.n_marginal for _, rep in reports)
-    report = reports[0][1]
-    agrees: bool | None = (rhs == nu)
-    if marginal:
-        agrees = None
-    return ConjectureResult(nu_k=nu, rhs=rhs, agrees=agrees, report=report)
+    agrees = None if marginal else rhs == nu
+    return ConjectureResult(nu_k=nu, rhs=rhs, agrees=agrees, report=reports[0][1],
+                            n_marginal=marginal)

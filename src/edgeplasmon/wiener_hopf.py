@@ -32,7 +32,6 @@ that N stays bounded as |q|/scale -> 0.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import math
@@ -54,7 +53,6 @@ from .spectrum import (
 __all__ = [
     "NonzeroIndexError",
     "SplitHalf",
-    "SplitValue",
     "UnwrappedLogKernel",
     "boundary_split_q",
     "build_log_kernel",
@@ -68,26 +66,18 @@ TWO_PI = 2.0 * math.pi
 
 
 class NonzeroIndexError(RuntimeError):
-    """Symbol has nonzero winding index: ln P is not single valued as a loop."""
+    """Symbol has nonzero winding index nu_K: ln P has no additive split, and
+    there is no discrete dispersion relation at this q.  Raised by
+    ``CauchyTable.build``, so by every route to Phi."""
 
     def __init__(self, nu_k: int):
-        super().__init__(
-            f"nu_K = {nu_k} != 0: the additive factorization does not apply; "
-            "use the index classification instead")
+        super().__init__(f"nu_K = {nu_k} != 0: no discrete dispersion relation here")
         self.nu_k = nu_k
 
 
 class SplitHalf(enum.Enum):
     PLUS = "+"
     MINUS = "-"
-
-
-@dataclasses.dataclass(frozen=True)
-class SplitValue:
-    value: complex
-    half: SplitHalf
-    eval_point: complex
-    quadrature_error_estimate: float
 
 
 class UnwrappedLogKernel:
@@ -143,12 +133,13 @@ class UnwrappedLogKernel:
         return self.memo("root_constants", self._root_constants)
 
     def _root_constants(self):
-        if self.nu_k != 0:
-            raise NonzeroIndexError(self.nu_k)
+        # the table first: it raises NonzeroIndexError, which callers
+        # classify, before quadratic_roots can raise DoubleRootError
+        self.cauchy_table()
         roots = quadratic_roots(self.problem.sigma, self.problem.q)
         coeffs = split_coefficients(self.problem.sigma, self.problem.q)
         phi_p, phi_m = cauchy_transform(self, [roots.xi_plus, roots.xi_minus])
-        return roots, coeffs, phi_p, phi_m
+        return roots, coeffs, complex(phi_p), complex(phi_m)
 
     def cauchy_table(self) -> "CauchyTable":
         """The spectral series of Phi, built once per kernel."""
@@ -213,34 +204,29 @@ def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
 # ---------------------------------------------------------------------------
 
 
-def cauchy_transform(kernel: UnwrappedLogKernel, xi0) -> SplitValue | list[SplitValue]:
+def cauchy_transform(kernel: UnwrappedLogKernel, xi0):
     """Phi(xi0) = (1/2 pi i) Int L(z)/(z - xi0) dz over the real axis.
 
     Q_+(xi0) = Phi(xi0) for Im xi0 > 0 and Q_-(xi0) = -Phi(xi0) for
     Im xi0 < 0.  On the axis the principal-value transform is returned
     (used by the Plemelj boundary formulas).  The values come from the
-    kernel's spectral series (``CauchyTable``) and carry its error
-    estimate.  ``xi0`` may be one point, which gives one ``SplitValue``,
-    or a sequence of points, which gives a list of them.
+    kernel's spectral series, ``kernel.cauchy_table().phi``; the table's
+    ``error_estimate`` bounds their error.  One point gives a complex, a
+    sequence of points an array.  Raises ``NonzeroIndexError`` when
+    nu_K != 0.
     """
-    points = np.atleast_1d(np.asarray(xi0, dtype=complex))
-    table = kernel.cauchy_table()
-    values = table.phi(points)
-    out = [SplitValue(complex(v), SplitHalf.PLUS if x.imag >= 0 else SplitHalf.MINUS,
-                      complex(x), table.error_estimate)
-           for v, x in zip(values, points)]
-    return out[0] if np.ndim(xi0) == 0 else out
+    values = kernel.cauchy_table().phi(xi0)
+    return complex(values[0]) if np.ndim(xi0) == 0 else values
 
 
-def split_q(kernel: UnwrappedLogKernel, xi0: complex, half: SplitHalf) -> SplitValue:
+def split_q(kernel: UnwrappedLogKernel, xi0: complex, half: SplitHalf) -> complex:
     """Split-function value Q_+(xi0) or Q_-(xi0).
 
     PLUS requires Im xi0 > 0 and MINUS requires Im xi0 < 0 (each split
     function is evaluated in its own half-plane of analyticity); points on
-    the axis are directed to ``boundary_split_q``.
+    the axis are directed to ``boundary_split_q``.  Raises
+    ``NonzeroIndexError`` when nu_K != 0.
     """
-    if kernel.nu_k != 0:
-        raise NonzeroIndexError(kernel.nu_k)
     xi0 = complex(xi0)
     if xi0.imag == 0.0:
         raise ValueError(
@@ -250,24 +236,22 @@ def split_q(kernel: UnwrappedLogKernel, xi0: complex, half: SplitHalf) -> SplitV
         raise ValueError("Q_+ is evaluated in the upper half-plane (Im xi0 > 0)")
     if half is SplitHalf.MINUS and xi0.imag > 0:
         raise ValueError("Q_- is evaluated in the lower half-plane (Im xi0 < 0)")
-    phi = cauchy_transform(kernel, xi0)
     sign = 1.0 if half is SplitHalf.PLUS else -1.0
-    return SplitValue(sign * phi.value, half, xi0, phi.quadrature_error_estimate)
+    return sign * cauchy_transform(kernel, xi0)
 
 
-def boundary_split_q(kernel: UnwrappedLogKernel, x: float, half: SplitHalf) -> SplitValue:
+def boundary_split_q(kernel: UnwrappedLogKernel, x: float, half: SplitHalf) -> complex:
     """Plemelj boundary value on the real axis:
 
     Q_+-(x -+/+ i0) = L(x)/2 +- (1/2 pi i) PV Int L(z)/(z - x) dz.
+
+    Raises ``NonzeroIndexError`` when nu_K != 0.
     """
-    if kernel.nu_k != 0:
-        raise NonzeroIndexError(kernel.nu_k)
     x = float(x)
     pv = cauchy_transform(kernel, complex(x))
     half_l = 0.5 * complex(kernel.log_values(np.array([x]))[0])
     sign = 1.0 if half is SplitHalf.PLUS else -1.0
-    return SplitValue(half_l + sign * pv.value, half, complex(x),
-                      pv.quadrature_error_estimate)
+    return half_l + sign * pv
 
 
 def q_asymptotic(problem: Problem, xi: complex, half: SplitHalf) -> complex:
@@ -319,11 +303,11 @@ def lambda_pm(problem: Problem, kernel: UnwrappedLogKernel, xi: complex,
     if xi.imag == 0.0:
         raise ValueError("Lambda evaluation needs an off-axis point; shift by "
                          "+-i*delta for boundary probes")
-    a = np.exp(-phi_p.value)   # e^{-Q_+(xi^+)}
-    b = np.exp(-phi_m.value)   # e^{+Q_-(xi^-)}
+    a = np.exp(-phi_p)   # e^{-Q_+(xi^+)}
+    b = np.exp(-phi_m)   # e^{+Q_-(xi^-)}
     s = 1 if half is SplitHalf.PLUS else -1
     # f = e^{-Q_+(xi)} (PLUS) or e^{+Q_-(xi)} (MINUS), e^{-Phi} on its own side
-    f = np.exp(-cauchy_transform(kernel, xi).value)
+    f = np.exp(-cauchy_transform(kernel, xi))
     if (xi.imag > 0) != (s > 0):
         f = f * p_of_xi(problem, xi, Sheet.FIRST) ** -s
 

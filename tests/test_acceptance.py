@@ -14,7 +14,6 @@ from scipy import constants
 from edgeplasmon import (
     AmbientMedium,
     ConductivityTensor,
-    IndexClassificationError,
     LongwaveParams,
     NonzeroIndexError,
     Problem,
@@ -226,7 +225,7 @@ def test_criterion_10_edge_continuity(root_problems, root_kernels):
             disc = abs(el_off.divergence_coefficient)
             assert disc > 1e-2, name
             tag = f"{disc:.2f}"
-        except (RealAxisZeroError, NonzeroIndexError, IndexClassificationError) as exc:
+        except (RealAxisZeroError, NonzeroIndexError) as exc:
             # 0.8 q leaves the discrete region entirely (continuum boundary
             # for the lossless sheet, nu = -1 pocket for case D): no
             # dispersion relation exists there, which is discrimination a

@@ -33,6 +33,12 @@ class TestSheetSqrt:
         # lossless with real q puts xi^2+q^2 on the negative reals; pick Im > 0
         w = sheet_sqrt(1.0, 2j, Sheet.FIRST)  # xi^2+q^2 = -3
         assert w == pytest.approx(1j * np.sqrt(3.0))
+        # signed zeros in xi and q that leave xi^2 + q^2 = -3 - 0j or -5 - 0j
+        for xi, q, want in ((complex(1.0, -0.0), complex(-0.0, 2.0), 3.0),
+                            (complex(-0.0, 3.0), complex(2.0, -0.0), 5.0)):
+            assert sheet_sqrt(xi, q, Sheet.FIRST) == 1j * np.sqrt(want)
+            assert sheet_sqrt(xi, q, Sheet.SECOND) == -1j * np.sqrt(want)
+            assert sheet_sqrt(np.array([xi, -xi]), q)[1] == 1j * np.sqrt(want)
 
     @given(st.complex_numbers(max_magnitude=50, allow_nan=False),
            st.complex_numbers(min_magnitude=1e-3, max_magnitude=50, allow_nan=False))

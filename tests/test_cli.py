@@ -32,6 +32,19 @@ def case_a_cfg(**extra):
     return cfg
 
 
+def two_sheet_cfg(**extra):
+    """Isotropic left sheet, sheet B on the right."""
+    cfg = {
+        "problem": {"variant": "two-sheet",
+                    "sheet_left": {"tensor": {"xx": [0.0005, 0.05], "yy": [0.0005, 0.05],
+                                              "nondimensional": True}},
+                    "sheet_right": {"tensor": {"xx": [0.001, 0.1], "yy": [0.002, 0.2],
+                                               "nondimensional": True}}},
+    }
+    cfg.update(extra)
+    return cfg
+
+
 def parse_csv(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     assert rows, f"no rows in output: {text!r}"
@@ -161,6 +174,17 @@ class TestIndexCommand:
         assert row["conjecture_agrees"] == "true"
         assert row["nu_k_star"] == "0"
 
+    def test_two_sheet_marginal_count_covers_every_sheet(self, tmp_path, capsys):
+        # the left sheet's census quartic has two marginal roots at +-iq; the
+        # row's census is the right sheet's, with none, but n_marginal is
+        # the count that left conjecture_agrees empty
+        cfg = two_sheet_cfg(index={"q_values": [[0.75 * 16.438, 0.75 * 0.164]]})
+        code, out, _ = run_cli(capsys, "index", "--config", write_cfg(tmp_path, cfg))
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert row["conjecture_agrees"] == ""
+        assert row["n_marginal"] == "2"
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failed_point_keeps_its_row(self, tmp_path, capsys, jobs):
         # sigma_xx = 0: every point fails, and each still writes its row
@@ -260,6 +284,15 @@ class TestSweepCommand:
         }
         code, _, err = run_cli(capsys, "sweep", "--config", write_cfg(tmp_path, cfg))
         assert code == 2 and "unknown model" in err
+
+    def test_two_sheet_config_is_refused(self, tmp_path, capsys):
+        # phis_pi rotates the top-level sheet, which a two-sheet problem
+        # does not read: every phi would give the same rows
+        cfg = two_sheet_cfg(sweep={"phis_pi": [0.0, 0.4, 0.8], "q_factors": [0.75],
+                                   "q_base": [16.438, 0.164]})
+        code, out, err = run_cli(capsys, "sweep", "--config", write_cfg(tmp_path, cfg))
+        assert code == 2 and out == ""
+        assert "two-sheet" in err and "phis_pi" in err
 
 
 class TestFieldCommand:

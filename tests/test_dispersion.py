@@ -9,8 +9,9 @@ from edgeplasmon import (
     AmbientMedium,
     Classification,
     ConductivityTensor,
-    IndexClassificationError,
+    DoubleRootError,
     LongwaveParams,
+    NonzeroIndexError,
     Problem,
     classify,
     f_pm_direct,
@@ -18,6 +19,7 @@ from edgeplasmon import (
     longwave_q,
     magneto_hydrodynamic,
     nondimensionalize,
+    quadratic_roots,
     residual,
     solve,
     split_coefficients,
@@ -49,7 +51,7 @@ class TestResidual:
             assert abs(f) < 1e-2, f"case {name}: |F| = {abs(f)}"
 
     def test_index_error_carries_nu(self):
-        with pytest.raises(IndexClassificationError) as exc:
+        with pytest.raises(NonzeroIndexError) as exc:
             residual(Problem.single_sheet(make_sigma("C"),
                                           0.85 * (21.657 + 0.217j)))
         assert exc.value.nu_k == -1
@@ -212,6 +214,22 @@ class TestClassify:
         assert "on the real axis" in sol.message
         assert classify(prob) is Classification.NO_SOLUTION
 
+    def test_index_refused_before_double_root(self):
+        # sigma_xy = sigma_yx = 2 sigma_xx and sigma_yy = 4 sigma_xx make the
+        # discriminant exactly 0, so quadratic_roots raises DoubleRootError,
+        # which solve does not catch; nu_K != 0 must be refused first
+        sig = ConductivityTensor(0.001 + 0.1j, 0.002 + 0.2j, 0.002 + 0.2j,
+                                 0.004 + 0.4j, nondimensional=True)
+        with pytest.raises(DoubleRootError):
+            quadratic_roots(sig, 14 + 0.1j)
+        prob = Problem.single_sheet(sig, 14 + 0.1j)
+        sol = solve(prob, prob.q)
+        assert sol.classification is Classification.NO_SOLUTION
+        assert sol.nu_k_at_solution == -1
+        assert sol.message.startswith("residual undefined at the guess: nu_K = -1")
+        assert classify(prob) is Classification.NO_SOLUTION
+        assert classify(prob.with_q(-14 - 0.1j)) is Classification.CONTINUUM_REGION
+
     def test_unresolved_series_as_solve_classifies_it(self, solutions, monkeypatch):
         def unresolved_build(kernel):
             raise QuadratureError("spectral series of L not resolved")
@@ -346,8 +364,8 @@ class TestFPm:
         prob = Problem.single_sheet(sbar, 40.0)
         kernel = build_log_kernel(prob)
         fd = f_pm_direct(lw)
-        qp = split_q(kernel, lw.alpha_plus * 40.0, SplitHalf.PLUS).value
-        qm = split_q(kernel, lw.alpha_minus * 40.0, SplitHalf.MINUS).value
+        qp = split_q(kernel, lw.alpha_plus * 40.0, SplitHalf.PLUS)
+        qm = split_q(kernel, lw.alpha_minus * 40.0, SplitHalf.MINUS)
         assert abs(fd[0] - 2j * math.pi * qp * lw.sg) < 1e-8
         assert abs(fd[1] + 2j * math.pi * qm * lw.sg) < 1e-8
 

@@ -22,10 +22,11 @@ from test_spectrum import random_passive_tensor
 def test_root_values_against_mpmath(name, root_kernels):
     # Phi(xi^+-) enters the dispersion residual directly
     kernel = root_kernels[name]
-    for split in kernel.root_constants()[2:]:
-        true = abs(split.value - mp_phi(kernel, split.eval_point))
-        assert true < 1e-12, f"{name} at {split.eval_point}: {true:.2e}"
-        assert true <= split.quadrature_error_estimate
+    roots, _, phi_p, phi_m = kernel.root_constants()
+    for value, point in ((phi_p, roots.xi_plus), (phi_m, roots.xi_minus)):
+        true = abs(value - mp_phi(kernel, point))
+        assert true < 1e-12, f"{name} at {point}: {true:.2e}"
+        assert true <= kernel.cauchy_table().error_estimate
 
 
 def test_near_axis_zero_against_mpmath():
