@@ -24,7 +24,7 @@ from .dispersion import (
     DispersionSolution,
     LongwaveParams,
     classify,
-    f_pm_direct,
+    f_pm,
     f_pm_mellin,
     longwave_q,
     residual,
@@ -65,8 +65,6 @@ from .wiener_hopf import (
     boundary_split_q,
     build_log_kernel,
     cauchy_transform,
-    lambda_pm,
-    q_asymptotic,
     split_q,
 )
 

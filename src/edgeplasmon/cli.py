@@ -26,7 +26,7 @@ from .conductivity import AmbientMedium, ConductivityTensor
 from .dispersion import (
     Classification,
     LongwaveParams,
-    f_pm_direct,
+    f_pm,
     f_pm_mellin,
     longwave_q,
     residual,
@@ -111,18 +111,23 @@ def _parse_sheet(node, medium: AmbientMedium, where: str = "sheet") -> Conductiv
     else:
         m = node["model"]
         kind = m.get("kind")
-        if kind == "magneto_hydrodynamic":
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                sigma = cond.magneto_hydrodynamic(
-                    omega=medium.omega, n0=float(m["n0"]), b0=float(m["b0"]),
-                    tau=float(m["tau"]) if "tau" in m else None)
-        elif kind == "drude":
-            sigma = cond.drude(medium.omega, float(m["weight_xx"]),
-                               float(m["weight_yy"]),
-                               float(m.get("tau", math.inf)))
-        else:
+        if kind not in ("magneto_hydrodynamic", "drude"):
             raise ConfigError(f"{where}.model.kind: unknown model {kind!r}")
+        try:
+            if kind == "magneto_hydrodynamic":
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    sigma = cond.magneto_hydrodynamic(
+                        omega=medium.omega, n0=float(m["n0"]), b0=float(m["b0"]),
+                        tau=float(m["tau"]) if "tau" in m else None)
+            else:
+                sigma = cond.drude(medium.omega, float(m["weight_xx"]),
+                                   float(m["weight_yy"]),
+                                   float(m.get("tau", math.inf)))
+        except KeyError as exc:
+            raise ConfigError(f"{where}.model: missing parameter {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}.model: {exc}") from exc
     if not sigma.nondimensional:
         sigma = cond.nondimensionalize(sigma, medium)
     phi_pi = node.get("rotation_phi_pi")
@@ -143,7 +148,9 @@ def _parse_problem(cfg, medium: AmbientMedium, q: complex) -> Problem:
             return Problem.interface(sigma, q, float(node["eps_r1"]),
                                      float(node["eps_r2"]))
         except KeyError as exc:
-            raise ConfigError(f"problem: interface needs eps_r1/eps_r2 ({exc})")
+            raise ConfigError(f"problem: interface needs eps_r1/eps_r2 ({exc})") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"problem: interface eps_r1/eps_r2: {exc}") from exc
     if variant in ("two-sheet", "two_sheet"):
         left = _parse_sheet(node.get("sheet_left"), medium, "problem.sheet_left")
         right = _parse_sheet(node.get("sheet_right"), medium, "problem.sheet_right")
@@ -373,19 +380,20 @@ def cmd_asymptote(cfg, args) -> int:
     else:
         problem = Problem.interface(sigma, q_lw, eps_sum / 2.0, eps_sum / 2.0)
     try:
-        f_full = abs(residual(problem))
+        kernel = build_log_kernel(problem)
+        f_full = abs(residual(problem, kernel=kernel))
     except Exception as exc:  # classification errors surface in the row
         sys.stderr.write(f"asymptote: residual failed: {exc}\n")
         return EXIT_NUMERICAL
     lw = LongwaveParams.from_problem(problem)
-    fd = f_pm_direct(lw)
+    fs = f_pm(kernel)
     fm = f_pm_mellin(lw)
     rows = [{
         "re_q_longwave": q_lw.real, "im_q_longwave": q_lw.imag,
         "abs_f_full": f_full,
         "re_q_breve": lw.q_breve.real, "im_q_breve": lw.q_breve.imag,
-        "rel_err_f_plus": abs(fd[0] - fm[0]) / max(abs(fd[0]), 1e-300),
-        "rel_err_f_minus": abs(fd[1] - fm[1]) / max(abs(fd[1]), 1e-300),
+        "rel_err_f_plus": abs(fs[0] - fm[0]) / max(abs(fs[0]), 1e-300),
+        "rel_err_f_minus": abs(fs[1] - fm[1]) / max(abs(fs[1]), 1e-300),
     }]
     _write_rows(rows, ASYMPTOTE_COLUMNS, args.out, args.format)
     return EXIT_OK

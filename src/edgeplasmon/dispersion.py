@@ -1,5 +1,5 @@
 """EPP dispersion relation: residual, complex root solving, classification,
-and the long-wavelength asymptotics with a direct-quadrature oracle.
+and the long-wavelength asymptotics.
 
 The discrete dispersion relation (zero-index symbols only) is
 
@@ -9,6 +9,11 @@ with the principal log branch (which sends -C^+/C^- = 1 to 0, as the
 long-wavelength limit requires).  For two coplanar sheets the residual is
 the exponential form A(q) = C^+ e^{-Q_+(xi^+)} + C^- e^{Q_-(xi^-)}, which
 avoids re-introducing a log branch.
+
+In the long-wavelength limit the integrals f^+- = +-2 pi i sg(q) Q_+-(xi^+-)
+are the series values at the roots (``f_pm``); their Mellin expansion
+(``f_pm_mellin``) is the closed form that links the relation to the
+q ln q magnetoplasmon law (``longwave_q``).
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .kernel import Problem, Variant
 from .quadrature import QuadratureError, adaptive_gk_to_infinity
 from .spectrum import (
     DegenerateQuadraticError,
+    DoubleRootError,
     RealAxisZeroError,
     SpectrumReport,
     bulk_zeros,
@@ -44,7 +50,7 @@ __all__ = [
     "DispersionSolution",
     "LongwaveParams",
     "classify",
-    "f_pm_direct",
+    "f_pm",
     "f_pm_mellin",
     "longwave_q",
     "residual",
@@ -61,9 +67,9 @@ class Classification(enum.Enum):
 
 
 # what makes the residual undefined at a q: nonzero index, real-axis zero
-# of the symbol, unresolved series, sigma_xx = 0
+# of the symbol, unresolved series, sigma_xx = 0, coincident roots xi^+ = xi^-
 RESIDUAL_FAILURES = (NonzeroIndexError, RealAxisZeroError, QuadratureError,
-                     DegenerateQuadraticError)
+                     DegenerateQuadraticError, DoubleRootError)
 
 
 def residual(problem: Problem, *, kernel: UnwrappedLogKernel | None = None) -> complex:
@@ -139,8 +145,8 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
     sigma_xy = sigma_yx, and crossing Re q = 0 is a failure).  On success
     nu_K = 0 at the root (a residual exists only there) and the bulk census
     at the root is attached.  A residual that cannot be evaluated (nonzero
-    index, real-axis zero of the symbol, unresolved series, sigma_xx = 0)
-    gives NO_SOLUTION and the reason.
+    index, real-axis zero of the symbol, unresolved series, sigma_xx = 0,
+    coincident roots) gives NO_SOLUTION and the reason.
     """
     q_guess = complex(q_guess)
     want_sign = sign_q(q_guess)
@@ -189,10 +195,10 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
                     break
                 except (NonzeroIndexError, RealAxisZeroError) as exc:
                     index_flips.append(f"q={q_next:.6g}: {exc}")
-                except QuadratureError as exc:
-                    # an unresolved series means the residual cannot be
-                    # resolved here, not that the step crossed an index
-                    # boundary; halving would only repeat it
+                except RESIDUAL_FAILURES as exc:
+                    # the other failures (an unresolved series, coincident
+                    # roots) are not an index boundary the step crossed;
+                    # halving would only repeat them
                     return no_solution(q1, f1,
                                        f"residual undefined at q={q_next:.6g}: {exc}")
             step *= 0.5
@@ -269,8 +275,8 @@ def trace_curve(problem_factory, omegas, q_seed: complex, *, tol: float = 1e-10,
 
 @dataclasses.dataclass(frozen=True)
 class LongwaveParams:
-    """Scaled variables of the small-q expansion: q_breve, alpha^+- with
-    xi^+- = q alpha^+-, and the rational factor A(zeta)."""
+    """Scaled variables of the small-q expansion: q_breve and alpha^+- with
+    xi^+- = q alpha^+-."""
 
     q_breve: complex
     alpha_plus: complex
@@ -289,51 +295,13 @@ class LongwaveParams:
             sg=sg,
         )
 
-    def a_of(self, zeta):
-        zeta = np.asarray(zeta, dtype=complex)
-        return ((zeta - self.alpha_plus) * (zeta - self.alpha_minus)
-                / np.sqrt(1.0 + zeta * zeta))
 
-
-def _f_single(lw: LongwaveParams, alpha: complex, rtol: float) -> tuple[complex, float]:
-    """One of the f integrals: Int_0^inf {z[lg(z)-lg(-z)] + a[lg(z)+lg(-z)]}
-    / (z^2 - a^2) dz with lg(z) = Log(1 + q_breve A(z))."""
-    qb = lw.q_breve
-
-    def num(z):
-        lg_p = principal_log(1.0 + qb * lw.a_of(z))
-        lg_m = principal_log(1.0 + qb * lw.a_of(-z))
-        return z * (lg_p - lg_m) + alpha * (lg_p + lg_m)
-
-    # constant subtraction when the pole z = +-alpha approaches the ray
-    pole = alpha if alpha.real >= 0 else -alpha
-    subtract = abs(pole.imag) < 0.25 * (1.0 + abs(pole.real))
-    c = complex(num(np.array([abs(pole.real)]))[0]) if subtract else 0.0
-
-    def integrand(z):
-        z = np.asarray(z, dtype=float)
-        return (num(z) - c) / (z * z - alpha * alpha)
-
-    z_big = max(10.0, 4.0 * abs(alpha)) / max(abs(qb), 1e-6)
-    z_big = min(z_big, 1e8)
-    seeds = np.array(sorted({0.5, 1.0, 2.0, abs(alpha), 2 * abs(alpha),
-                             abs(pole.real) or 0.5,
-                             min(1.0 / max(abs(qb), 1e-12), 0.5 * z_big)}))
-    res = adaptive_gk_to_infinity(integrand, z_big, rtol=rtol,
-                                  initial=seeds[seeds < z_big])
-    value = res.value
-    if subtract:
-        if alpha.imag == 0:
-            raise ValueError("alpha exactly on the ray; integral needs deformation")
-        value += c * (1j * math.pi * math.copysign(1.0, alpha.imag) / (2.0 * alpha))
-    return complex(value), res.error
-
-
-def f_pm_direct(lw: LongwaveParams, *, rtol: float = 1e-10) -> tuple[complex, complex]:
-    """(f^+, f^-) by direct quadrature; f^+- = +-2 pi i sg(q) Q_+-(xi^+-)."""
-    fp, _ = _f_single(lw, lw.alpha_plus, rtol)
-    fm, _ = _f_single(lw, lw.alpha_minus, rtol)
-    return fp, fm
+def f_pm(kernel: UnwrappedLogKernel) -> tuple[complex, complex]:
+    """(f^+, f^-) with f^+- = +-2 pi i sg(q) Q_+-(xi^+-) = 2 pi i sg(q) Phi(xi^+-),
+    read from the kernel's series (``root_constants``)."""
+    _, _, phi_p, phi_m = kernel.root_constants()
+    factor = 2j * math.pi * sign_q(kernel.problem.q)
+    return factor * phi_p, factor * phi_m
 
 
 def f_pm_mellin(lw: LongwaveParams) -> tuple[complex, complex]:
@@ -346,7 +314,7 @@ def f_pm_mellin(lw: LongwaveParams) -> tuple[complex, complex]:
     the half-plane assignment (alpha^+- themselves swap under q -> -q), so
     the same expression applies for either sign and the reflection rule
     f^+-(-q) = f^-+(q) comes out automatically.  Verified against the
-    direct quadrature for both signs of Re q.
+    series values (``f_pm``) for both signs of Re q.
     """
     qb = lw.q_breve
     big_l = complex(principal_log(2.0 / qb))
@@ -354,12 +322,6 @@ def f_pm_mellin(lw: LongwaveParams) -> tuple[complex, complex]:
     f_plus = -2.0 * qb * (am * big_l - ap)
     f_minus = -2.0 * qb * (ap * big_l - am)
     return complex(f_plus), complex(f_minus)
-
-
-def q_sum_asymptotic(lw: LongwaveParams) -> complex:
-    """Q_+(xi^+) + Q_-(xi^-) ~ (1/i pi) q_breve (alpha^+ - alpha^-)[ln(2/q_breve) + 1]."""
-    fp, fm = f_pm_mellin(lw)
-    return complex(lw.sg * (fp - fm) / (2j * math.pi))
 
 
 def longwave_q(sigma: ConductivityTensor, medium: AmbientMedium | None = None,

@@ -280,18 +280,17 @@ def _tail_value(coefs, power: float, cut: float) -> complex:
     return a_c * _e_power(power, cut) + b_c * _e_power(power + 1.0, cut)
 
 
-def _panel_nodes(span: float, max_width: float,
-                 kernel: UnwrappedLogKernel | None = None):
+def _panel_nodes(span: float, max_width: float, kernel: UnwrappedLogKernel):
     """GK15 nodes tiling [-span, span], 15 per panel in order, and the
     panel half widths.
 
-    When a kernel is given, its adaptive phase grid contributes panel
-    edges, so sharp symbol features (near-axis zeros) are resolved even
-    where the uniform oscillation-capped tiling is coarse.
+    The kernel's adaptive phase grid contributes panel edges, so sharp
+    symbol features (near-axis zeros) are resolved even where the uniform
+    oscillation-capped tiling is coarse.
     """
     n_panels = int(np.ceil(2.0 * span / max_width))
     edges = np.linspace(-span, span, n_panels + 1)
-    if kernel is not None and not kernel.trivial:
+    if not kernel.trivial:
         g = kernel.grid
         inner = g[(g > -span) & (g < span)][::4]
         edges = np.unique(np.concatenate([edges, inner]))

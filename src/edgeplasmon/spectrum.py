@@ -50,6 +50,9 @@ IM_TIE_BAND = 1e-9
 
 REAL_AXIS_MIN_MODULUS = 1e-8
 
+# a phase grid refined past this many nodes means a zero next to the axis
+PHASE_GRID_MAX_NODES = 400_000
+
 MARGINAL_BAND = 1e-8
 CLASSIFY_RESIDUAL = 1e-6
 
@@ -201,7 +204,6 @@ def unwrapped_phase_grid(
     scale: float,
     *,
     max_step_rad: float = 0.5 * math.pi,
-    max_nodes: int = 400_000,
 ):
     """Sample arg of ``pfun`` on |xi| <= 100 ``scale``, continuously unwrapped.
 
@@ -225,7 +227,7 @@ def unwrapped_phase_grid(
         bad |= np.abs(np.diff(np.log(mod))) > 0.7
         if not bad.any():
             break
-        if xs.size > max_nodes:
+        if xs.size > PHASE_GRID_MAX_NODES:
             raise RealAxisZeroError(
                 "phase refinement diverged; symbol too close to a real-axis zero")
         mids = 0.5 * (xs[:-1][bad] + xs[1:][bad])

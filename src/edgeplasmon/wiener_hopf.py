@@ -57,8 +57,6 @@ __all__ = [
     "boundary_split_q",
     "build_log_kernel",
     "cauchy_transform",
-    "lambda_pm",
-    "q_asymptotic",
     "split_q",
 ]
 
@@ -252,74 +250,6 @@ def boundary_split_q(kernel: UnwrappedLogKernel, x: float, half: SplitHalf) -> c
     half_l = 0.5 * complex(kernel.log_values(np.array([x]))[0])
     sign = 1.0 if half is SplitHalf.PLUS else -1.0
     return half_l + sign * pv
-
-
-def q_asymptotic(problem: Problem, xi: complex, half: SplitHalf) -> complex:
-    """Leading large-xi law: Q_+(xi) ~ (1/2) ln(sigma_xx xi / 2) and
-    Q_-(xi) ~ (1/2) ln(-sigma_xx xi / 2) (nondimensional units)."""
-    sxx = problem.sigma_eff.xx
-    if sxx == 0:
-        raise ValueError("sigma_xx = 0: no logarithmic tail")
-    arg = 0.5 * sxx * complex(xi)
-    if half is SplitHalf.MINUS:
-        arg = -arg
-    return 0.5 * complex(principal_log(arg))
-
-
-# ---------------------------------------------------------------------------
-# Lambda splitting
-# ---------------------------------------------------------------------------
-
-_ROOT_SERIES_BAND = 1e-6
-
-
-def _phi_derivative(kernel: UnwrappedLogKernel, xi0: complex) -> complex:
-    """dPhi/dxi at an off-axis point by Cauchy's integral formula on the
-    series: the mean of Phi(xi0 + r w)/(r w) over the 32nd roots of unity
-    w, on a circle of radius r = |Im xi0|/4 that stays in the half-plane
-    of xi0 (the trapezoid rule's error there is below 4^-32)."""
-    w = np.exp(2j * math.pi * np.arange(32) / 32)
-    r = 0.25 * abs(complex(xi0).imag)
-    return complex(np.mean(kernel.cauchy_table().phi(xi0 + r * w) / (r * w)))
-
-
-def lambda_pm(problem: Problem, kernel: UnwrappedLogKernel, xi: complex,
-              half: SplitHalf) -> complex:
-    """The splitting functions
-
-    Lambda_+(xi) = -C+ [e^{-Q+(xi)} - e^{-Q+(xi+)}]/(xi - xi+)
-                   + C- [e^{Q-(xi-)} - e^{-Q+(xi)}]/(xi - xi-),
-    Lambda_-(xi) = +C- [e^{Q-(xi)} - e^{Q-(xi-)}]/(xi - xi-)
-                   - C+ [e^{-Q+(xi+)} - e^{Q-(xi)}]/(xi - xi+),
-
-    with removable singularities at xi = xi^+- handled by a series limit.
-    Natural half-plane evaluation uses e^{-+Q_+-(xi)} = e^{-Phi(xi)}; on
-    the opposite side (needed only within a thin strip, e.g. boundary
-    probes at xi -+ i delta) the analytic continuation across the axis is
-    e^{-Q+} -> e^{-Phi}/P and e^{Q-} -> P e^{-Phi}, P being single valued.
-    """
-    xi = complex(xi)
-    roots, coeffs, phi_p, phi_m = kernel.root_constants()
-    if xi.imag == 0.0:
-        raise ValueError("Lambda evaluation needs an off-axis point; shift by "
-                         "+-i*delta for boundary probes")
-    a = np.exp(-phi_p)   # e^{-Q_+(xi^+)}
-    b = np.exp(-phi_m)   # e^{+Q_-(xi^-)}
-    s = 1 if half is SplitHalf.PLUS else -1
-    # f = e^{-Q_+(xi)} (PLUS) or e^{+Q_-(xi)} (MINUS), e^{-Phi} on its own side
-    f = np.exp(-cauchy_transform(kernel, xi))
-    if (xi.imag > 0) != (s > 0):
-        f = f * p_of_xi(problem, xi, Sheet.FIRST) ** -s
-
-    def term(c, root, value, at_own_root):
-        # c (value - f)/(xi - root); at the root of the own half its limit
-        # is -c f'(root) = c Phi'(root) value
-        if at_own_root and abs(xi - root) < _ROOT_SERIES_BAND * kernel.scale:
-            return c * _phi_derivative(kernel, root) * value
-        return c * (value - f) / (xi - root)
-
-    return complex(s * (term(coeffs.c_plus, roots.xi_plus, a, s > 0)
-                        + term(coeffs.c_minus, roots.xi_minus, b, s < 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Independent reference for Phi: the pointwise adaptive Cauchy integral.
+"""Independent references for Phi and for the long-wavelength f+-.
 
+``adaptive_phi`` is the pointwise adaptive Cauchy integral:
 Phi(xi0) = (1/2 pi i) Int L(z)/(z - xi0) dz, integrated directly from the
 kernel's log values with linear subtraction of L about t0 = Re xi0, exact
 closed forms for the subtracted part, and the tail |z| > span folded onto
@@ -7,6 +8,10 @@ a finite interval with the pair +-z summed (the symmetric integral at
 infinity).  All points are integrated in one adaptive pass that shares
 every evaluation of L; each meets its own tolerance.  It shares no code
 with the spectral series beyond ``log_values``.
+
+``direct_f_pm`` integrates f^+- = +-2 pi i sg(q) Q_+-(xi^+-) in the scaled
+long-wavelength variables straight from the symbol, sharing no code with
+the kernel at all.
 """
 
 import math
@@ -14,9 +19,9 @@ import math
 import mpmath as mp
 import numpy as np
 
-from edgeplasmon.branches import Sheet
+from edgeplasmon.branches import Sheet, principal_log
 from edgeplasmon.kernel import dp_dxi, p_of_xi
-from edgeplasmon.quadrature import adaptive_gk
+from edgeplasmon.quadrature import adaptive_gk, adaptive_gk_to_infinity
 from edgeplasmon.spectrum import bulk_zeros
 
 TWO_PI = 2.0 * math.pi
@@ -122,3 +127,53 @@ def mp_phi(kernel, z, dps=30):
                 marks.update({centre - step, centre + step})
         pts = sorted(m for m in marks if m >= 0.0)
         return complex(mp.quad(f, pts + [mp.inf]) / (2j * mp.pi))
+
+
+def _a_of(lw, zeta):
+    """The rational factor A(zeta) = (zeta - alpha^+)(zeta - alpha^-)/sqrt(1 + zeta^2)
+    of the scaled symbol P = 1 + q_breve A(zeta)."""
+    zeta = np.asarray(zeta, dtype=complex)
+    return ((zeta - lw.alpha_plus) * (zeta - lw.alpha_minus)
+            / np.sqrt(1.0 + zeta * zeta))
+
+
+def _f_single(lw, alpha: complex, rtol: float) -> tuple[complex, float]:
+    """One of the f integrals: Int_0^inf {z[lg(z)-lg(-z)] + a[lg(z)+lg(-z)]}
+    / (z^2 - a^2) dz with lg(z) = Log(1 + q_breve A(z)), and its error estimate."""
+    qb = lw.q_breve
+
+    def num(z):
+        lg_p = principal_log(1.0 + qb * _a_of(lw, z))
+        lg_m = principal_log(1.0 + qb * _a_of(lw, -z))
+        return z * (lg_p - lg_m) + alpha * (lg_p + lg_m)
+
+    # constant subtraction when the pole z = +-alpha approaches the ray
+    pole = alpha if alpha.real >= 0 else -alpha
+    subtract = abs(pole.imag) < 0.25 * (1.0 + abs(pole.real))
+    c = complex(num(np.array([abs(pole.real)]))[0]) if subtract else 0.0
+
+    def integrand(z):
+        z = np.asarray(z, dtype=float)
+        return (num(z) - c) / (z * z - alpha * alpha)
+
+    z_big = max(10.0, 4.0 * abs(alpha)) / max(abs(qb), 1e-6)
+    z_big = min(z_big, 1e8)
+    seeds = np.array(sorted({0.5, 1.0, 2.0, abs(alpha), 2 * abs(alpha),
+                             abs(pole.real) or 0.5,
+                             min(1.0 / max(abs(qb), 1e-12), 0.5 * z_big)}))
+    res = adaptive_gk_to_infinity(integrand, z_big, rtol=rtol,
+                                  initial=seeds[seeds < z_big])
+    value = res.value
+    if subtract:
+        if alpha.imag == 0:
+            raise ValueError("alpha exactly on the ray; integral needs deformation")
+        value += c * (1j * math.pi * math.copysign(1.0, alpha.imag) / (2.0 * alpha))
+    return complex(value), res.error
+
+
+def direct_f_pm(lw, rtol=1e-10):
+    """((f^+, f^-), (error^+, error^-)) by direct adaptive quadrature of
+    the f integrals, for ``LongwaveParams`` lw."""
+    (fp, ep), (fm, em) = (_f_single(lw, alpha, rtol)
+                          for alpha in (lw.alpha_plus, lw.alpha_minus))
+    return (fp, fm), (ep, em)

@@ -21,7 +21,7 @@ from edgeplasmon import (
     build_log_kernel,
     bulk_zeros,
     edge_limits,
-    f_pm_direct,
+    f_pm,
     f_pm_mellin,
     longwave_q,
     magneto_hydrodynamic,
@@ -32,6 +32,7 @@ from edgeplasmon import (
     vm_isotropic_residual,
     winding_index,
 )
+from cauchy_oracle import direct_f_pm
 from conftest import make_sigma
 
 
@@ -196,19 +197,28 @@ def test_criterion_09_long_wavelength():
     q_lw = longwave_q(sbar)
     f_full = abs(residual(Problem.single_sheet(sbar, q_lw)))
     assert f_full < 0.05
-    rels = []
+    rels, gaps = [], []
     for qb in (1e-2, 1e-3, 1e-4):
-        q = complex(qb / (0.5j * complex(sbar.xx)))
-        lw = LongwaveParams.from_problem(Problem.single_sheet(sbar, q))
-        fd, fm = f_pm_direct(lw), f_pm_mellin(lw)
-        rels.append(max(abs(fd[0] - fm[0]) / abs(fd[0]),
-                        abs(fd[1] - fm[1]) / abs(fd[1])))
+        prob = Problem.single_sheet(sbar, complex(qb / (0.5j * complex(sbar.xx))))
+        kernel = build_log_kernel(prob)
+        lw = LongwaveParams.from_problem(prob)
+        fs, fm = f_pm(kernel), f_pm_mellin(lw)
+        # the series f+- against the direct quadrature, within both error
+        # estimates (the series bounds Phi, and f = 2 pi i sg Phi)
+        fd, fd_err = direct_f_pm(lw)
+        bound = 2 * math.pi * kernel.cauchy_table().error_estimate
+        for series, direct, err in zip(fs, fd, fd_err):
+            assert abs(series - direct) <= bound + err
+            gaps.append(abs(series - direct))
+        rels.append(max(abs(fs[0] - fm[0]) / abs(fs[0]),
+                        abs(fs[1] - fm[1]) / abs(fs[1])))
     assert rels[1] <= 0.02
     shrink = abs(1e-3 * math.log(1e-3)) / abs(1e-2 * math.log(1e-2))
     assert rels[1] / rels[0] <= shrink
     assert rels[2] / rels[1] <= abs(1e-4 * math.log(1e-4)) / abs(1e-3 * math.log(1e-3))
     report(9, f"|F| = {f_full:.2e} at q = {q_lw.real:.3f}; "
-              f"Mellin rel errs {rels[0]:.1e}, {rels[1]:.1e}, {rels[2]:.1e}")
+              f"Mellin rel errs {rels[0]:.1e}, {rels[1]:.1e}, {rels[2]:.1e}; "
+              f"series vs direct f+- within {max(gaps):.1e}")
 
 
 def test_criterion_10_edge_continuity(root_problems, root_kernels):

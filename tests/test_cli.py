@@ -84,6 +84,20 @@ class TestConfigErrors:
                                write_cfg(tmp_path, cfg))
         assert code == 2 and "[re, im]" in err
 
+    def test_model_missing_parameter(self, tmp_path, capsys):
+        cfg = case_a_cfg(sheet={"model": {"kind": "magneto_hydrodynamic", "b0": 3.575}})
+        code, _, err = run_cli(capsys, "solve", "--config",
+                               write_cfg(tmp_path, cfg))
+        assert code == 2
+        assert err.startswith("config error: sheet.model") and "n0" in err
+
+    def test_non_numeric_permittivity(self, tmp_path, capsys):
+        cfg = case_a_cfg(problem={"variant": "interface", "eps_r1": "abc", "eps_r2": 1.0})
+        code, _, err = run_cli(capsys, "solve", "--config",
+                               write_cfg(tmp_path, cfg))
+        assert code == 2
+        assert err.startswith("config error: problem") and "abc" in err
+
 
 class TestSolveCommand:
     def test_case_a(self, tmp_path, capsys):
@@ -116,6 +130,17 @@ class TestSolveCommand:
                                write_cfg(tmp_path, cfg))
         assert code == 1
         assert parse_csv(out)[0]["classification"] == "no-solution"
+
+    def test_double_root_writes_its_rows(self, tmp_path, capsys):
+        # sigma_yy = sigma_xy = sigma_yx = 0: the discriminant vanishes for
+        # every q, so each guess is a NO_SOLUTION row rather than an abort
+        cfg = {"sheet": {"tensor": {"xx": [0.001, 0.2], "yy": [0, 0]}},
+               "solve": {"q_guesses": [[12, 0.1], [30, 0.3]]}}
+        code, out, _ = run_cli(capsys, "solve", "--config",
+                               write_cfg(tmp_path, cfg))
+        assert code == 1
+        rows = parse_csv(out)
+        assert [r["classification"] for r in rows] == ["no-solution"] * 2
 
     def test_determinism_excluding_wall_ms(self, tmp_path, capsys):
         path = write_cfg(tmp_path, case_a_cfg())

@@ -14,7 +14,7 @@ from edgeplasmon import (
     NonzeroIndexError,
     Problem,
     classify,
-    f_pm_direct,
+    f_pm,
     f_pm_mellin,
     longwave_q,
     magneto_hydrodynamic,
@@ -28,9 +28,9 @@ from edgeplasmon import (
 )
 from edgeplasmon import dispersion
 from edgeplasmon.branches import principal_log
-from edgeplasmon.dispersion import q_sum_asymptotic
 from edgeplasmon.quadrature import QuadratureError
 from edgeplasmon.wiener_hopf import CauchyTable, build_log_kernel
+from cauchy_oracle import direct_f_pm
 from conftest import CASE_REFERENCE_Q, make_sigma
 
 
@@ -216,8 +216,8 @@ class TestClassify:
 
     def test_index_refused_before_double_root(self):
         # sigma_xy = sigma_yx = 2 sigma_xx and sigma_yy = 4 sigma_xx make the
-        # discriminant exactly 0, so quadratic_roots raises DoubleRootError,
-        # which solve does not catch; nu_K != 0 must be refused first
+        # discriminant exactly 0, so quadratic_roots raises DoubleRootError;
+        # nu_K != 0 must still be refused first, with its index
         sig = ConductivityTensor(0.001 + 0.1j, 0.002 + 0.2j, 0.002 + 0.2j,
                                  0.004 + 0.4j, nondimensional=True)
         with pytest.raises(DoubleRootError):
@@ -229,6 +229,20 @@ class TestClassify:
         assert sol.message.startswith("residual undefined at the guess: nu_K = -1")
         assert classify(prob) is Classification.NO_SOLUTION
         assert classify(prob.with_q(-14 - 0.1j)) is Classification.CONTINUUM_REGION
+
+    def test_double_root_is_no_solution(self):
+        # sigma_xy = sigma_yx = sigma_yy = 0 at nu_K = 0: the residual is
+        # undefined for coincident roots, a NO_SOLUTION with its reason
+        prob = Problem.single_sheet(
+            ConductivityTensor.diagonal(0.001 + 0.2j, 0, nondimensional=True), 12 + 0.1j)
+        assert build_log_kernel(prob).nu_k == 0
+        with pytest.raises(DoubleRootError):
+            residual(prob)
+        sol = solve(prob, prob.q)
+        assert sol.classification is Classification.NO_SOLUTION
+        assert sol.message == ("residual undefined at the guess: "
+                               "coincident roots xi^+ = xi^-; splitting singular")
+        assert classify(prob) is Classification.NO_SOLUTION
 
     def test_unresolved_series_as_solve_classifies_it(self, solutions, monkeypatch):
         def unresolved_build(kernel):
@@ -354,29 +368,28 @@ class TestLongwave:
 
 
 class TestFPm:
-    def params(self, q):
+    def problem(self, q):
         sbar, _ = magneto_sbar(ratio=100.0)
-        return LongwaveParams.from_problem(Problem.single_sheet(sbar, q)), sbar
+        return Problem.single_sheet(sbar, q)
 
     def test_direct_matches_split_route(self):
-        from edgeplasmon import build_log_kernel, split_q, SplitHalf
-        lw, sbar = self.params(40.0)
-        prob = Problem.single_sheet(sbar, 40.0)
+        # the series values against the independent direct quadrature, within
+        # the sum of both error estimates (the series bounds Phi, f = 2 pi i Phi)
+        prob = self.problem(40.0)
         kernel = build_log_kernel(prob)
-        fd = f_pm_direct(lw)
-        qp = split_q(kernel, lw.alpha_plus * 40.0, SplitHalf.PLUS)
-        qm = split_q(kernel, lw.alpha_minus * 40.0, SplitHalf.MINUS)
-        assert abs(fd[0] - 2j * math.pi * qp * lw.sg) < 1e-8
-        assert abs(fd[1] + 2j * math.pi * qm * lw.sg) < 1e-8
+        fd, fd_err = direct_f_pm(LongwaveParams.from_problem(prob))
+        bound = 2 * math.pi * kernel.cauchy_table().error_estimate
+        for series, direct, err in zip(f_pm(kernel), fd, fd_err):
+            assert abs(series - direct) <= bound + err
 
     def test_mellin_error_scaling(self):
         sbar, _ = magneto_sbar(ratio=100.0)
         rels = []
         for qb in (1e-2, 1e-3, 1e-4):
-            q = complex(qb / (0.5j * complex(sbar.xx)))
-            lw = LongwaveParams.from_problem(Problem.single_sheet(sbar, q))
-            fd, fm = f_pm_direct(lw), f_pm_mellin(lw)
-            rels.append(abs(fd[0] - fm[0]) / abs(fd[0]))
+            prob = self.problem(complex(qb / (0.5j * complex(sbar.xx))))
+            fs = f_pm(build_log_kernel(prob))
+            fm = f_pm_mellin(LongwaveParams.from_problem(prob))
+            rels.append(abs(fs[0] - fm[0]) / abs(fs[0]))
         assert rels[1] <= 0.02
         # shrink at least as fast as |q_breve ln q_breve|
         assert rels[1] / rels[0] <= abs(1e-3 * math.log(1e-3)) \
@@ -387,26 +400,34 @@ class TestFPm:
     def test_reflection_rule(self):
         # f^+-(-q) = f^-+(q): the alpha labels swap with the half-plane
         # assignment and carry the values across
-        lw_p, sbar = self.params(40.0 + 0.4j)
-        lw_m = LongwaveParams.from_problem(Problem.single_sheet(sbar, -40.0 - 0.4j))
-        fd_p = f_pm_direct(lw_p)
-        fd_m = f_pm_direct(lw_m)
-        assert fd_m[0] == pytest.approx(fd_p[1], rel=1e-8)
-        assert fd_m[1] == pytest.approx(fd_p[0], rel=1e-8)
-        fm_p, fm_m = f_pm_mellin(lw_p), f_pm_mellin(lw_m)
+        prob_p, prob_m = self.problem(40.0 + 0.4j), self.problem(-40.0 - 0.4j)
+        fs_p = f_pm(build_log_kernel(prob_p))
+        fs_m = f_pm(build_log_kernel(prob_m))
+        assert fs_m[0] == pytest.approx(fs_p[1], rel=1e-8)
+        assert fs_m[1] == pytest.approx(fs_p[0], rel=1e-8)
+        fm_p = f_pm_mellin(LongwaveParams.from_problem(prob_p))
+        fm_m = f_pm_mellin(LongwaveParams.from_problem(prob_m))
         assert fm_m[0] == pytest.approx(fm_p[1], rel=1e-12)
 
     def test_degenerate_alphas_annihilate_leading_term(self):
+        # Q+(xi+) + Q-(xi-) = sg (f+ - f-)/(2 pi i) has no leading term
+        # when alpha^+ = alpha^-
         lw = LongwaveParams(q_breve=1e-3, alpha_plus=0.3 + 1j,
                             alpha_minus=0.3 + 1j, sg=1)
-        assert q_sum_asymptotic(lw) == 0
+        fp, fm = f_pm_mellin(lw)
+        assert fp - fm == 0
 
     def test_combined_sum_matches_q_expansion(self):
         # Q+(xi+) + Q-(xi-) ~ (1/i pi) q_breve (a+ - a-)[ln(2/q_breve) + 1]
         sbar, _ = magneto_sbar(ratio=100.0)
         qb = 1e-3
-        q = complex(qb / (0.5j * complex(sbar.xx)))
-        lw = LongwaveParams.from_problem(Problem.single_sheet(sbar, q))
-        fd = f_pm_direct(lw)
-        sum_direct = lw.sg * (fd[0] - fd[1]) / (2j * math.pi)
-        assert q_sum_asymptotic(lw) == pytest.approx(sum_direct, rel=2e-2)
+        prob = self.problem(complex(qb / (0.5j * complex(sbar.xx))))
+        lw = LongwaveParams.from_problem(prob)
+        fs, fm = f_pm(build_log_kernel(prob)), f_pm_mellin(lw)
+        sum_series = lw.sg * (fs[0] - fs[1]) / (2j * math.pi)
+        sum_mellin = lw.sg * (fm[0] - fm[1]) / (2j * math.pi)
+        qbl = lw.q_breve
+        assert sum_mellin == pytest.approx(
+            lw.sg * qbl * (lw.alpha_plus - lw.alpha_minus)
+            * (principal_log(2 / qbl) + 1) / (1j * math.pi), rel=1e-12)
+        assert sum_mellin == pytest.approx(sum_series, rel=2e-2)

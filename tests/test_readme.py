@@ -1,4 +1,5 @@
-"""The README's Python quick start runs and prints what its comments say."""
+"""The README's Python quick start runs and prints what its comments say, and
+its CLI config block runs."""
 
 import contextlib
 import io
@@ -6,6 +7,8 @@ import pathlib
 import re
 
 import pytest
+
+from edgeplasmon.cli import main
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,3 +40,20 @@ def test_index_off_the_root(quick_start):
     off = quick_start["off"]
     assert quick_start["winding_index"](off) == -1
     assert quick_start["bulk_zeros"](off).counts() == (0, 2, 1, 1)
+
+
+@pytest.fixture(scope="module")
+def cli_config(tmp_path_factory):
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## CLI", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    path = tmp_path_factory.mktemp("readme") / "cfg.json"
+    path.write_text(block, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["solve", "index", "sweep", "field"])
+def test_cli_config_runs(cli_config, command, capsys):
+    # every command the README's config block has a section for succeeds
+    assert main([command, "--config", cli_config]) == 0
+    assert capsys.readouterr().out.count("\n") >= 2    # a header and a row

@@ -13,14 +13,13 @@ from edgeplasmon import (
     boundary_split_q,
     build_log_kernel,
     cauchy_transform,
-    lambda_pm,
     p_of_xi,
-    q_asymptotic,
     quadratic_roots,
     residual,
     split_q,
 )
 from edgeplasmon import wiener_hopf
+from edgeplasmon.branches import principal_log
 from edgeplasmon.field import _field_contour, _vertical_panels
 from cauchy_oracle import adaptive_phi
 from conftest import make_sigma
@@ -221,41 +220,26 @@ class TestBoundaryValues:
 
 
 class TestQAsymptotic:
-    def test_log_scaling_law(self, root_problems):
-        prob = root_problems["B"]
-        xi = 40.0 + 60.0j
-        d = q_asymptotic(prob, 2 * xi, SplitHalf.PLUS) \
-            - q_asymptotic(prob, xi, SplitHalf.PLUS)
-        assert d == pytest.approx(0.5 * math.log(2.0))
-
-    def test_minus_half_mirrors_plus(self, root_problems):
-        prob = root_problems["B"]
-        xi = 25.0 + 3.0j
-        assert q_asymptotic(prob, -xi, SplitHalf.MINUS) \
-            == q_asymptotic(prob, xi, SplitHalf.PLUS)
-
     def test_quadrature_approaches_log_law(self, root_kernels, root_problems):
-        # |Q_+(iR) - asymptote| * R/(ln R + 1) stays bounded as R grows
+        # |Q_+(iR) - asymptote| * R/(ln R + 1) stays bounded as R grows,
+        # the asymptote being the large-xi law Q_+(xi) ~ (1/2) ln(sigma_xx xi/2)
         kernel, prob = root_kernels["B"], root_problems["B"]
         bounds = []
         for r_mag in (1e2, 1e3, 1e4):
             direct = split_q(kernel, 1j * r_mag, SplitHalf.PLUS)
-            asym = q_asymptotic(prob, 1j * r_mag, SplitHalf.PLUS)
+            asym = 0.5 * complex(principal_log(0.5 * prob.sigma_eff.xx * 1j * r_mag))
             bounds.append(abs(direct - asym) * r_mag / (math.log(r_mag) + 1.0))
         assert max(bounds) < 50.0
         assert bounds[2] < 4.0 * bounds[0] + 1.0
 
 
 class TestLambda:
-    def _constants(self, kernel):
-        roots, coeffs, phi_p, phi_m = kernel.root_constants()
-        return roots, coeffs, np.exp(-phi_p), np.exp(-phi_m)
-
     def test_reconstruction_identity_on_grid(self, root_problems, root_kernels):
         # -i[Lambda_+ + Lambda_-] = (q s_yx + xi s_xx) K-hat e^{-Q_+} on a
         # thousand-point grid parallel to the real axis
         prob, kernel = root_problems["C"], root_kernels["C"]
-        roots, coeffs, a, b = self._constants(kernel)
+        roots, coeffs, phi_p, phi_m = kernel.root_constants()
+        a, b = np.exp(-phi_p), np.exp(-phi_m)
         table = kernel.cauchy_table()
         delta = 1e-6 * kernel.scale
         xi = np.linspace(-3 * abs(prob.q), 3 * abs(prob.q), 1000) + 1j * delta
@@ -273,45 +257,6 @@ class TestLambda:
             xi * xi + prob.q * prob.q)) * e_mqp
         rel = np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-12)
         assert rel.max() < 1e-8
-
-    def test_lambda_pm_matches_table_construction(self, root_problems, root_kernels):
-        prob, kernel = root_problems["C"], root_kernels["C"]
-        roots, coeffs, a, b = self._constants(kernel)
-        for xi in (3.0 + 0.5j, -11.0 + 2.0j):
-            phi = cauchy_transform(kernel, xi)
-            e_mqp = np.exp(-phi)
-            manual = (-coeffs.c_plus * (e_mqp - a) / (xi - roots.xi_plus)
-                      + coeffs.c_minus * (b - e_mqp) / (xi - roots.xi_minus))
-            assert lambda_pm(prob, kernel, xi, SplitHalf.PLUS) \
-                == pytest.approx(manual, rel=1e-9)
-        for xi in (4.0 - 1.0j, -6.0 - 3.0j):
-            phi = cauchy_transform(kernel, xi)
-            e_qm = np.exp(-phi)
-            manual = (coeffs.c_minus * (e_qm - b) / (xi - roots.xi_minus)
-                      - coeffs.c_plus * (a - e_qm) / (xi - roots.xi_plus))
-            assert lambda_pm(prob, kernel, xi, SplitHalf.MINUS) \
-                == pytest.approx(manual, rel=1e-9)
-
-    def test_zero_sheet_lambda_vanishes(self):
-        prob = Problem.single_sheet(make_sigma("A"), 12.171985)
-        kernel = build_log_kernel(prob)
-        # Lambda for the empty sheet is identically zero: C+ a = C- b = 1/2
-        # and e^{-Q} = 1 (via a trivial kernel)
-        zero_prob = Problem.single_sheet(
-            ConductivityTensor.diagonal(0, 0, nondimensional=True), 12.0)
-        zero_kernel = build_log_kernel(zero_prob)
-        with pytest.raises(Exception):
-            # quadratic roots are undefined for the empty sheet
-            lambda_pm(zero_prob, zero_kernel, 2j, SplitHalf.PLUS)
-
-    def test_removable_singularity_at_root(self, root_problems, root_kernels):
-        prob, kernel = root_problems["C"], root_kernels["C"]
-        roots, _, _, _ = self._constants(kernel)
-        inside = lambda_pm(prob, kernel, roots.xi_plus + 1e-8, SplitHalf.PLUS)
-        outside = lambda_pm(prob, kernel,
-                            roots.xi_plus + 5e-6 * kernel.scale, SplitHalf.PLUS)
-        assert np.isfinite(inside)
-        assert inside == pytest.approx(outside, rel=2e-4)
 
 
 class TestCauchyTable:
