@@ -72,9 +72,16 @@ def _complex_pair(node, where: str) -> complex:
     return complex(float(node[0]), float(node[1]))
 
 
+def _mapping(node, where: str) -> dict:
+    if not isinstance(node, dict):
+        raise ConfigError(f"{where}: expected an object, got {node!r}")
+    return node
+
+
 def _parse_medium(node) -> AmbientMedium:
     if node is None:
         return AmbientMedium.vacuum(omega=1.0)
+    _mapping(node, "medium")
     try:
         if "eps_r" in node or "mu_r" in node:
             return AmbientMedium.relative(
@@ -88,16 +95,22 @@ def _parse_medium(node) -> AmbientMedium:
         raise ConfigError(f"medium: {exc}") from exc
 
 
+def _point_medium(cfg, omega: float) -> AmbientMedium:
+    """The config's medium at the frequency of one row."""
+    return _parse_medium({**_mapping(cfg.get("medium") or {}, "medium"), "omega": omega})
+
+
 def _parse_sheet(node, medium: AmbientMedium, where: str = "sheet") -> ConductivityTensor:
     if node is None:
         raise ConfigError(f"{where}: missing sheet specification")
+    _mapping(node, where)
     has_tensor = "tensor" in node
     has_model = "model" in node
     if has_tensor == has_model:
         raise ConfigError(
             f"{where}: exactly one of 'tensor' or 'model' must be given")
     if has_tensor:
-        t = node["tensor"]
+        t = _mapping(node["tensor"], f"{where}.tensor")
         try:
             sigma = ConductivityTensor(
                 xx=_complex_pair(t["xx"], f"{where}.tensor.xx"),
@@ -109,7 +122,7 @@ def _parse_sheet(node, medium: AmbientMedium, where: str = "sheet") -> Conductiv
         except KeyError as exc:
             raise ConfigError(f"{where}.tensor: missing entry {exc}") from exc
     else:
-        m = node["model"]
+        m = _mapping(node["model"], f"{where}.model")
         kind = m.get("kind")
         if kind not in ("magneto_hydrodynamic", "drude"):
             raise ConfigError(f"{where}.model.kind: unknown model {kind!r}")
@@ -132,12 +145,16 @@ def _parse_sheet(node, medium: AmbientMedium, where: str = "sheet") -> Conductiv
         sigma = cond.nondimensionalize(sigma, medium)
     phi_pi = node.get("rotation_phi_pi")
     if phi_pi is not None:
-        sigma = cond.rotate(sigma, float(phi_pi) * math.pi)
+        try:
+            phi = float(phi_pi) * math.pi
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}.rotation_phi_pi: {exc}") from exc
+        sigma = cond.rotate(sigma, phi)
     return sigma
 
 
 def _parse_problem(cfg, medium: AmbientMedium, q: complex) -> Problem:
-    node = cfg.get("problem", {"variant": "single"})
+    node = _mapping(cfg.get("problem", {"variant": "single"}), "problem")
     variant = node.get("variant", "single")
     if variant == "single":
         sigma = _parse_sheet(cfg.get("sheet"), medium)
@@ -201,9 +218,12 @@ SOLVE_COLUMNS = ["omega", "re_q", "im_q", "nu_k", "n_plus", "n_minus",
 
 
 def _solve_row(cfg, omega: float, guess: complex) -> dict:
-    medium = _parse_medium({**(cfg.get("medium") or {}), "omega": omega})
+    medium = _point_medium(cfg, omega)
     problem = _parse_problem(cfg, medium, guess)
-    tol = float(cfg.get("solve", {}).get("tol", 1e-10))
+    try:
+        tol = float(cfg.get("solve", {}).get("tol", 1e-10))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"solve.tol: {exc}") from exc
     t0 = time.perf_counter()
     sol = solve(problem, guess, tol=tol)
     wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
@@ -225,8 +245,9 @@ def _solve_row(cfg, omega: float, guess: complex) -> dict:
 
 
 def cmd_solve(cfg, args) -> int:
-    omegas = cfg.get("solve", {}).get("omegas") or [_parse_medium(cfg.get("medium")).omega]
-    guesses = _q_guesses(cfg.get("solve", {}))
+    node = _mapping(cfg.get("solve", {}), "solve")
+    omegas = node.get("omegas") or [_parse_medium(cfg.get("medium")).omega]
+    guesses = _q_guesses(node)
     points = [(float(w), g) for w in omegas for g in guesses]
     rows = _dispatch(_solve_row, cfg, points, args.jobs)
     _write_rows(rows, SOLVE_COLUMNS, args.out, args.format)
@@ -243,10 +264,12 @@ def _index_row(cfg, omega: float, q: complex) -> dict:
     fields empty and puts the error in ``conjecture_agrees``."""
     t0 = time.perf_counter()
     try:
-        medium = _parse_medium({**(cfg.get("medium") or {}), "omega": omega})
+        medium = _point_medium(cfg, omega)
         problem = _parse_problem(cfg, medium, q)
         res = conjecture_check(problem)
-        nu_star = dual_winding_index(problem)
+        nu_star = res.nu_star
+        if nu_star is None:
+            nu_star = dual_winding_index(problem)
         row = {
             "nu_k": res.nu_k, "nu_k_star": nu_star,
             "n_plus": res.report.n_plus, "n_minus": res.report.n_minus,
@@ -289,8 +312,7 @@ def _sweep_point(cfg, phi_pi: float, factor: float) -> dict:
     base_q = _complex_pair(sweep["q_base"], "sweep.q_base")
     q = factor * base_q
     medium = _parse_medium(cfg.get("medium"))
-    sheet_cfg = dict(cfg.get("sheet", {}))
-    sheet_cfg["rotation_phi_pi"] = phi_pi
+    sheet_cfg = {**_mapping(cfg.get("sheet", {}), "sheet"), "rotation_phi_pi": phi_pi}
     cfg_local = dict(cfg)
     cfg_local["sheet"] = sheet_cfg
     row = _index_row(cfg_local, medium.omega, q)
@@ -302,6 +324,7 @@ def cmd_sweep(cfg, args) -> int:
     node = cfg.get("sweep")
     if not node:
         raise ConfigError("missing 'sweep' section")
+    _mapping(node, "sweep")
     try:
         phis = [float(p) for p in node["phis_pi"]]
         factors = [float(f) for f in node["q_factors"]]
@@ -333,6 +356,7 @@ def cmd_field(cfg, args) -> int:
     node = cfg.get("field")
     if not node:
         raise ConfigError("missing 'field' section")
+    _mapping(node, "field")
     medium = _parse_medium(cfg.get("medium"))
     xs = node.get("x_values")
     if not xs:
@@ -370,7 +394,7 @@ ASYMPTOTE_COLUMNS = ["re_q_longwave", "im_q_longwave", "abs_f_full",
 def cmd_asymptote(cfg, args) -> int:
     medium = _parse_medium(cfg.get("medium"))
     sigma = _parse_sheet(cfg.get("sheet"), medium)
-    node = cfg.get("asymptote", {})
+    node = _mapping(cfg.get("asymptote", {}), "asymptote")
     eps_sum = float(node.get("eps_sum", 2.0))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -467,7 +491,7 @@ def main(argv=None) -> int:
                              f"column {exc.colno}: {exc.msg}\n")
             return EXIT_CONFIG
     try:
-        return COMMANDS[args.command](cfg, args)
+        return COMMANDS[args.command](_mapping(cfg, "config"), args)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return EXIT_CONFIG

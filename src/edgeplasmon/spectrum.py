@@ -7,6 +7,9 @@ the second sheet (N*^+/N*^-).  P P* = 1 + num^2/(4(xi^2 + q^2)) has the
 census quartic as numerator and its poles +-iq one in each half-plane, so
 nu_K + nu* = (N^+ - N^-)/2 + (N*^+ - N*^-)/2, nu* the index of P*, wherever
 no zero is marginal: the census conjecture (nu_K alone) is nu* = 0.
+``ConjectureResult.nu_star`` reads nu* from that identity, so an index row
+needs one phase pass, on P; the phase pass on P* (``dual_winding_index``)
+serves only rows with a marginal zero.
 """
 
 from __future__ import annotations
@@ -373,6 +376,13 @@ class ConjectureResult:
     agrees: bool | None  # None when marginal zeros make the census indeterminate
     report: SpectrumReport
     n_marginal: int      # marginal zeros of all sheets; nonzero makes agrees None
+
+    @property
+    def nu_star(self) -> int | None:
+        """Index of the dual symbol P* from nu_K + nu* = rhs; None when a
+        marginal zero leaves the census short (``dual_winding_index`` then).
+        With all four roots of each quartic counted, rhs is an integer."""
+        return None if self.n_marginal else int(self.rhs) - self.nu_k
 
 
 def conjecture_check(problem: Problem) -> ConjectureResult:

@@ -366,10 +366,14 @@ class _KinkSplit:
         t, pi_n, deep = self.sides[sign]
         out = np.empty(r.shape, dtype=complex)
         near = np.abs(r) >= DEEP_RADIUS
-        rn = r[near]
-        out[near] = ((np.polyval(t, rn) * _c_plus(rn) + np.polyval(pi_n, rn) * rn)
-                     * rn ** -KINK_ORDER / self.kappa)
-        out[~near] = r[~near, None] ** np.arange(1, KINK_TERMS + 1) @ deep
+        # a branch with no points is skipped: the root pair xi+- is often
+        # all near or all deep
+        if near.any():
+            rn = r[near]
+            out[near] = ((np.polyval(t, rn) * _c_plus(rn) + np.polyval(pi_n, rn) * rn)
+                         * rn ** -KINK_ORDER / self.kappa)
+        if not near.all():
+            out[~near] = r[~near, None] ** np.arange(1, KINK_TERMS + 1) @ deep
         return out
 
 

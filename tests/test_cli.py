@@ -1,10 +1,13 @@
 import csv
+import dataclasses
 import io
 import json
 import math
 
 import pytest
 
+from edgeplasmon import spectrum
+from edgeplasmon.branches import Sheet
 from edgeplasmon.cli import main
 
 
@@ -43,6 +46,13 @@ def two_sheet_cfg(**extra):
     }
     cfg.update(extra)
     return cfg
+
+
+# the passive sheet on which the census conjecture fails (nu* = 1 at q)
+COUNTEREXAMPLE_TENSOR = {"xx": [0.1938, -0.2335], "xy": [0.2292, 0.0461],
+                         "yx": [0.1549, 0.1317], "yy": [0.1998, 0.2649],
+                         "nondimensional": True}
+COUNTEREXAMPLE_Q = [-16.27, -0.68]
 
 
 def parse_csv(text):
@@ -90,6 +100,51 @@ class TestConfigErrors:
                                write_cfg(tmp_path, cfg))
         assert code == 2
         assert err.startswith("config error: sheet.model") and "n0" in err
+
+    @pytest.mark.parametrize("command", ["solve", "index"])
+    @pytest.mark.parametrize("sheet, where", [
+        (5, "sheet: expected an object"),
+        ({"model": "drude"}, "sheet.model: expected an object"),
+    ], ids=["number", "model-string"])
+    def test_sheet_of_the_wrong_type(self, tmp_path, capsys, command, sheet, where):
+        cfg = case_a_cfg(sheet=sheet, index={"q_values": [[12.0, 0.0]]})
+        code, out, err = run_cli(capsys, command, "--config", write_cfg(tmp_path, cfg))
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: {where}")
+
+    @pytest.mark.parametrize("command", ["solve", "index", "sweep"])
+    @pytest.mark.parametrize("cfg, where", [
+        ([1], "config: expected an object"),
+        (case_a_cfg(medium=5, index={"q_values": [[12.0, 0.0]]},
+                    sweep={"phis_pi": [0.0], "q_factors": [1.0], "q_base": [12.0, 0.0]}),
+         "medium: expected an object"),
+    ], ids=["list", "medium-number"])
+    def test_section_of_the_wrong_type(self, tmp_path, capsys, command, cfg, where):
+        code, out, err = run_cli(capsys, command, "--config", write_cfg(tmp_path, cfg))
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: {where}")
+
+    @pytest.mark.parametrize("command", ["field", "asymptote"])
+    def test_command_section_of_the_wrong_type(self, tmp_path, capsys, command):
+        code, out, err = run_cli(capsys, command, "--config",
+                                 write_cfg(tmp_path, case_a_cfg(**{command: 5})))
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: {command}: expected an object")
+
+    @pytest.mark.parametrize("command", ["solve", "index"])
+    def test_rotation_of_the_wrong_type(self, tmp_path, capsys, command):
+        cfg = case_a_cfg(index={"q_values": [[12.0, 0.0]]})
+        cfg["sheet"]["rotation_phi_pi"] = "x"
+        code, out, err = run_cli(capsys, command, "--config", write_cfg(tmp_path, cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("config error: sheet.rotation_phi_pi")
+
+    def test_tolerance_of_the_wrong_type(self, tmp_path, capsys):
+        cfg = case_a_cfg()
+        cfg["solve"]["tol"] = "x"
+        code, out, err = run_cli(capsys, "solve", "--config", write_cfg(tmp_path, cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("config error: solve.tol")
 
     def test_non_numeric_permittivity(self, tmp_path, capsys):
         cfg = case_a_cfg(problem={"variant": "interface", "eps_r1": "abc", "eps_r2": 1.0})
@@ -209,6 +264,58 @@ class TestIndexCommand:
         row = parse_csv(out)[0]
         assert row["conjecture_agrees"] == ""
         assert row["n_marginal"] == "2"
+
+    def test_dual_index_of_the_counterexample(self, tmp_path, capsys):
+        # nu* = 1 at q and -1 at -q, from the index identity
+        q = COUNTEREXAMPLE_Q
+        cfg = {"sheet": {"tensor": COUNTEREXAMPLE_TENSOR},
+               "index": {"q_values": [q, [-q[0], -q[1]]]}}
+        code, out, _ = run_cli(capsys, "index", "--config", write_cfg(tmp_path, cfg))
+        assert code == 0
+        rows = parse_csv(out)
+        assert [r["nu_k_star"] for r in rows] == ["1", "-1"]
+        assert [r["n_marginal"] for r in rows] == ["0", "0"]
+
+    @staticmethod
+    def count_phase_passes(monkeypatch):
+        sheets = []
+        phase_winding = spectrum.phase_winding
+
+        def counted(problem, sheet):
+            sheets.append(sheet)
+            return phase_winding(problem, sheet)
+
+        monkeypatch.setattr(spectrum, "phase_winding", counted)
+        return sheets
+
+    def test_one_phase_pass_per_row(self, tmp_path, capsys, monkeypatch):
+        sheets = self.count_phase_passes(monkeypatch)
+        cfg = {"sheet": {"tensor": {"xx": [0.001, 0.1], "yy": [0.002, 0.2],
+                                    "nondimensional": True},
+                         "rotation_phi_pi": 0.166},
+               "index": {"q_values": [[0.75 * 16.438, 0.75 * 0.164]]}}
+        code, out, _ = run_cli(capsys, "index", "--config", write_cfg(tmp_path, cfg),
+                               "--jobs", "1")
+        assert code == 0
+        assert parse_csv(out)[0]["n_marginal"] == "0"
+        assert sheets == [Sheet.FIRST]
+
+    def test_marginal_row_takes_the_dual_phase_pass(self, tmp_path, capsys, monkeypatch):
+        # a census with a marginal zero cannot give nu*: the row falls back
+        # to the winding of P*
+        sheets = self.count_phase_passes(monkeypatch)
+        bulk_zeros = spectrum.bulk_zeros
+        monkeypatch.setattr(spectrum, "bulk_zeros",
+                            lambda prob: dataclasses.replace(bulk_zeros(prob), n_marginal=1))
+        cfg = {"sheet": {"tensor": COUNTEREXAMPLE_TENSOR},
+               "index": {"q_values": [COUNTEREXAMPLE_Q]}}
+        code, out, _ = run_cli(capsys, "index", "--config", write_cfg(tmp_path, cfg),
+                               "--jobs", "1")
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert (row["n_marginal"], row["conjecture_agrees"]) == ("1", "")
+        assert row["nu_k_star"] == "1"
+        assert sheets == [Sheet.FIRST, Sheet.SECOND]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failed_point_keeps_its_row(self, tmp_path, capsys, jobs):

@@ -446,9 +446,11 @@ class TestIndexIdentity:
         except RealAxisZeroError:
             reject()
         if res.agrees is None:
+            assert res.n_marginal > 0 and res.nu_star is None
             reject()
         event(f"nu* = {nu_star}")
         assert res.nu_k + nu_star == res.rhs
+        assert res.nu_star == nu_star
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -464,9 +466,11 @@ class TestIndexIdentity:
         except RealAxisZeroError:
             reject()
         if res.agrees is None:
+            assert res.n_marginal > 0 and res.nu_star is None
             reject()
         event(f"nu* = {nu_star}")
         assert res.nu_k + nu_star == res.rhs
+        assert res.nu_star == nu_star
 
     def test_dual_index_one_occurs_near_the_counterexample(self):
         found = []
@@ -478,7 +482,10 @@ class TestIndexIdentity:
             nu_star = dual_winding_index(prob)
             if res.report.n_marginal == 0:
                 assert res.nu_k + nu_star == res.rhs
+                assert res.nu_star == nu_star
                 found.append(nu_star)
+            else:
+                assert res.nu_star is None
         assert 1 in found and 0 in found
 
     def test_holds_where_the_conjecture_fails(self):
@@ -489,3 +496,5 @@ class TestIndexIdentity:
         assert res.report.counts() == (1, 1, 2, 0) and res.report.n_marginal == 0
         assert (res.nu_k, nu_star, res.agrees) == (0, 1, False)
         assert res.nu_k + nu_star == res.rhs
+        assert res.nu_star == nu_star
+        assert conjecture_check(prob.with_q(-prob.q)).nu_star == -1
