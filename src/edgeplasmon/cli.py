@@ -2,6 +2,9 @@
 
 Commands: solve | sweep | index | field | asymptote | validate.
 Exit codes: 0 success, 1 numerical failure, 2 configuration error.
+Each command parses and checks the whole config before any row runs, so
+a configuration error never follows partial work; the rows then only do
+numerics, and a row's error is a numerical failure at its point.
 Complex numbers in configs are [re, im] pairs; rotation angles are given
 in multiples of pi under keys ending in _pi.  All numeric output is
 printed with 17 significant digits so doubles round-trip losslessly.
@@ -65,11 +68,37 @@ def _fmt(value) -> str:
     return str(value).replace(",", ";").replace("\n", " ")
 
 
+def _real(value, where: str, positive: bool = False) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if positive and not value > 0:
+        raise ConfigError(f"{where}: expected a positive number, got {value!r}")
+    return float(value)
+
+
+def _reals(node, where: str, positive: bool = False) -> list[float]:
+    if not isinstance(node, list) or not node:
+        raise ConfigError(f"{where}: expected a nonempty list of numbers, got {node!r}")
+    return [_real(v, f"{where}[{i}]", positive) for i, v in enumerate(node)]
+
+
 def _complex_pair(node, where: str) -> complex:
-    if (not isinstance(node, (list, tuple)) or len(node) != 2
-            or not all(isinstance(v, (int, float)) for v in node)):
+    if not isinstance(node, (list, tuple)) or len(node) != 2:
         raise ConfigError(f"{where}: expected a [re, im] pair, got {node!r}")
-    return complex(float(node[0]), float(node[1]))
+    return complex(_real(node[0], f"{where}[0]"), _real(node[1], f"{where}[1]"))
+
+
+def _q(node, where: str) -> complex:
+    q = _complex_pair(node, where)
+    if q.real == 0.0:
+        raise ConfigError(f"{where}: Re q = 0 is not admissible (sg(q) undefined)")
+    return q
+
+
+def _qs(node, where: str) -> list[complex]:
+    if not isinstance(node, list) or not node:
+        raise ConfigError(f"{where}: expected a nonempty list of [re, im] pairs, got {node!r}")
+    return [_q(pair, f"{where}[{i}]") for i, pair in enumerate(node)]
 
 
 def _mapping(node, where: str) -> dict:
@@ -78,26 +107,24 @@ def _mapping(node, where: str) -> dict:
     return node
 
 
-def _parse_medium(node) -> AmbientMedium:
-    if node is None:
-        return AmbientMedium.vacuum(omega=1.0)
-    _mapping(node, "medium")
+def _parse_medium(node, omega: float | None = None) -> AmbientMedium:
+    """The config's medium, at ``omega`` when given (one frequency of a batch)."""
+    node = _mapping({} if node is None else node, "medium")
+    if omega is None:
+        omega = _real(node.get("omega", 1.0), "medium.omega")
+    if "eps_r" in node or "mu_r" in node:
+        make = functools.partial(AmbientMedium.relative,
+                                 _real(node.get("eps_r", 1.0), "medium.eps_r"),
+                                 _real(node.get("mu_r", 1.0), "medium.mu_r"))
+    elif "epsilon" in node:
+        make = functools.partial(AmbientMedium, _real(node.get("epsilon"), "medium.epsilon"),
+                                 _real(node.get("mu"), "medium.mu"))
+    else:
+        make = AmbientMedium.vacuum
     try:
-        if "eps_r" in node or "mu_r" in node:
-            return AmbientMedium.relative(
-                float(node.get("eps_r", 1.0)), float(node.get("mu_r", 1.0)),
-                float(node.get("omega", 1.0)))
-        if "epsilon" in node:
-            return AmbientMedium(float(node["epsilon"]), float(node["mu"]),
-                                 float(node.get("omega", 1.0)))
-        return AmbientMedium.vacuum(omega=float(node.get("omega", 1.0)))
-    except (KeyError, TypeError, ValueError) as exc:
+        return make(omega=omega)
+    except ValueError as exc:
         raise ConfigError(f"medium: {exc}") from exc
-
-
-def _point_medium(cfg, omega: float) -> AmbientMedium:
-    """The config's medium at the frequency of one row."""
-    return _parse_medium({**_mapping(cfg.get("medium") or {}, "medium"), "omega": omega})
 
 
 def _parse_sheet(node, medium: AmbientMedium, where: str = "sheet") -> ConductivityTensor:
@@ -126,69 +153,49 @@ def _parse_sheet(node, medium: AmbientMedium, where: str = "sheet") -> Conductiv
         kind = m.get("kind")
         if kind not in ("magneto_hydrodynamic", "drude"):
             raise ConfigError(f"{where}.model.kind: unknown model {kind!r}")
+        names = ("n0", "b0") if kind == "magneto_hydrodynamic" else ("weight_xx", "weight_yy")
+        params = [_real(m.get(k), f"{where}.model.{k}") for k in names]
+        tau = _real(m["tau"], f"{where}.model.tau") if "tau" in m else None
         try:
             if kind == "magneto_hydrodynamic":
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
-                    sigma = cond.magneto_hydrodynamic(
-                        omega=medium.omega, n0=float(m["n0"]), b0=float(m["b0"]),
-                        tau=float(m["tau"]) if "tau" in m else None)
+                    sigma = cond.magneto_hydrodynamic(medium.omega, *params, tau=tau)
             else:
-                sigma = cond.drude(medium.omega, float(m["weight_xx"]),
-                                   float(m["weight_yy"]),
-                                   float(m.get("tau", math.inf)))
-        except KeyError as exc:
-            raise ConfigError(f"{where}.model: missing parameter {exc}") from exc
-        except (TypeError, ValueError) as exc:
+                sigma = cond.drude(medium.omega, *params, math.inf if tau is None else tau)
+        except ValueError as exc:
             raise ConfigError(f"{where}.model: {exc}") from exc
     if not sigma.nondimensional:
         sigma = cond.nondimensionalize(sigma, medium)
     phi_pi = node.get("rotation_phi_pi")
     if phi_pi is not None:
-        try:
-            phi = float(phi_pi) * math.pi
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}.rotation_phi_pi: {exc}") from exc
-        sigma = cond.rotate(sigma, phi)
+        sigma = cond.rotate(sigma, _real(phi_pi, f"{where}.rotation_phi_pi") * math.pi)
     return sigma
 
 
 def _parse_problem(cfg, medium: AmbientMedium, q: complex) -> Problem:
+    """The config's problem at a q the caller has checked; a problem the
+    package refuses (a two-sheet config with sigma_L = sigma_R, say) is a
+    configuration error."""
     node = _mapping(cfg.get("problem", {"variant": "single"}), "problem")
     variant = node.get("variant", "single")
     if variant == "single":
-        sigma = _parse_sheet(cfg.get("sheet"), medium)
-        return Problem.single_sheet(sigma, q)
-    if variant == "interface":
-        sigma = _parse_sheet(cfg.get("sheet"), medium)
-        try:
-            return Problem.interface(sigma, q, float(node["eps_r1"]),
-                                     float(node["eps_r2"]))
-        except KeyError as exc:
-            raise ConfigError(f"problem: interface needs eps_r1/eps_r2 ({exc})") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"problem: interface eps_r1/eps_r2: {exc}") from exc
-    if variant in ("two-sheet", "two_sheet"):
-        left = _parse_sheet(node.get("sheet_left"), medium, "problem.sheet_left")
-        right = _parse_sheet(node.get("sheet_right"), medium, "problem.sheet_right")
-        return Problem.two_sheet(left, right, q)
-    raise ConfigError(f"problem.variant: unknown variant {variant!r}")
-
-
-def _q_guesses(node, key="q_guesses"):
+        make = functools.partial(Problem.single_sheet, _parse_sheet(cfg.get("sheet"), medium))
+    elif variant == "interface":
+        make = functools.partial(Problem.interface, _parse_sheet(cfg.get("sheet"), medium),
+                                 eps_r1=_real(node.get("eps_r1"), "problem.eps_r1"),
+                                 eps_r2=_real(node.get("eps_r2"), "problem.eps_r2"))
+    elif variant in ("two-sheet", "two_sheet"):
+        make = functools.partial(
+            Problem.two_sheet,
+            _parse_sheet(node.get("sheet_left"), medium, "problem.sheet_left"),
+            _parse_sheet(node.get("sheet_right"), medium, "problem.sheet_right"))
+    else:
+        raise ConfigError(f"problem.variant: unknown variant {variant!r}")
     try:
-        raw = node[key]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"missing '{key}' list") from exc
-    out = []
-    for i, pair in enumerate(raw):
-        q = _complex_pair(pair, f"{key}[{i}]")
-        if q.real == 0.0:
-            raise ConfigError(f"{key}[{i}]: Re q = 0 is not admissible (sg(q) undefined)")
-        out.append(q)
-    if not out:
-        raise ConfigError(f"'{key}' must be nonempty")
-    return out
+        return make(q)
+    except ValueError as exc:
+        raise ConfigError(f"problem: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +224,9 @@ SOLVE_COLUMNS = ["omega", "re_q", "im_q", "nu_k", "n_plus", "n_minus",
                  "iterations", "wall_ms"]
 
 
-def _solve_row(cfg, omega: float, guess: complex) -> dict:
-    medium = _point_medium(cfg, omega)
-    problem = _parse_problem(cfg, medium, guess)
-    try:
-        tol = float(cfg.get("solve", {}).get("tol", 1e-10))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"solve.tol: {exc}") from exc
+def _solve_row(problem: Problem, omega: float, guess: complex, tol: float) -> dict:
     t0 = time.perf_counter()
-    sol = solve(problem, guess, tol=tol)
+    sol = solve(problem.with_q(guess), guess, tol=tol)
     wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
     census = sol.census
     return {
@@ -246,10 +247,14 @@ def _solve_row(cfg, omega: float, guess: complex) -> dict:
 
 def cmd_solve(cfg, args) -> int:
     node = _mapping(cfg.get("solve", {}), "solve")
-    omegas = node.get("omegas") or [_parse_medium(cfg.get("medium")).omega]
-    guesses = _q_guesses(node)
-    points = [(float(w), g) for w in omegas for g in guesses]
-    rows = _dispatch(_solve_row, cfg, points, args.jobs)
+    guesses = _qs(node.get("q_guesses"), "solve.q_guesses")
+    tol = _real(node.get("tol", 1e-10), "solve.tol")
+    omegas = (_reals(node["omegas"], "solve.omegas", positive=True) if "omegas" in node
+              else [_parse_medium(cfg.get("medium")).omega])
+    problems = {w: _parse_problem(cfg, _parse_medium(cfg.get("medium"), w), guesses[0])
+                for w in omegas}
+    points = [(problems[w], w, g) for w in omegas for g in guesses]
+    rows = _dispatch(functools.partial(_solve_row, tol=tol), points, args.jobs)
     _write_rows(rows, SOLVE_COLUMNS, args.out, args.format)
     return EXIT_OK if all(r.pop("_ok", False) for r in rows) else EXIT_NUMERICAL
 
@@ -259,13 +264,13 @@ INDEX_COLUMNS = ["omega", "re_q", "im_q", "nu_k", "nu_k_star", "n_plus",
                  "conjecture_rhs", "conjecture_agrees", "wall_ms"]
 
 
-def _index_row(cfg, omega: float, q: complex) -> dict:
-    """One index row; a numerical failure at this point leaves the row's
-    fields empty and puts the error in ``conjecture_agrees``."""
+def _index_row(problem: Problem, omega: float, q: complex) -> dict:
+    """One index row of ``problem`` at ``q``; a numerical failure at this
+    point (Re q = 0 included) leaves the row's fields empty and puts the
+    error in ``conjecture_agrees``."""
     t0 = time.perf_counter()
     try:
-        medium = _point_medium(cfg, omega)
-        problem = _parse_problem(cfg, medium, q)
+        problem = problem.with_q(q)
         res = conjecture_check(problem)
         nu_star = res.nu_star
         if nu_star is None:
@@ -280,8 +285,6 @@ def _index_row(cfg, omega: float, q: complex) -> dict:
             "conjecture_agrees": "" if res.agrees is None else res.agrees,
             "_ok": True,
         }
-    except ConfigError:
-        raise
     except NUMERICAL_ERRORS as exc:
         row = {**dict.fromkeys(INDEX_COLUMNS, ""), "conjecture_agrees": f"error: {exc}",
                "_ok": False}
@@ -291,11 +294,10 @@ def _index_row(cfg, omega: float, q: complex) -> dict:
 
 
 def cmd_index(cfg, args) -> int:
-    node = cfg.get("index", {})
-    qs = _q_guesses(node, key="q_values")
-    omega = _parse_medium(cfg.get("medium")).omega
-    points = [(omega, q) for q in qs]
-    rows = _dispatch(_index_row, cfg, points, args.jobs)
+    qs = _qs(_mapping(cfg.get("index", {}), "index").get("q_values"), "index.q_values")
+    medium = _parse_medium(cfg.get("medium"))
+    problem = _parse_problem(cfg, medium, qs[0])
+    rows = _dispatch(_index_row, [(problem, medium.omega, q) for q in qs], args.jobs)
     ok = all(r.pop("_ok", False) for r in rows)
     _write_rows(rows, INDEX_COLUMNS, args.out, args.format)
     return EXIT_OK if ok else EXIT_NUMERICAL
@@ -307,39 +309,27 @@ SWEEP_COLUMNS = ["phi_pi", "q_factor", "re_q", "im_q", "nu_k", "nu_k_star", "n_p
                  "wall_ms"]
 
 
-def _sweep_point(cfg, phi_pi: float, factor: float) -> dict:
-    sweep = cfg["sweep"]
-    base_q = _complex_pair(sweep["q_base"], "sweep.q_base")
-    q = factor * base_q
-    medium = _parse_medium(cfg.get("medium"))
-    sheet_cfg = {**_mapping(cfg.get("sheet", {}), "sheet"), "rotation_phi_pi": phi_pi}
-    cfg_local = dict(cfg)
-    cfg_local["sheet"] = sheet_cfg
-    row = _index_row(cfg_local, medium.omega, q)
-    row.update({"phi_pi": phi_pi, "q_factor": factor, "index_transition": ""})
-    return row
-
-
 def cmd_sweep(cfg, args) -> int:
-    node = cfg.get("sweep")
-    if not node:
-        raise ConfigError("missing 'sweep' section")
-    _mapping(node, "sweep")
-    try:
-        phis = [float(p) for p in node["phis_pi"]]
-        factors = [float(f) for f in node["q_factors"]]
-    except KeyError as exc:
-        raise ConfigError(f"sweep: missing {exc}") from exc
-    if (cfg.get("problem") or {}).get("variant") in ("two-sheet", "two_sheet"):
+    node = _mapping(cfg.get("sweep"), "sweep")
+    phis = _reals(node.get("phis_pi"), "sweep.phis_pi")
+    factors = _reals(node.get("q_factors"), "sweep.q_factors")
+    base_q = _q(node.get("q_base"), "sweep.q_base")
+    if _mapping(cfg.get("problem", {}), "problem").get("variant") in ("two-sheet", "two_sheet"):
         raise ConfigError("sweep: phis_pi rotates the top-level 'sheet', which a "
                           "two-sheet problem does not use; run 'index' with "
                           "rotation_phi_pi set on each problem sheet instead")
-    points = [(p, f) for p in phis for f in factors]
-    rows = _dispatch(_sweep_point, cfg, points, args.jobs)
+    medium = _parse_medium(cfg.get("medium"))
+    sheet = _mapping(cfg.get("sheet", {}), "sheet")
+    problems = {p: _parse_problem({**cfg, "sheet": {**sheet, "rotation_phi_pi": p}},
+                                  medium, base_q) for p in phis}
+    grid = [(p, f) for p in phis for f in factors]
+    rows = _dispatch(_index_row, [(problems[p], medium.omega, f * base_q) for p, f in grid],
+                     args.jobs)
     # annotate index transitions along each constant-phi line, across failed rows
     last: dict[float, int] = {}
-    for row in rows:
-        phi, nu = row["phi_pi"], row["nu_k"]
+    for row, (phi, factor) in zip(rows, grid):
+        row.update({"phi_pi": phi, "q_factor": factor, "index_transition": ""})
+        nu = row["nu_k"]
         if nu != "" and last.get(phi, nu) != nu:
             row["index_transition"] = f"nu {last[phi]}->{nu}"
         if nu != "":
@@ -353,31 +343,20 @@ FIELD_COLUMNS = ["x", "re_phi", "im_phi", "error_estimate", "accuracy_flag"]
 
 
 def cmd_field(cfg, args) -> int:
-    node = cfg.get("field")
-    if not node:
-        raise ConfigError("missing 'field' section")
-    _mapping(node, "field")
-    medium = _parse_medium(cfg.get("medium"))
-    xs = node.get("x_values")
-    if not xs:
-        raise ConfigError("field.x_values must be a nonempty list")
-    xs = np.asarray([float(x) for x in xs])
-    if "q" in node:
-        q = _complex_pair(node["q"], "field.q")
-        problem = _parse_problem(cfg, medium, q)
-    else:
-        guess = _complex_pair(node.get("q_guess", [0, 0]), "field.q_guess")
-        if guess.real == 0.0:
-            raise ConfigError("field: supply 'q' or a 'q_guess' with Re != 0")
-        problem = _parse_problem(cfg, medium, guess)
-        sol = solve(problem, guess)
+    node = _mapping(cfg.get("field"), "field")
+    xs = np.asarray(_reals(node.get("x_values"), "field.x_values"))
+    target_error = _real(node.get("target_error", 1e-4), "field.target_error")
+    key = "q" if "q" in node else "q_guess"
+    q = _q(node.get(key), f"field.{key}")
+    problem = _parse_problem(cfg, _parse_medium(cfg.get("medium")), q)
+    if key == "q_guess":
+        sol = solve(problem, q)
         if not sol.converged:
             sys.stderr.write(f"field: dispersion solve failed: {sol.message}\n")
             return EXIT_NUMERICAL
         problem = problem.with_q(sol.q)
     kernel = build_log_kernel(problem)
-    prof = phi_profile(problem, kernel, xs,
-                       target_error=float(node.get("target_error", 1e-4)))
+    prof = phi_profile(problem, kernel, xs, target_error=target_error)
     rows = [{"x": float(x), "re_phi": v.real, "im_phi": v.imag,
              "error_estimate": e, "accuracy_flag": bool(f)}
             for x, v, e, f in zip(prof.x, prof.phi, prof.error_estimate,
@@ -395,7 +374,7 @@ def cmd_asymptote(cfg, args) -> int:
     medium = _parse_medium(cfg.get("medium"))
     sigma = _parse_sheet(cfg.get("sheet"), medium)
     node = _mapping(cfg.get("asymptote", {}), "asymptote")
-    eps_sum = float(node.get("eps_sum", 2.0))
+    eps_sum = _real(node.get("eps_sum", 2.0), "asymptote.eps_sum", positive=True)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         q_lw = longwave_q(sigma, eps_sum=eps_sum)
@@ -403,12 +382,8 @@ def cmd_asymptote(cfg, args) -> int:
         problem = Problem.single_sheet(sigma, q_lw)
     else:
         problem = Problem.interface(sigma, q_lw, eps_sum / 2.0, eps_sum / 2.0)
-    try:
-        kernel = build_log_kernel(problem)
-        f_full = abs(residual(problem, kernel=kernel))
-    except Exception as exc:  # classification errors surface in the row
-        sys.stderr.write(f"asymptote: residual failed: {exc}\n")
-        return EXIT_NUMERICAL
+    kernel = build_log_kernel(problem)
+    f_full = abs(residual(problem, kernel=kernel))
     lw = LongwaveParams.from_problem(problem)
     fs = f_pm(kernel)
     fm = f_pm_mellin(lw)
@@ -438,15 +413,15 @@ def cmd_validate(cfg, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _dispatch(fn, cfg, points, jobs: int):
-    """Run fn(cfg, *point) for each point, preserving input order.  The pool
+def _dispatch(fn, points, jobs: int):
+    """Run fn(*point) for each point, preserving input order.  The pool
     takes about four chunks per worker: a round trip per row costs more
     than an index row."""
     if jobs <= 1 or len(points) <= 1:
-        return [fn(cfg, *p) for p in points]
+        return [fn(*p) for p in points]
     chunksize = math.ceil(len(points) / (4 * jobs))
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(functools.partial(fn, cfg), *zip(*points), chunksize=chunksize))
+        return list(pool.map(fn, *zip(*points), chunksize=chunksize))
 
 
 COMMANDS = {

@@ -130,12 +130,6 @@ class DispersionSolution:
         return self.classification is Classification.DISCRETE_EPP
 
 
-def _validity_of(problem: Problem) -> ValidityReport:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return validity_check(problem.sigma)
-
-
 def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
           maxiter: int = 60) -> DispersionSolution:
     """Damped complex secant iteration on the dispersion residual.
@@ -150,7 +144,7 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
     """
     q_guess = complex(q_guess)
     want_sign = sign_q(q_guess)
-    validity = _validity_of(problem)
+    validity = validity_check(problem.sigma)
     n_eval = 0
     index_flips: list[str] = []
 

@@ -6,9 +6,10 @@ import math
 
 import pytest
 
-from edgeplasmon import spectrum
+from edgeplasmon import cli, spectrum
 from edgeplasmon.branches import Sheet
 from edgeplasmon.cli import main
+from edgeplasmon.wiener_hopf import NonzeroIndexError
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +60,20 @@ def parse_csv(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     assert rows, f"no rows in output: {text!r}"
     return rows
+
+
+def sweep_cfg(**sweep):
+    return case_a_cfg(sweep={"phis_pi": [0.0], "q_factors": [1.0], "q_base": [12.0, 0.0],
+                             **sweep})
+
+
+def equal_sheets_cfg():
+    cfg = two_sheet_cfg(solve={"q_guesses": [[12.0, 0.0]]}, index={"q_values": [[12.0, 0.0]]})
+    cfg["problem"]["sheet_right"] = cfg["problem"]["sheet_left"]
+    return cfg
+
+
+DRUDE_SHEET = {"model": {"kind": "drude", "weight_xx": 1e12, "weight_yy": 2e12, "tau": 1e-12}}
 
 
 class TestConfigErrors:
@@ -152,6 +167,43 @@ class TestConfigErrors:
                                write_cfg(tmp_path, cfg))
         assert code == 2
         assert err.startswith("config error: problem") and "abc" in err
+
+    @pytest.mark.parametrize("command, cfg, where", [
+        ("sweep", case_a_cfg(sweep={"phis_pi": [0.0], "q_factors": [1.0]}), "sweep.q_base"),
+        ("sweep", sweep_cfg(phis_pi=5), "sweep.phis_pi"),
+        ("sweep", sweep_cfg(phis_pi=[0, "x"]), "sweep.phis_pi[1]"),
+        ("solve", case_a_cfg(solve={"omegas": 3, "q_guesses": [[12.0, 0.0]]}),
+         "solve.omegas"),
+        ("solve", case_a_cfg(solve={"omegas": [1, "x"], "q_guesses": [[12.0, 0.0]]}),
+         "solve.omegas[1]"),
+        ("solve", case_a_cfg(solve={"q_guesses": 3}), "solve.q_guesses"),
+        ("field", case_a_cfg(field={"q": [12.0, 0.0], "x_values": 5}), "field.x_values"),
+        ("field", case_a_cfg(field={"q": [12.0, 0.0], "x_values": [0.1],
+                                    "target_error": "x"}), "field.target_error"),
+        ("asymptote", case_a_cfg(asymptote={"eps_sum": "x"}), "asymptote.eps_sum"),
+        ("solve", equal_sheets_cfg(), "problem: two-sheet problem requires sigma_L != sigma_R"),
+        ("index", equal_sheets_cfg(), "problem: two-sheet problem requires sigma_L != sigma_R"),
+        ("sweep", sweep_cfg(q_base=[0.0, 0.2]), "sweep.q_base: Re q = 0"),
+        ("solve", case_a_cfg(sheet=DRUDE_SHEET, solve={"omegas": [1e12, -1],
+                                                       "q_guesses": [[20.0, 0.2]]}),
+         "solve.omegas[1]"),
+    ], ids=["sweep-no-q_base", "phis_pi-number", "phis_pi-string-entry", "omegas-number",
+            "omegas-string-entry", "q_guesses-number", "x_values-number",
+            "target_error-string", "eps_sum-string", "solve-equal-sheets",
+            "index-equal-sheets", "q_base-zero-real-part", "negative-omega"])
+    def test_config_error(self, tmp_path, capsys, command, cfg, where):
+        code, out, err = run_cli(capsys, command, "--config", write_cfg(tmp_path, cfg))
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: {where}")
+
+    def test_no_row_runs_before_a_config_error(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real_solve = cli.solve
+        monkeypatch.setattr(cli, "solve", lambda *a, **k: calls.append(a) or real_solve(*a, **k))
+        cfg = case_a_cfg(sheet=DRUDE_SHEET, solve={"omegas": [1e12, -1],
+                                                   "q_guesses": [[20.0, 0.2]]})
+        code, out, _ = run_cli(capsys, "solve", "--config", write_cfg(tmp_path, cfg))
+        assert (code, out, calls) == (2, "", [])
 
 
 class TestSolveCommand:
@@ -454,6 +506,18 @@ class TestAsymptoteCommand:
         row = parse_csv(out)[0]
         assert float(row["abs_f_full"]) < 0.05
         assert float(row["rel_err_f_plus"]) < 0.02
+
+    def test_residual_failure_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise NonzeroIndexError(1)
+
+        monkeypatch.setattr(cli, "residual", fail)
+        cfg = {"medium": {"eps_r": 1.0, "mu_r": 1.0, "omega": 2 * math.pi * 1e9},
+               "sheet": {"model": {"kind": "magneto_hydrodynamic",
+                                   "n0": 1.18e15, "b0": 3.575}}}
+        code, out, err = run_cli(capsys, "asymptote", "--config", write_cfg(tmp_path, cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("numerical failure:")
 
 
 class TestValidateCommand:
