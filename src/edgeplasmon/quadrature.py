@@ -50,6 +50,10 @@ _WG = np.array([
 ])
 
 
+# round-off floor of the tolerance, per unit of Int |f| (quadpack's 50 epmach)
+ROUNDOFF = 50.0 * np.finfo(float).eps
+
+
 class QuadratureError(RuntimeError):
     """Adaptive refinement hit the segment cap before reaching tolerance,
     or the integrand was not finite."""
@@ -89,8 +93,8 @@ def gk_panel_sums(vals: np.ndarray, half) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eval_segments(f, lo, hi):
-    """Kronrod estimates and errors for a batch of segments: shape (n_seg,),
-    or (k, n_seg) for a vector integrand."""
+    """Kronrod estimates, errors and Kronrod sums of |f| for a batch of
+    segments: shape (n_seg,), or (k, n_seg) for a vector integrand."""
     nodes, _ = gk_nodes_weights(lo, hi)
     vals = np.asarray(f(nodes.ravel()))
     # components first, so every row sums its own 15 contiguous values
@@ -106,7 +110,7 @@ def _eval_segments(f, lo, hi):
         )
     err = np.where(resabs > 0, resabs * scaled, diff)
     err = np.maximum(err, diff * 1e-6)
-    return ik, err, nodes.size
+    return ik, err, resabs, nodes.size
 
 
 def adaptive_gk(
@@ -123,9 +127,10 @@ def adaptive_gk(
 
     ``f`` maps n nodes to n values, or to an (n, k) array for k integrals
     computed in one pass; each component k then meets its own tolerance
-    max(atol, rtol |I_k|), a segment is bisected by its largest
-    error-to-tolerance ratio over the components, and ``value`` and
-    ``error`` are length-k arrays.  ``initial`` may supply interior
+    max(atol, rtol |I_k|, 50 eps Int |f_k|), a segment is bisected by its
+    largest error-to-tolerance ratio over the components, and ``value``
+    and ``error`` are length-k arrays.  The last term is the round-off
+    floor of the sums, and ``error`` is never below it.  ``initial`` may supply interior
     breakpoints (sorted, within (a, b)) so known features (near-singular
     points, oscillation scales) are resolved from the start.
     """
@@ -136,12 +141,15 @@ def adaptive_gk(
     else:
         edges = np.linspace(a, b, 9)
     lo, hi = edges[:-1], edges[1:]
-    vals, errs, n_eval = _eval_segments(f, lo, hi)
+    vals, errs, absv, n_eval = _eval_segments(f, lo, hi)
 
     while True:
         total = vals.sum(axis=-1)
-        tol = np.maximum(atol, rtol * np.abs(total))
-        err_total = errs.sum(axis=-1)
+        # quadpack's round-off floor: the sums cannot resolve an integral
+        # below a few ulp of Int |f|, whatever atol asks for
+        roundoff = ROUNDOFF * absv.sum(axis=-1)
+        tol = np.maximum(np.maximum(atol, rtol * np.abs(total)), roundoff)
+        err_total = np.maximum(errs.sum(axis=-1), roundoff)
         if np.all(err_total <= tol):
             break
         if len(lo) >= max_segments:
@@ -164,16 +172,17 @@ def adaptive_gk(
                 raise QuadratureError(f"integrand is not finite on [{a:.6g}, {b:.6g}]")
         lo_w, hi_w = lo[worst], hi[worst]
         mid_w = 0.5 * (lo_w + hi_w)
-        new_lo = np.concatenate([lo[~worst], lo_w, mid_w])
-        new_hi = np.concatenate([hi[~worst], mid_w, hi_w])
-        keep_vals, keep_errs = vals[..., ~worst], errs[..., ~worst]
-        add_vals, add_errs, n_more = _eval_segments(
+        keep = ~worst
+        new_lo = np.concatenate([lo[keep], lo_w, mid_w])
+        new_hi = np.concatenate([hi[keep], mid_w, hi_w])
+        add_vals, add_errs, add_absv, n_more = _eval_segments(
             f, np.concatenate([lo_w, mid_w]), np.concatenate([mid_w, hi_w])
         )
         n_eval += n_more
         lo, hi = new_lo, new_hi
-        vals = np.concatenate([keep_vals, add_vals], axis=-1)
-        errs = np.concatenate([keep_errs, add_errs], axis=-1)
+        vals = np.concatenate([vals[..., keep], add_vals], axis=-1)
+        errs = np.concatenate([errs[..., keep], add_errs], axis=-1)
+        absv = np.concatenate([absv[..., keep], add_absv], axis=-1)
 
     if vals.ndim == 1:
         total, err_total = complex(total), float(err_total)

@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .branches import Sheet, principal_log, sheet_sqrt, unwrapped_angle
+from .branches import Sheet, log_polar, principal_log, sheet_sqrt, unwrapped_angle
 from .kernel import Problem, _compose, p_of_xi
 from .quadrature import QuadratureError
 from .spectrum import (
@@ -292,9 +292,12 @@ def _c(n):
 
 
 def _c_plus(r):
-    """Sum_{n>0} c_n r^n = ((1 + r) atanh(sqrt(-r))/sqrt(-r) - 1)/pi."""
+    """Sum_{n>0} c_n r^n = ((1 + r) atanh(sqrt(-r))/sqrt(-r) - 1)/pi, for
+    DEEP_RADIUS <= |r| <= 1, r != -1.  atanh(u) is ln((1 + u)/(1 - u))/2 on
+    the same cuts; with |u| >= 0.84 the ratio stays away from 1, so the
+    absolute accuracy of ``log_polar`` loses nothing."""
     u = np.sqrt(-r)
-    return ((1.0 + r) * np.arctanh(u) / u - 1.0) / math.pi
+    return (0.5 * (1.0 + r) * log_polar((1.0 + u) / (1.0 - u)) / u - 1.0) / math.pi
 
 
 def _kink_taylor(sheets, kappa: float) -> np.ndarray:
@@ -306,6 +309,8 @@ def _kink_taylor(sheets, kappa: float) -> np.ndarray:
     w = 1/xi, y = -2i w sqrt(1 + q^2 w^2)/(a2 + a1 w + a0 w^2) (``quad_coeffs``);
     A is analytic in u for |u| < 1/(2 kappa), kappa the problem scale, and
     an FFT on |u| = 1/(4 kappa) gives pi_0 = b = -2i/s_xx, pi_1 = e, ...
+    np.arctanh stays here: the 64 arguments y are small, where the log
+    ratio of ``_c_plus`` would cancel.
     """
     u = np.exp(2j * math.pi * np.arange(KINK_SAMPLES) / KINK_SAMPLES) / (4.0 * kappa)
     w = 2.0 * u / (1.0 + np.sqrt(1.0 - 4.0 * (kappa * u) ** 2))
@@ -385,7 +390,7 @@ def _zero_log(z, zero):
     """weight ln((z - xi_z)/(z - pole)): a pure minus function for a zero
     above the axis (pole i kappa), a pure plus function below it."""
     location, weight, pole = zero
-    return weight * np.log((z - location) / (z - pole))
+    return weight * log_polar((z - location) / (z - pole))
 
 
 def _root_radii(q: complex, top: float) -> list[float]:
@@ -563,7 +568,7 @@ class CauchyTable:
         out = sum(_power_sums(part.coeffs[s], _rho(part.kappa, s * z))
                   for part in self.series)
         out += self.kink.plus_sum(_rho(self.kink.kappa, s * z), s)
-        out = s * (out + 0.5 * self.p * np.log(z + s * 1j * self.kappa)) + self.consts[s]
+        out = s * (out + 0.5 * self.p * log_polar(z + s * 1j * self.kappa)) + self.consts[s]
         for zero in self.zeros:
             if s * zero[0].imag < 0:
                 out += s * _zero_log(z, zero)

@@ -1,10 +1,13 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edgeplasmon import BranchPointError, Sheet, principal_log, sheet_sqrt, sign_q
-from edgeplasmon.branches import unwrapped_angle
+from edgeplasmon.branches import log_polar, unwrapped_angle
 
 
 class TestSheetSqrt:
@@ -91,6 +94,53 @@ class TestPrincipalLog:
     def test_round_trip(self, re, im):
         z = complex(re, im)
         assert principal_log(np.exp(z)) == pytest.approx(z, abs=1e-12)
+
+    def test_tiny_log_keeps_relative_accuracy(self):
+        # why principal_log stays on np.log: ln|1 + 1e-8 i| = 5e-17 (less
+        # 1.25e-33), while |1 + 1e-8 i| rounds to 1, so ln|w| gives 0
+        w = 1.0 + 1e-8j
+        assert abs(principal_log(w).real - 5e-17) <= 1e-15 * 5e-17
+        assert log_polar(w).real == 0.0
+
+
+def _mp_abs_error_in_ulps(w, got):
+    """|got - ln w| against a 30-digit mpmath log, in ulps of max(1, |ln w|)."""
+    with mpmath.workdps(30):
+        ref = mpmath.log(mpmath.mpc(w.real, w.imag))
+        err = abs(mpmath.mpc(got.real, got.imag) - ref)
+        return float(err) / np.spacing(max(1.0, float(abs(ref))))
+
+
+class TestLogPolar:
+    def test_against_mpmath(self, rng):
+        # moduli 1 +- 10^-k, where ln|w| is tiny and np.log is slowest, and
+        # random moduli over the whole float range
+        k = np.arange(1, 13)
+        mods = np.concatenate([1.0 + 10.0 ** -k, 1.0 - 10.0 ** -k,
+                               10.0 ** rng.uniform(-300.0, 300.0, 40)])
+        w = mods * np.exp(1j * rng.uniform(-np.pi, np.pi, mods.size))
+        got = log_polar(w)
+        ulps = [_mp_abs_error_in_ulps(wi, gi) for wi, gi in zip(w, got)]
+        assert max(ulps) <= 3.0, f"{max(ulps):.2f} ulp at w = {w[int(np.argmax(ulps))]}"
+
+    def test_cut_and_signed_zeros_as_np_log(self):
+        # the negative real axis from both sides: Im = +-pi by the sign of
+        # the zero, bit for bit as np.log, and no tie-break
+        x = np.array([1e-300, 0.5, 1.0, 3.0, 1e300])
+        for zero in (0.0, -0.0):
+            w = (-x).astype(complex)
+            w.imag = zero
+            got, want = log_polar(w), np.log(w)
+            assert got.imag.tobytes() == want.imag.tobytes()
+            assert np.all(got.imag == math.copysign(math.pi, zero))
+            np.testing.assert_allclose(got.real, want.real, rtol=0, atol=1e-300)
+        # the signed zeros of the positive axis and the imaginary axis too
+        for w in (complex(2.0, -0.0), complex(-0.0, 2.0), complex(-0.0, -2.0)):
+            assert np.array([log_polar(w)]).imag.tobytes() == np.log(np.array([w])).imag.tobytes()
+
+    def test_scalar_in_scalar_out(self):
+        assert log_polar(-1.0) == pytest.approx(1j * np.pi)
+        assert np.ndim(log_polar(2.0 + 1.0j)) == 0
 
 
 class TestUnwrappedAngle:

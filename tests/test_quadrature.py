@@ -79,3 +79,24 @@ def test_semi_infinite_range_in_one_pass():
                                   initial=[1.0, 2.0])
     assert abs(res.value - 0.5 * math.pi) <= 1e-12 * math.pi
     assert res.error <= 1e-12 * math.pi
+
+
+def test_roundoff_floor_ends_cancelling_integrals():
+    # integrals of O(1e4..1e6) values that cancel to 0: the Kronrod sums
+    # cannot resolve them below a few ulp of Int |f|, and the absolute
+    # floor atol = 1e-14 once bisected them to the segment cap instead
+    for f, a, b, abs_int in ((lambda x: 1e6 * (x - 0.5), 0.0, 1.0, 2.5e5),
+                             (lambda x: 1e4 * np.sin(x), -3.0, 3.0, 2e4 * (1.0 - math.cos(3.0)))):
+        res = adaptive_gk(f, a, b)
+        assert res.n_segments == 8          # the initial panels, none bisected
+        assert abs(res.value) <= res.error <= 100.0 * np.finfo(float).eps * abs_int
+
+
+def test_roundoff_floor_per_component():
+    # a vector integrand holds each component to its own floor: the
+    # cancelling one ends at its round-off, the other keeps rtol
+    res = adaptive_gk(lambda x: np.column_stack([1e6 * (x - 0.5), np.exp(x)]), 0.0, 1.0,
+                      rtol=1e-12)
+    assert abs(res.value[0]) <= res.error[0] <= 1e-8
+    assert abs(res.value[1] - math.expm1(1.0)) <= 1e-12 * math.expm1(1.0)
+    assert res.error[1] <= 1e-12 * math.expm1(1.0)

@@ -2,8 +2,11 @@ import math
 import time
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from edgeplasmon import (
     ConductivityTensor,
@@ -16,13 +19,16 @@ from edgeplasmon import (
     p_of_xi,
     quadratic_roots,
     residual,
+    solve,
     split_q,
 )
 from edgeplasmon import wiener_hopf
 from edgeplasmon.branches import principal_log
 from edgeplasmon.field import _field_contour, _vertical_panels
+from edgeplasmon.spectrum import RealAxisZeroError
 from cauchy_oracle import adaptive_phi
 from conftest import make_sigma
+from test_spectrum import random_passive_tensor
 
 
 class TestLogKernel:
@@ -259,6 +265,27 @@ class TestLambda:
         assert rel.max() < 1e-8
 
 
+class TestCPlus:
+    def test_against_mpmath_series(self, rng):
+        # the near branch of the kink sums: Sum_{n>0} c_n r^n for
+        # 0.7 <= |r| < 1, c_n = (2/pi)(-1)^n/(1 - 4n^2), summed in mpmath
+        # until |r|^n drops below 1e-22
+        radii = np.concatenate([[0.7, 0.8, 0.9, 0.95, 0.99, 0.995],
+                                rng.uniform(0.7, 0.995, 10)])
+        r = np.concatenate([radii * np.exp(1j * rng.uniform(-np.pi, np.pi, radii.size)),
+                            [0.7, 0.9, -0.7, -0.9, 0.8j, -0.8j]])
+        got = wiener_hopf._c_plus(r)
+        with mpmath.workdps(30):
+            for ri, gi in zip(r, got):
+                rr = mpmath.mpc(ri.real, ri.imag)
+                power, acc = mpmath.mpf(1), mpmath.mpc(0)
+                for n in range(1, int(math.log(1e-22) / math.log(abs(ri))) + 2):
+                    power *= -rr
+                    acc += power / (1 - 4 * n * n)
+                err = abs(mpmath.mpc(gi.real, gi.imag) - 2 * acc / mpmath.pi)
+                assert err <= 4e-16, f"at r = {ri}: {float(err):.2e}"
+
+
 class TestCauchyTable:
     """The series against the independent adaptive Cauchy integral."""
 
@@ -385,3 +412,64 @@ class TestCauchyTableOracle:
             ConductivityTensor.diagonal(0, 0, nondimensional=True), 4.0))
         out = kernel.cauchy_table().phi(np.array([1.0 + 1e-7j, -3.0, 2.0 - 5.0j]))
         assert np.array_equal(out, np.zeros(3, dtype=complex))
+
+
+ZERO_SHEET = ConductivityTensor.diagonal(0, 0, nondimensional=True)
+
+
+@st.composite
+def sheets_near_their_scale(draw):
+    """A random passive tensor (tests/test_spectrum.py) and a real q of
+    either sign within 0.6 to 1.4 of the SPP wavenumber 2/|sigma_xx|."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sigma = random_passive_tensor(rng)
+    q = rng.choice([-1.0, 1.0]) * rng.uniform(0.6, 1.4) * 2.0 / abs(sigma.xx)
+    return sigma, complex(q), rng
+
+
+class TestZeroLeftSheet:
+    """Problem.two_sheet(zero, sigma) is Problem.single_sheet(sigma): the
+    zero sheet's factor of P is 1, so Phi and the roots must agree within
+    their error estimates."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(sheets_near_their_scale())
+    def test_same_phi(self, case):
+        sigma, q, rng = case
+        single = Problem.single_sheet(sigma, q)
+        try:
+            kernel = build_log_kernel(single)
+        except RealAxisZeroError:
+            with pytest.raises(RealAxisZeroError):
+                build_log_kernel(Problem.two_sheet(ZERO_SHEET, sigma, q))
+            assume(False)
+        two = build_log_kernel(Problem.two_sheet(ZERO_SHEET, sigma, q))
+        assert two.nu_k == kernel.nu_k
+        assume(kernel.nu_k == 0)
+        tables = kernel.cauchy_table(), two.cauchy_table()
+        assert tables[0].nodes.size == tables[1].nodes.size
+        # on the axis (principal values), next to it and off it, both sides
+        x = rng.uniform(-4.0, 4.0, 12) * kernel.scale
+        pts = np.concatenate([x, x + 1e-9j * kernel.scale,
+                              (rng.uniform(-3.0, 3.0, 12) + 1j * rng.uniform(0.01, 2.0, 12)
+                               * rng.choice([-1.0, 1.0], 12)) * kernel.scale])
+        gap = np.abs(tables[0].phi(pts) - tables[1].phi(pts)).max()
+        assert gap <= tables[0].error_estimate + tables[1].error_estimate
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.filter_too_much])
+    @given(sheets_near_their_scale())
+    def test_same_root(self, case):
+        # the two-sheet residual is the exponential form A(q), whose secant
+        # path differs from that of F: from the same far guess it can end
+        # in a nu_K != 0 pocket, or at a zero of A on another branch of
+        # F's log.  So the two-sheet solve starts 0.1 % off the single
+        # root; both stop at |residual| < 1e-10, about 1e-10 of |q|
+        sigma, q, _ = case
+        one = solve(Problem.single_sheet(sigma, q), q)
+        assume(one.converged)
+        guess = one.q * (1.0 + 1e-3j)
+        two = solve(Problem.two_sheet(ZERO_SHEET, sigma, guess), guess)
+        assert two.converged, two.message
+        assert abs(two.q - one.q) <= 1e-8 * abs(one.q)
