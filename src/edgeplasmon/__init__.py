@@ -50,22 +50,17 @@ from .spectrum import (
     QuadraticRoots,
     RealAxisZeroError,
     SpectrumReport,
-    SplitCoefficients,
     bulk_zeros,
     conjecture_check,
     dual_winding_index,
     quadratic_roots,
-    split_coefficients,
     winding_index,
 )
 from .wiener_hopf import (
     NonzeroIndexError,
-    SplitHalf,
     UnwrappedLogKernel,
-    boundary_split_q,
     build_log_kernel,
     cauchy_transform,
-    split_q,
 )
 
 __version__ = "0.1.0"

@@ -402,7 +402,7 @@ def cmd_validate(cfg, args) -> int:
     """Built-in invariant suite; exit 0 when every check passes."""
     from . import selfcheck
 
-    results = selfcheck.run_all(verbose=args.verbose)
+    results = selfcheck.run_all()
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'}  {name}{'' if ok else '  ' + detail}")
     return EXIT_OK if all(ok for _, ok, _ in results) else EXIT_NUMERICAL
@@ -444,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes")
-    parser.add_argument("--verbose", action="store_true")
     return parser
 
 

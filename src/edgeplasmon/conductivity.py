@@ -104,13 +104,6 @@ class ConductivityTensor:
         ev = self.hermitian_eigenvalues()
         return bool(np.all(ev >= -tol * max(self.frobenius, 1e-300)))
 
-    def require_passive(self, tol: float = 1e-12) -> None:
-        if not self.is_passive(tol):
-            raise PassivityError(
-                "conductivity tensor is active: Hermitian part has eigenvalues "
-                f"{self.hermitian_eigenvalues()}"
-            )
-
     def isclose(self, other: "ConductivityTensor", tol: float = 0.0) -> bool:
         scale = max(self.frobenius, other.frobenius, 1e-300)
         d = self.as_matrix() - other.as_matrix()

@@ -78,12 +78,12 @@ def residual(problem: Problem, *, kernel: UnwrappedLogKernel | None = None) -> c
     when nu_K != 0, where no discrete dispersion relation exists."""
     if kernel is None:
         kernel = build_log_kernel(problem)
-    roots, coeffs, phi_p, phi_m = kernel.root_constants()
+    roots, phi_p, phi_m = kernel.root_constants()
     if problem.variant is Variant.TWO_SHEET:
-        return complex(coeffs.c_plus * np.exp(-phi_p)
-                       + coeffs.c_minus * np.exp(-phi_m))
+        return complex(roots.c_plus * np.exp(-phi_p)
+                       + roots.c_minus * np.exp(-phi_m))
     # Q_+(xi^+) = Phi(xi^+), Q_-(xi^-) = -Phi(xi^-)
-    return complex(phi_p - phi_m - principal_log(-coeffs.c_plus / coeffs.c_minus))
+    return complex(phi_p - phi_m - principal_log(-roots.c_plus / roots.c_minus))
 
 
 def vm_isotropic_residual(problem: Problem, *, rtol: float = 1e-11) -> complex:
@@ -293,7 +293,7 @@ class LongwaveParams:
 def f_pm(kernel: UnwrappedLogKernel) -> tuple[complex, complex]:
     """(f^+, f^-) with f^+- = +-2 pi i sg(q) Q_+-(xi^+-) = 2 pi i sg(q) Phi(xi^+-),
     read from the kernel's series (``root_constants``)."""
-    _, _, phi_p, phi_m = kernel.root_constants()
+    _, phi_p, phi_m = kernel.root_constants()
     factor = 2j * math.pi * sign_q(kernel.problem.q)
     return factor * phi_p, factor * phi_m
 

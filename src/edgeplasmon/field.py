@@ -73,8 +73,8 @@ class EdgeLimits:
 
 def _constants(kernel: UnwrappedLogKernel):
     """(xi^+, xi^-, C^+, C^-, a, b) with a = e^{-Q_+(xi^+)}, b = e^{Q_-(xi^-)}."""
-    roots, coeffs, phi_p, phi_m = kernel.root_constants()
-    return (roots.xi_plus, roots.xi_minus, coeffs.c_plus, coeffs.c_minus,
+    roots, phi_p, phi_m = kernel.root_constants()
+    return (roots.xi_plus, roots.xi_minus, roots.c_plus, roots.c_minus,
             complex(np.exp(-phi_p)), complex(np.exp(-phi_m)))
 
 
@@ -234,7 +234,6 @@ class FieldProfile:
     phi: np.ndarray
     error_estimate: np.ndarray
     accuracy_flag: np.ndarray          # True where error exceeds the target
-    residue_part: np.ndarray | None = None
 
 
 def _e_power(power: float, cut: float) -> float:
@@ -290,10 +289,9 @@ def _panel_nodes(span: float, max_width: float, kernel: UnwrappedLogKernel):
     """
     n_panels = int(np.ceil(2.0 * span / max_width))
     edges = np.linspace(-span, span, n_panels + 1)
-    if not kernel.trivial:
-        g = kernel.grid
-        inner = g[(g > -span) & (g < span)][::4]
-        edges = np.unique(np.concatenate([edges, inner]))
+    g = kernel.grid
+    inner = g[(g > -span) & (g < span)][::4]
+    edges = np.unique(np.concatenate([edges, inner]))
     nodes, _ = gk_nodes_weights(edges[:-1], edges[1:])
     return nodes.ravel(), 0.5 * np.diff(edges)
 
@@ -366,8 +364,7 @@ def _rotated_tail(prob: Problem, table, consts, end: complex,
 
 
 def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
-                *, target_error: float = 1e-4,
-                include_residue: bool = False) -> FieldProfile:
+                *, target_error: float = 1e-4) -> FieldProfile:
     """Potential phi(x) near the edge, phi0 = 1, x in units of 1/k0.
 
     x > 0 (on the sheet):  phi = C^+ e^{i xi^+ x} - (1/2 pi i) Int s_-(xi)
@@ -418,9 +415,5 @@ def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
         err[i] = (abs(diff.sum()) + tails[0][1] + tails[1][1]
                   + table.error_estimate * s_int) / (2.0 * math.pi)
 
-    flags = err > target_error
-    residue = None
-    if include_residue:
-        residue = spp_decomposition(problem, kernel).residue_field(x_values)
     return FieldProfile(x=x_values, phi=phi, error_estimate=err,
-                        accuracy_flag=flags, residue_part=residue)
+                        accuracy_flag=err > target_error)

@@ -15,13 +15,13 @@ from .conductivity import ConductivityTensor, rotate
 from .dispersion import residual, solve, vm_isotropic_residual
 from .kernel import Problem, p_of_xi
 from .spectrum import conjecture_check, quadratic_roots, winding_index
-from .wiener_hopf import SplitHalf, build_log_kernel, boundary_split_q, split_q
+from .wiener_hopf import build_log_kernel, cauchy_transform
 
 _CASE_A = ConductivityTensor.diagonal(0.2j, 0.2j, nondimensional=True)
 _CASE_B = ConductivityTensor.diagonal(0.001 + 0.1j, 0.002 + 0.2j, nondimensional=True)
 
 
-def _check_rotation(_verbose):
+def _check_rotation():
     rng = np.random.default_rng(7)
     sig = ConductivityTensor(0.01 + 0.3j, 0.002 - 0.05j, -0.001 + 0.02j, 0.02 + 0.6j,
                              nondimensional=True)
@@ -37,7 +37,7 @@ def _check_rotation(_verbose):
     return worst < 1e-13, f"worst deviation {worst:.2e}"
 
 
-def _check_sheet_sqrt(_verbose):
+def _check_sheet_sqrt():
     rng = np.random.default_rng(11)
     xi = rng.normal(size=512) + 1j * rng.normal(size=512)
     q = 1.5 - 0.3j
@@ -51,7 +51,7 @@ def _check_sheet_sqrt(_verbose):
     return ok, f"parity {parity:.1e}, sheet sum {sheets:.1e}"
 
 
-def _check_vieta(_verbose):
+def _check_vieta():
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(64):
@@ -69,7 +69,7 @@ def _check_vieta(_verbose):
     return worst < 1e-12, f"worst Vieta residual {worst:.2e}"
 
 
-def _check_quartic_identity(_verbose):
+def _check_quartic_identity():
     prob = Problem.single_sheet(_CASE_B, 13.9 + 0.14j)
     r = quadratic_roots(prob.sigma_eff, prob.q)
     ksp = prob.ksp
@@ -81,7 +81,7 @@ def _check_quartic_identity(_verbose):
     return worst < 1e-12, f"worst relative deviation {worst:.2e}"
 
 
-def _check_index_reflection(_verbose):
+def _check_index_reflection():
     qs = [0.85 * (21.657 + 0.217j), 16.0 + 1.0j, 9.0 + 0.4j]
     sig = rotate(_CASE_B, 0.4 * math.pi)
     for q in qs:
@@ -91,7 +91,7 @@ def _check_index_reflection(_verbose):
     return True, ""
 
 
-def _check_conjecture(_verbose):
+def _check_conjecture():
     sig = rotate(_CASE_B, 0.166 * math.pi)
     for fac in (0.6, 0.75, 1.0, 1.4):
         res = conjecture_check(Problem.single_sheet(sig, fac * (16.438 + 0.164j)))
@@ -100,31 +100,32 @@ def _check_conjecture(_verbose):
     return True, ""
 
 
-def _check_factorization(_verbose):
+def _check_factorization():
     prob = Problem.single_sheet(_CASE_A, 12.171985)
     kernel = build_log_kernel(prob)
-    worst = 0.0
-    for x in np.linspace(-25.0, 25.0, 21):
-        qp = split_q(kernel, x + 1e-4j, SplitHalf.PLUS)
-        qm = split_q(kernel, x - 1e-4j, SplitHalf.MINUS)
-        p_ref = complex(p_of_xi(prob, x, Sheet.FIRST))
-        worst = max(worst, abs(np.exp(qp + qm) - p_ref) / abs(p_ref))
+    x = np.linspace(-25.0, 25.0, 21)
+    # Q_+(x + i delta) + Q_-(x - i delta) = Phi(x + i delta) - Phi(x - i delta)
+    above, below = np.split(cauchy_transform(
+        kernel, np.concatenate([x + 1e-4j, x - 1e-4j])), 2)
+    p_ref = p_of_xi(prob, x, Sheet.FIRST)
+    worst = float(np.max(np.abs(np.exp(above - below) - p_ref) / np.abs(p_ref)))
     return worst < 1e-2, f"worst relative factorization error {worst:.2e}"
 
 
-def _check_plemelj(_verbose):
+def _check_plemelj():
     prob = Problem.single_sheet(_CASE_B, 13.93 + 0.14j)
     kernel = build_log_kernel(prob)
-    worst = 0.0
-    for x in (-8.0, 1.5, 11.0):
-        qp = boundary_split_q(kernel, x, SplitHalf.PLUS)
-        qm = boundary_split_q(kernel, x, SplitHalf.MINUS)
-        ref = complex(kernel.log_values(np.array([x]))[0])
-        worst = max(worst, abs(qp + qm - ref))
-    return worst < 1e-9, f"worst |Q+ + Q- - ln P| on axis {worst:.2e}"
+    x = np.array([-8.0, 1.5, 11.0])
+    # Phi(x + i delta) - Phi(x - i delta) -> L(x), and the mean -> PV Phi(x)
+    above, below, pv = np.split(cauchy_transform(
+        kernel, np.concatenate([x + 1e-8j, x - 1e-8j, x + 0j])), 3)
+    jump = float(np.max(np.abs(above - below - kernel.log_values(x))))
+    mean = float(np.max(np.abs(0.5 * (above + below) - pv)))
+    return (max(jump, mean) < 1e-8,
+            f"worst jump error {jump:.2e}, worst mean error {mean:.2e}")
 
 
-def _check_two_sheet_reduction(_verbose):
+def _check_two_sheet_reduction():
     zero = ConductivityTensor.diagonal(0.0, 0.0, nondimensional=True)
     q = 12.171985
     single = residual(Problem.single_sheet(_CASE_A, q))
@@ -134,7 +135,7 @@ def _check_two_sheet_reduction(_verbose):
     return ok, f"|F|={abs(single):.2e}, |A|={abs(two):.2e}"
 
 
-def _check_vm_match(_verbose):
+def _check_vm_match():
     sig = ConductivityTensor(0.15j, -0.05j, 0.05j, 0.15j, nondimensional=True)
     sol = solve(Problem.single_sheet(sig, 14.0 - 3.0j), 14.0 - 3.0j)
     if not sol.converged:
@@ -157,11 +158,11 @@ CHECKS = [
 ]
 
 
-def run_all(verbose: bool = False):
+def run_all():
     results = []
     for name, fn in CHECKS:
         try:
-            ok, detail = fn(verbose)
+            ok, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"{type(exc).__name__}: {exc}"
         results.append((name, ok, detail))

@@ -1,5 +1,5 @@
-"""Zeros of the symbol: quadratic roots xi^+-, splitting coefficients C^+-,
-the bulk-SPP zero census on both Riemann sheets, and the winding index.
+"""Zeros of the symbol: quadratic roots xi^+- with their splitting
+coefficients C^+-, the bulk-SPP zero census on both Riemann sheets, and the winding index.
 
 The index nu_K is the winding number of P(xi) along the real axis.  The
 census counts zeros of P on the first sheet (N^+/N^- by half-plane) and on
@@ -34,7 +34,6 @@ __all__ = [
     "QuadraticRoots",
     "RealAxisZeroError",
     "SpectrumReport",
-    "SplitCoefficients",
     "ZeroRecord",
     "bulk_zeros",
     "conjecture_check",
@@ -42,7 +41,6 @@ __all__ = [
     "phase_winding",
     "problem_scale",
     "quadratic_roots",
-    "split_coefficients",
     "unwrapped_phase_grid",
     "winding_index",
 ]
@@ -89,27 +87,25 @@ class AssignmentRule(enum.Enum):
 
 @dataclasses.dataclass(frozen=True)
 class QuadraticRoots:
-    """Roots of sigma_xx xi^2 + (sigma_xy+sigma_yx) q xi + sigma_yy q^2.
+    """Roots of sigma_xx xi^2 + (sigma_xy+sigma_yx) q xi + sigma_yy q^2 and
+    their splitting coefficients.
 
-    ``disc`` is the discriminant root actually used by the assignment; the
-    C^+- coefficients must be built from this same value so the
-    (xi^+, C^+) pairing stays consistent.
+    ``disc`` is the discriminant root D actually used by the assignment;
+    C^+- = (1/2){1 +- sg(q) (s_xy - s_yx)/D} are built from this same
+    value, so each C^+- stays paired with its xi^+-.  C^- is 1 - C^+, so
+    the pair sums to one exactly in floating point.
     """
 
     xi_plus: complex
     xi_minus: complex
     disc: complex
     rule: AssignmentRule
-
-
-@dataclasses.dataclass(frozen=True)
-class SplitCoefficients:
     c_plus: complex
     c_minus: complex
 
 
 def quadratic_roots(sigma: ConductivityTensor, q: complex) -> QuadraticRoots:
-    """xi^+- with a deterministic half-plane assignment.
+    """xi^+- with a deterministic half-plane assignment, and C^+-.
 
     xi^+- = -q[(s_xy+s_yx) +- sg(q) D]/(2 s_xx),
     D = sqrt((s_xy+s_yx)^2 - 4 s_xx s_yy).
@@ -117,7 +113,7 @@ def quadratic_roots(sigma: ConductivityTensor, q: complex) -> QuadraticRoots:
     The branch of D is fixed by requiring Im xi^+ > 0 > Im xi^-; only when
     both roots are within IM_TIE_BAND of the real axis does the sign of Re
     decide instead.  A branch flip of D swaps the labels and is recorded
-    through ``disc``.
+    through ``disc``, from which C^+- are computed.
     """
     q = complex(q)
     sg = sign_q(q)
@@ -149,19 +145,9 @@ def quadratic_roots(sigma: ConductivityTensor, q: complex) -> QuadraticRoots:
         if xp.imag < xm.imag:
             disc = -disc
             xp, xm = pair(disc)
-    return QuadraticRoots(xi_plus=xp, xi_minus=xm, disc=disc, rule=rule)
-
-
-def split_coefficients(sigma: ConductivityTensor, q: complex) -> SplitCoefficients:
-    """C^+- = (1/2){1 +- sg(q) (s_xy - s_yx)/D}, D-branch coupled to xi^+-.
-
-    C^- is computed as 1 - C^+ so the pair sums to one exactly in floating
-    point.
-    """
-    roots = quadratic_roots(sigma, q)
-    t = sign_q(q) * complex(sigma.off_diff) / roots.disc
-    c_plus = 0.5 * (1.0 + t)
-    return SplitCoefficients(c_plus=c_plus, c_minus=1.0 - c_plus)
+    c_plus = 0.5 * (1.0 + sg * complex(sigma.off_diff) / disc)
+    return QuadraticRoots(xi_plus=xp, xi_minus=xm, disc=disc, rule=rule,
+                          c_plus=c_plus, c_minus=1.0 - c_plus)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ that N stays bounded as |q|/scale -> 0.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 
@@ -47,17 +46,13 @@ from .spectrum import (
     bulk_zeros,
     phase_winding,
     quadratic_roots,
-    split_coefficients,
 )
 
 __all__ = [
     "NonzeroIndexError",
-    "SplitHalf",
     "UnwrappedLogKernel",
-    "boundary_split_q",
     "build_log_kernel",
     "cauchy_transform",
-    "split_q",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -73,11 +68,6 @@ class NonzeroIndexError(RuntimeError):
         self.nu_k = nu_k
 
 
-class SplitHalf(enum.Enum):
-    PLUS = "+"
-    MINUS = "-"
-
-
 class UnwrappedLogKernel:
     """Continuously unwrapped ln P along the real axis.
 
@@ -88,14 +78,13 @@ class UnwrappedLogKernel:
     """
 
     def __init__(self, problem: Problem, grid: np.ndarray, phase: np.ndarray,
-                 scale: float, nu_k: int, tail_const: complex, trivial: bool = False):
+                 scale: float, nu_k: int, tail_const: complex):
         self.problem = problem
         self.grid = grid
         self.phase = phase
         self.scale = scale
         self.nu_k = nu_k
         self.tail_const = tail_const      # L ~ p ln(zeta) + tail_const, p in {-1, 0, 1}
-        self.trivial = trivial
         self._cache: dict = {}
 
     # -- symbol evaluations on the real axis ----------------------------
@@ -103,8 +92,6 @@ class UnwrappedLogKernel:
     def log_values(self, zeta):
         """L(zeta) = ln|P| + i * (unwrapped arg P), vectorized over real zeta."""
         zeta = np.asarray(zeta, dtype=float)
-        if self.trivial:
-            return np.zeros(zeta.shape, dtype=complex)
         vals = p_of_xi(self.problem, zeta, Sheet.FIRST)
         pa = np.angle(vals)
         ref = np.interp(zeta, self.grid, self.phase,
@@ -127,7 +114,8 @@ class UnwrappedLogKernel:
         return self._cache[key]
 
     def root_constants(self):
-        """(roots, coeffs, phi_plus, phi_minus) at xi^+-, computed once."""
+        """(roots, Phi(xi^+), Phi(xi^-)), computed once: ``roots`` is the
+        ``QuadraticRoots`` of the problem, C^+- included."""
         return self.memo("root_constants", self._root_constants)
 
     def _root_constants(self):
@@ -135,9 +123,8 @@ class UnwrappedLogKernel:
         # classify, before quadratic_roots can raise DoubleRootError
         self.cauchy_table()
         roots = quadratic_roots(self.problem.sigma, self.problem.q)
-        coeffs = split_coefficients(self.problem.sigma, self.problem.q)
         phi_p, phi_m = cauchy_transform(self, [roots.xi_plus, roots.xi_minus])
-        return roots, coeffs, complex(phi_p), complex(phi_m)
+        return roots, complex(phi_p), complex(phi_m)
 
     def cauchy_table(self) -> "CauchyTable":
         """The spectral series of Phi, built once per kernel."""
@@ -179,10 +166,6 @@ def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
     sheets = _signed_sheets(problem)
     tail_const = _tail_constant(sheets)
     xs, theta, nu, scale = phase_winding(problem, Sheet.FIRST)
-    if not sheets:
-        # P = 1: zero phase, zero index
-        return UnwrappedLogKernel(problem, xs, theta, scale, nu, tail_const, trivial=True)
-
     # fix the global branch against the right tail alone: arg P(m) must
     # approach Im tail_const (mod 2 pi); this stays well defined for
     # nonzero winding, where the two tails differ by 2 pi nu
@@ -203,53 +186,20 @@ def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
 
 
 def cauchy_transform(kernel: UnwrappedLogKernel, xi0):
-    """Phi(xi0) = (1/2 pi i) Int L(z)/(z - xi0) dz over the real axis.
+    """Phi(xi0) = (1/2 pi i) Int L(z)/(z - xi0) dz over the real axis: the
+    one evaluator of the split functions.
 
     Q_+(xi0) = Phi(xi0) for Im xi0 > 0 and Q_-(xi0) = -Phi(xi0) for
-    Im xi0 < 0.  On the axis the principal-value transform is returned
-    (used by the Plemelj boundary formulas).  The values come from the
-    kernel's spectral series, ``kernel.cauchy_table().phi``; the table's
-    ``error_estimate`` bounds their error.  One point gives a complex, a
-    sequence of points an array.  Raises ``NonzeroIndexError`` when
-    nu_K != 0.
+    Im xi0 < 0.  On the axis the principal value PV(x) is returned; the
+    Plemelj formulas Phi(x +- i0) = PV(x) +- L(x)/2 then give the boundary
+    values Q_+-(x +- i0) = L(x)/2 +- PV(x), whose sum is L(x).  The values
+    come from the kernel's spectral series, ``kernel.cauchy_table().phi``;
+    the table's ``error_estimate`` bounds their error.  One point gives a
+    complex, a sequence of points an array.  Raises ``NonzeroIndexError``
+    when nu_K != 0.
     """
     values = kernel.cauchy_table().phi(xi0)
     return complex(values[0]) if np.ndim(xi0) == 0 else values
-
-
-def split_q(kernel: UnwrappedLogKernel, xi0: complex, half: SplitHalf) -> complex:
-    """Split-function value Q_+(xi0) or Q_-(xi0).
-
-    PLUS requires Im xi0 > 0 and MINUS requires Im xi0 < 0 (each split
-    function is evaluated in its own half-plane of analyticity); points on
-    the axis are directed to ``boundary_split_q``.  Raises
-    ``NonzeroIndexError`` when nu_K != 0.
-    """
-    xi0 = complex(xi0)
-    if xi0.imag == 0.0:
-        raise ValueError(
-            "evaluation point on the real axis; use boundary_split_q for "
-            "Plemelj boundary values")
-    if half is SplitHalf.PLUS and xi0.imag < 0:
-        raise ValueError("Q_+ is evaluated in the upper half-plane (Im xi0 > 0)")
-    if half is SplitHalf.MINUS and xi0.imag > 0:
-        raise ValueError("Q_- is evaluated in the lower half-plane (Im xi0 < 0)")
-    sign = 1.0 if half is SplitHalf.PLUS else -1.0
-    return sign * cauchy_transform(kernel, xi0)
-
-
-def boundary_split_q(kernel: UnwrappedLogKernel, x: float, half: SplitHalf) -> complex:
-    """Plemelj boundary value on the real axis:
-
-    Q_+-(x -+/+ i0) = L(x)/2 +- (1/2 pi i) PV Int L(z)/(z - x) dz.
-
-    Raises ``NonzeroIndexError`` when nu_K != 0.
-    """
-    x = float(x)
-    pv = cauchy_transform(kernel, complex(x))
-    half_l = 0.5 * complex(kernel.log_values(np.array([x]))[0])
-    sign = 1.0 if half is SplitHalf.PLUS else -1.0
-    return half_l + sign * pv
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +436,7 @@ class CauchyTable:
     balances the branch points at +-i kappa_m against it) and l_z the zero
     logs; C_s = s (a_0 + f_0 + c)/2 + S - i pi p/4 holds the regularization
     at infinity S = (Sum_{n<0} - Sum_{n>0}) (a_n + f_n) (-1)^n/2.  Two
-    sheets take the difference of the sheets' laws; the trivial kernel has
-    no terms at all.
+    sheets take the difference of the sheets' laws.
 
     kappa_m is |q| unless |q| is below ROOT_TOP times the smallest 2/|s_xx|
     of the sheets.  One map cannot resolve both the root's branch points

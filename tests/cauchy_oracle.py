@@ -45,8 +45,6 @@ def adaptive_phi(kernel, xi0, rtol=1e-13, chunk=64):
     points = np.atleast_1d(np.asarray(xi0, dtype=complex))
     values = np.empty(points.size, dtype=complex)
     errors = np.empty(points.size)
-    if kernel.trivial:
-        return np.zeros(points.size, dtype=complex), np.zeros(points.size)
     for start in range(0, points.size, chunk):
         sl = slice(start, start + chunk)
         values[sl], errors[sl] = _adaptive_chunk(kernel, points[sl], rtol)

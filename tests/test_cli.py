@@ -4,9 +4,10 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from edgeplasmon import cli, spectrum
+from edgeplasmon import cli, selfcheck, spectrum
 from edgeplasmon.branches import Sheet
 from edgeplasmon.cli import main
 from edgeplasmon.wiener_hopf import NonzeroIndexError
@@ -526,3 +527,16 @@ class TestValidateCommand:
         assert code == 0
         assert "FAIL" not in out
         assert out.count("PASS") >= 10
+
+    def test_wrong_split_fails(self, monkeypatch):
+        # offset Phi above the axis only, as a wrong split would: an offset
+        # on both sides cancels in both checks, a one-sided one must not
+        exact = selfcheck.cauchy_transform
+
+        def shifted(kernel, xi0):
+            return exact(kernel, xi0) + np.where(np.imag(xi0) > 0, 123 + 45j, 0)
+
+        monkeypatch.setattr(selfcheck, "cauchy_transform", shifted)
+        status = {name: ok for name, ok, _ in selfcheck.run_all()}
+        assert not status["boundary factorization exp(Q+ + Q-) = P"]
+        assert not status["Plemelj boundary values"]

@@ -22,7 +22,6 @@ from edgeplasmon import (
     quadratic_roots,
     residual,
     solve,
-    split_coefficients,
     trace_curve,
     vm_isotropic_residual,
 )
@@ -64,7 +63,7 @@ class TestResidual:
         f_p = residual(Problem.single_sheet(sbar, q))
         f_m = residual(Problem.single_sheet(sbar, -q))
         def log_term(qq):
-            c = split_coefficients(sbar, qq)
+            c = quadratic_roots(sbar, qq)
             return complex(principal_log(-c.c_plus / c.c_minus))
         expected = -(log_term(q) - log_term(-q))
         assert f_p - f_m == pytest.approx(expected, abs=1e-8)

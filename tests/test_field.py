@@ -119,9 +119,9 @@ class TestEdgeLimits:
         # the closed-down value of phi(0+) is C^+ + C^- = 1
         for name in "ABCD":
             kern = root_kernels[name]
-            _, coeffs, _, _ = kern.root_constants()
+            roots, _, _ = kern.root_constants()
             el = edge_limits(root_problems[name], kern)
-            true = abs(el.phi_plus - (coeffs.c_plus + coeffs.c_minus))
+            true = abs(el.phi_plus - (roots.c_plus + roots.c_minus))
             assert true <= el.phi_plus_error < 1e-4, name
 
     def test_shares_one_contour_pass_with_the_profile(self, root_problems,
@@ -249,8 +249,8 @@ class TestPhiProfile:
                                                     root_kernels):
         prob, kern = root_problems["B"], root_kernels["B"]
         xs = np.array([0.3, 0.5, 0.7])
-        prof = phi_profile(prob, kern, xs, include_residue=True)
-        diff = np.abs(prof.phi - prof.residue_part)
+        prof = phi_profile(prob, kern, xs)
+        diff = np.abs(prof.phi - spp_decomposition(prob, kern).residue_field(xs))
         # the branch-cut remainder decays faster than the slowest residue mode
         dec_rate = spp_decomposition(prob, kern).slowest_decay_rate
         measured = -np.diff(np.log(diff)) / np.diff(xs)

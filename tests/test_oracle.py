@@ -22,7 +22,7 @@ from test_spectrum import random_passive_tensor
 def test_root_values_against_mpmath(name, root_kernels):
     # Phi(xi^+-) enters the dispersion residual directly
     kernel = root_kernels[name]
-    roots, _, phi_p, phi_m = kernel.root_constants()
+    roots, phi_p, phi_m = kernel.root_constants()
     for value, point in ((phi_p, roots.xi_plus), (phi_m, roots.xi_minus)):
         true = abs(value - mp_phi(kernel, point))
         assert true < 1e-12, f"{name} at {point}: {true:.2e}"

@@ -18,7 +18,6 @@ from edgeplasmon import (
     conjecture_check,
     dual_winding_index,
     quadratic_roots,
-    split_coefficients,
     winding_index,
 )
 from edgeplasmon.spectrum import (
@@ -108,7 +107,7 @@ class TestQuadraticRoots:
 
 class TestSplitCoefficients:
     def test_symmetric_tensor_gives_half(self):
-        c = split_coefficients(make_sigma("C"), 21.657 + 0.217j)
+        c = quadratic_roots(make_sigma("C"), 21.657 + 0.217j)
         assert c.c_plus == pytest.approx(0.5)
         assert c.c_minus == pytest.approx(0.5)
 
@@ -118,7 +117,7 @@ class TestSplitCoefficients:
             q = complex(rng.normal(scale=10), rng.normal())
             if abs(q.real) < 0.5:
                 continue
-            c = split_coefficients(sigma, q)
+            c = quadratic_roots(sigma, q)
             assert c.c_plus + c.c_minus == 1.0
 
     def test_magneto_ratio_near_minus_one(self):
@@ -130,11 +129,10 @@ class TestSplitCoefficients:
         med = AmbientMedium.vacuum(omega)
         sbar = nondimensionalize(
             magneto_hydrodynamic(omega=omega, n0=1.18e15, b0=b0), med)
-        c = split_coefficients(sbar, 40.0)
-        assert abs(c.c_plus / c.c_minus + 1.0) < 0.05
-        # pairing consistency: C coupled to the same disc as the roots
         r = quadratic_roots(sbar, 40.0)
-        t = (2 * c.c_plus - 1.0) * r.disc
+        assert abs(r.c_plus / r.c_minus + 1.0) < 0.05
+        # pairing consistency: C coupled to the same disc as the roots
+        t = (2 * r.c_plus - 1.0) * r.disc
         assert t == pytest.approx(sbar.off_diff)
 
 

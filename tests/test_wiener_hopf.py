@@ -12,15 +12,12 @@ from edgeplasmon import (
     ConductivityTensor,
     NonzeroIndexError,
     Problem,
-    SplitHalf,
-    boundary_split_q,
     build_log_kernel,
     cauchy_transform,
     p_of_xi,
     quadratic_roots,
     residual,
     solve,
-    split_q,
 )
 from edgeplasmon import wiener_hopf
 from edgeplasmon.branches import principal_log
@@ -35,7 +32,7 @@ class TestLogKernel:
     def test_trivial_sheet(self):
         k = build_log_kernel(Problem.single_sheet(
             ConductivityTensor.diagonal(0, 0, nondimensional=True), 4.0))
-        assert k.trivial and k.nu_k == 0
+        assert k.nu_k == 0
         assert np.all(k.log_values(np.linspace(-9, 9, 11)) == 0)
 
     def test_exp_log_reproduces_symbol(self, root_problems, root_kernels, rng):
@@ -76,32 +73,23 @@ class TestSplitQ:
     def test_zero_sheet_splits_to_zero(self):
         kernel = build_log_kernel(Problem.single_sheet(
             ConductivityTensor.diagonal(0, 0, nondimensional=True), 4.0))
-        assert split_q(kernel, 2.0 + 1.0j, SplitHalf.PLUS) == 0
+        assert cauchy_transform(kernel, 2.0 + 1.0j) == 0
 
     def test_case_a_dispersion_sum(self, root_kernels):
         # Q+(xi+) + Q-(xi-) = ln(-C+/C-) = i pi at the reference root
         kernel = root_kernels["A"]
         prob = kernel.problem
         r = quadratic_roots(prob.sigma, prob.q)
-        qp = split_q(kernel, r.xi_plus, SplitHalf.PLUS)
-        qm = split_q(kernel, r.xi_minus, SplitHalf.MINUS)
+        qp = cauchy_transform(kernel, r.xi_plus)
+        qm = -cauchy_transform(kernel, r.xi_minus)
         assert qp + qm == pytest.approx(1j * math.pi, abs=1e-3)
         assert kernel.cauchy_table().error_estimate < 1e-8
-
-    def test_half_plane_preconditions(self, root_kernels):
-        kernel = root_kernels["A"]
-        with pytest.raises(ValueError, match="upper half-plane"):
-            split_q(kernel, 1.0 - 2.0j, SplitHalf.PLUS)
-        with pytest.raises(ValueError, match="lower half-plane"):
-            split_q(kernel, 1.0 + 2.0j, SplitHalf.MINUS)
-        with pytest.raises(ValueError, match="boundary_split_q"):
-            split_q(kernel, 3.0, SplitHalf.PLUS)
 
     def test_nonzero_index_refused(self):
         kernel = build_log_kernel(
             Problem.single_sheet(make_sigma("C"), 0.85 * (21.657 + 0.217j)))
         with pytest.raises(NonzeroIndexError):
-            split_q(kernel, 2j, SplitHalf.PLUS)
+            cauchy_transform(kernel, 2j)
 
     def test_magneto_small_q_breve_limit(self):
         # |Q_+-(xi^+-)| -> 0 as |q_breve| -> 0
@@ -112,8 +100,7 @@ class TestSplitQ:
             prob = Problem.single_sheet(sbar, q)
             kernel = build_log_kernel(prob)
             r = quadratic_roots(sbar, q)
-            mag = max(abs(split_q(kernel, r.xi_plus, SplitHalf.PLUS)),
-                      abs(split_q(kernel, r.xi_minus, SplitHalf.MINUS)))
+            mag = np.abs(cauchy_transform(kernel, [r.xi_plus, r.xi_minus])).max()
             if prev is not None:
                 assert mag < prev
             prev = mag
@@ -132,8 +119,8 @@ class TestSplitQ:
         start = time.perf_counter()
         kernel = build_log_kernel(prob)
         r = quadratic_roots(sbar, q)
-        splits = [split_q(kernel, r.xi_plus, SplitHalf.PLUS),
-                  split_q(kernel, r.xi_minus, SplitHalf.MINUS)]
+        splits = [cauchy_transform(kernel, r.xi_plus),
+                  -cauchy_transform(kernel, r.xi_minus)]
         f = residual(prob)
         elapsed = time.perf_counter() - start
         assert elapsed < 0.5, f"{elapsed:.3f} s"
@@ -189,19 +176,24 @@ class TestCauchyTransformBatch:
 
 class TestBoundaryValues:
     def test_plemelj_sum_is_log_symbol(self, root_kernels):
+        # Q_+(x + i0) + Q_-(x - i0) = Phi(x + i0) - Phi(x - i0) = L(x), and
+        # the mean of the two sides is the principal value; both are
+        # approached linearly in the offset delta
         kernel = root_kernels["B"]
-        for x in (-17.3, -2.0, 0.7, 9.4, 23.1):
-            qp = boundary_split_q(kernel, x, SplitHalf.PLUS)
-            qm = boundary_split_q(kernel, x, SplitHalf.MINUS)
-            ref = complex(kernel.log_values(np.array([x]))[0])
-            assert qp + qm == pytest.approx(ref, abs=1e-10)
+        x = np.array([-17.3, -2.0, 0.7, 9.4, 23.1])
+        for delta, tol in ((1e-6, 1e-7), (1e-8, 1e-9)):
+            above = cauchy_transform(kernel, x + 1j * delta)
+            below = cauchy_transform(kernel, x - 1j * delta)
+            pv = cauchy_transform(kernel, x + 0j)
+            assert np.abs(above - below - kernel.log_values(x)).max() < tol
+            assert np.abs(0.5 * (above + below) - pv).max() < tol
 
     def test_boundary_matches_off_axis_limit(self, root_kernels):
         kernel = root_kernels["B"]
         x = 5.5
-        qb = boundary_split_q(kernel, x, SplitHalf.PLUS)
-        seq = [split_q(kernel, x + 1j * d, SplitHalf.PLUS)
-               for d in (1e-3, 1e-5, 1e-7)]
+        # Q_+(x + i0) = L(x)/2 + PV(x)
+        qb = 0.5 * complex(kernel.log_values(x)) + cauchy_transform(kernel, complex(x))
+        seq = [cauchy_transform(kernel, x + 1j * d) for d in (1e-3, 1e-5, 1e-7)]
         errs = [abs(v - qb) for v in seq]
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] < 1e-6
@@ -215,8 +207,8 @@ class TestBoundaryValues:
         for delta in (1e-4, 1e-5, 1e-6):
             worst = 0.0
             for x in xs:
-                qp = split_q(kernel, x + 1j * delta, SplitHalf.PLUS)
-                qm = split_q(kernel, x - 1j * delta, SplitHalf.MINUS)
+                qp = cauchy_transform(kernel, x + 1j * delta)
+                qm = -cauchy_transform(kernel, x - 1j * delta)
                 p_ref = complex(p_of_xi(prob, x))
                 worst = max(worst, abs(np.exp(qp + qm) - p_ref) / abs(p_ref))
             errs[delta] = worst
@@ -232,7 +224,7 @@ class TestQAsymptotic:
         kernel, prob = root_kernels["B"], root_problems["B"]
         bounds = []
         for r_mag in (1e2, 1e3, 1e4):
-            direct = split_q(kernel, 1j * r_mag, SplitHalf.PLUS)
+            direct = cauchy_transform(kernel, 1j * r_mag)
             asym = 0.5 * complex(principal_log(0.5 * prob.sigma_eff.xx * 1j * r_mag))
             bounds.append(abs(direct - asym) * r_mag / (math.log(r_mag) + 1.0))
         assert max(bounds) < 50.0
@@ -244,7 +236,7 @@ class TestLambda:
         # -i[Lambda_+ + Lambda_-] = (q s_yx + xi s_xx) K-hat e^{-Q_+} on a
         # thousand-point grid parallel to the real axis
         prob, kernel = root_problems["C"], root_kernels["C"]
-        roots, coeffs, phi_p, phi_m = kernel.root_constants()
+        roots, phi_p, phi_m = kernel.root_constants()
         a, b = np.exp(-phi_p), np.exp(-phi_m)
         table = kernel.cauchy_table()
         delta = 1e-6 * kernel.scale
@@ -253,10 +245,10 @@ class TestLambda:
         e_mqp = np.exp(-phi)               # e^{-Q_+}, upper side
         p_here = p_of_xi(prob, xi)
         e_qm = p_here * e_mqp              # e^{+Q_-} continued upward
-        lam_p = (-coeffs.c_plus * (e_mqp - a) / (xi - roots.xi_plus)
-                 + coeffs.c_minus * (b - e_mqp) / (xi - roots.xi_minus))
-        lam_m = (coeffs.c_minus * (e_qm - b) / (xi - roots.xi_minus)
-                 - coeffs.c_plus * (a - e_qm) / (xi - roots.xi_plus))
+        lam_p = (-roots.c_plus * (e_mqp - a) / (xi - roots.xi_plus)
+                 + roots.c_minus * (b - e_mqp) / (xi - roots.xi_minus))
+        lam_m = (roots.c_minus * (e_qm - b) / (xi - roots.xi_minus)
+                 - roots.c_plus * (a - e_qm) / (xi - roots.xi_plus))
         lhs = -1j * (lam_p + lam_m)
         sig = prob.sigma_eff
         rhs = (prob.q * sig.yx + xi * sig.xx) * (0.5 / np.sqrt(
@@ -410,8 +402,10 @@ class TestCauchyTableOracle:
     def test_trivial_kernel_gives_zero(self):
         kernel = build_log_kernel(Problem.single_sheet(
             ConductivityTensor.diagonal(0, 0, nondimensional=True), 4.0))
-        out = kernel.cauchy_table().phi(np.array([1.0 + 1e-7j, -3.0, 2.0 - 5.0j]))
+        table = kernel.cauchy_table()
+        out = table.phi(np.array([1.0 + 1e-7j, -3.0, 2.0 - 5.0j]))
         assert np.array_equal(out, np.zeros(3, dtype=complex))
+        assert table.error_estimate == 0.0
 
 
 ZERO_SHEET = ConductivityTensor.diagonal(0, 0, nondimensional=True)
