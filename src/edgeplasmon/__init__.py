@@ -10,7 +10,6 @@ from .branches import BranchPointError, Sheet, principal_log, sheet_sqrt, sign_q
 from .conductivity import (
     AmbientMedium,
     ConductivityTensor,
-    PassivityError,
     ValidityReport,
     drude,
     magneto_hydrodynamic,

@@ -53,14 +53,20 @@ def sheet_sqrt(xi, q, sheet: Sheet = Sheet.FIRST):
     (FIRST) or Re w < 0 (SECOND).  Adding 0.0 turns a -0.0 imaginary part
     into +0.0, so the tie Re w = 0 (lossless sheets with real q put the
     value on the cut) goes to Im w > 0 on the first sheet, and
-    xi^+ = +i|q| sits in the upper half-plane.
+    xi^+ = +i|q| sits in the upper half-plane.  Re w also rounds to 0 when
+    Re z < 0 and Im z is a negative denormal; the same tie-break then sets
+    Im w >= 0.  Both rules depend on xi only through xi^2, so the parity
+    sheet_sqrt(-xi) = sheet_sqrt(xi) is exact.
     """
     xi = np.asarray(xi, dtype=complex)
     q = complex(q)
     z = xi * xi + q * q + 0.0
-    if np.any(z == 0):
+    if (z == 0).any():
         raise BranchPointError("xi^2 + q^2 = 0: branch point of the kernel")
     w = np.sqrt(z)
+    tie = w.real == 0.0
+    if tie.any():
+        w = np.where(tie, 1j * np.abs(w.imag), w)
     if sheet is Sheet.SECOND:
         w = -w
     return w[()] if w.ndim == 0 else w
@@ -106,5 +112,5 @@ def unwrapped_angle(w):
     are summed.  Agrees with np.unwrap(np.angle(w)) wherever no step is an
     odd multiple of pi beyond +-pi."""
     ang = np.angle(w)
-    ang[1:] -= 2.0 * np.pi * np.cumsum(np.round(np.diff(ang) / (2.0 * np.pi)))
+    ang[1:] -= 2.0 * np.pi * np.cumsum(np.round((ang[1:] - ang[:-1]) / (2.0 * np.pi)))
     return ang

@@ -170,6 +170,8 @@ def _parse_sheet(node, medium: AmbientMedium, where: str = "sheet") -> Conductiv
     phi_pi = node.get("rotation_phi_pi")
     if phi_pi is not None:
         sigma = cond.rotate(sigma, _real(phi_pi, f"{where}.rotation_phi_pi") * math.pi)
+    if not sigma.is_passive():
+        raise ConfigError(f"{where}: not passive")
     return sigma
 
 

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "AmbientMedium",
     "ConductivityTensor",
-    "PassivityError",
     "ValidityReport",
     "magneto_hydrodynamic",
     "drude",
@@ -35,10 +34,6 @@ ELEMENTARY_CHARGE = 1.602176634e-19   # C
 ELECTRON_MASS = 9.1093837139e-31      # kg
 
 NONRETARDED_WARN_RATIO = 0.5  # omega*mu*sigma#/k0 above this flags a marginal regime
-
-
-class PassivityError(ValueError):
-    """Hermitian part of the conductivity tensor has a negative eigenvalue."""
 
 
 @dataclasses.dataclass(frozen=True)

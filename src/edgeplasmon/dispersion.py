@@ -40,7 +40,6 @@ from .spectrum import (
     DoubleRootError,
     RealAxisZeroError,
     SpectrumReport,
-    bulk_zeros,
     quadratic_roots,
 )
 from .wiener_hopf import NonzeroIndexError, UnwrappedLogKernel, build_log_kernel
@@ -147,11 +146,15 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
     validity = validity_check(problem.sigma)
     n_eval = 0
     index_flips: list[str] = []
+    last_kernel = None      # the kernel of the last residual evaluated, at q1
 
     def f_at(q):
-        nonlocal n_eval
+        nonlocal n_eval, last_kernel
         n_eval += 1
-        return residual(problem.with_q(q))
+        kernel = build_log_kernel(problem.with_q(q))
+        f = residual(kernel.problem, kernel=kernel)
+        last_kernel = kernel
+        return f
 
     def no_solution(q, f, message, nu_k=None):
         return DispersionSolution(
@@ -210,7 +213,7 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
 
     # f1 was evaluated, so nu_K = 0 at q1 (a residual raises otherwise); the
     # census is that of the first signed sheet (the right one for two sheets)
-    census = bulk_zeros(problem.with_q(q1).signed_sheets()[0][1])
+    census = last_kernel.census[0]
     message = "index flips on path: " + "; ".join(index_flips) if index_flips else ""
     return DispersionSolution(
         q=q1, residual=f1, iterations=n_eval, nu_k_at_solution=0,

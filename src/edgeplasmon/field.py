@@ -17,7 +17,8 @@ algebraic tails in closed form.
 Both routines use one real-axis contour per kernel: t -+ i delta with
 delta = 1e-7 kappa, GK15 panels on [-span, span], span = max(40 kappa,
 3|q|), at most kappa/8 wide (and at most 3/max|x| for a profile), with
-the kernel's phase grid adding panel edges.  One ``CauchyTable.phi``
+panel edges added around the census zeros kept on the kernel, at their
+distance from the axis times 0, +-1, +-2, ..., +-16.  One ``CauchyTable.phi``
 call on the points of both sides gives Phi there (x > 0 and the edge
 limits use the lower side, x < 0 the upper one), memoized on the
 kernel, so whichever of ``edge_limits`` and ``phi_profile`` runs second
@@ -279,19 +280,25 @@ def _tail_value(coefs, power: float, cut: float) -> complex:
     return a_c * _e_power(power, cut) + b_c * _e_power(power + 1.0, cut)
 
 
+# panel edges at Re xi_z + |Im xi_z| times these, around each census zero
+ZERO_EDGE_OFFSETS = np.array([-16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
+
+
 def _panel_nodes(span: float, max_width: float, kernel: UnwrappedLogKernel):
     """GK15 nodes tiling [-span, span], 15 per panel in order, and the
     panel half widths.
 
-    The kernel's adaptive phase grid contributes panel edges, so sharp
-    symbol features (near-axis zeros) are resolved even where the uniform
-    oscillation-capped tiling is coarse.
+    Each non-marginal first-sheet census zero xi_z of every signed sheet
+    adds panel edges at Re xi_z + |Im xi_z| {0, +-1, +-2, +-4, +-8, +-16}:
+    a zero (or, for two sheets, a pole of P^R/P^L) at distance d from the
+    axis makes a peak of width d there, which these panels resolve even
+    where the uniform oscillation-capped tiling is coarse.
     """
     n_panels = int(np.ceil(2.0 * span / max_width))
     edges = np.linspace(-span, span, n_panels + 1)
-    g = kernel.grid
-    inner = g[(g > -span) & (g < span)][::4]
-    edges = np.unique(np.concatenate([edges, inner]))
+    zeros = np.array([loc for loc, _ in kernel.first_sheet_zeros()], dtype=complex)
+    inner = (zeros.real[:, None] + np.abs(zeros.imag)[:, None] * ZERO_EDGE_OFFSETS).ravel()
+    edges = np.unique(np.concatenate([edges, inner[np.abs(inner) < span]]))
     nodes, _ = gk_nodes_weights(edges[:-1], edges[1:])
     return nodes.ravel(), 0.5 * np.diff(edges)
 

@@ -10,6 +10,11 @@ no zero is marginal: the census conjecture (nu_K alone) is nu* = 0.
 ``ConjectureResult.nu_star`` reads nu* from that identity, so an index row
 needs one phase pass, on P; the phase pass on P* (``dual_winding_index``)
 serves only rows with a marginal zero.
+
+The census zeros also tell where the winding can change, so they seed
+the phase pass: 256 nodes uniform in theta, xi = scale tan(theta/2),
+plus nodes at each zero's real part and its distance from the axis on
+either side.  A census computed once per problem serves both.
 """
 
 from __future__ import annotations
@@ -177,13 +182,27 @@ def problem_scale(problem: Problem) -> float:
     return scale
 
 
+# the phase grid spans |xi| <= PHASE_GRID_END times the problem scale and
+# starts from PHASE_GRID_START nodes uniform in theta, xi = scale tan(theta/2)
+PHASE_GRID_END = 100.0
+PHASE_GRID_START = 256
+
+# start nodes at Re xi_z + |Im xi_z| times these, around each census zero
+ZERO_SEED_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+
+
 @functools.cache
 def _unit_phase_grid() -> np.ndarray:
-    """Starting nodes of ``unwrapped_phase_grid`` per unit scale: 1601 uniform
-    on [-4, 4] and 200 geometric out to each of +-100.  Built on first use,
-    so importing the package does no numerical work."""
-    outer = np.geomspace(4.0, 100.0, 200)
-    grid = np.unique(np.concatenate([-outer[::-1], np.linspace(-4.0, 4.0, 1601), outer]))
+    """Starting nodes of ``unwrapped_phase_grid`` per unit scale: the
+    PHASE_GRID_START nodes tan(theta_j/2), theta_j = pi (2j + 1 - N)/N, inside
+    +-PHASE_GRID_END, then +-PHASE_GRID_END as the end nodes (254 + 2).
+    Uniform in theta, they are dense where |xi| is near the scale and
+    sparse in the tails, where P varies on the scale of |xi| itself.  Built
+    on first use, so importing the package does no numerical work."""
+    n = PHASE_GRID_START
+    inner = np.tan(0.5 * math.pi * (2.0 * np.arange(n) + 1.0 - n) / n)
+    inner = inner[np.abs(inner) < PHASE_GRID_END]
+    grid = np.concatenate([[-PHASE_GRID_END], inner, [PHASE_GRID_END]])
     grid.flags.writeable = False
     return grid
 
@@ -193,47 +212,75 @@ def unwrapped_phase_grid(
     scale: float,
     *,
     max_step_rad: float = 0.5 * math.pi,
+    zeros=(),
 ):
     """Sample arg of ``pfun`` on |xi| <= 100 ``scale``, continuously unwrapped.
 
-    ``pfun`` must be vectorized over a real array.  The grid is refined
-    until adjacent phase steps are below ``max_step_rad``, which both makes
+    ``pfun`` must be vectorized over a real array.  The start nodes are the
+    unit grid times ``scale``, plus Re z + |Im z| {0, +-1, +-2} around each
+    of the complex ``zeros`` with |Re z| below the end (the census zeros of
+    the symbol: a feature as narrow as a zero's distance from the axis then
+    has nodes on it).  The grid is refined until adjacent phase steps are
+    below ``max_step_rad`` and log-modulus steps below 0.7, which both makes
     the unwrap (``unwrapped_angle``) exact and lets callers pin log
     branches by interpolation.  Returns (nodes, unwrapped_phase,
     values_at_nodes).
     """
     xs = scale * _unit_phase_grid()
+    z = np.asarray(zeros, dtype=complex)
+    z = z[np.abs(z.real) < xs[-1]]
+    if z.size:
+        seeds = (z.real[:, None] + np.abs(z.imag)[:, None] * ZERO_SEED_OFFSETS).ravel()
+        xs = np.unique(np.concatenate([xs, seeds[np.abs(seeds) < xs[-1]]]))
+    vals = pfun(xs)
     while True:
-        vals = pfun(xs)
         mod = np.abs(vals)
         if mod.min() < REAL_AXIS_MIN_MODULUS:
             raise RealAxisZeroError(
                 f"symbol modulus {mod.min():.3e} on the real axis; "
                 "index/splitting undefined (zero on contour)")
         ang = unwrapped_angle(vals)
-        bad = np.abs(np.diff(ang)) > max_step_rad
+        bad = np.abs(ang[1:] - ang[:-1]) > max_step_rad
         # refine through sharp modulus dips too, where the phase turns fastest
-        bad |= np.abs(np.diff(np.log(mod))) > 0.7
+        log_mod = np.log(mod)
+        bad |= np.abs(log_mod[1:] - log_mod[:-1]) > 0.7
         if not bad.any():
             break
         if xs.size > PHASE_GRID_MAX_NODES:
             raise RealAxisZeroError(
                 "phase refinement diverged; symbol too close to a real-axis zero")
+        # only the midpoints are new: evaluate them and merge in order
         mids = 0.5 * (xs[:-1][bad] + xs[1:][bad])
-        xs = np.unique(np.concatenate([xs, mids]))
+        xs = np.concatenate([xs, mids])
+        order = np.argsort(xs, kind="stable")
+        xs = xs[order]
+        vals = np.concatenate([vals, pfun(mids)])[order]
     return xs, ang, vals
 
 
-def phase_winding(problem: Problem, sheet: Sheet):
+def _census_zeros(problem: Problem) -> np.ndarray:
+    """The roots of every signed sheet's census quartic (``bulk_zeros``
+    without their attribution): the seeds of the phase grid.  A sheet with
+    sigma_xx = 0 has no census and adds none."""
+    out = [_census_quartic(prob) for _, prob in problem.signed_sheets()
+           if prob.quad_coeffs()[0] != 0]
+    return np.concatenate(out) if out else np.zeros(0, dtype=complex)
+
+
+def phase_winding(problem: Problem, sheet: Sheet, *, zeros=None):
     """arg P on the given sheet, unwrapped on [-m, m] with m = 100 times
     the problem scale, and its winding number.
 
-    Returns (nodes, unwrapped_phase, winding, scale).  Raises
-    RealAxisZeroError when P has a zero or a pole on the axis, or when the
-    phase change is not close to a whole number of turns (tail not
+    ``zeros`` are the census zeros of every signed sheet, which seed the
+    phase grid (``unwrapped_phase_grid``); when None they are solved here
+    (``_census_zeros``).  Returns (nodes, unwrapped_phase, winding, scale).
+    Raises RealAxisZeroError when P has a zero or a pole on the axis, or
+    when the phase change is not close to a whole number of turns (tail not
     converged, or a zero near the axis).
     """
     scale = problem_scale(problem)
+    if zeros is None:
+        zeros = _census_zeros(problem)
 
     def pfun(x):
         try:
@@ -242,7 +289,7 @@ def phase_winding(problem: Problem, sheet: Sheet):
             # a pole of P^R/P^L on the axis leaves the index as undefined as a zero
             raise RealAxisZeroError(f"{exc}; index undefined (pole on contour)") from exc
 
-    xs, ang, _ = unwrapped_phase_grid(pfun, scale)
+    xs, ang, _ = unwrapped_phase_grid(pfun, scale, zeros=zeros)
     turns = (ang[-1] - ang[0]) / (2.0 * math.pi)
     nu = round(turns)
     if abs(turns - nu) > 0.2:
@@ -304,6 +351,19 @@ class SpectrumReport:
                      and not z.marginal)
 
 
+def _census_quartic(problem: Problem) -> np.ndarray:
+    """Roots of (a xi^2 + b xi + c)^2 + 4 xi^2 + 4 q^2 (``quad_coeffs``,
+    a != 0): the eigenvalues of the companion matrix that ``np.roots``
+    builds, without its coefficient trimming."""
+    a, b, c = problem.quad_coeffs()
+    q = complex(problem.q)
+    coeffs = np.array([a * a, 2.0 * a * b, b * b + 2.0 * a * c + 4.0, 2.0 * b * c,
+                       c * c + 4.0 * q * q])
+    companion = np.eye(4, k=-1, dtype=complex)
+    companion[0, :] = -coeffs[1:] / coeffs[0]
+    return np.linalg.eigvals(companion)
+
+
 def bulk_zeros(problem: Problem) -> SpectrumReport:
     """Census of the zeros of P (first sheet) and P* (second sheet).
 
@@ -324,9 +384,7 @@ def bulk_zeros(problem: Problem) -> SpectrumReport:
     if a == 0:
         raise DegenerateQuadraticError(
             "degenerate quadratic; formulation requires sigma_xx != 0")
-    # (a xi^2 + b xi + c)^2 + 4 xi^2 + 4 q^2, degree 4 in xi
-    roots = np.roots([a * a, 2.0 * a * b, b * b + 2.0 * a * c + 4.0, 2.0 * b * c,
-                      c * c + 4.0 * q * q])
+    roots = _census_quartic(problem)
 
     band = MARGINAL_BAND * np.maximum(np.abs(roots), 1.0)
     marginal = ((np.abs(roots.imag) < band) | (np.abs(roots - 1j * q) < band)
@@ -338,7 +396,8 @@ def bulk_zeros(problem: Problem) -> SpectrumReport:
     if not marginal.all():
         xi = roots[~marginal]
         w = sheet_sqrt(xi, q, Sheet.FIRST)
-        res[:, ~marginal] = np.abs([_compose(problem, xi, w)[0], _compose(problem, xi, -w)[0]])
+        both = _compose(problem, np.concatenate([xi, xi]), np.concatenate([w, -w]))[0]
+        res[:, ~marginal] = np.abs(both).reshape(2, -1)
     second = res[1] < res[0]
     residual = np.minimum(res[0], res[1])
     # a sound quartic root always satisfies one sheet; treat numerical
@@ -376,10 +435,12 @@ def conjecture_check(problem: Problem) -> ConjectureResult:
 
     The combination is the signed sum over the sheets (right minus left for
     two sheets); ``report`` is the census of the first signed sheet, and
-    ``n_marginal`` counts the marginal zeros of every sheet.
+    ``n_marginal`` counts the marginal zeros of every sheet.  The census
+    comes first: its zeros seed the phase pass.
     """
-    nu = winding_index(problem)
     reports = [(sign, bulk_zeros(prob)) for sign, prob in problem.signed_sheets()]
+    nu = phase_winding(problem, Sheet.FIRST,
+                       zeros=[z.location for _, rep in reports for z in rep.zeros])[2]
     rhs = sum(sign * rep.conjecture_rhs for sign, rep in reports)
     marginal = sum(rep.n_marginal for _, rep in reports)
     agrees = None if marginal else rhs == nu

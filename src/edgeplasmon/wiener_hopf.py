@@ -43,6 +43,7 @@ from .quadrature import QuadratureError
 from .spectrum import (
     DegenerateQuadraticError,
     RealAxisZeroError,
+    SpectrumReport,
     bulk_zeros,
     phase_winding,
     quadratic_roots,
@@ -74,12 +75,17 @@ class UnwrappedLogKernel:
     Stores an adaptive phase grid on [-m, m] (steps < pi/2) from which the
     2-pi branch of arg P at any real point is recovered by interpolation;
     moduli and principal phases are always evaluated exactly from the
-    symbol, so the series accuracy is not limited by the grid.
+    symbol, so the series accuracy is not limited by the grid.  ``census``
+    holds the ``bulk_zeros`` report of each of ``problem.signed_sheets()``,
+    in order: the zeros that seeded the grid, that the series subtracts
+    and around which the field contour puts its panel edges.
     """
 
     def __init__(self, problem: Problem, grid: np.ndarray, phase: np.ndarray,
-                 scale: float, nu_k: int, tail_const: complex):
+                 scale: float, nu_k: int, tail_const: complex,
+                 census: tuple[SpectrumReport, ...]):
         self.problem = problem
+        self.census = census
         self.grid = grid
         self.phase = phase
         self.scale = scale
@@ -130,6 +136,13 @@ class UnwrappedLogKernel:
         """The spectral series of Phi, built once per kernel."""
         return self.memo("table", lambda: CauchyTable.build(self))
 
+    def first_sheet_zeros(self) -> list[tuple[complex, int]]:
+        """(location, sign) of every non-marginal first-sheet zero in the
+        census: the zeros of P_sheet, which enter P with the sheet's sign."""
+        return [(rec.location, sign)
+                for (sign, _), rep in zip(self.problem.signed_sheets(), self.census)
+                for rec in rep.zeros if rec.sheet is Sheet.FIRST and not rec.marginal]
+
 
 def _signed_sheets(problem: Problem) -> list[tuple[int, Problem]]:
     """The nonzero sheets of ``problem.signed_sheets()``, whose logs enter L
@@ -154,8 +167,10 @@ def _tail_constant(sheets) -> complex:
 def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
     """Construct the unwrapped log-symbol for one (sheet, q) configuration.
 
-    The phase is unwrapped continuously on [-m, m] (``phase_winding``,
-    which also gives the winding index stored on the kernel), then the
+    The census of each signed sheet (``bulk_zeros``) comes first and is
+    kept on the kernel.  The phase is then unwrapped continuously on
+    [-m, m] from start nodes seeded at the census zeros (``phase_winding``,
+    which also gives the winding index stored on the kernel), and the
     global 2-pi-i branch constant is fixed by matching L(m) against the
     analytic tail law.
 
@@ -165,7 +180,9 @@ def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
     """
     sheets = _signed_sheets(problem)
     tail_const = _tail_constant(sheets)
-    xs, theta, nu, scale = phase_winding(problem, Sheet.FIRST)
+    census = tuple(bulk_zeros(prob) for _, prob in problem.signed_sheets())
+    xs, theta, nu, scale = phase_winding(
+        problem, Sheet.FIRST, zeros=[rec.location for rep in census for rec in rep.zeros])
     # fix the global branch against the right tail alone: arg P(m) must
     # approach Im tail_const (mod 2 pi); this stays well defined for
     # nonzero winding, where the two tails differ by 2 pi nu
@@ -177,7 +194,7 @@ def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
             "rad); symbol tails not converged at the cutoff")
     theta = theta - TWO_PI * k
 
-    return UnwrappedLogKernel(problem, xs, theta, scale, nu, tail_const)
+    return UnwrappedLogKernel(problem, xs, theta, scale, nu, tail_const, census)
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +498,8 @@ class CauchyTable:
         # zeros inside the top radius are zeros of P(w_0) alone: the levels
         # carry them
         inner = radii[-1] if len(radii) > 1 else 0.0
-        zeros = [(rec.location, sign, math.copysign(kappa, rec.location.imag) * 1j)
-                 for sign, prob in sheets for rec in bulk_zeros(prob).zeros
-                 if rec.sheet is Sheet.FIRST and not rec.marginal
-                 and abs(rec.location) > inner]
+        zeros = [(loc, sign, math.copysign(kappa, loc.imag) * 1j)
+                 for loc, sign in kernel.first_sheet_zeros() if abs(loc) > inner]
 
         def root(xi, j):
             return sheet_sqrt(xi, q, Sheet.FIRST) if j == 0 else _stand_in_root(xi, q, radii[j])

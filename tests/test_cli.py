@@ -118,6 +118,21 @@ class TestConfigErrors:
         assert err.startswith("config error: sheet.model") and "n0" in err
 
     @pytest.mark.parametrize("command", ["solve", "index"])
+    def test_active_sheet_is_refused(self, tmp_path, capsys, command):
+        # Re sigma_xx < 0: the Hermitian part has a negative eigenvalue
+        cfg = case_a_cfg(index={"q_values": [[12.0, 0.0]]})
+        cfg["sheet"]["tensor"]["xx"] = [-0.01, 0.2]
+        code, out, err = run_cli(capsys, command, "--config", write_cfg(tmp_path, cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("config error: sheet: not passive")
+        cfg = two_sheet_cfg(index={"q_values": [[12.0, 0.0]]},
+                            solve={"q_guesses": [[12.0, 0.0]]})
+        cfg["problem"]["sheet_left"]["tensor"]["xx"] = [-0.0005, 0.05]
+        code, out, err = run_cli(capsys, command, "--config", write_cfg(tmp_path, cfg))
+        assert code == 2 and out == ""
+        assert err.startswith("config error: problem.sheet_left: not passive")
+
+    @pytest.mark.parametrize("command", ["solve", "index"])
     @pytest.mark.parametrize("sheet, where", [
         (5, "sheet: expected an object"),
         ({"model": "drude"}, "sheet.model: expected an object"),
@@ -334,9 +349,9 @@ class TestIndexCommand:
         sheets = []
         phase_winding = spectrum.phase_winding
 
-        def counted(problem, sheet):
+        def counted(problem, sheet, *, zeros=None):
             sheets.append(sheet)
-            return phase_winding(problem, sheet)
+            return phase_winding(problem, sheet, zeros=zeros)
 
         monkeypatch.setattr(spectrum, "phase_winding", counted)
         return sheets

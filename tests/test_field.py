@@ -82,8 +82,8 @@ class TestEdgeLimits:
 
     def test_strongly_anisotropic_regression(self):
         # heavily damped mode on a strongly anisotropic sheet whose symbol
-        # dips sharply near the axis; the contour panels must inherit the
-        # kernel's adaptive grid to resolve it (fixed-width tiling once
+        # dips sharply near the axis; the contour panels must take edges
+        # around the census zeros to resolve it (fixed-width tiling once
         # left a 4e-3 continuity defect here)
         from edgeplasmon import solve
         sol = solve(Problem.single_sheet(ANISOTROPIC_SIGMA, 18.6), 18.6)
@@ -95,8 +95,8 @@ class TestEdgeLimits:
 
     @pytest.mark.parametrize("q", NEAR_ROOT_Q, ids=lambda q: f"{q.real:.14f}")
     def test_strongly_anisotropic_near_root(self, q):
-        # the accuracy must not hang on which kernel-grid nodes become
-        # panel edges as q moves within the solver's rounding of the root
+        # the accuracy must not hang on where the panel edges fall as q
+        # moves within the solver's rounding of the root
         prob = Problem.single_sheet(ANISOTROPIC_SIGMA, q)
         el = edge_limits(prob, build_log_kernel(prob))
         assert abs(el.phi_plus - el.phi_minus) < 1e-4
@@ -274,3 +274,23 @@ class TestPhiProfile:
         prob, kern = root_problems["A"], root_kernels["A"]
         prof = phi_profile(prob, kern, np.array([0.2]), target_error=1e-16)
         assert prof.accuracy_flag.all()
+
+    def test_two_sheet_profile_resolves_the_left_sheet_poles(self, monkeypatch):
+        # the left sheet's zeros at +-(38.70 + 0.19i) are poles of P^R/P^L,
+        # where |P| peaks at 666 on the axis; panel edges around them keep
+        # the x < 0 estimate at ~1e-10 (edges from the phase grid left it
+        # at 1.1e-4, flagged).  The reference takes panels an eighth as wide.
+        from edgeplasmon import field, solve
+        left = ConductivityTensor.diagonal(0.05j + 0.0005, 0.05j + 0.0005,
+                                           nondimensional=True)
+        sol = solve(Problem.two_sheet(left, make_sigma("A"), 12.0), 12.0)
+        assert sol.converged
+        prob = Problem.two_sheet(left, make_sigma("A"), sol.q)
+        xs = [-0.1, -1e-3, -1e-4]
+        prof = phi_profile(prob, build_log_kernel(prob), xs)
+        assert not prof.accuracy_flag.any()
+        panel_nodes = field._panel_nodes
+        monkeypatch.setattr(field, "_panel_nodes", lambda span, max_width, kernel:
+                            panel_nodes(span, max_width / 8.0, kernel))
+        ref = phi_profile(prob, build_log_kernel(prob), xs)
+        assert np.all(np.abs(prof.phi - ref.phi) <= prof.error_estimate)

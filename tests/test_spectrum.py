@@ -24,6 +24,7 @@ from edgeplasmon.spectrum import (
     CLASSIFY_RESIDUAL,
     MARGINAL_BAND,
     HalfPlane,
+    problem_scale,
     unwrapped_phase_grid,
 )
 from edgeplasmon.kernel import p_of_xi
@@ -337,14 +338,17 @@ class TestWindingIndex:
         assert _check_kernel_index_and_reflection(_pocket_problem(variant)) == -1
 
     def test_pole_on_axis_is_a_real_axis_error(self):
-        # a lossless left sheet whose P^L vanishes at a phase-grid node
+        # a lossless left sheet: P^L has real zeros, poles of P^R/P^L on the
+        # axis (near +-99.98 at q = -2), and the census zeros seed phase-grid
+        # nodes on them whatever q is
         left = ConductivityTensor.diagonal(0.02j, 0.02j, nondimensional=True)
         right = ConductivityTensor.diagonal(0.02j, 0.02 + 0.02j, nondimensional=True)
-        prob = Problem.two_sheet(left, right, -2.0)
-        with pytest.raises(RealAxisZeroError, match="pole on contour"):
-            winding_index(prob)
-        with pytest.raises(RealAxisZeroError, match="pole on contour"):
-            build_log_kernel(prob)
+        for q in (-2.0, -2.1, -1.7, 2.3):
+            prob = Problem.two_sheet(left, right, q)
+            with pytest.raises(RealAxisZeroError, match="pole on contour"):
+                winding_index(prob)
+            with pytest.raises(RealAxisZeroError, match="pole on contour"):
+                build_log_kernel(prob)
 
     def test_zero_for_empty_sheet(self):
         prob = Problem.single_sheet(
@@ -386,6 +390,66 @@ class TestWindingIndex:
                         ("D", 0.75 * (16.438 + 0.164j))):
             assert dual_winding_index(
                 Problem.single_sheet(make_sigma(name), q)) == 0
+
+
+def dense_winding(problem, sheet):
+    """Winding of P (or P*) on [-m, m] from 48 001 uniform nodes, each step
+    of arg P taken from P(x_k+1)/P(x_k) and the steps above pi/4 bisected
+    until none is left: a reference that shares nothing with the seeded
+    phase grid but the symbol."""
+    end = 100.0 * problem_scale(problem)
+    xs = np.linspace(-end, end, 48_001)
+    vals = p_of_xi(problem, xs, sheet)
+    for _ in range(60):
+        steps = np.angle(vals[1:] / vals[:-1])
+        bad = np.abs(steps) > 0.25 * math.pi
+        if not bad.any():
+            return round(steps.sum() / (2.0 * math.pi))
+        mids = 0.5 * (xs[:-1][bad] + xs[1:][bad])
+        order = np.argsort(np.concatenate([xs, mids]))
+        xs = np.concatenate([xs, mids])[order]
+        vals = np.concatenate([vals, p_of_xi(problem, mids, sheet)])[order]
+    raise AssertionError("dense reference grid not resolved")
+
+
+def assert_indices_match_dense_grid(prob):
+    try:
+        nu, nu_star = winding_index(prob), dual_winding_index(prob)
+    except RealAxisZeroError:
+        reject()
+    assert nu == dense_winding(prob, Sheet.FIRST)
+    assert nu_star == dense_winding(prob, Sheet.SECOND)
+    event(f"nu = {nu}, nu* = {nu_star}")
+
+
+class TestSeededPhaseGrid:
+    # the phase grid starts from 256 theta-uniform nodes plus nodes around
+    # the census zeros; its indices must be those of a dense grid
+    @pytest.mark.parametrize("variant", ["single", "interface", "two-sheet"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_indices_match_a_dense_grid(self, variant, data):
+        assert_indices_match_dense_grid(data.draw(problems(variant)))
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_indices_match_a_dense_grid_near_the_counterexample(self, seed):
+        prob = near_counterexample(np.random.default_rng(seed))
+        if prob is None:
+            reject()
+        assert_indices_match_dense_grid(prob)
+
+    @pytest.mark.parametrize("factor,nu", [(1.11, 0), (1.115, -1)])
+    def test_zero_next_to_the_axis(self, factor, nu):
+        # sheet C at these q has a first-sheet zero within 1e-4 scale of the
+        # axis, above it at 1.11 and below it at 1.115 (nu flips between)
+        prob = Problem.single_sheet(make_sigma("C"), factor * (16.438 + 0.164j))
+        gap = min(abs(z.location.imag) for z in bulk_zeros(prob).zeros
+                  if z.sheet is Sheet.FIRST)
+        assert gap < 1e-4 * problem_scale(prob)
+        assert winding_index(prob) == dense_winding(prob, Sheet.FIRST) == nu
+        assert conjecture_check(prob).nu_k == nu
+        assert dual_winding_index(prob) == dense_winding(prob, Sheet.SECOND)
 
 
 class TestConjecture:
