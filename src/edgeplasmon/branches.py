@@ -24,6 +24,7 @@ __all__ = [
     "Sheet",
     "log_polar",
     "principal_log",
+    "sheet_root",
     "sheet_sqrt",
     "sign_q",
     "unwrapped_angle",
@@ -58,15 +59,25 @@ def sheet_sqrt(xi, q, sheet: Sheet = Sheet.FIRST):
     Im w >= 0.  Both rules depend on xi only through xi^2, so the parity
     sheet_sqrt(-xi) = sheet_sqrt(xi) is exact.
     """
-    xi = np.asarray(xi, dtype=complex)
     q = complex(q)
-    z = xi * xi + q * q + 0.0
-    if (z == 0).any():
-        raise BranchPointError("xi^2 + q^2 = 0: branch point of the kernel")
+    return sheet_root(xi, q * q, sheet)
+
+
+def sheet_root(xi, q2, sheet: Sheet = Sheet.FIRST):
+    """``sheet_sqrt`` given q2 = q^2 rather than q: one value, or one per
+    point of ``xi`` (a block of problems, each with its own q).  q^2 is
+    the caller's product, so a block evaluates each point exactly as its
+    own problem would.  A branch point raises BranchPointError with ``at``,
+    the mask of the points that hit it."""
+    xi = np.asarray(xi, dtype=complex)
+    z = xi * xi + q2 + 0.0
+    if not z.all():
+        exc = BranchPointError("xi^2 + q^2 = 0: branch point of the kernel")
+        exc.at = z == 0
+        raise exc
     w = np.sqrt(z)
-    tie = w.real == 0.0
-    if tie.any():
-        w = np.where(tie, 1j * np.abs(w.imag), w)
+    if not w.real.all():
+        w = np.where(w.real == 0.0, 1j * np.abs(w.imag), w)
     if sheet is Sheet.SECOND:
         w = -w
     return w[()] if w.ndim == 0 else w

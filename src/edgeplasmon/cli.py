@@ -35,8 +35,9 @@ from .dispersion import (
     residual,
     solve,
 )
+from .branches import Sheet
 from .kernel import Problem
-from .spectrum import conjecture_check, dual_winding_index
+from .spectrum import ConjectureResult, conjecture_block, phase_winding
 from .wiener_hopf import build_log_kernel
 from .field import phi_profile
 
@@ -247,6 +248,10 @@ def _solve_row(problem: Problem, omega: float, guess: complex, tol: float) -> di
     }
 
 
+def _solve_rows(points, tol: float) -> list[dict]:
+    return [_solve_row(*point, tol) for point in points]
+
+
 def cmd_solve(cfg, args) -> int:
     node = _mapping(cfg.get("solve", {}), "solve")
     guesses = _qs(node.get("q_guesses"), "solve.q_guesses")
@@ -256,7 +261,7 @@ def cmd_solve(cfg, args) -> int:
     problems = {w: _parse_problem(cfg, _parse_medium(cfg.get("medium"), w), guesses[0])
                 for w in omegas}
     points = [(problems[w], w, g) for w in omegas for g in guesses]
-    rows = _dispatch(functools.partial(_solve_row, tol=tol), points, args.jobs)
+    rows = _dispatch(functools.partial(_solve_rows, tol=tol), points, args.jobs)
     _write_rows(rows, SOLVE_COLUMNS, args.out, args.format)
     return EXIT_OK if all(r.pop("_ok", False) for r in rows) else EXIT_NUMERICAL
 
@@ -266,40 +271,61 @@ INDEX_COLUMNS = ["omega", "re_q", "im_q", "nu_k", "nu_k_star", "n_plus",
                  "conjecture_rhs", "conjecture_agrees", "wall_ms"]
 
 
-def _index_row(problem: Problem, omega: float, q: complex) -> dict:
-    """One index row of ``problem`` at ``q``; a numerical failure at this
-    point (Re q = 0 included) leaves the row's fields empty and puts the
-    error in ``conjecture_agrees``."""
+def _index_rows(points) -> list[dict]:
+    """The index rows of one block of (problem, omega, q) points, computed
+    together: one ``conjecture_block``, then the P* phase pass
+    (``phase_winding`` on the second sheet) for the rows whose census has
+    a marginal zero, where the census cannot give nu*.  A numerical failure
+    at one point (Re q = 0 included) leaves that row's fields empty and puts
+    the error in ``conjecture_agrees``; the other rows go on.  Every row's
+    ``wall_ms`` is the block's time over its number of rows."""
     t0 = time.perf_counter()
-    try:
-        problem = problem.with_q(q)
-        res = conjecture_check(problem)
-        nu_star = res.nu_star
-        if nu_star is None:
-            nu_star = dual_winding_index(problem)
-        row = {
-            "nu_k": res.nu_k, "nu_k_star": nu_star,
-            "n_plus": res.report.n_plus, "n_minus": res.report.n_minus,
-            "nstar_plus": res.report.n_star_plus,
-            "nstar_minus": res.report.n_star_minus,
-            "n_marginal": res.n_marginal,
-            "conjecture_rhs": res.rhs,
-            "conjecture_agrees": "" if res.agrees is None else res.agrees,
-            "_ok": True,
-        }
-    except NUMERICAL_ERRORS as exc:
-        row = {**dict.fromkeys(INDEX_COLUMNS, ""), "conjecture_agrees": f"error: {exc}",
-               "_ok": False}
-    row.update({"omega": omega, "re_q": q.real, "im_q": q.imag,
-                "wall_ms": int(round(1000.0 * (time.perf_counter() - t0)))})
-    return row
+    results: list = [None] * len(points)
+    problems = {}
+    for i, (problem, _, q) in enumerate(points):
+        try:
+            problems[i] = problem.with_q(q)
+        except NUMERICAL_ERRORS as exc:
+            results[i] = exc
+    for i, res in zip(problems, conjecture_block(problems.values())):
+        results[i] = res
+    marginal = [i for i in problems
+                if isinstance(results[i], ConjectureResult) and results[i].nu_star is None]
+    duals = phase_winding([problems[i] for i in marginal], Sheet.SECOND)[3] if marginal else []
+    nu_star = dict(zip(marginal, duals))
+    rows = []
+    for i, res in enumerate(results):
+        star = nu_star.get(i)
+        if isinstance(star, Exception):
+            res = star
+        if isinstance(res, Exception):
+            row = {**dict.fromkeys(INDEX_COLUMNS, ""),
+                   "conjecture_agrees": f"error: {res}", "_ok": False}
+        else:
+            row = {
+                "nu_k": res.nu_k, "nu_k_star": res.nu_star if star is None else star,
+                "n_plus": res.report.n_plus, "n_minus": res.report.n_minus,
+                "nstar_plus": res.report.n_star_plus,
+                "nstar_minus": res.report.n_star_minus,
+                "n_marginal": res.n_marginal,
+                "conjecture_rhs": res.rhs,
+                "conjecture_agrees": "" if res.agrees is None else res.agrees,
+                "_ok": True,
+            }
+        _, omega, q = points[i]
+        row.update({"omega": omega, "re_q": q.real, "im_q": q.imag})
+        rows.append(row)
+    wall_ms = int(round(1000.0 * (time.perf_counter() - t0) / max(len(points), 1)))
+    for row in rows:
+        row["wall_ms"] = wall_ms
+    return rows
 
 
 def cmd_index(cfg, args) -> int:
     qs = _qs(_mapping(cfg.get("index", {}), "index").get("q_values"), "index.q_values")
     medium = _parse_medium(cfg.get("medium"))
     problem = _parse_problem(cfg, medium, qs[0])
-    rows = _dispatch(_index_row, [(problem, medium.omega, q) for q in qs], args.jobs)
+    rows = _dispatch(_index_rows, [(problem, medium.omega, q) for q in qs], args.jobs)
     ok = all(r.pop("_ok", False) for r in rows)
     _write_rows(rows, INDEX_COLUMNS, args.out, args.format)
     return EXIT_OK if ok else EXIT_NUMERICAL
@@ -325,7 +351,7 @@ def cmd_sweep(cfg, args) -> int:
     problems = {p: _parse_problem({**cfg, "sheet": {**sheet, "rotation_phi_pi": p}},
                                   medium, base_q) for p in phis}
     grid = [(p, f) for p in phis for f in factors]
-    rows = _dispatch(_index_row, [(problems[p], medium.omega, f * base_q) for p, f in grid],
+    rows = _dispatch(_index_rows, [(problems[p], medium.omega, f * base_q) for p, f in grid],
                      args.jobs)
     # annotate index transitions along each constant-phi line, across failed rows
     last: dict[float, int] = {}
@@ -415,15 +441,17 @@ def cmd_validate(cfg, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _dispatch(fn, points, jobs: int):
-    """Run fn(*point) for each point, preserving input order.  The pool
-    takes about four chunks per worker: a round trip per row costs more
-    than an index row."""
-    if jobs <= 1 or len(points) <= 1:
-        return [fn(*p) for p in points]
-    chunksize = math.ceil(len(points) / (4 * jobs))
+def _dispatch(block_fn, points, jobs: int):
+    """Split the points into one contiguous block per worker, run
+    block_fn(block) on each and return its rows in input order.  One block
+    is computed in-process: a block pass costs less per row than a round
+    trip to a worker, so each worker gets a single block."""
+    size = max(math.ceil(len(points) / max(jobs, 1)), 1)
+    blocks = [points[i:i + size] for i in range(0, len(points), size)]
+    if len(blocks) <= 1:
+        return block_fn(points)
     with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, *zip(*points), chunksize=chunksize))
+        return [row for rows in pool.map(block_fn, blocks) for row in rows]
 
 
 COMMANDS = {

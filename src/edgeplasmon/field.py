@@ -105,7 +105,12 @@ def edge_limits(problem: Problem, kernel: UnwrappedLogKernel) -> EdgeLimits:
     if problem.variant is Variant.TWO_SHEET:
         phi_plus = 1.0 + div_coeff * xm * (1.0 / b) / (xp - xm)
         phi_minus = 1.0 - div_coeff * xp * (1.0 / a) / (xp - xm)
-        return EdgeLimits(complex(phi_plus), complex(phi_minus), complex(div_coeff))
+        # phi(0+) - 1 = xm (C^+ a/b + C^-)/(xp - xm) with a/b = e^{Phi(xi^-) -
+        # Phi(xi^+)}: an error dPhi in each Phi moves it by twice
+        # |xm C^+ a/b/(xp - xm)| dPhi, to first order
+        err = 2.0 * kernel.cauchy_table().error_estimate * abs(xm * cp * a / (b * (xp - xm)))
+        return EdgeLimits(complex(phi_plus), complex(phi_minus), complex(div_coeff),
+                          phi_plus_error=err)
 
     phi_minus = -(cp * xm * a + cm * xp * b) * (1.0 / a - 1.0 / b) / (xp - xm)
 

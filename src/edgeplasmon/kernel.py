@@ -17,7 +17,10 @@ Every symbol is one product over signed sheets (``Problem.signed_sheets``),
 
 with one root w for all sheets: the sheet itself with sign +1, or for two
 coplanar sheets the right one (+1) and the left one (-1), so P = P^R / P^L.
-``p_of_xi`` and ``dp_dxi`` are the one evaluation of that product.
+``_compose`` is the one evaluation of that product, from the scalars of
+``symbol_terms``: for one problem in ``p_of_xi`` and ``dp_dxi``, and for a
+block of problems, each point with its own problem's scalars, in the
+``spectrum`` block passes.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import enum
 
 import numpy as np
 
-from .branches import Sheet, sheet_sqrt
+from .branches import Sheet, sheet_root, sheet_sqrt
 from .conductivity import ConductivityTensor
 
 __all__ = ["Problem", "Variant", "dp_dxi", "khat", "p_of_xi"]
@@ -135,29 +138,37 @@ def khat(xi, q: complex):
     return 0.5 / sheet_sqrt(xi, q, Sheet.FIRST)
 
 
-def _numerator(sigma_eff: ConductivityTensor, q: complex, xi):
-    """sigma_xx xi^2 + (sigma_xy + sigma_yx) q xi + sigma_yy q^2."""
-    return sigma_eff.xx * xi * xi + sigma_eff.off_sum * q * xi + sigma_eff.yy * q * q
-
-
-def _compose(problem: Problem, xi, w, derivative: bool = False):
-    """(P, dP/dxi) of P = Prod_sheets (1 + (i/2) num/w)^sign with the root w
-    (dP/dxi is None unless ``derivative``; it needs w^2 = xi^2 + q^2).  A
-    zero of a divisor sheet raises ZeroDivisionError."""
+def symbol_terms(problem: Problem):
+    """(q^2, ((sign, a, b, c), ...)): the scalars of P, with (a, b, c) the
+    ``quad_coeffs`` of each signed sheet, all Python products as
+    ``_compose`` takes them."""
     q = complex(problem.q)
+    return q * q, tuple([(sign, *side.quad_coeffs()) for sign, side in problem.signed_sheets()])
+
+
+def _compose(terms, xi, w, derivative: bool = False):
+    """(P, dP/dxi) of P = Prod_sheets (1 + (i/2) num/w)^sign, num = a xi^2 +
+    b xi + c, with the root w and ``terms`` = (q^2, ((sign, a, b, c), ...))
+    from ``symbol_terms``: scalars for one problem, or for a block of
+    problems arrays with each problem's scalars gathered per point.  dP/dxi
+    is None unless ``derivative``; it needs w^2 = xi^2 + q^2.  A zero of a
+    divisor sheet raises ZeroDivisionError with ``at``, the mask of the
+    points where it vanishes."""
+    q2, sheets = terms
     p = dp = None
-    for sign, side in problem.signed_sheets():
-        s = side.sigma_eff
-        num = _numerator(s, q, xi)
+    for sign, a, b, c in sheets:
+        num = a * xi * xi + b * xi + c
         f = 1.0 + 0.5j * num / w
-        df = (0.5j * (2.0 * s.xx * xi + s.off_sum * q - num * xi / (xi * xi + q * q)) / w
+        df = (0.5j * (2.0 * a * xi + b - num * xi / (xi * xi + q2)) / w
               if derivative else None)
         if p is None:
             # the +1 sheet comes first; a later one divides
             p, dp = f, df
             continue
-        if np.any(f == 0):
-            raise ZeroDivisionError("P^L vanishes at the evaluation point")
+        if not f.all():
+            exc = ZeroDivisionError("P^L vanishes at the evaluation point")
+            exc.at = f == 0
+            raise exc
         if derivative:
             dp = (dp * f - p * df) / (f * f)
         p = p / f
@@ -170,7 +181,8 @@ def p_of_xi(problem: Problem, xi, sheet: Sheet = Sheet.FIRST):
     For TWO_SHEET this is the ratio P^R/P^L; a zero of P^L raises.
     """
     xi = np.asarray(xi, dtype=complex)
-    out = _compose(problem, xi, sheet_sqrt(xi, complex(problem.q), sheet))[0]
+    terms = symbol_terms(problem)
+    out = _compose(terms, xi, sheet_root(xi, terms[0], sheet))[0]
     return out[()] if out.ndim == 0 else out
 
 
@@ -180,5 +192,6 @@ def dp_dxi(problem: Problem, xi):
     For TWO_SHEET this is the derivative of the ratio P^R/P^L.
     """
     xi = np.asarray(xi, dtype=complex)
-    out = _compose(problem, xi, sheet_sqrt(xi, complex(problem.q), Sheet.FIRST), True)[1]
+    terms = symbol_terms(problem)
+    out = _compose(terms, xi, sheet_root(xi, terms[0], Sheet.FIRST), True)[1]
     return out[()] if out.ndim == 0 else out

@@ -15,6 +15,16 @@ The census zeros also tell where the winding can change, so they seed
 the phase pass: 256 nodes uniform in theta, xi = scale tan(theta/2),
 plus nodes at each zero's real part and its distance from the axis on
 either side.  A census computed once per problem serves both.
+
+Both passes run on blocks of problems, one row each (``_Block``): the
+census quartics of every row go to one stacked ``np.linalg.eigvals`` and
+their roots are attributed in one pass (``_census``), and the phase grids
+of all rows are refined together as flat (row, xi) arrays
+(``unwrapped_phase_grid``).  Each row keeps its own arithmetic, so a row
+gives the same result in any block, and a row that fails becomes that
+row's error without stopping the others.  ``conjecture_block`` is the
+block form of ``conjecture_check``; ``bulk_zeros``, ``conjecture_check``,
+``winding_index`` and ``dual_winding_index`` are blocks of one row.
 """
 
 from __future__ import annotations
@@ -26,9 +36,9 @@ import math
 
 import numpy as np
 
-from .branches import Sheet, sheet_sqrt, sign_q, unwrapped_angle
+from .branches import BranchPointError, Sheet, sheet_root, sign_q
 from .conductivity import ConductivityTensor
-from .kernel import Problem, Variant, _compose, p_of_xi
+from .kernel import Problem, Variant, _compose, symbol_terms
 
 __all__ = [
     "AssignmentRule",
@@ -41,6 +51,7 @@ __all__ = [
     "SpectrumReport",
     "ZeroRecord",
     "bulk_zeros",
+    "conjecture_block",
     "conjecture_check",
     "dual_winding_index",
     "phase_winding",
@@ -109,17 +120,13 @@ class QuadraticRoots:
     c_minus: complex
 
 
-def quadratic_roots(sigma: ConductivityTensor, q: complex) -> QuadraticRoots:
-    """xi^+- with a deterministic half-plane assignment, and C^+-.
-
-    xi^+- = -q[(s_xy+s_yx) +- sg(q) D]/(2 s_xx),
-    D = sqrt((s_xy+s_yx)^2 - 4 s_xx s_yy).
-
-    The branch of D is fixed by requiring Im xi^+ > 0 > Im xi^-; only when
-    both roots are within IM_TIE_BAND of the real axis does the sign of Re
-    decide instead.  A branch flip of D swaps the labels and is recorded
-    through ``disc``, from which C^+- are computed.
-    """
+def _root_pair(sigma: ConductivityTensor, q: complex, flip: bool = False):
+    """(xi_a, xi_b, D, tie): xi_a,b = -q[(s_xy+s_yx) +- sg(q) D]/(2 s_xx)
+    with D the principal root of the discriminant (-D when ``flip``), not
+    yet labelled; ``tie`` when both sit within IM_TIE_BAND of the real
+    axis.  Raises DegenerateQuadraticError when sigma_xx = 0 and
+    DoubleRootError when D = 0 or when a tied pair shares its real part,
+    so that neither sign separates the roots."""
     q = complex(q)
     sg = sign_q(q)
     sxx = complex(sigma.xx)
@@ -131,28 +138,162 @@ def quadratic_roots(sigma: ConductivityTensor, q: complex) -> QuadraticRoots:
     disc = complex(disc)
     if disc == 0:
         raise DoubleRootError("coincident roots xi^+ = xi^-; splitting singular")
+    if flip:
+        disc = -disc
+    xa = -q * (s_plus + sg * disc) / (2.0 * sxx)
+    xb = -q * (s_plus - sg * disc) / (2.0 * sxx)
+    scale = max(abs(xa), abs(xb))
+    tie = abs(xa.imag) <= IM_TIE_BAND * scale and abs(xb.imag) <= IM_TIE_BAND * scale
+    if tie and not (xa.real < xb.real or xa.real > xb.real):
+        raise DoubleRootError("roots not separable by Re or Im sign")
+    return xa, xb, disc, tie
 
-    def pair(d):
-        return (-q * (s_plus + sg * d) / (2.0 * sxx),
-                -q * (s_plus - sg * d) / (2.0 * sxx))
 
-    xp, xm = pair(disc)
-    scale = max(abs(xp), abs(xm))
-    if abs(xp.imag) <= IM_TIE_BAND * scale and abs(xm.imag) <= IM_TIE_BAND * scale:
+def quadratic_roots(sigma: ConductivityTensor, q: complex) -> QuadraticRoots:
+    """xi^+- with a deterministic half-plane assignment, and C^+-.
+
+    xi^+- = -q[(s_xy+s_yx) +- sg(q) D]/(2 s_xx),
+    D = sqrt((s_xy+s_yx)^2 - 4 s_xx s_yy).
+
+    The branch of D is fixed by requiring Im xi^+ > 0 > Im xi^-; only when
+    both roots are within IM_TIE_BAND of the real axis does the sign of Re
+    decide instead.  A branch flip of D swaps the labels and is recorded
+    through ``disc``, from which C^+- are computed.
+    """
+    xp, xm, disc, tie = _root_pair(sigma, q)
+    if tie:
         rule = AssignmentRule.BY_RE
-        if xp.real < xm.real:
-            disc = -disc
-            xp, xm = pair(disc)
-        if not xp.real > xm.real:
-            raise DoubleRootError("roots not separable by Re or Im sign")
+        flip = xp.real < xm.real
     else:
         rule = AssignmentRule.BY_IM
-        if xp.imag < xm.imag:
-            disc = -disc
-            xp, xm = pair(disc)
-    c_plus = 0.5 * (1.0 + sg * complex(sigma.off_diff) / disc)
+        flip = xp.imag < xm.imag
+    if flip:
+        xp, xm, disc, _ = _root_pair(sigma, q, flip=True)
+    c_plus = 0.5 * (1.0 + sign_q(q) * complex(sigma.off_diff) / disc)
     return QuadraticRoots(xi_plus=xp, xi_minus=xm, disc=disc, rule=rule,
                           c_plus=c_plus, c_minus=1.0 - c_plus)
+
+
+# ---------------------------------------------------------------------------
+# Blocks of problems
+# ---------------------------------------------------------------------------
+
+
+def _one(result):
+    """The result of a block's one row, raised when it is the row's error."""
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+class _Block:
+    """The scalars of a block of problems (its rows), all with as many
+    signed sheets: per row its ``symbol_terms`` (Python products), and for
+    several rows the same values as arrays, so that one numpy pass
+    evaluates every row at its own points exactly as a pass over that row
+    alone would."""
+
+    def __init__(self, problems):
+        self.problems = list(problems)
+        self.terms = [symbol_terms(p) for p in self.problems]
+        self.signs = tuple([t[0] for t in self.terms[0][1]]) if self.terms else ()
+        if len(self.terms) > 1 and len({len(sheets) for _, sheets in self.terms}) > 1:
+            raise ValueError("a block takes problems with the same number of signed sheets")
+
+    def __len__(self):
+        return len(self.problems)
+
+    def take(self, rows):
+        """The block of the given rows."""
+        return _Block([self.problems[r] for r in rows])
+
+    def sheets(self):
+        """The block of the signed sheets, row after row: each sheet on its
+        own (``Problem.signed_sheets``), as the census takes them."""
+        if len(self.signs) == 1:
+            return self
+        return _Block([prob for p in self.problems for _, prob in p.signed_sheets()])
+
+    @functools.cached_property
+    def _arrays(self):
+        """q^2 per row, and per signed sheet its (a, b, c) per row."""
+        q2 = np.array([q2 for q2, _ in self.terms], dtype=complex)
+        return q2, [np.array([[sheets[j][k] for _, sheets in self.terms] for k in (1, 2, 3)],
+                             dtype=complex) for j in range(len(self.signs))]
+
+    def per_point(self, values, rows):
+        """``values``, one per row, at points of the given rows: for a
+        block of one row, its value itself."""
+        if len(self.terms) == 1:
+            return values[0]
+        return np.array(values).take(rows)
+
+    def gather(self, rows):
+        """The ``_compose`` terms at points of the given rows.  A block of
+        one row has its scalars at every point."""
+        if len(self.terms) == 1:
+            return self.terms[0]
+        q2, abc = self._arrays
+        return q2.take(rows), tuple((sign, *coeffs.take(rows, axis=1))
+                                    for sign, coeffs in zip(self.signs, abc))
+
+    def symbol(self, sheet: Sheet):
+        """The ``pfun`` of ``unwrapped_phase_grid``: P (P* on the second
+        sheet) of row rows[k] at the real xi[k]."""
+        def pfun(xi, rows):
+            xi = xi.astype(complex)
+            terms = self.gather(rows)
+            return _compose(terms, xi, sheet_root(xi, terms[0], sheet))[0]
+        return pfun
+
+
+# a block's points are evaluated in runs of whole rows of about this many
+# points, so that the temporaries of a large block stay small
+EVAL_RUN = 4096
+
+
+def _rowwise(fn, x, rows, out):
+    """(fn(x, rows), whether a row failed) at points of many rows, sorted
+    by row.  An error that marks its points (``at``: a branch point of the
+    root, or a zero of P^L, that is a pole of P^R/P^L on the contour)
+    becomes the error of the rows it hit in ``out``; their points take the
+    value 1 and the other rows are evaluated again."""
+    if x.size > EVAL_RUN:
+        cuts = [0, *np.searchsorted(rows, rows[EVAL_RUN::EVAL_RUN]).tolist(), x.size]
+        vals, failed = np.empty(x.shape, dtype=complex), False
+        for a, b in zip(cuts, cuts[1:]):
+            if b > a:
+                vals[a:b], hit = _rowwise(fn, x[a:b], rows[a:b], out)
+                failed |= hit
+        return vals, failed
+    try:
+        return fn(x, rows), False
+    except (BranchPointError, ZeroDivisionError) as exc:
+        if not hasattr(exc, "at"):
+            raise
+        err = (RealAxisZeroError(f"{exc}; index undefined (pole on contour)")
+               if isinstance(exc, ZeroDivisionError) else exc)
+        for r in set(rows[exc.at].tolist()):
+            out[r] = err
+        keep = np.array([r is None for r in out]).take(rows)
+        vals = np.ones(x.shape, dtype=complex)
+        vals[keep] = _rowwise(fn, x[keep], rows[keep], out)[0]
+        return vals, True
+
+
+def _insert(at, *pairs):
+    """np.insert(array, at, new) for each (array, new) pair, at sorted."""
+    slots = at + np.arange(at.size)
+    old = np.empty(pairs[0][0].size + at.size, dtype=bool)
+    old.fill(True)
+    old[slots] = False
+    out = []
+    for array, new in pairs:
+        merged = np.empty(old.size, dtype=array.dtype)
+        merged[old] = array
+        merged[slots] = new
+        out.append(merged)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -160,23 +301,20 @@ def quadratic_roots(sigma: ConductivityTensor, q: complex) -> QuadraticRoots:
 # ---------------------------------------------------------------------------
 
 
-def _roots_or_none(sigma: ConductivityTensor, q: complex):
-    try:
-        return quadratic_roots(sigma, q)
-    except (DegenerateQuadraticError, DoubleRootError):
-        return None
-
-
 def problem_scale(problem: Problem) -> float:
-    """Characteristic wavenumber scale: max of |q|, |xi^+-|, |k_sp|, 1."""
+    """Characteristic wavenumber scale: max of |q|, |xi^+-|, |k_sp|, 1.
+    The roots xi^+- need no labels here; a sheet whose pair is degenerate
+    (``DoubleRootError``) adds none."""
     scale = max(abs(problem.q), 1.0)
     for _, prob in problem.signed_sheets():
         sig = prob.sigma_eff
         if sig.frobenius == 0:
             continue
-        r = _roots_or_none(sig, prob.q)
-        if r is not None:
-            scale = max(scale, abs(r.xi_plus), abs(r.xi_minus))
+        try:
+            xa, xb, _, _ = _root_pair(sig, prob.q)
+            scale = max(scale, abs(xa), abs(xb))
+        except (DegenerateQuadraticError, DoubleRootError):
+            pass
         if sig.xx != 0:
             scale = max(scale, abs(2j / sig.xx))
     return scale
@@ -189,6 +327,8 @@ PHASE_GRID_START = 256
 
 # start nodes at Re xi_z + |Im xi_z| times these, around each census zero
 ZERO_SEED_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+
+TWO_PI = 2.0 * np.pi
 
 
 @functools.cache
@@ -207,106 +347,243 @@ def _unit_phase_grid() -> np.ndarray:
     return grid
 
 
+def _start_nodes(scales: np.ndarray, zeros: np.ndarray):
+    """(nodes, rows): each row's scale times the unit grid, plus Re z +
+    |Im z| ZERO_SEED_OFFSETS around each of its zeros with |Re z| below the
+    end, sorted within the row, a node that repeats taken once (a sort,
+    not np.unique, which imports numpy.ma on first use)."""
+    grid = scales[:, None] * _unit_phase_grid()
+    end = grid[:, -1:]
+    seeds = (zeros.real[..., None] + np.abs(zeros.imag)[..., None] * ZERO_SEED_OFFSETS
+             ).reshape(len(grid), 5 * zeros.shape[1])
+    inside = np.abs(seeds) < end
+    # the middle offset is 0: its seed is Re z itself
+    inside &= inside[:, 2::5].repeat(5, axis=1)
+    # a seed left out becomes a copy of the end node, which the dedupe drops
+    start = np.concatenate([grid, np.where(inside, seeds, end)], axis=1)
+    del grid, end
+    start.sort(axis=1)
+    keep = np.empty(start.shape, dtype=bool)
+    keep[:, 0] = True
+    np.not_equal(start[:, 1:], start[:, :-1], out=keep[:, 1:])
+    return start[keep], keep.nonzero()[0]
+
+
 def unwrapped_phase_grid(
     pfun,
-    scale: float,
+    scale,
     *,
     max_step_rad: float = 0.5 * math.pi,
-    zeros=(),
+    zeros=None,
 ):
-    """Sample arg of ``pfun`` on |xi| <= 100 ``scale``, continuously unwrapped.
+    """Sample arg of ``pfun`` on |xi| <= 100 ``scale``, continuously
+    unwrapped, for a block of independent rows at once.
 
-    ``pfun`` must be vectorized over a real array.  The start nodes are the
-    unit grid times ``scale``, plus Re z + |Im z| {0, +-1, +-2} around each
-    of the complex ``zeros`` with |Re z| below the end (the census zeros of
-    the symbol: a feature as narrow as a zero's distance from the axis then
-    has nodes on it).  The grid is refined until adjacent phase steps are
-    below ``max_step_rad`` and log-modulus steps below 0.7, which both makes
-    the unwrap (``unwrapped_angle``) exact and lets callers pin log
-    branches by interpolation.  Returns (nodes, unwrapped_phase,
-    values_at_nodes).
+    ``scale`` holds one value per row (a number is a block of one row).
+    The rows are held as flat arrays of (row, xi) nodes, sorted by row and
+    then by xi: ``pfun(xi, rows)`` evaluates row rows[k] at the real node
+    xi[k].  A row's start nodes are its scale times the unit grid, plus
+    Re z + |Im z| {0, +-1, +-2} around each of its complex ``zeros`` (one
+    row of a 2-D array per row, nan as padding) with |Re z| below the end:
+    the census zeros of the symbol, so that a feature as narrow as a zero's
+    distance from the axis has nodes on it.  Each row is refined until its
+    adjacent phase steps are below ``max_step_rad`` and its log-modulus
+    steps below 0.7, which both makes the unwrap exact and lets callers pin
+    log branches by interpolation; a pass evaluates only the new midpoints,
+    inserts them in order, and the rows that finished leave the arrays.  A
+    row stops with a RealAxisZeroError when its modulus falls below
+    REAL_AXIS_MIN_MODULUS, when it is refined past PHASE_GRID_MAX_NODES, or
+    when ``pfun`` meets a pole or a branch point at one of its nodes
+    (``_rowwise``); the other rows go on.
+
+    Returns (nodes, unwrapped_phase, rows, turns): the final nodes of the
+    rows that finished, grouped by row in the order the rows finished, with
+    their phase and row; and per row its phase change in turns, or the
+    error that stopped it.
     """
-    xs = scale * _unit_phase_grid()
-    z = np.asarray(zeros, dtype=complex)
-    z = z[np.abs(z.real) < xs[-1]]
-    if z.size:
-        seeds = (z.real[:, None] + np.abs(z.imag)[:, None] * ZERO_SEED_OFFSETS).ravel()
-        xs = np.unique(np.concatenate([xs, seeds[np.abs(seeds) < xs[-1]]]))
-    vals = pfun(xs)
+    scales = np.array(scale, dtype=float, ndmin=1)
+    zeros = np.zeros((scales.size, 0)) if zeros is None else np.asarray(zeros, dtype=complex)
+    xs, rows = _start_nodes(scales, zeros)
+    out: list = [None] * scales.size
+    vals, stale = _rowwise(pfun, xs, rows, out)
+    done = []
     while True:
+        if stale:
+            # the rows that failed leave the arrays
+            keep = np.array([r is None for r in out]).take(rows)
+            xs, vals, rows = xs[keep], vals[keep], rows[keep]
+            stale = False
+        if not rows.size:
+            break
         mod = np.abs(vals)
         if mod.min() < REAL_AXIS_MIN_MODULUS:
-            raise RealAxisZeroError(
-                f"symbol modulus {mod.min():.3e} on the real axis; "
-                "index/splitting undefined (zero on contour)")
-        ang = unwrapped_angle(vals)
-        bad = np.abs(ang[1:] - ang[:-1]) > max_step_rad
-        # refine through sharp modulus dips too, where the phase turns fastest
-        log_mod = np.log(mod)
-        bad |= np.abs(log_mod[1:] - log_mod[:-1]) > 0.7
-        if not bad.any():
-            break
-        if xs.size > PHASE_GRID_MAX_NODES:
-            raise RealAxisZeroError(
-                "phase refinement diverged; symbol too close to a real-axis zero")
-        # only the midpoints are new: evaluate them and merge in order
-        mids = 0.5 * (xs[:-1][bad] + xs[1:][bad])
-        xs = np.concatenate([xs, mids])
-        order = np.argsort(xs, kind="stable")
-        xs = xs[order]
-        vals = np.concatenate([vals, pfun(mids)])[order]
-    return xs, ang, vals
+            for r in set(rows[mod < REAL_AXIS_MIN_MODULUS].tolist()):
+                out[r] = RealAxisZeroError(
+                    f"symbol modulus {mod[rows == r].min():.3e} on the real axis; "
+                    "index/splitting undefined (zero on contour)")
+            stale = True
+            continue
+        # the last node of each row but the last: no step crosses it
+        bounds = ((rows[1:] != rows[:-1]).nonzero()[0].tolist()
+                  if rows[0] != rows[-1] else [])
+        # a block holds many nodes: the steps reuse one buffer, in place.
+        # Refine through sharp modulus dips, where the phase turns fastest,
+        np.log(mod, out=mod)
+        step = np.subtract(mod[1:], mod[:-1])
+        del mod
+        bad = np.abs(step, out=step) > 0.7
+        # and where the unwrapped phase steps by more than max_step_rad: the
+        # unwrap of branches.unwrapped_angle, its turns counted from each row
+        ang = np.arctan2(vals.imag, vals.real)
+        np.subtract(ang[1:], ang[:-1], out=step)
+        step /= TWO_PI
+        np.rint(step, out=step)
+        if bounds:
+            # the step out of each row takes back that row's turns, so that
+            # the running count restarts at every row
+            step[bounds] = 0.0
+            step[bounds] = -np.add.reduceat(step, [0] + [b + 1 for b in bounds])[:-1]
+        if step.any():
+            step.cumsum(out=step)
+            step *= TWO_PI
+            ang[1:] -= step
+        np.subtract(ang[1:], ang[:-1], out=step)
+        bad |= np.abs(step, out=step) > max_step_rad
+        del step
+        firsts = [0] + [b + 1 for b in bounds]
+        if bounds:
+            bad[bounds] = False
+        refine = (np.logical_or.reduceat(bad, firsts).tolist() if bounds and bad.any()
+                  else [bool(bad.any())] * len(firsts))
+        if rows.size > PHASE_GRID_MAX_NODES:
+            sizes = np.bincount(rows)
+            for first, more in zip(firsts, refine):
+                r = int(rows[first])
+                if more and sizes[r] > PHASE_GRID_MAX_NODES:
+                    out[r] = RealAxisZeroError(
+                        "phase refinement diverged; symbol too close to a real-axis zero")
+                    bad &= rows[1:] != r
+                    stale = True
+        if not all(refine):
+            for first, last, more in zip(firsts, bounds + [rows.size - 1], refine):
+                if not more:
+                    out[int(rows[first])] = float((ang[last] - ang[first]) / (2.0 * math.pi))
+            if not any(refine):
+                done.append((xs, ang, rows))
+                break
+            # the rows that finished leave the arrays
+            keep = np.repeat(refine, np.diff(firsts + [rows.size]))
+            done.append((xs[~keep], ang[~keep], rows[~keep]))
+            del ang
+            xs, vals, rows = xs[keep], vals[keep], rows[keep]
+            bad = bad[keep[:-1]][:xs.size - 1]
+        else:
+            del ang
+        # only the midpoints are new: evaluate them and insert them in order
+        at = bad.nonzero()[0] + 1
+        mids = 0.5 * (xs[at - 1] + xs[at])
+        new_rows = rows.take(at)
+        new_vals, failed = _rowwise(pfun, mids, new_rows, out)
+        stale |= failed
+        xs, vals, rows = _insert(at, (xs, mids), (vals, new_vals), (rows, new_rows))
+    if not done:
+        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=int), out
+    nodes, phase, node_rows = (done[0] if len(done) == 1 else
+                               (np.concatenate(part) for part in zip(*done)))
+    return nodes, phase, node_rows, out
 
 
-def _census_zeros(problem: Problem) -> np.ndarray:
-    """The roots of every signed sheet's census quartic (``bulk_zeros``
-    without their attribution): the seeds of the phase grid.  A sheet with
-    sigma_xx = 0 has no census and adds none."""
-    out = [_census_quartic(prob) for _, prob in problem.signed_sheets()
-           if prob.quad_coeffs()[0] != 0]
-    return np.concatenate(out) if out else np.zeros(0, dtype=complex)
+def _census_roots(sheets: _Block):
+    """(roots, failed) for a block of single sheets (``_Block.sheets``):
+    the roots of each row's census quartic from one stacked
+    ``np.linalg.eigvals``, a (rows, 4) array with nan for a sheet with
+    sigma_xx = 0, which has no census; and the errors of the rows whose
+    companion matrix ``eigvals`` refused (not finite).  It refuses a whole
+    stack for one such matrix, so the stack is then solved matrix by
+    matrix."""
+    coeffs, rows = [], []
+    for row, (problem, (_, ((_, a, b, c),))) in enumerate(zip(sheets.problems, sheets.terms)):
+        if a != 0:
+            coeffs.append(_census_quartic(a, b, c, complex(problem.q)))
+            rows.append(row)
+    failed = {}
+    if not coeffs:
+        return np.full((len(sheets), 4), np.nan, dtype=complex), failed
+    coeffs = np.array(coeffs, dtype=complex)
+    # the companion matrix of np.roots: ones below the diagonal (flat
+    # entries 4, 9, 14), the normalized coefficients in the first row
+    companion = np.zeros((len(rows), 16), dtype=complex)
+    companion[:, 4::5] = 1.0
+    companion[:, :4] = -coeffs[:, 1:] / coeffs[:, :1]
+    companion = companion.reshape(-1, 4, 4)
+    try:
+        found = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError:
+        found = np.full((len(rows), 4), np.nan, dtype=complex)
+        for k, matrix in enumerate(companion):
+            try:
+                found[k] = np.linalg.eigvals(matrix)
+            except np.linalg.LinAlgError as exc:
+                failed[rows[k]] = exc
+    if len(rows) == len(sheets):
+        return found, failed
+    roots = np.full((len(sheets), 4), np.nan, dtype=complex)
+    roots[rows] = found
+    return roots, failed
 
 
-def phase_winding(problem: Problem, sheet: Sheet, *, zeros=None):
+def phase_winding(problems, sheet: Sheet, *, zeros=None):
     """arg P on the given sheet, unwrapped on [-m, m] with m = 100 times
-    the problem scale, and its winding number.
+    each problem's scale, and its winding number, for a block of problems
+    (``unwrapped_phase_grid``, one row per problem).
 
-    ``zeros`` are the census zeros of every signed sheet, which seed the
-    phase grid (``unwrapped_phase_grid``); when None they are solved here
-    (``_census_zeros``).  Returns (nodes, unwrapped_phase, winding, scale).
-    Raises RealAxisZeroError when P has a zero or a pole on the axis, or
-    when the phase change is not close to a whole number of turns (tail not
-    converged, or a zero near the axis).
+    ``zeros`` holds each row's census zeros, which seed its phase grid;
+    when None they are solved here (``_census_roots``).  Returns (nodes,
+    unwrapped_phase, rows, windings, scales) with the first three as
+    ``unwrapped_phase_grid`` gives them, and per row its winding number or
+    its error: a RealAxisZeroError when P has a zero or a pole on the axis,
+    or when the phase change is not close to a whole number of turns (tail
+    not converged, or a zero near the axis).
     """
-    scale = problem_scale(problem)
+    block = problems if isinstance(problems, _Block) else _Block(problems)
+    scales = [problem_scale(p) for p in block.problems]
+    windings: list = [None] * len(block)
+    rows = range(len(block))
     if zeros is None:
-        zeros = _census_zeros(problem)
-
-    def pfun(x):
+        zeros, failed = _census_roots(block.sheets())
+        zeros = zeros.reshape(len(block), 4 * len(block.signs))
+        for k, exc in failed.items():
+            windings[k // len(block.signs)] = windings[k // len(block.signs)] or exc
+        if failed:
+            rows = [r for r, w in enumerate(windings) if w is None]
+            block, zeros = block.take(rows), zeros[rows]
+    xs, ang, node_rows, changes = unwrapped_phase_grid(
+        block.symbol(sheet), [scales[r] for r in rows], zeros=zeros)
+    for r, turns in zip(rows, changes):
+        if isinstance(turns, Exception):
+            windings[r] = turns
+            continue
         try:
-            return p_of_xi(problem, x, sheet)
-        except ZeroDivisionError as exc:
-            # a pole of P^R/P^L on the axis leaves the index as undefined as a zero
-            raise RealAxisZeroError(f"{exc}; index undefined (pole on contour)") from exc
-
-    xs, ang, _ = unwrapped_phase_grid(pfun, scale, zeros=zeros)
-    turns = (ang[-1] - ang[0]) / (2.0 * math.pi)
-    nu = round(turns)
-    if abs(turns - nu) > 0.2:
-        raise RealAxisZeroError(
+            nu = round(turns)
+        except ValueError as exc:   # a phase change that is nan
+            windings[r] = exc
+            continue
+        windings[r] = nu if abs(turns - nu) <= 0.2 else RealAxisZeroError(
             f"phase change {turns:.3f} turns is not close to an integer; "
             "tail not converged or symbol near a real-axis zero")
-    return xs, ang, int(nu), scale
+    if not isinstance(rows, range):
+        node_rows = np.array(rows, dtype=int).take(node_rows)
+    return xs, ang, node_rows, windings, scales
 
 
 def winding_index(problem: Problem) -> int:
     """Krein index: winding number of P(xi) (the ratio P^R/P^L for two sheets)."""
-    return phase_winding(problem, Sheet.FIRST)[2]
+    return _one(phase_winding([problem], Sheet.FIRST)[3][0])
 
 
 def dual_winding_index(problem: Problem) -> int:
     """Winding of the second-sheet (dual) symbol P*."""
-    return phase_winding(problem, Sheet.SECOND)[2]
+    return _one(phase_winding([problem], Sheet.SECOND)[3][0])
 
 
 # ---------------------------------------------------------------------------
@@ -351,17 +628,81 @@ class SpectrumReport:
                      and not z.marginal)
 
 
-def _census_quartic(problem: Problem) -> np.ndarray:
-    """Roots of (a xi^2 + b xi + c)^2 + 4 xi^2 + 4 q^2 (``quad_coeffs``,
-    a != 0): the eigenvalues of the companion matrix that ``np.roots``
-    builds, without its coefficient trimming."""
-    a, b, c = problem.quad_coeffs()
-    q = complex(problem.q)
-    coeffs = np.array([a * a, 2.0 * a * b, b * b + 2.0 * a * c + 4.0, 2.0 * b * c,
-                       c * c + 4.0 * q * q])
-    companion = np.eye(4, k=-1, dtype=complex)
-    companion[0, :] = -coeffs[1:] / coeffs[0]
-    return np.linalg.eigvals(companion)
+def _census_quartic(a, b, c, q) -> tuple:
+    """Coefficients, highest first, of (a xi^2 + b xi + c)^2 + 4 xi^2 +
+    4 q^2 (``quad_coeffs``, a != 0) as Python products: the companion
+    matrices that ``np.roots`` builds, without its coefficient trimming,
+    are made from these (``_census_roots``)."""
+    return (a * a, 2.0 * a * b, b * b + 2.0 * a * c + 4.0, 2.0 * b * c,
+            c * c + 4.0 * q * q)
+
+
+def _census(block: _Block):
+    """(roots, reports): the census roots of each row, (rows, 4 x signed
+    sheets) with nan for a sheet without census (``_census_roots``), and
+    per row the tuple of ``bulk_zeros`` reports of its signed sheets, or
+    the error of its first sheet that failed.  Every root of the block is
+    attributed in one pass."""
+    sheets = block.sheets()
+    roots, failed = _census_roots(sheets)
+    reports: list = []      # per sheet
+    census = []             # the sheets with a census
+    for row, (_, ((_, a, b, c),)) in enumerate(sheets.terms):
+        if row in failed:
+            reports.append(failed[row])
+        elif a != 0:
+            census.append(row)
+            reports.append(None)
+        elif b != 0 or c != 0:
+            reports.append(DegenerateQuadraticError(
+                "degenerate quadratic; formulation requires sigma_xx != 0"))
+        else:
+            reports.append(SpectrumReport(zeros=(), n_plus=0, n_minus=0, n_star_plus=0,
+                                          n_star_minus=0, n_marginal=0))
+    if census:
+        flat = (roots if len(census) == len(reports) else roots.take(census, axis=0)).ravel()
+        points = np.array(census, dtype=int).repeat(4)
+        iq = sheets.per_point([1j * complex(prob.q) for prob in sheets.problems], points)
+        band = MARGINAL_BAND * np.maximum(np.abs(flat), 1.0)
+        marginal = ((np.abs(flat.imag) < band) | (np.abs(flat - iq) < band)
+                    | (np.abs(flat + iq) < band))
+        # |P| and |P*| at each root, from one root w (P* takes -w); a marginal
+        # root may sit on +-iq, where the square root is not defined, so it is
+        # taken at 1 (never a branch point for Re q != 0) and keeps a nan residual
+        xi = np.where(marginal, 1.0, flat)
+        w, _ = _rowwise(lambda x, rows: sheet_root(x, sheets.gather(rows)[0], Sheet.FIRST),
+                        xi, points, reports)
+        res = np.abs(_compose(sheets.gather(points), xi,
+                              np.concatenate([w, -w]).reshape(2, -1))[0])
+        res[:, marginal] = math.nan
+        second = res[1] < res[0]
+        residual = np.minimum(res[0], res[1])
+        # a sound quartic root always satisfies one sheet; treat numerical
+        # failures as marginal rather than miscounting
+        flagged = ~(residual <= CLASSIFY_RESIDUAL)
+        upper = flagged | (flat.imag > 0)
+        records = []
+        # per census (N+, N-, N*+, N*-, n_marginal): the report's fields in order
+        counts = [[0] * 5 for _ in census]
+        for i, (r, s2, up, f, e) in enumerate(zip(flat.tolist(), second.tolist(), upper.tolist(),
+                                                 flagged.tolist(), residual.tolist())):
+            records.append(ZeroRecord(r, Sheet.SECOND if s2 else Sheet.FIRST,
+                                      HalfPlane.UPPER if up else HalfPlane.LOWER, f, e))
+            counts[i // 4][4 if f else 2 * s2 + (not up)] += 1
+        for k, row in enumerate(census):
+            if reports[row] is None:
+                reports[row] = SpectrumReport(tuple(records[4 * k:4 * k + 4]), *counts[k])
+    n = len(block.signs)
+    return roots.reshape(len(block), 4 * n), [
+        _first_error(reports[r * n:(r + 1) * n]) for r in range(len(block))]
+
+
+def _first_error(reports):
+    """The first error among a row's sheet reports, or the reports."""
+    for rep in reports:
+        if isinstance(rep, Exception):
+            return rep
+    return tuple(reports)
 
 
 def bulk_zeros(problem: Problem) -> SpectrumReport:
@@ -370,48 +711,14 @@ def bulk_zeros(problem: Problem) -> SpectrumReport:
     Clearing the square root from P = 0 gives the quartic
     N_eff(xi)^2 + 4 (xi^2 + q^2) = 0 whose roots are exactly the zeros of
     P * P*; each root is attributed to the sheet whose symbol it satisfies
-    better, P or its dual P* (the root w taken as -w), all roots at once.
-    Roots within MARGINAL_BAND of the real axis or of the branch points
-    +-iq are flagged marginal and excluded from the counts.
+    better, P or its dual P* (the root w taken as -w).  Roots within
+    MARGINAL_BAND of the real axis or of the branch points +-iq are
+    flagged marginal and excluded from the counts.  This is the one-row
+    case of the block census (``_census``).
     """
     if problem.variant is Variant.TWO_SHEET:
         raise ValueError("two-sheet census applies per side; use problem.signed_sheets()")
-    q = complex(problem.q)
-    a, b, c = problem.quad_coeffs()
-    if a == 0 and b == 0 and c == 0:
-        return SpectrumReport(zeros=(), n_plus=0, n_minus=0,
-                              n_star_plus=0, n_star_minus=0, n_marginal=0)
-    if a == 0:
-        raise DegenerateQuadraticError(
-            "degenerate quadratic; formulation requires sigma_xx != 0")
-    roots = _census_quartic(problem)
-
-    band = MARGINAL_BAND * np.maximum(np.abs(roots), 1.0)
-    marginal = ((np.abs(roots.imag) < band) | (np.abs(roots - 1j * q) < band)
-                | (np.abs(roots + 1j * q) < band))
-    # |P| and |P*| at the other roots, from one root w (P* takes -w); a
-    # marginal root may sit on +-iq, where the square root is not defined,
-    # so it keeps a nan residual
-    res = np.full((2, roots.size), math.nan)
-    if not marginal.all():
-        xi = roots[~marginal]
-        w = sheet_sqrt(xi, q, Sheet.FIRST)
-        both = _compose(problem, np.concatenate([xi, xi]), np.concatenate([w, -w]))[0]
-        res[:, ~marginal] = np.abs(both).reshape(2, -1)
-    second = res[1] < res[0]
-    residual = np.minimum(res[0], res[1])
-    # a sound quartic root always satisfies one sheet; treat numerical
-    # failures as marginal rather than miscounting
-    flagged = ~(residual <= CLASSIFY_RESIDUAL)
-    upper = flagged | (roots.imag > 0)
-    records = tuple(
-        ZeroRecord(r, Sheet.SECOND if s2 else Sheet.FIRST,
-                   HalfPlane.UPPER if up else HalfPlane.LOWER, f, e)
-        for r, s2, up, f, e in zip(roots.tolist(), second.tolist(), upper.tolist(),
-                                   flagged.tolist(), residual.tolist()))
-    # (N+, N-, N*+, N*-): the report's fields in order
-    census = np.bincount((2 * second + ~upper)[~flagged], minlength=4).tolist()
-    return SpectrumReport(records, *census, n_marginal=int(np.count_nonzero(flagged)))
+    return _one(_census(_Block([problem]))[1][0])[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -430,19 +737,37 @@ class ConjectureResult:
         return None if self.n_marginal else int(self.rhs) - self.nu_k
 
 
+def conjecture_block(problems) -> list:
+    """``conjecture_check`` for every problem of a block, computed together:
+    one stacked census (``_census``), then one phase pass on P
+    (``phase_winding``) over the rows whose census succeeded, seeded by
+    their census zeros.  Per problem its ConjectureResult, or its error."""
+    block = _Block(problems)
+    roots, results = _census(block)
+    rows = [r for r, rep in enumerate(results) if not isinstance(rep, Exception)]
+    if len(rows) < len(block):
+        block, roots = block.take(rows), roots[rows]
+    windings = phase_winding(block, Sheet.FIRST, zeros=roots)[3]
+    for r, nu in zip(rows, windings):
+        if isinstance(nu, Exception):
+            results[r] = nu
+            continue
+        reports = results[r]
+        rhs = sum(sign * rep.conjecture_rhs for sign, rep in zip(block.signs, reports))
+        marginal = sum(rep.n_marginal for rep in reports)
+        results[r] = ConjectureResult(nu_k=nu, rhs=rhs,
+                                      agrees=None if marginal else rhs == nu,
+                                      report=reports[0], n_marginal=marginal)
+    return results
+
+
 def conjecture_check(problem: Problem) -> ConjectureResult:
     """Compare the winding index against the half-integer census combination.
 
     The combination is the signed sum over the sheets (right minus left for
     two sheets); ``report`` is the census of the first signed sheet, and
     ``n_marginal`` counts the marginal zeros of every sheet.  The census
-    comes first: its zeros seed the phase pass.
+    comes first: its zeros seed the phase pass.  This is the one-row case
+    of ``conjecture_block``.
     """
-    reports = [(sign, bulk_zeros(prob)) for sign, prob in problem.signed_sheets()]
-    nu = phase_winding(problem, Sheet.FIRST,
-                       zeros=[z.location for _, rep in reports for z in rep.zeros])[2]
-    rhs = sum(sign * rep.conjecture_rhs for sign, rep in reports)
-    marginal = sum(rep.n_marginal for _, rep in reports)
-    agrees = None if marginal else rhs == nu
-    return ConjectureResult(nu_k=nu, rhs=rhs, agrees=agrees, report=reports[0][1],
-                            n_marginal=marginal)
+    return _one(conjecture_block([problem])[0])

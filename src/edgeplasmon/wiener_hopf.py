@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .branches import Sheet, log_polar, principal_log, sheet_sqrt, unwrapped_angle
-from .kernel import Problem, _compose, p_of_xi
+from .kernel import Problem, _compose, p_of_xi, symbol_terms
 from .quadrature import QuadratureError
 from .spectrum import (
     DegenerateQuadraticError,
@@ -181,8 +181,10 @@ def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
     sheets = _signed_sheets(problem)
     tail_const = _tail_constant(sheets)
     census = tuple(bulk_zeros(prob) for _, prob in problem.signed_sheets())
-    xs, theta, nu, scale = phase_winding(
-        problem, Sheet.FIRST, zeros=[rec.location for rep in census for rec in rep.zeros])
+    xs, theta, _, (nu,), (scale,) = phase_winding(
+        [problem], Sheet.FIRST, zeros=[[rec.location for rep in census for rec in rep.zeros]])
+    if isinstance(nu, Exception):
+        raise nu
     # fix the global branch against the right tail alone: arg P(m) must
     # approach Im tail_const (mod 2 pi); this stays well defined for
     # nonzero winding, where the two tails differ by 2 pi nu
@@ -381,7 +383,8 @@ def _log_ratio(problem: Problem, xi, w_num, w_den):
     """ln P(w_num)/P(w_den), P the symbol with the root (xi^2 + q^2)^(1/2)
     replaced by w, along the sorted real xi, unwrapped from 0 at xi = -inf,
     where both roots agree."""
-    ratio = _compose(problem, xi, w_num)[0] / _compose(problem, xi, w_den)[0]
+    terms = symbol_terms(problem)
+    ratio = _compose(terms, xi, w_num)[0] / _compose(terms, xi, w_den)[0]
     return np.log(np.abs(ratio)) + 1j * unwrapped_angle(ratio)
 
 

@@ -346,44 +346,58 @@ class TestIndexCommand:
 
     @staticmethod
     def count_phase_passes(monkeypatch):
-        sheets = []
+        """(sheet, rows) of every phase pass the CLI runs."""
+        passes = []
         phase_winding = spectrum.phase_winding
 
-        def counted(problem, sheet, *, zeros=None):
-            sheets.append(sheet)
-            return phase_winding(problem, sheet, zeros=zeros)
+        def counted(problems, sheet, *, zeros=None):
+            result = phase_winding(problems, sheet, zeros=zeros)
+            passes.append((sheet, len(result[3])))
+            return result
 
         monkeypatch.setattr(spectrum, "phase_winding", counted)
-        return sheets
+        monkeypatch.setattr(cli, "phase_winding", counted)
+        return passes
 
     def test_one_phase_pass_per_row(self, tmp_path, capsys, monkeypatch):
-        sheets = self.count_phase_passes(monkeypatch)
+        # the rows of a block share one phase pass on P, and a census with
+        # no marginal zero gives nu* without a pass on P*
+        passes = self.count_phase_passes(monkeypatch)
+        q = [0.75 * 16.438, 0.75 * 0.164]
         cfg = {"sheet": {"tensor": {"xx": [0.001, 0.1], "yy": [0.002, 0.2],
                                     "nondimensional": True},
                          "rotation_phi_pi": 0.166},
-               "index": {"q_values": [[0.75 * 16.438, 0.75 * 0.164]]}}
+               "index": {"q_values": [q, [-q[0], -q[1]], [1.3 * q[0], 1.3 * q[1]]]}}
         code, out, _ = run_cli(capsys, "index", "--config", write_cfg(tmp_path, cfg),
                                "--jobs", "1")
         assert code == 0
-        assert parse_csv(out)[0]["n_marginal"] == "0"
-        assert sheets == [Sheet.FIRST]
+        assert [r["n_marginal"] for r in parse_csv(out)] == ["0", "0", "0"]
+        assert passes == [(Sheet.FIRST, 3)]
 
     def test_marginal_row_takes_the_dual_phase_pass(self, tmp_path, capsys, monkeypatch):
-        # a census with a marginal zero cannot give nu*: the row falls back
-        # to the winding of P*
-        sheets = self.count_phase_passes(monkeypatch)
-        bulk_zeros = spectrum.bulk_zeros
-        monkeypatch.setattr(spectrum, "bulk_zeros",
-                            lambda prob: dataclasses.replace(bulk_zeros(prob), n_marginal=1))
+        # a census with a marginal zero cannot give nu*: that row, and only
+        # that row, falls back to the winding of P*
+        passes = self.count_phase_passes(monkeypatch)
+        census = spectrum._census
+
+        def marginal_at_q(block):
+            roots, reports = census(block)
+            return roots, [tuple(dataclasses.replace(rep, n_marginal=1) for rep in reps)
+                           if prob.q == complex(*COUNTEREXAMPLE_Q) else reps
+                           for prob, reps in zip(block.problems, reports)]
+
+        monkeypatch.setattr(spectrum, "_census", marginal_at_q)
+        q = COUNTEREXAMPLE_Q
         cfg = {"sheet": {"tensor": COUNTEREXAMPLE_TENSOR},
-               "index": {"q_values": [COUNTEREXAMPLE_Q]}}
+               "index": {"q_values": [q, [-q[0], -q[1]]]}}
         code, out, _ = run_cli(capsys, "index", "--config", write_cfg(tmp_path, cfg),
                                "--jobs", "1")
         assert code == 0
-        row = parse_csv(out)[0]
-        assert (row["n_marginal"], row["conjecture_agrees"]) == ("1", "")
-        assert row["nu_k_star"] == "1"
-        assert sheets == [Sheet.FIRST, Sheet.SECOND]
+        rows = parse_csv(out)
+        assert [(r["n_marginal"], r["conjecture_agrees"]) for r in rows] == [
+            ("1", ""), ("0", "false")]
+        assert [r["nu_k_star"] for r in rows] == ["1", "-1"]
+        assert passes == [(Sheet.FIRST, 2), (Sheet.SECOND, 1)]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failed_point_keeps_its_row(self, tmp_path, capsys, jobs):

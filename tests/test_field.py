@@ -174,6 +174,23 @@ class TestEdgeLimits:
         assert el.phi_plus == pytest.approx(1.0, abs=1e-7)
         assert el.phi_minus == pytest.approx(1.0, abs=1e-7)
 
+    def test_two_sheet_phi_plus_error_bounds_series_error(self, monkeypatch):
+        # both two-sheet limits come from Phi(xi^+-): the table's error
+        # estimate, carried through phi(0+), bounds its change when the
+        # table is built at twice the nodes
+        from edgeplasmon import solve
+        left = ConductivityTensor.diagonal(0.05j + 0.0005, 0.05j + 0.0005,
+                                           nondimensional=True)
+        sol = solve(Problem.two_sheet(left, make_sigma("A"), 12.0), 12.0)
+        assert sol.converged
+        prob = Problem.two_sheet(left, make_sigma("A"), sol.q)
+        kern = build_log_kernel(prob)
+        limits = edge_limits(prob, kern)
+        assert 0.0 < limits.phi_plus_error < 1e-10
+        monkeypatch.setattr(wiener_hopf, "SERIES_N_MIN", 2 * kern.cauchy_table().nodes.size)
+        ref = edge_limits(prob, build_log_kernel(prob))
+        assert abs(limits.phi_plus - ref.phi_plus) <= limits.phi_plus_error
+
 
 class TestSppDecomposition:
     def test_case_b_modes(self, root_problems, root_kernels):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +27,8 @@ from edgeplasmon.spectrum import (
     CLASSIFY_RESIDUAL,
     MARGINAL_BAND,
     HalfPlane,
+    conjecture_block,
+    phase_winding,
     problem_scale,
     unwrapped_phase_grid,
 )
@@ -53,6 +58,39 @@ class TestQuadraticRoots:
         assert r.xi_plus == pytest.approx(12.172j)
         assert r.xi_minus == pytest.approx(-12.172j)
         assert r.rule is AssignmentRule.BY_IM
+
+    def test_problem_scale_is_that_of_the_labelled_roots(self, rng):
+        # the scale takes max |xi^+-| from the unlabelled pair: bit for bit
+        # the value the labelled roots give, and without the roots where
+        # the pair is degenerate (D = 0)
+        def labelled_scale(problem):
+            scale = max(abs(problem.q), 1.0)
+            for _, prob in problem.signed_sheets():
+                sig = prob.sigma_eff
+                if sig.frobenius == 0:
+                    continue
+                try:
+                    r = quadratic_roots(sig, prob.q)
+                    scale = max(scale, abs(r.xi_plus), abs(r.xi_minus))
+                except (DegenerateQuadraticError, DoubleRootError):
+                    pass
+                if sig.xx != 0:
+                    scale = max(scale, abs(2j / sig.xx))
+            return scale
+
+        double = ConductivityTensor(0.1j, 0.1j, 0.1j, 0.1j, nondimensional=True)
+        with pytest.raises(DoubleRootError):
+            quadratic_roots(double, 12.0)
+        probs = [Problem.single_sheet(double, 12.0 + 0.1j),
+                 Problem.two_sheet(double, make_sigma("C"), -7.0)]
+        for _ in range(200):
+            sigma = random_passive_tensor(rng)
+            q = complex(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 40.0), rng.normal())
+            probs += [Problem.single_sheet(sigma, q),
+                      Problem.interface(sigma, q, 1.0, rng.uniform(1.0, 6.0)),
+                      Problem.two_sheet(random_passive_tensor(rng), sigma, q)]
+        for prob in probs:
+            assert problem_scale(prob) == labelled_scale(prob)
 
     def test_symmetric_roots_when_off_sum_zero(self):
         r = quadratic_roots(make_sigma("B"), 13.928 + 0.140j)
@@ -373,12 +411,13 @@ class TestWindingIndex:
         from edgeplasmon.spectrum import problem_scale
         scale = problem_scale(prob)
 
-        def pfun(x):
+        def pfun(x, rows):
             return p_of_xi(prob, x, Sheet.FIRST)
 
         for step in (0.5 * math.pi, 0.25 * math.pi):
-            xs, ang, _ = unwrapped_phase_grid(pfun, scale, max_step_rad=step)
-            assert round((ang[-1] - ang[0]) / (2 * math.pi)) == -1
+            xs, ang, rows, (turns,) = unwrapped_phase_grid(pfun, scale, max_step_rad=step)
+            assert round((ang[-1] - ang[0]) / (2 * math.pi)) == round(turns) == -1
+            assert np.all(rows == 0) and np.all(np.diff(xs) > 0)
 
     def test_real_axis_zero_detected(self):
         # lossless sheet with q below the SPP wavenumber: symbol vanishes on axis
@@ -560,3 +599,95 @@ class TestIndexIdentity:
         assert res.nu_k + nu_star == res.rhs
         assert res.nu_star == nu_star
         assert conjecture_check(prob.with_q(-prob.q)).nu_star == -1
+
+
+# a lossless left sheet puts zeros of P^L, poles of P^R/P^L, on the axis
+POLE_LEFT = ConductivityTensor.diagonal(0.02j, 0.02j, nondimensional=True)
+POLE_RIGHT = ConductivityTensor.diagonal(0.02j, 0.02 + 0.02j, nondimensional=True)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _row_summary(result):
+    if isinstance(result, Exception):
+        return f"{type(result).__name__}: {result}"
+    if isinstance(result, str):
+        return result
+    return (result.nu_k, result.rhs, result.agrees, result.report.counts(),
+            result.n_marginal, result.nu_star,
+            tuple((z.location.real.hex(), z.location.imag.hex(), z.sheet, z.half_plane,
+                   z.marginal, repr(z.residual)) for z in result.report.zeros))
+
+
+def assert_rows_do_not_depend_on_their_block(probs):
+    """Each row of a block gives what its one-row call gives: nu, the
+    census and its zeros bit for bit, nu* from the P* pass, and the error
+    text of a row that fails."""
+    block = [_row_summary(r) for r in conjecture_block(probs)]
+    duals = [r if isinstance(r, int) else f"{type(r).__name__}: {r}"
+             for r in phase_winding(probs, Sheet.SECOND)[3]]
+    nodes, phase, rows, _, _ = phase_winding(probs, Sheet.FIRST)
+    for row, (prob, got, dual) in enumerate(zip(probs, block, duals)):
+        assert got == _row_summary(_outcome(conjecture_check, prob))
+        assert dual == _outcome(dual_winding_index, prob)
+        # the row's own grid and unwrapped phase, bit for bit
+        alone = phase_winding([prob], Sheet.FIRST)
+        assert np.array_equal(nodes[rows == row], alone[0])
+        assert np.array_equal(phase[rows == row], alone[1])
+    event(f"{sum(isinstance(g, str) for g in block)} error rows of {len(probs)}")
+
+
+class TestBlocks:
+    # CLI index and sweep rows run as blocks: one stacked census, one phase
+    # pass over flat (row, xi) nodes; a row must not see its neighbours
+
+    @pytest.mark.parametrize("variant", ["single", "interface", "two-sheet"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_a_row_does_not_depend_on_its_block(self, variant, data):
+        probs = [data.draw(problems(variant)) for _ in range(data.draw(st.integers(1, 5)))]
+        if variant == "two-sheet":
+            probs += [Problem.two_sheet(POLE_LEFT, POLE_RIGHT, q) for q in (-2.0, -2.1)]
+        elif variant == "single":
+            # sigma_xx = 0 fails the census; a census root on +iq is marginal
+            probs += [Problem.single_sheet(ConductivityTensor.diagonal(0, 0.2j, nondimensional=True),
+                                           12.0 + 0.1j),
+                      Problem.single_sheet(BRANCH_POINT_SIGMA, BRANCH_POINT_Q)]
+        assert_rows_do_not_depend_on_their_block(data.draw(st.permutations(probs)))
+
+    @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
+    @settings(max_examples=25, deadline=None)
+    def test_a_row_does_not_depend_on_its_block_near_the_counterexample(self, seeds):
+        probs = [near_counterexample(np.random.default_rng(seed)) for seed in seeds]
+        probs = [p for p in probs if p is not None]
+        if not probs:
+            reject()
+        assert_rows_do_not_depend_on_their_block(probs)
+
+    def test_pole_rows_fail_alone(self):
+        probs = [Problem.two_sheet(POLE_LEFT, POLE_RIGHT, -2.0),
+                 Problem.two_sheet(make_sigma("C"), make_sigma("D"), 12.0 + 0.1j),
+                 Problem.two_sheet(POLE_LEFT, POLE_RIGHT, -2.1)]
+        results = conjecture_block(probs)
+        assert "pole on contour" in str(results[0]) and "pole on contour" in str(results[2])
+        assert results[1].nu_k == conjecture_check(probs[1]).nu_k
+
+    def test_the_phase_pass_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on first use (about 14 ms); the start
+        # nodes are merged with a sort instead
+        code = ("import sys\n"
+                "from edgeplasmon import Problem, build_log_kernel, conjecture_check, rotate\n"
+                "from edgeplasmon import ConductivityTensor\n"
+                "b = ConductivityTensor.diagonal(0.001 + 0.1j, 0.002 + 0.2j, nondimensional=True)\n"
+                "prob = Problem.single_sheet(rotate(b, 1.2566370614359172), 21.657 + 0.217j)\n"
+                "build_log_kernel(prob)\n"
+                "conjecture_check(prob.with_q(0.85 * prob.q))\n"
+                "print('numpy.ma' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=os.environ.copy(),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
