@@ -43,6 +43,7 @@ from .field import (
 from .kernel import Problem, Variant, dp_dxi, khat, p_of_xi
 from .spectrum import (
     AssignmentRule,
+    CensusOverflowError,
     ConjectureResult,
     DegenerateQuadraticError,
     DoubleRootError,

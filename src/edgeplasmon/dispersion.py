@@ -25,7 +25,7 @@ import warnings
 
 import numpy as np
 
-from .branches import principal_log, sign_q
+from .branches import BranchPointError, principal_log, sign_q
 from .conductivity import (
     AmbientMedium,
     ConductivityTensor,
@@ -36,6 +36,7 @@ from .conductivity import (
 from .kernel import Problem, Variant
 from .quadrature import QuadratureError, adaptive_gk_to_infinity
 from .spectrum import (
+    CensusOverflowError,
     DegenerateQuadraticError,
     DoubleRootError,
     RealAxisZeroError,
@@ -65,10 +66,11 @@ class Classification(enum.Enum):
     NO_SOLUTION = "no-solution"
 
 
-# what makes the residual undefined at a q: nonzero index, real-axis zero
-# of the symbol, unresolved series, sigma_xx = 0, coincident roots xi^+ = xi^-
+# what makes the residual undefined at a q: nonzero index, real-axis zero of the symbol,
+# unresolved series, sigma_xx = 0, xi^+ = xi^-, census overflow, a node on a branch point
 RESIDUAL_FAILURES = (NonzeroIndexError, RealAxisZeroError, QuadratureError,
-                     DegenerateQuadraticError, DoubleRootError)
+                     DegenerateQuadraticError, DoubleRootError, CensusOverflowError,
+                     BranchPointError)
 
 
 def residual(problem: Problem, *, kernel: UnwrappedLogKernel | None = None) -> complex:

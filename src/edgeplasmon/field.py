@@ -34,7 +34,7 @@ import numpy as np
 
 from .kernel import Problem, Variant, dp_dxi, p_of_xi
 from .quadrature import gk_nodes_weights, gk_panel_sums
-from .spectrum import SpectrumReport, bulk_zeros
+from .spectrum import SpectrumReport
 from .wiener_hopf import UnwrappedLogKernel, cauchy_transform
 
 __all__ = [
@@ -204,7 +204,7 @@ def spp_decomposition(problem: Problem, kernel: UnwrappedLogKernel) -> SppDecomp
                          "and interface variants")
     consts = _constants(kernel)
     xp, _, cp, *_ = consts
-    census = bulk_zeros(problem)
+    census = kernel.census[0]
     upper = census.upper_first_sheet()
     locs = [z.location for z in upper]
     scale = kernel.scale

@@ -14,17 +14,20 @@ serves only rows with a marginal zero.
 The census zeros also tell where the winding can change, so they seed
 the phase pass: 256 nodes uniform in theta, xi = scale tan(theta/2),
 plus nodes at each zero's real part and its distance from the axis on
-either side.  A census computed once per problem serves both.
+either side.
 
-Both passes run on blocks of problems, one row each (``_Block``): the
-census quartics of every row go to one stacked ``np.linalg.eigvals`` and
-their roots are attributed in one pass (``_census``), and the phase grids
-of all rows are refined together as flat (row, xi) arrays
-(``unwrapped_phase_grid``).  Each row keeps its own arithmetic, so a row
-gives the same result in any block, and a row that fails becomes that
-row's error without stopping the others.  ``conjecture_block`` is the
-block form of ``conjecture_check``; ``bulk_zeros``, ``conjecture_check``,
-``winding_index`` and ``dual_winding_index`` are blocks of one row.
+Both passes run on blocks of problems, one row each (``_Block``).  A
+block solves the census quartics of every row once, in one stacked
+``np.linalg.eigvals`` (``_Block.census_roots``); the census attributes
+those roots in one pass (``_census``) and the phase pass is seeded at
+them.  The phase grids of all rows are refined together as flat (row,
+xi) arrays (``unwrapped_phase_grid``).  Each row keeps its own
+arithmetic, so a row gives the same result in any block, and a row that
+fails becomes that row's error without stopping the others.
+``conjecture_block`` is the block form of ``conjecture_check``;
+``bulk_zeros``, ``conjecture_check``, ``winding_index``,
+``dual_winding_index`` and ``build_log_kernel``'s census and phase pass
+are blocks of one row.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .kernel import Problem, Variant, _compose, symbol_terms
 
 __all__ = [
     "AssignmentRule",
+    "CensusOverflowError",
     "ConjectureResult",
     "DegenerateQuadraticError",
     "DoubleRootError",
@@ -86,6 +90,11 @@ class RealAxisZeroError(ValueError):
     """The symbol vanishes on the integration contour; index undefined."""
 
 
+class CensusOverflowError(ValueError):
+    """A census quartic is not finite (|q| beyond about 1e77): its roots,
+    the census and the phase pass they seed are undefined."""
+
+
 class AssignmentRule(enum.Enum):
     """How the xi^+/xi^- labels were decided.
 
@@ -120,13 +129,13 @@ class QuadraticRoots:
     c_minus: complex
 
 
-def _root_pair(sigma: ConductivityTensor, q: complex, flip: bool = False):
+def _root_pair(sigma: ConductivityTensor, q: complex):
     """(xi_a, xi_b, D, tie): xi_a,b = -q[(s_xy+s_yx) +- sg(q) D]/(2 s_xx)
-    with D the principal root of the discriminant (-D when ``flip``), not
-    yet labelled; ``tie`` when both sit within IM_TIE_BAND of the real
-    axis.  Raises DegenerateQuadraticError when sigma_xx = 0 and
-    DoubleRootError when D = 0 or when a tied pair shares its real part,
-    so that neither sign separates the roots."""
+    with D the principal root of the discriminant, not yet labelled;
+    ``tie`` when both sit within IM_TIE_BAND of the real axis.  Raises
+    DegenerateQuadraticError when sigma_xx = 0 and DoubleRootError when
+    D = 0 or when a tied pair shares its real part, so that neither sign
+    separates the roots."""
     q = complex(q)
     sg = sign_q(q)
     sxx = complex(sigma.xx)
@@ -138,8 +147,6 @@ def _root_pair(sigma: ConductivityTensor, q: complex, flip: bool = False):
     disc = complex(disc)
     if disc == 0:
         raise DoubleRootError("coincident roots xi^+ = xi^-; splitting singular")
-    if flip:
-        disc = -disc
     xa = -q * (s_plus + sg * disc) / (2.0 * sxx)
     xb = -q * (s_plus - sg * disc) / (2.0 * sxx)
     scale = max(abs(xa), abs(xb))
@@ -158,17 +165,13 @@ def quadratic_roots(sigma: ConductivityTensor, q: complex) -> QuadraticRoots:
     The branch of D is fixed by requiring Im xi^+ > 0 > Im xi^-; only when
     both roots are within IM_TIE_BAND of the real axis does the sign of Re
     decide instead.  A branch flip of D swaps the labels and is recorded
-    through ``disc``, from which C^+- are computed.
+    through ``disc``, from which C^+- are computed: the pair of -D is the
+    pair of D swapped, since sg(q)(-D) = -(sg(q) D) exactly.
     """
     xp, xm, disc, tie = _root_pair(sigma, q)
-    if tie:
-        rule = AssignmentRule.BY_RE
-        flip = xp.real < xm.real
-    else:
-        rule = AssignmentRule.BY_IM
-        flip = xp.imag < xm.imag
-    if flip:
-        xp, xm, disc, _ = _root_pair(sigma, q, flip=True)
+    rule = AssignmentRule.BY_RE if tie else AssignmentRule.BY_IM
+    if (xp.real < xm.real) if tie else (xp.imag < xm.imag):
+        xp, xm, disc = xm, xp, -disc
     c_plus = 0.5 * (1.0 + sign_q(q) * complex(sigma.off_diff) / disc)
     return QuadraticRoots(xi_plus=xp, xi_minus=xm, disc=disc, rule=rule,
                           c_plus=c_plus, c_minus=1.0 - c_plus)
@@ -191,28 +194,61 @@ class _Block:
     signed sheets: per row its ``symbol_terms`` (Python products), and for
     several rows the same values as arrays, so that one numpy pass
     evaluates every row at its own points exactly as a pass over that row
-    alone would."""
+    alone would; and ``census_roots``, the roots of its census quartics,
+    solved once for the census and the phase pass."""
 
-    def __init__(self, problems):
+    def __init__(self, problems, census_roots=None):
         self.problems = list(problems)
         self.terms = [symbol_terms(p) for p in self.problems]
         self.signs = tuple([t[0] for t in self.terms[0][1]]) if self.terms else ()
         if len(self.terms) > 1 and len({len(sheets) for _, sheets in self.terms}) > 1:
             raise ValueError("a block takes problems with the same number of signed sheets")
+        self.census_roots = self._census_roots() if census_roots is None else census_roots
 
     def __len__(self):
         return len(self.problems)
 
     def take(self, rows):
-        """The block of the given rows."""
-        return _Block([self.problems[r] for r in rows])
+        """The block of the given rows, none of whose census failed, with
+        their census roots."""
+        return _Block([self.problems[r] for r in rows], (self.census_roots[0][rows], {}))
 
-    def sheets(self):
-        """The block of the signed sheets, row after row: each sheet on its
-        own (``Problem.signed_sheets``), as the census takes them."""
-        if len(self.signs) == 1:
-            return self
-        return _Block([prob for p in self.problems for _, prob in p.signed_sheets()])
+    def _census_roots(self):
+        """(roots, failed): per row the roots of the census quartic of each
+        signed sheet in turn, nan for a sheet with sigma_xx = 0 (no
+        census), from one stacked ``np.linalg.eigvals``; and by sheet,
+        numbered row after row, the error of each whose companion matrix
+        is not finite.  ``eigvals`` refuses a whole stack for one such
+        matrix, which is then solved matrix by matrix."""
+        n = len(self.signs)
+        coeffs, at = [], []
+        for row, (problem, (_, sheets)) in enumerate(zip(self.problems, self.terms)):
+            for j, (_, a, b, c) in enumerate(sheets):
+                if a != 0:
+                    coeffs.append(_census_quartic(a, b, c, complex(problem.q)))
+                    at.append(row * n + j)
+        coeffs = np.array(coeffs, dtype=complex).reshape(-1, 5)
+        # the companion matrix of np.roots: ones below the diagonal (flat
+        # entries 4, 9, 14), the normalized coefficients in the first row
+        companion = np.zeros((len(at), 16), dtype=complex)
+        companion[:, 4::5] = 1.0
+        companion[:, :4] = -coeffs[:, 1:] / coeffs[:, :1]
+        companion = companion.reshape(-1, 4, 4)
+        failed = {}
+        try:
+            roots = np.linalg.eigvals(companion)
+        except np.linalg.LinAlgError:
+            roots = np.full((len(at), 4), np.nan, dtype=complex)
+            for k, matrix in enumerate(companion):
+                try:
+                    roots[k] = np.linalg.eigvals(matrix)
+                except np.linalg.LinAlgError:
+                    failed[at[k]] = CensusOverflowError(
+                        f"census quartic not finite at q = {self.problems[at[k] // n].q:.6g}")
+        if len(at) < len(self) * n:
+            roots, found = np.full((len(self) * n, 4), np.nan, dtype=complex), roots
+            roots[at] = found
+        return roots.reshape(len(self), 4 * n), failed
 
     @functools.cached_property
     def _arrays(self):
@@ -220,13 +256,6 @@ class _Block:
         q2 = np.array([q2 for q2, _ in self.terms], dtype=complex)
         return q2, [np.array([[sheets[j][k] for _, sheets in self.terms] for k in (1, 2, 3)],
                              dtype=complex) for j in range(len(self.signs))]
-
-    def per_point(self, values, rows):
-        """``values``, one per row, at points of the given rows: for a
-        block of one row, its value itself."""
-        if len(self.terms) == 1:
-            return values[0]
-        return np.array(values).take(rows)
 
     def gather(self, rows):
         """The ``_compose`` terms at points of the given rows.  A block of
@@ -493,53 +522,15 @@ def unwrapped_phase_grid(
     return nodes, phase, node_rows, out
 
 
-def _census_roots(sheets: _Block):
-    """(roots, failed) for a block of single sheets (``_Block.sheets``):
-    the roots of each row's census quartic from one stacked
-    ``np.linalg.eigvals``, a (rows, 4) array with nan for a sheet with
-    sigma_xx = 0, which has no census; and the errors of the rows whose
-    companion matrix ``eigvals`` refused (not finite).  It refuses a whole
-    stack for one such matrix, so the stack is then solved matrix by
-    matrix."""
-    coeffs, rows = [], []
-    for row, (problem, (_, ((_, a, b, c),))) in enumerate(zip(sheets.problems, sheets.terms)):
-        if a != 0:
-            coeffs.append(_census_quartic(a, b, c, complex(problem.q)))
-            rows.append(row)
-    failed = {}
-    if not coeffs:
-        return np.full((len(sheets), 4), np.nan, dtype=complex), failed
-    coeffs = np.array(coeffs, dtype=complex)
-    # the companion matrix of np.roots: ones below the diagonal (flat
-    # entries 4, 9, 14), the normalized coefficients in the first row
-    companion = np.zeros((len(rows), 16), dtype=complex)
-    companion[:, 4::5] = 1.0
-    companion[:, :4] = -coeffs[:, 1:] / coeffs[:, :1]
-    companion = companion.reshape(-1, 4, 4)
-    try:
-        found = np.linalg.eigvals(companion)
-    except np.linalg.LinAlgError:
-        found = np.full((len(rows), 4), np.nan, dtype=complex)
-        for k, matrix in enumerate(companion):
-            try:
-                found[k] = np.linalg.eigvals(matrix)
-            except np.linalg.LinAlgError as exc:
-                failed[rows[k]] = exc
-    if len(rows) == len(sheets):
-        return found, failed
-    roots = np.full((len(sheets), 4), np.nan, dtype=complex)
-    roots[rows] = found
-    return roots, failed
-
-
-def phase_winding(problems, sheet: Sheet, *, zeros=None):
+def phase_winding(problems, sheet: Sheet):
     """arg P on the given sheet, unwrapped on [-m, m] with m = 100 times
     each problem's scale, and its winding number, for a block of problems
     (``unwrapped_phase_grid``, one row per problem).
 
-    ``zeros`` holds each row's census zeros, which seed its phase grid;
-    when None they are solved here (``_census_roots``).  Returns (nodes,
-    unwrapped_phase, rows, windings, scales) with the first three as
+    Each row's grid is seeded at its census zeros, the block's
+    ``census_roots``; a row whose census quartic could not be solved keeps
+    that error and takes no phase pass.  Returns (nodes, unwrapped_phase,
+    rows, windings, scales) with the first three as
     ``unwrapped_phase_grid`` gives them, and per row its winding number or
     its error: a RealAxisZeroError when P has a zero or a pole on the axis,
     or when the phase change is not close to a whole number of turns (tail
@@ -549,16 +540,15 @@ def phase_winding(problems, sheet: Sheet, *, zeros=None):
     scales = [problem_scale(p) for p in block.problems]
     windings: list = [None] * len(block)
     rows = range(len(block))
-    if zeros is None:
-        zeros, failed = _census_roots(block.sheets())
-        zeros = zeros.reshape(len(block), 4 * len(block.signs))
-        for k, exc in failed.items():
-            windings[k // len(block.signs)] = windings[k // len(block.signs)] or exc
-        if failed:
-            rows = [r for r, w in enumerate(windings) if w is None]
-            block, zeros = block.take(rows), zeros[rows]
+    n = len(block.signs)
+    failed = block.census_roots[1]
+    for k, exc in failed.items():
+        windings[k // n] = windings[k // n] or exc
+    if failed:
+        rows = [r for r, w in enumerate(windings) if w is None]
+        block = block.take(rows)
     xs, ang, node_rows, changes = unwrapped_phase_grid(
-        block.symbol(sheet), [scales[r] for r in rows], zeros=zeros)
+        block.symbol(sheet), [scales[r] for r in rows], zeros=block.census_roots[0])
     for r, turns in zip(rows, changes):
         if isinstance(turns, Exception):
             windings[r] = turns
@@ -632,26 +622,25 @@ def _census_quartic(a, b, c, q) -> tuple:
     """Coefficients, highest first, of (a xi^2 + b xi + c)^2 + 4 xi^2 +
     4 q^2 (``quad_coeffs``, a != 0) as Python products: the companion
     matrices that ``np.roots`` builds, without its coefficient trimming,
-    are made from these (``_census_roots``)."""
+    are made from these (``_Block._census_roots``)."""
     return (a * a, 2.0 * a * b, b * b + 2.0 * a * c + 4.0, 2.0 * b * c,
             c * c + 4.0 * q * q)
 
 
 def _census(block: _Block):
-    """(roots, reports): the census roots of each row, (rows, 4 x signed
-    sheets) with nan for a sheet without census (``_census_roots``), and
-    per row the tuple of ``bulk_zeros`` reports of its signed sheets, or
-    the error of its first sheet that failed.  Every root of the block is
-    attributed in one pass."""
-    sheets = block.sheets()
-    roots, failed = _census_roots(sheets)
-    reports: list = []      # per sheet
+    """Per row the tuple of ``bulk_zeros`` reports of its signed sheets, or
+    the error of its first sheet that failed: the block's
+    ``census_roots``, every root of the block attributed in one pass."""
+    n = len(block.signs)
+    roots, failed = block.census_roots
+    roots = roots.reshape(-1, 4)
+    reports: list = []      # per signed sheet, row after row
     census = []             # the sheets with a census
-    for row, (_, ((_, a, b, c),)) in enumerate(sheets.terms):
-        if row in failed:
-            reports.append(failed[row])
+    for sheet, (_, a, b, c) in enumerate(t for _, sheets in block.terms for t in sheets):
+        if sheet in failed:
+            reports.append(failed[sheet])
         elif a != 0:
-            census.append(row)
+            census.append(sheet)
             reports.append(None)
         elif b != 0 or c != 0:
             reports.append(DegenerateQuadraticError(
@@ -662,7 +651,8 @@ def _census(block: _Block):
     if census:
         flat = (roots if len(census) == len(reports) else roots.take(census, axis=0)).ravel()
         points = np.array(census, dtype=int).repeat(4)
-        iq = sheets.per_point([1j * complex(prob.q) for prob in sheets.problems], points)
+        rows = points // n
+        iq = np.array([1j * complex(prob.q) for prob in block.problems]).take(rows)
         band = MARGINAL_BAND * np.maximum(np.abs(flat), 1.0)
         marginal = ((np.abs(flat.imag) < band) | (np.abs(flat - iq) < band)
                     | (np.abs(flat + iq) < band))
@@ -670,9 +660,13 @@ def _census(block: _Block):
         # root may sit on +-iq, where the square root is not defined, so it is
         # taken at 1 (never a branch point for Re q != 0) and keeps a nan residual
         xi = np.where(marginal, 1.0, flat)
-        w, _ = _rowwise(lambda x, rows: sheet_root(x, sheets.gather(rows)[0], Sheet.FIRST),
+        w, _ = _rowwise(lambda x, at: sheet_root(x, block.gather(at // n)[0], Sheet.FIRST),
                         xi, points, reports)
-        res = np.abs(_compose(sheets.gather(points), xi,
+        # each root is tested on its own sheet alone: that sheet's (a, b, c)
+        q2, signed = block.gather(rows)
+        abc = signed[0][1:] if n == 1 else [np.choose(points % n, [t[k] for t in signed])
+                                            for k in (1, 2, 3)]
+        res = np.abs(_compose((q2, ((1, *abc),)), xi,
                               np.concatenate([w, -w]).reshape(2, -1))[0])
         res[:, marginal] = math.nan
         second = res[1] < res[0]
@@ -692,17 +686,8 @@ def _census(block: _Block):
         for k, row in enumerate(census):
             if reports[row] is None:
                 reports[row] = SpectrumReport(tuple(records[4 * k:4 * k + 4]), *counts[k])
-    n = len(block.signs)
-    return roots.reshape(len(block), 4 * n), [
-        _first_error(reports[r * n:(r + 1) * n]) for r in range(len(block))]
-
-
-def _first_error(reports):
-    """The first error among a row's sheet reports, or the reports."""
-    for rep in reports:
-        if isinstance(rep, Exception):
-            return rep
-    return tuple(reports)
+    by_row = [tuple(reports[r * n:(r + 1) * n]) for r in range(len(block))]
+    return [next((rep for rep in reps if isinstance(rep, Exception)), reps) for reps in by_row]
 
 
 def bulk_zeros(problem: Problem) -> SpectrumReport:
@@ -718,7 +703,7 @@ def bulk_zeros(problem: Problem) -> SpectrumReport:
     """
     if problem.variant is Variant.TWO_SHEET:
         raise ValueError("two-sheet census applies per side; use problem.signed_sheets()")
-    return _one(_census(_Block([problem]))[1][0])[0]
+    return _one(_census(_Block([problem]))[0])[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -741,13 +726,13 @@ def conjecture_block(problems) -> list:
     """``conjecture_check`` for every problem of a block, computed together:
     one stacked census (``_census``), then one phase pass on P
     (``phase_winding``) over the rows whose census succeeded, seeded by
-    their census zeros.  Per problem its ConjectureResult, or its error."""
+    the same census roots.  Per problem its ConjectureResult, or its error."""
     block = _Block(problems)
-    roots, results = _census(block)
+    results = _census(block)
     rows = [r for r, rep in enumerate(results) if not isinstance(rep, Exception)]
     if len(rows) < len(block):
-        block, roots = block.take(rows), roots[rows]
-    windings = phase_winding(block, Sheet.FIRST, zeros=roots)[3]
+        block = block.take(rows)
+    windings = phase_winding(block, Sheet.FIRST)[3]
     for r, nu in zip(rows, windings):
         if isinstance(nu, Exception):
             results[r] = nu

@@ -24,7 +24,9 @@ L are split in closed form instead: its ln|xi| growth; the kink at
 theta = pi of its part odd in sqrt(xi^2 + q^2), b/|xi| + e sgn(xi)/xi^2
 + ...; and one log per first-sheet zero of P.  N doubles until the FFT
 coefficients of the smooth remainder beyond N/4 sum below ``SERIES_TOL``,
-and the coefficients left out bound Phi's error.  When |q| is far below
+or until that sum reaches its rounding floor: below 100 ``SERIES_TOL``
+and no longer halving when N doubles (``_fft_series``).  The
+coefficients left out bound Phi's error.  When |q| is far below
 the problem scale, the structure of sqrt(xi^2 + q^2) at |q| is carried by
 a few more series of the same kind, one per factor of up to 16 in scale, so
 that N stays bounded as |q|/scale -> 0.
@@ -44,7 +46,9 @@ from .spectrum import (
     DegenerateQuadraticError,
     RealAxisZeroError,
     SpectrumReport,
-    bulk_zeros,
+    _Block,
+    _census,
+    _one,
     phase_winding,
     quadratic_roots,
 )
@@ -167,24 +171,25 @@ def _tail_constant(sheets) -> complex:
 def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
     """Construct the unwrapped log-symbol for one (sheet, q) configuration.
 
-    The census of each signed sheet (``bulk_zeros``) comes first and is
-    kept on the kernel.  The phase is then unwrapped continuously on
-    [-m, m] from start nodes seeded at the census zeros (``phase_winding``,
-    which also gives the winding index stored on the kernel), and the
+    The problem is a block of one row, whose census roots are solved once:
+    the census of each signed sheet comes first and is kept on the kernel,
+    and the phase is unwrapped on [-m, m] from nodes seeded at the same
+    roots (``phase_winding``, which also gives the winding index).  The
     global 2-pi-i branch constant is fixed by matching L(m) against the
     analytic tail law.
 
     Raises ``DegenerateQuadraticError`` (a ``ValueError``) when a nonzero
-    sheet has sigma_xx = 0, where L has no ln|xi| tail law, and
+    sheet has sigma_xx = 0, where L has no ln|xi| tail law,
+    ``CensusOverflowError`` when a census quartic is not finite,
+    ``BranchPointError`` when a grid node is a branch point (q^2 = 0), and
     ``RealAxisZeroError`` when P vanishes on or next to the real axis.
     """
     sheets = _signed_sheets(problem)
     tail_const = _tail_constant(sheets)
-    census = tuple(bulk_zeros(prob) for _, prob in problem.signed_sheets())
-    xs, theta, _, (nu,), (scale,) = phase_winding(
-        [problem], Sheet.FIRST, zeros=[[rec.location for rep in census for rec in rep.zeros]])
-    if isinstance(nu, Exception):
-        raise nu
+    block = _Block([problem])
+    census = _one(_census(block)[0])
+    xs, theta, _, (nu,), (scale,) = phase_winding(block, Sheet.FIRST)
+    nu = _one(nu)
     # fix the global branch against the right tail alone: arg P(m) must
     # approach Im tail_const (mod 2 pi); this stays well defined for
     # nonzero winding, where the two tails differ by 2 pi nu

@@ -57,6 +57,15 @@ COUNTEREXAMPLE_TENSOR = {"xx": [0.1938, -0.2335], "xy": [0.2292, 0.0461],
 COUNTEREXAMPLE_Q = [-16.27, -0.68]
 
 
+# sheet B rotated by 0.166 pi (case D)
+D_SHEET = {"tensor": {"xx": [0.001, 0.1], "yy": [0.002, 0.2], "nondimensional": True},
+           "rotation_phi_pi": 0.166}
+
+
+def strip_wall(rows):
+    return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
+
+
 def parse_csv(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     assert rows, f"no rows in output: {text!r}"
@@ -265,6 +274,21 @@ class TestSolveCommand:
         rows = parse_csv(out)
         assert [r["classification"] for r in rows] == ["no-solution"] * 2
 
+    def test_failed_census_keeps_the_other_rows(self, tmp_path, capsys):
+        # the census quartic at q = 1e80 is not finite: that guess is a
+        # NO_SOLUTION row, and the root from the other guess is unchanged
+        def rows(guesses):
+            cfg = {"sheet": D_SHEET, "solve": {"q_guesses": guesses}}
+            code, out, _ = run_cli(capsys, "solve", "--config", write_cfg(tmp_path, cfg))
+            return code, strip_wall(parse_csv(out))
+
+        code, both = rows([[16.4, 0.16], [1e80, 0]])
+        assert code == 1
+        assert both[1]["classification"] == "no-solution"
+        assert both[1]["nu_k"] == ""
+        assert rows([[16.4, 0.16]]) == (0, both[:1])
+        assert both[0]["classification"] == "discrete-epp"
+
     def test_determinism_excluding_wall_ms(self, tmp_path, capsys):
         path = write_cfg(tmp_path, case_a_cfg())
         _, out1, _ = run_cli(capsys, "solve", "--config", path)
@@ -350,8 +374,8 @@ class TestIndexCommand:
         passes = []
         phase_winding = spectrum.phase_winding
 
-        def counted(problems, sheet, *, zeros=None):
-            result = phase_winding(problems, sheet, zeros=zeros)
+        def counted(problems, sheet):
+            result = phase_winding(problems, sheet)
             passes.append((sheet, len(result[3])))
             return result
 
@@ -381,10 +405,9 @@ class TestIndexCommand:
         census = spectrum._census
 
         def marginal_at_q(block):
-            roots, reports = census(block)
-            return roots, [tuple(dataclasses.replace(rep, n_marginal=1) for rep in reps)
-                           if prob.q == complex(*COUNTEREXAMPLE_Q) else reps
-                           for prob, reps in zip(block.problems, reports)]
+            return [tuple(dataclasses.replace(rep, n_marginal=1) for rep in reps)
+                    if prob.q == complex(*COUNTEREXAMPLE_Q) else reps
+                    for prob, reps in zip(block.problems, census(block))]
 
         monkeypatch.setattr(spectrum, "_census", marginal_at_q)
         q = COUNTEREXAMPLE_Q
@@ -398,6 +421,46 @@ class TestIndexCommand:
             ("1", ""), ("0", "false")]
         assert [r["nu_k_star"] for r in rows] == ["1", "-1"]
         assert passes == [(Sheet.FIRST, 2), (Sheet.SECOND, 1)]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_census_failures_keep_the_other_rows(self, tmp_path, capsys, jobs):
+        # q = 1e80: the census quartic is not finite; q = 1e-170: q^2
+        # rounds to 0 and a phase-grid node lands on the branch point
+        good = [0.75 * 16.438, 0.75 * 0.164]
+
+        def rows(q_values):
+            cfg = {"sheet": D_SHEET, "index": {"q_values": q_values}}
+            code, out, _ = run_cli(capsys, "index", "--config", write_cfg(tmp_path, cfg),
+                                   "--jobs", jobs)
+            return code, strip_wall(parse_csv(out))
+
+        code, got = rows([[1e80, 0], good, [1e-170, 0]])
+        assert code == 1
+        assert got[0]["conjecture_agrees"].startswith(
+            "error: census quartic not finite at q = 1e+80")
+        assert got[2]["conjecture_agrees"] == "error: xi^2 + q^2 = 0: branch point of the kernel"
+        assert got[0]["nu_k"] == got[2]["nu_k"] == ""
+        assert rows([good]) == (0, got[1:2])
+        assert (got[1]["nu_k"], got[1]["n_plus"], got[1]["n_minus"]) == ("-1", "0", "3")
+
+    def test_marginal_row_whose_dual_pass_fails(self, tmp_path, capsys):
+        # on the lossless capacitive diag(-0.2i, -0.2i), P = 1 + w/10 has no
+        # zero but P* = 1 - w/10 vanishes on the axis at real q, where the
+        # census is marginal: the row's P* pass fails, and the other rows
+        # of its block, marginal too (at +-iq), keep their P* pass
+        def rows(q_values):
+            cfg = {"sheet": {"tensor": {"xx": [0, -0.2], "yy": [0, -0.2]}},
+                   "index": {"q_values": q_values}}
+            code, out, _ = run_cli(capsys, "index", "--config", write_cfg(tmp_path, cfg),
+                                   "--jobs", "1")
+            return code, strip_wall(parse_csv(out))
+
+        code, got = rows([[3, 0], [3, 1], [-3, 0.5]])
+        assert code == 1
+        assert got[0]["conjecture_agrees"].startswith("error: symbol modulus")
+        assert "on the real axis" in got[0]["conjecture_agrees"]
+        assert [r["n_marginal"] for r in got[1:]] == ["2", "2"]
+        assert rows([[3, 1], [-3, 0.5]]) == (0, got[1:])
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failed_point_keeps_its_row(self, tmp_path, capsys, jobs):

@@ -243,6 +243,19 @@ class TestClassify:
                                "coincident roots xi^+ = xi^-; splitting singular")
         assert classify(prob) is Classification.NO_SOLUTION
 
+    @pytest.mark.parametrize("q, reason", [
+        (1e80, "census quartic not finite at q = 1e+80"),
+        (1e-170, "xi^2 + q^2 = 0: branch point of the kernel")])
+    def test_census_overflow_and_branch_point_node(self, q, reason):
+        # |q| = 1e80 overflows the census quartic; at |q| = 1e-170 q^2
+        # rounds to 0, so the census zero xi = 0 is a phase-grid node on
+        # the branch point: no residual, a NO_SOLUTION with its reason
+        prob = Problem.single_sheet(make_sigma("D"), q)
+        sol = solve(prob, q)
+        assert sol.classification is Classification.NO_SOLUTION
+        assert sol.message.startswith("residual undefined at the guess: " + reason)
+        assert classify(prob) is Classification.NO_SOLUTION
+
     def test_unresolved_series_as_solve_classifies_it(self, solutions, monkeypatch):
         def unresolved_build(kernel):
             raise QuadratureError("spectral series of L not resolved")

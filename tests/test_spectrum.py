@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from edgeplasmon import (
     AssignmentRule,
+    BranchPointError,
+    CensusOverflowError,
     ConductivityTensor,
     DegenerateQuadraticError,
     DoubleRootError,
@@ -23,9 +25,12 @@ from edgeplasmon import (
     quadratic_roots,
     winding_index,
 )
+from edgeplasmon import spectrum
 from edgeplasmon.spectrum import (
     CLASSIFY_RESIDUAL,
+    EVAL_RUN,
     MARGINAL_BAND,
+    PHASE_GRID_START,
     HalfPlane,
     conjecture_block,
     phase_winding,
@@ -133,6 +138,16 @@ class TestQuadraticRoots:
                        + q * sigma.off_sum / sigma.xx) < 1e-12 * scale
             assert abs(r.xi_plus * r.xi_minus
                        - q * q * sigma.yy / sigma.xx) < 1e-12 * scale ** 2
+
+    def test_real_pair_is_labelled_by_re(self):
+        # the lossless passive diag(0.2i, -0.2i) has real roots +-q: the
+        # sign of Re labels them, and C^+- = 1/2 as sigma_xy = sigma_yx
+        r = quadratic_roots(ConductivityTensor.diagonal(0.2j, -0.2j, nondimensional=True), 3.0)
+        assert r.rule is AssignmentRule.BY_RE
+        assert r.xi_plus.imag == r.xi_minus.imag == 0.0
+        assert r.xi_plus.real > 0 and r.xi_minus == -r.xi_plus
+        assert r.xi_plus == pytest.approx(3.0)
+        assert r.c_plus == r.c_minus == 0.5
 
     def test_degenerate_errors(self):
         with pytest.raises(DegenerateQuadraticError):
@@ -627,7 +642,7 @@ def _row_summary(result):
 def assert_rows_do_not_depend_on_their_block(probs):
     """Each row of a block gives what its one-row call gives: nu, the
     census and its zeros bit for bit, nu* from the P* pass, and the error
-    text of a row that fails."""
+    text of a row that fails.  Returns the number of rows that fail."""
     block = [_row_summary(r) for r in conjecture_block(probs)]
     duals = [r if isinstance(r, int) else f"{type(r).__name__}: {r}"
              for r in phase_winding(probs, Sheet.SECOND)[3]]
@@ -639,7 +654,29 @@ def assert_rows_do_not_depend_on_their_block(probs):
         alone = phase_winding([prob], Sheet.FIRST)
         assert np.array_equal(nodes[rows == row], alone[0])
         assert np.array_equal(phase[rows == row], alone[1])
-    event(f"{sum(isinstance(g, str) for g in block)} error rows of {len(probs)}")
+    return sum(isinstance(g, str) for g in block)
+
+
+# |q| where the census quartic overflows, and where q^2 rounds to 0 so that
+# the census zero xi = 0 seeds a phase-grid node on the branch point
+Q_OVERFLOW = 1e80
+Q_UNDERFLOW = 1e-170
+
+
+class TestCensusFailures:
+    def test_census_quartic_that_is_not_finite(self):
+        prob = Problem.single_sheet(make_sigma("D"), Q_OVERFLOW)
+        for call in (bulk_zeros, winding_index, dual_winding_index, conjecture_check,
+                     build_log_kernel):
+            with pytest.raises(CensusOverflowError, match="census quartic not finite"):
+                call(prob)
+
+    def test_branch_point_on_the_phase_grid(self):
+        prob = Problem.single_sheet(make_sigma("D"), Q_UNDERFLOW)
+        assert [z.location for z in bulk_zeros(prob).zeros if z.marginal] == [0j, 0j]
+        for call in (winding_index, conjecture_check, build_log_kernel):
+            with pytest.raises(BranchPointError, match="branch point"):
+                call(prob)
 
 
 class TestBlocks:
@@ -658,7 +695,8 @@ class TestBlocks:
             probs += [Problem.single_sheet(ConductivityTensor.diagonal(0, 0.2j, nondimensional=True),
                                            12.0 + 0.1j),
                       Problem.single_sheet(BRANCH_POINT_SIGMA, BRANCH_POINT_Q)]
-        assert_rows_do_not_depend_on_their_block(data.draw(st.permutations(probs)))
+        failed = assert_rows_do_not_depend_on_their_block(data.draw(st.permutations(probs)))
+        event(f"{failed} error rows of {len(probs)}")
 
     @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=5))
     @settings(max_examples=25, deadline=None)
@@ -667,7 +705,8 @@ class TestBlocks:
         probs = [p for p in probs if p is not None]
         if not probs:
             reject()
-        assert_rows_do_not_depend_on_their_block(probs)
+        failed = assert_rows_do_not_depend_on_their_block(probs)
+        event(f"{failed} error rows of {len(probs)}")
 
     def test_pole_rows_fail_alone(self):
         probs = [Problem.two_sheet(POLE_LEFT, POLE_RIGHT, -2.0),
@@ -676,6 +715,64 @@ class TestBlocks:
         results = conjecture_block(probs)
         assert "pole on contour" in str(results[0]) and "pole on contour" in str(results[2])
         assert results[1].nu_k == conjecture_check(probs[1]).nu_k
+
+    @pytest.mark.parametrize("variant", ["single", "two-sheet"])
+    def test_a_census_that_is_not_finite_fails_its_row_alone(self, variant):
+        # one non-finite companion matrix makes eigvals refuse the stack;
+        # solved matrix by matrix, only that row fails, on both passes
+        q_d = 16.438 + 0.164j
+        make = ((lambda q: Problem.single_sheet(make_sigma("D"), q)) if variant == "single"
+                else (lambda q: Problem.two_sheet(make_sigma("C"), make_sigma("D"), q)))
+        probs = [make(q) for q in (0.75 * q_d, Q_OVERFLOW, q_d, -0.75 * q_d)]
+        results = conjecture_block(probs)
+        assert isinstance(results[1], CensusOverflowError)
+        assert isinstance(phase_winding(probs, Sheet.SECOND)[3][1], CensusOverflowError)
+        assert all(not isinstance(r, Exception) for r in results[:1] + results[2:])
+        assert assert_rows_do_not_depend_on_their_block(probs) == 1
+
+    def test_a_block_solves_its_census_once(self, monkeypatch):
+        # one eigvals stack per block serves the census and the phase pass,
+        # and a two-sheet kernel solves both sheets' quartics in one stack
+        stacks = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            stacks.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        q_d = 16.438 + 0.164j
+        conjecture_block([Problem.single_sheet(make_sigma("D"), f * q_d) for f in (0.75, 1, -1)])
+        assert stacks == [(3, 4, 4)]
+        stacks.clear()
+        kernel = build_log_kernel(Problem.two_sheet(make_sigma("C"), make_sigma("D"), 12 + 0.1j))
+        assert stacks == [(2, 4, 4)]
+        assert len(kernel.census) == 2
+
+    def test_the_node_cap_stops_its_row_alone(self, monkeypatch):
+        # A, C and C at 0.85 q_C and 0.75 q_D: the first two finish on
+        # their 276 start nodes, 0.75 q_D refines to 281 nodes and 0.85 q_C
+        # to 288, past a cap of 280
+        monkeypatch.setattr(spectrum, "PHASE_GRID_MAX_NODES", 280)
+        probs = [Problem.single_sheet(make_sigma(c), q) for c, q in (
+            ("A", 12.172), ("D", 0.75 * (16.438 + 0.164j)), ("C", 21.657 + 0.217j),
+            ("C", 0.85 * (21.657 + 0.217j)))]
+        windings = phase_winding(probs, Sheet.FIRST)[3]
+        assert windings[:3] == [0, -1, 0]
+        assert "phase refinement diverged" in str(windings[3])
+        assert assert_rows_do_not_depend_on_their_block(probs) == 1
+
+    def test_pole_rows_in_a_later_evaluation_run(self):
+        # more start nodes than one evaluation run holds: the pole rows at
+        # the end fail inside a later run, and the rows before them go on
+        qs = np.linspace(11.0, 13.0, 16) + 0.1j
+        probs = [Problem.two_sheet(make_sigma("C"), make_sigma("D"), q) for q in qs]
+        probs += [Problem.two_sheet(POLE_LEFT, POLE_RIGHT, q) for q in (-2.0, -2.1)]
+        assert len(probs) * PHASE_GRID_START > EVAL_RUN
+        results = conjecture_block(probs)
+        assert all("pole on contour" in str(r) for r in results[-2:])
+        assert all(isinstance(r.nu_k, int) for r in results[:-2])
+        assert assert_rows_do_not_depend_on_their_block(probs) == 2
 
     def test_the_phase_pass_leaves_numpy_ma_unimported(self):
         # np.unique imports numpy.ma on first use (about 14 ms); the start
