@@ -135,6 +135,14 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
           maxiter: int = 60) -> DispersionSolution:
     """Damped complex secant iteration on the dispersion residual.
 
+    A step is at most 0.3 |q| long, and it is accepted only where the
+    residual is defined and |F| is below its value at the last iterate;
+    otherwise it is halved, up to seven times.  When no trial point lowers
+    |F|, the defined one of least |F| is taken; when none is defined, the
+    iteration path is blocked.  For two sheets this keeps the first step
+    off the jumps of A(q), where a zero of the left sheet crosses the real
+    axis and Q_+- change branch.
+
     Returns the root reached from the supplied guess (Re q keeps the
     guess's sign; the relation is not symmetric under q -> -q unless
     sigma_xy = sigma_yx, and crossing Re q = 0 is a failure).  On success
@@ -148,15 +156,12 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
     validity = validity_check(problem.sigma)
     n_eval = 0
     index_flips: list[str] = []
-    last_kernel = None      # the kernel of the last residual evaluated, at q1
 
     def f_at(q):
-        nonlocal n_eval, last_kernel
+        nonlocal n_eval
         n_eval += 1
         kernel = build_log_kernel(problem.with_q(q))
-        f = residual(kernel.problem, kernel=kernel)
-        last_kernel = kernel
-        return f
+        return residual(kernel.problem, kernel=kernel), kernel
 
     def no_solution(q, f, message, nu_k=None):
         return DispersionSolution(
@@ -166,8 +171,8 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
 
     q0, q1 = q_guess, q_guess * (1.0 + 1e-4)
     try:
-        f0 = f_at(q0)
-        f1 = f_at(q1)
+        f0, _ = f_at(q0)
+        f1, kernel1 = f_at(q1)      # kernel1: the kernel of the residual at q1
     except RESIDUAL_FAILURES as exc:
         return no_solution(q_guess, complex(math.nan, math.nan),
                            f"residual undefined at the guess: {exc}",
@@ -186,12 +191,11 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
             step *= max_step / abs(step)
         q_next = q1 + step
         # do not cross Re q = 0: sg(q) and the branch structure change there
-        tries = 0
-        while tries < 8:
+        best = None
+        for _ in range(8):
             if q_next.real * want_sign > 0:
                 try:
-                    f_next = f_at(q_next)
-                    break
+                    f_next, kernel = f_at(q_next)
                 except (NonzeroIndexError, RealAxisZeroError) as exc:
                     index_flips.append(f"q={q_next:.6g}: {exc}")
                 except RESIDUAL_FAILURES as exc:
@@ -200,13 +204,18 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
                     # halving would only repeat them
                     return no_solution(q1, f1,
                                        f"residual undefined at q={q_next:.6g}: {exc}")
+                else:
+                    if best is None or abs(f_next) < abs(best[1]):
+                        best = (q_next, f_next, kernel)
+                    if abs(f_next) < abs(f1):
+                        break
             step *= 0.5
             q_next = q1 + step
-            tries += 1
-        else:
+        if best is None:
             return no_solution(q1, f1,
                                "iteration path blocked: " + "; ".join(index_flips[-3:]))
-        q0, f0, q1, f1 = q1, f1, q_next, f_next
+        q0, f0 = q1, f1
+        q1, f1, kernel1 = best
         it += 1
 
     if abs(f1) >= tol:
@@ -215,7 +224,7 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
 
     # f1 was evaluated, so nu_K = 0 at q1 (a residual raises otherwise); the
     # census is that of the first signed sheet (the right one for two sheets)
-    census = last_kernel.census[0]
+    census = kernel1.census[0]
     message = "index flips on path: " + "; ".join(index_flips) if index_flips else ""
     return DispersionSolution(
         q=q1, residual=f1, iterations=n_eval, nu_k_at_solution=0,

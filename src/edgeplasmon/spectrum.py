@@ -36,6 +36,7 @@ import dataclasses
 import enum
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -232,7 +233,13 @@ class _Block:
         # entries 4, 9, 14), the normalized coefficients in the first row
         companion = np.zeros((len(at), 16), dtype=complex)
         companion[:, 4::5] = 1.0
-        companion[:, :4] = -coeffs[:, 1:] / coeffs[:, :1]
+        # a normalized coefficient that would overflow is left nan, so its
+        # quartic fails below: checked before the divide, on the larger of
+        # |Re| and |Im| (the modulus of a finite complex can overflow)
+        size = np.maximum(np.abs(coeffs.real), np.abs(coeffs.imag))
+        ok = size[:, 1:] * (4.0 / sys.float_info.max) < size[:, :1]
+        companion[:, :4] = np.nan
+        np.divide(-coeffs[:, 1:], coeffs[:, :1], where=ok, out=companion[:, :4])
         companion = companion.reshape(-1, 4, 4)
         failed = {}
         try:

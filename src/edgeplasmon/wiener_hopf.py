@@ -24,9 +24,10 @@ L are split in closed form instead: its ln|xi| growth; the kink at
 theta = pi of its part odd in sqrt(xi^2 + q^2), b/|xi| + e sgn(xi)/xi^2
 + ...; and one log per first-sheet zero of P.  N doubles until the FFT
 coefficients of the smooth remainder beyond N/4 sum below ``SERIES_TOL``,
-or until that sum reaches its rounding floor: below 100 ``SERIES_TOL``
-and no longer halving when N doubles (``_fft_series``).  The
-coefficients left out bound Phi's error.  When |q| is far below
+or until what they hold above the series' own rounding floor does
+(``_fft_series``): the 3N/4 coefficients there, at the rounding level,
+can sum to about ``SERIES_TOL`` by themselves.  The coefficients left
+out, those at the floor included, bound Phi's error.  When |q| is far below
 the problem scale, the structure of sqrt(xi^2 + q^2) at |q| is carried by
 a few more series of the same kind, one per factor of up to 16 in scale, so
 that N stays bounded as |q|/scale -> 0.
@@ -234,6 +235,9 @@ def cauchy_transform(kernel: UnwrappedLogKernel, xi0):
 SERIES_TOL = 1e-13
 SERIES_N_MIN = 256
 SERIES_N_MAX = 1 << 16
+# a coefficient beyond N/4 counts against SERIES_TOL by what it holds above
+# this many times the series' rounding floor (``_above_floor``)
+FLOOR_MARGIN = 4.0
 
 # Branch points +-iq well inside the scales of the sheets: below |q| =
 # ROOT_TOP min 2/|sigma_xx|, the root's structure is peeled off in levels
@@ -275,14 +279,16 @@ def _c_plus(r):
 
 
 def _kink_taylor(sheets, kappa: float) -> np.ndarray:
-    """Taylor coefficients pi_0..pi_J in u = xi/(xi^2 + kappa^2) at xi = inf
-    of A = sqrt(xi^2 + kappa^2) Sum_sheets sign atanh(y).
+    """Taylor coefficients pi_0..pi_J in v = 2 kappa xi/(xi^2 + kappa^2) at
+    xi = inf of A = sqrt(xi^2 + kappa^2) Sum_sheets sign atanh(y).
 
     Each sheet's log is ln(1 + X) = ln(X^2 - 1)/2 + atanh(y), y = 1/X, and
     only atanh(y), odd in sqrt(xi^2 + q^2), has a kink at theta = pi.  In
     w = 1/xi, y = -2i w sqrt(1 + q^2 w^2)/(a2 + a1 w + a0 w^2) (``quad_coeffs``);
-    A is analytic in u for |u| < 1/(2 kappa), kappa the problem scale, and
-    an FFT on |u| = 1/(4 kappa) gives pi_0 = b = -2i/s_xx, pi_1 = e, ...
+    A is analytic in v for |v| < 1, kappa the problem scale, and an FFT on
+    |v| = 1/2 gives pi_0 = b = -2i/s_xx, pi_1 = e/(2 kappa), ...: taken in
+    v, the coefficients carry no power of kappa, which would overflow at
+    large |q|.
     np.arctanh stays here: the 64 arguments y are small, where the log
     ratio of ``_c_plus`` would cancel.
     """
@@ -295,7 +301,7 @@ def _kink_taylor(sheets, kappa: float) -> np.ndarray:
                                    / (a2 + a1 * w + a0 * w * w))
     order = np.arange(KINK_ORDER + 1)
     coeffs = np.fft.fft(np.sqrt(1.0 + (kappa * w) ** 2) * atanh / w) / KINK_SAMPLES
-    return coeffs[order] * (4.0 * kappa) ** order
+    return coeffs[order] * 2.0 ** order
 
 
 @functools.cache
@@ -317,8 +323,8 @@ def _kink_matrices():
 
 
 class _KinkSplit:
-    """Closed-form split of f(xi) = (xi^2 + kappa^2)^(-1/2) Sum_k pi_k u^k,
-    u = xi/(xi^2 + kappa^2) = sin(theta)/(2 kappa), on the map of its own
+    """Closed-form split of f(xi) = (xi^2 + kappa^2)^(-1/2) Sum_k pi_k v^k,
+    v = 2 kappa xi/(xi^2 + kappa^2) = sin(theta), on the map of its own
     kappa.  On the circle f = cos(theta/2) T(rho)/kappa with the Laurent
     polynomial T = Sum_{|m|<=J} tau_m rho^m, so f_n = Sum_m tau_m c_{n-m}/kappa
     and Sum_{n>0} f_n r^n = [T(r) c_+(r) + Pi(r)]/kappa (``_kink_matrices``).
@@ -328,7 +334,7 @@ class _KinkSplit:
     def __init__(self, pis: np.ndarray, kappa: float):
         self.pis, self.kappa = pis, kappa
         sin, pi_map, deep, c0, at_pi = _kink_matrices()
-        tau = sin @ (pis / (2.0 * kappa) ** np.arange(pis.size))
+        tau = sin @ pis
         self.f0 = complex(c0 @ tau) / kappa
         self.at_pi, self.sides = {}, {}     # at_pi[s] = Sum_{n>0} f_{s n} (-1)^n
         for sign, t in ((1, tau), (-1, tau[::-1])):
@@ -338,7 +344,7 @@ class _KinkSplit:
     def values(self, xi: np.ndarray) -> np.ndarray:
         """f on the real axis."""
         rr = xi * xi + self.kappa ** 2
-        return np.polyval(self.pis[::-1], xi / rr) / np.sqrt(rr)
+        return np.polyval(self.pis[::-1], 2.0 * self.kappa * xi / rr) / np.sqrt(rr)
 
     def plus_sum(self, r: np.ndarray, sign: int) -> np.ndarray:
         """Sum_{n>0} f_{sign n} r^n for |r| <= 1, r != -1."""
@@ -396,29 +402,44 @@ def _log_ratio(problem: Problem, xi, w_num, w_den):
 def _fft_series(values, kappa: float):
     """FFT coefficients a_n of values(nodes) on the map of kappa, N doubled
     from SERIES_N_MIN until the coefficients beyond N/4 sum below
-    SERIES_TOL, or to the rounding floor (below 100x the target and no
-    longer halving).  Returns (nodes, a, tail, alias) with tail[K] =
+    SERIES_TOL, or until what they hold above the rounding floor does
+    (``_above_floor``).  Returns (nodes, a, tail, alias) with tail[K] =
     Sum_{|n| > K} |a_n| and alias = tail[N/4]."""
-    n, prev = SERIES_N_MIN, math.inf
+    n = SERIES_N_MIN
     while True:
         nodes = kappa * np.tan(0.5 * math.pi * (2.0 * np.arange(n) + 1.0 - n) / n)
         k = np.fft.fftfreq(n, 1.0 / n)
         a = np.fft.fft(values(nodes)) * (-1.0) ** k * np.exp(-1j * math.pi * k / n) / n
-        by_order = np.bincount(np.abs(k).astype(int), weights=np.abs(a))
+        mag, order = np.abs(a), np.abs(k).astype(int)
+        by_order = np.bincount(order, weights=mag)
         tail = np.append(np.cumsum(by_order[::-1])[-2::-1], 0.0)
         alias = tail[n // 4]
-        if alias <= SERIES_TOL or 0.5 * prev < alias <= 100.0 * SERIES_TOL:
+        if alias <= SERIES_TOL or _above_floor(mag, order, n) <= SERIES_TOL:
             return nodes, a, tail, alias
         if n >= SERIES_N_MAX:
             raise QuadratureError(
                 f"spectral series of L not resolved at N = {n}: coefficients "
                 f"beyond N/4 sum to {alias:.3e} > {SERIES_TOL:.1e}")
-        n, prev = 2 * n, alias
+        n *= 2
+
+
+def _above_floor(mag: np.ndarray, order: np.ndarray, n: int) -> float:
+    """Sum_{|k| > N/4} max(|a_k| - FLOOR_MARGIN floor, 0), with the floor
+    the median |a_k| over 3N/8 < |k| <= N/2.  The 3N/4 coefficients beyond
+    N/4 of a resolved two-sheet series are at the rounding level, a few
+    1e-16 each, and their plain sum sits on SERIES_TOL at every N; what
+    stands above the floor does not, so N is set by the problem rather
+    than by the last bits of its values.  The median is taken by
+    ``np.partition``: ``np.median`` imports ``numpy.ma``."""
+    high = mag[order > 3 * n // 8]
+    floor = np.partition(high, high.size // 2)[high.size // 2]
+    return float(np.maximum(mag[order > n // 4] - FLOOR_MARGIN * floor, 0.0).sum())
 
 
 class _Series:
     """Sum_{n>0} a_{s n} r^n, r = rho(s xi0), on the map of kappa, cut at
-    the fewest terms that meet the target (N/4 at the rounding floor).
+    the fewest terms that meet the target (N/4 when N stopped on the
+    rounding floor).
     ``coeffs`` holds the rows a_n and a_-n, n = 1..order; ``half0`` = a_0/2
     and ``at_pi`` = Sum_{n>0} (a_-n - a_n) (-1)^n/2 enter the constants;
     ``error`` sums the coefficients left out and the aliasing proxy."""

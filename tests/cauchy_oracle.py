@@ -22,7 +22,6 @@ import numpy as np
 from edgeplasmon.branches import Sheet, principal_log
 from edgeplasmon.kernel import dp_dxi, p_of_xi
 from edgeplasmon.quadrature import adaptive_gk, adaptive_gk_to_infinity
-from edgeplasmon.spectrum import bulk_zeros
 
 TWO_PI = 2.0 * math.pi
 
@@ -89,20 +88,25 @@ def _adaptive_chunk(kernel, points, rtol):
 
 
 def mp_phi(kernel, z, dps=30):
-    """Phi(z) off the axis to ``dps`` digits by ``mpmath.quad`` on a single
-    sheet: the pair +-t of the symmetric integral is summed over t > 0,
-    with breakpoints at the near-pole, at the near-axis zeros of P and on
-    the kernel's scale.  The 2-pi branch of arg P at each t comes from the
-    kernel's unwrapped phase grid, moduli and principal phases from P in
-    ``dps``-digit arithmetic."""
+    """Phi(z) off the axis to ``dps`` digits by ``mpmath.quad``: the pair
+    +-t of the symmetric integral is summed over t > 0, with breakpoints
+    at the near-pole, at the near-axis zeros of every sheet's P and on the
+    kernel's scale.  P is the product of the signed sheets' symbols
+    (P^R/P^L for two sheets).  The 2-pi branch of arg P at each t comes
+    from the kernel's unwrapped phase grid, moduli and principal phases
+    from P in ``dps``-digit arithmetic."""
     prob = kernel.problem
     with mp.workdps(dps):
-        sxx, s_off, syy = (mp.mpc(v) for v in (prob.sigma_eff.xx, prob.sigma_eff.off_sum,
-                                                prob.sigma_eff.yy))
+        sheets = [(sign, [mp.mpc(v) for v in (sheet.sigma_eff.xx, sheet.sigma_eff.off_sum,
+                                               sheet.sigma_eff.yy)])
+                  for sign, sheet in prob.signed_sheets()]
         q, zz = mp.mpc(prob.q), mp.mpc(z)
 
         def log_p(t):
-            p = 1 + 0.5j * (sxx * t * t + s_off * q * t + syy * q * q) / mp.sqrt(t * t + q * q)
+            root = mp.sqrt(t * t + q * q)
+            p = mp.mpc(1)
+            for sign, (sxx, s_off, syy) in sheets:
+                p *= (1 + 0.5j * (sxx * t * t + s_off * q * t + syy * q * q) / root) ** sign
             ref = float(np.interp(float(t), kernel.grid, kernel.phase,
                                   left=kernel.phase[0], right=kernel.phase[-1]))
             arg = mp.arg(p)
@@ -115,7 +119,7 @@ def mp_phi(kernel, z, dps=30):
         marks = {0.0, 0.25 * scale, scale, 4.0 * scale, 16.0 * scale, 64.0 * scale}
         features = [(abs(complex(z).real), abs(complex(z).imag))]
         features += [(abs(r.location.real), abs(r.location.imag))
-                     for r in bulk_zeros(prob).zeros if r.sheet is Sheet.FIRST]
+                     for rep in kernel.census for r in rep.zeros if r.sheet is Sheet.FIRST]
         for centre, dist in features:
             marks.add(centre)
             for k in range(12):

@@ -28,6 +28,15 @@ CASE_REFERENCE_Q = {
 }
 
 
+# the two-sheet genuine mode: a weak isotropic left sheet against sheet A,
+# a leaky joint-boundary mode; and the mode of sheet A at an interface with
+# eps_r1 = eps_r2 = 2.  The roots are those the solver converged to.
+TWO_SHEET_LEFT = ConductivityTensor.diagonal(0.05j + 0.0005, 0.05j + 0.0005,
+                                             nondimensional=True)
+TWO_SHEET_ROOT = 10.130399992286975 + 0.8674088676379806j
+INTERFACE_ROOT = 24.343970647319406 + 0.0j
+
+
 def make_sigma(name: str) -> ConductivityTensor:
     if name == "A":
         return ConductivityTensor.diagonal(0.2j, 0.2j, nondimensional=True)

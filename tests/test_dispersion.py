@@ -1,4 +1,6 @@
+import cmath
 import math
+import types
 import warnings
 
 import numpy as np
@@ -30,7 +32,7 @@ from edgeplasmon.branches import principal_log
 from edgeplasmon.quadrature import QuadratureError
 from edgeplasmon.wiener_hopf import CauchyTable, build_log_kernel
 from cauchy_oracle import direct_f_pm
-from conftest import CASE_REFERENCE_Q, make_sigma
+from conftest import CASE_REFERENCE_Q, TWO_SHEET_LEFT, TWO_SHEET_ROOT, make_sigma
 
 
 def magneto_sbar(ratio=100.0, omega=2 * math.pi * 1e9, n0=1.18e15):
@@ -111,7 +113,22 @@ class TestSolve:
         q = -11.33996405995937 - 0.11339964059959369j
         sol = solve(Problem.single_sheet(sigma, q), q)
         assert sol.classification is Classification.NO_SOLUTION
-        assert sol.message
+        # every step near the end crosses into a nu_K = -1 region
+        assert sol.message.startswith("iteration path blocked: ")
+        assert "nu_K = -1" in sol.message
+        assert sol.iterations == 37
+
+    @pytest.mark.parametrize("name, factor", [("C", 0.87), ("D", 0.765)])
+    def test_pocket_guesses_are_classified_with_their_index(self, solutions, name, factor):
+        # nu_K = -1 pockets below the roots of C and D, +1 at -q: no residual
+        # at the guess, so no step is tried
+        for sign, nu in ((1, -1), (-1, 1)):
+            guess = sign * factor * solutions[name].q
+            sol = solve(Problem.single_sheet(make_sigma(name), guess), guess)
+            assert sol.classification is Classification.NO_SOLUTION
+            assert sol.nu_k_at_solution == nu
+            assert sol.iterations == 1
+            assert sol.message.startswith(f"residual undefined at the guess: nu_K = {nu}")
 
     @pytest.mark.parametrize("fail_at, where", [(1, "at the guess"), (3, "at q=")])
     def test_quadrature_error_is_classified(self, monkeypatch, fail_at, where):
@@ -157,6 +174,58 @@ class TestSolve:
         assert len(built) == sol.iterations
         assert built[-1] == sol.q
 
+    @staticmethod
+    def _synthetic(monkeypatch, f):
+        """Make ``solve`` see the residual f(q); returns the list of the q
+        at which it is evaluated."""
+        evaluated = []
+
+        def fake_build(prob):
+            evaluated.append(prob.q)
+            return types.SimpleNamespace(problem=prob, census=(None,))
+
+        monkeypatch.setattr(dispersion, "build_log_kernel", fake_build)
+        monkeypatch.setattr(dispersion, "residual", lambda prob, kernel: complex(f(prob.q)))
+        return evaluated
+
+    def test_trial_step_that_raises_the_residual_is_halved(self, monkeypatch):
+        # secant on atan(q - 100) from 103 overshoots: the step lands at
+        # 90.5, where |F| = 1.47 > |F(q1)| = 1.25, and so does its half, at
+        # 96.8; the quarter step, at 99.9, lowers |F|
+        evaluated = self._synthetic(monkeypatch, lambda q: cmath.atan(q - 100.0))
+        prob = Problem.single_sheet(make_sigma("A"), 103.0)
+        sol = solve(prob, 103.0, maxiter=1)
+        q1 = 103.0 * (1.0 + 1e-4)
+        step = evaluated[2] - q1
+        assert step.real == pytest.approx(-12.5, abs=0.1)
+        assert evaluated[3:] == pytest.approx([q1 + step / 2, q1 + step / 4], rel=1e-14)
+        assert sol.q == evaluated[-1] and sol.iterations == 5
+        assert solve(prob, 103.0).q == pytest.approx(100.0, abs=1e-10)
+
+    def test_least_residual_trial_is_taken_when_the_halvings_run_out(self, monkeypatch):
+        # |F| = |1 + (q - 100)^2| is least at q0 = 100; every trial of the
+        # step from q1 = 100.01 lies above |F(q1)|, so the last and nearest
+        # trial, 99.78, is taken, and the iteration goes on from there
+        evaluated = self._synthetic(monkeypatch, lambda q: 1.0 + (q - 100.0) ** 2)
+        sol = solve(Problem.single_sheet(make_sigma("A"), 100.0), 100.0, maxiter=1)
+        assert len(evaluated) == 2 + 8 and sol.iterations == 10
+        trials = np.array(evaluated[2:]) - evaluated[1]
+        assert trials[1:] == pytest.approx(trials[:-1] / 2, rel=1e-12)
+        assert all(abs(1.0 + (q - 100.0) ** 2) > abs(1.0 + 0.01 ** 2)
+                   for q in evaluated[2:])
+        assert sol.q == evaluated[-1]
+        assert sol.message.startswith("no convergence in 1 iterations")
+
+    @pytest.mark.parametrize("guess", [11.4, 12.0, 12.566, 12.6])
+    def test_two_sheet_solve_from_the_real_axis(self, guess):
+        # from 12 on, the first step, clamped at 0.3 |q|, lands past
+        # Im q = 1.32, where the left sheet's zeros at +-38.18 cross the
+        # real axis and A(q) jumps; |A| is larger there, so it is halved
+        sol = solve(Problem.two_sheet(TWO_SHEET_LEFT, make_sigma("A"), guess), guess)
+        assert sol.converged
+        assert abs(sol.q - TWO_SHEET_ROOT) <= 1e-10 * abs(TWO_SHEET_ROOT)
+        assert sol.iterations <= 11
+
     def test_validity_report_attached(self, solutions):
         rep = solutions["A"].validity
         assert rep.nonretarded_ratio == pytest.approx(0.2 * math.sqrt(2))
@@ -170,19 +239,17 @@ class TestSolve:
     def test_two_sheet_genuine_mode(self):
         # weak isotropic left sheet against the reference right sheet: a
         # leaky joint-boundary mode (q below the left sheet's SPP scale)
-        left = ConductivityTensor.diagonal(0.05j + 0.0005, 0.05j + 0.0005,
-                                           nondimensional=True)
         right = make_sigma("A")
         roots = []
         for guess in (12.0, 18.0):
-            sol = solve(Problem.two_sheet(left, right, guess), guess)
+            sol = solve(Problem.two_sheet(TWO_SHEET_LEFT, right, guess), guess)
             assert sol.converged
             assert abs(sol.residual) < 1e-10
             roots.append(sol.q)
         assert roots[0] == pytest.approx(roots[1], rel=1e-9)
         assert roots[0].imag > 0.1  # leaky: radiates into left-sheet SPPs
         from edgeplasmon import build_log_kernel, edge_limits
-        prob = Problem.two_sheet(left, right, roots[0])
+        prob = Problem.two_sheet(TWO_SHEET_LEFT, right, roots[0])
         el = edge_limits(prob, build_log_kernel(prob))
         assert abs(el.phi_plus - 1.0) < 1e-9
         assert abs(el.phi_minus - 1.0) < 1e-9
@@ -255,6 +322,23 @@ class TestClassify:
         assert sol.classification is Classification.NO_SOLUTION
         assert sol.message.startswith("residual undefined at the guess: " + reason)
         assert classify(prob) is Classification.NO_SOLUTION
+
+    @pytest.mark.parametrize("q", [1e44, 1e60, 1e76, 1e77])
+    def test_large_q_is_classified_without_warnings(self, q):
+        # the kink's Taylor coefficients are carried in v = 2 kappa u, and
+        # the census quartic is checked before it is normalized: no
+        # overflow RuntimeWarning on the way to the classified result
+        prob = Problem.single_sheet(make_sigma("D"), q)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol = solve(prob, q)
+            assert classify(prob) is Classification.NO_SOLUTION
+        assert sol.classification is Classification.NO_SOLUTION
+        if q < 1e77:
+            assert sol.message.startswith("no convergence in 60 iterations")
+        else:
+            assert sol.message.startswith(
+                "residual undefined at the guess: census quartic not finite")
 
     def test_unresolved_series_as_solve_classifies_it(self, solutions, monkeypatch):
         def unresolved_build(kernel):

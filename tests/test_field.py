@@ -17,7 +17,7 @@ from edgeplasmon import wiener_hopf
 from edgeplasmon.field import _e_power, _field_contour
 from edgeplasmon.wiener_hopf import CauchyTable
 from cauchy_oracle import adaptive_phi
-from conftest import make_sigma
+from conftest import TWO_SHEET_LEFT, make_sigma
 
 # a strongly anisotropic sheet whose symbol dips sharply near the axis
 ANISOTROPIC_SIGMA = ConductivityTensor(
@@ -179,11 +179,9 @@ class TestEdgeLimits:
         # estimate, carried through phi(0+), bounds its change when the
         # table is built at twice the nodes
         from edgeplasmon import solve
-        left = ConductivityTensor.diagonal(0.05j + 0.0005, 0.05j + 0.0005,
-                                           nondimensional=True)
-        sol = solve(Problem.two_sheet(left, make_sigma("A"), 12.0), 12.0)
+        sol = solve(Problem.two_sheet(TWO_SHEET_LEFT, make_sigma("A"), 12.0), 12.0)
         assert sol.converged
-        prob = Problem.two_sheet(left, make_sigma("A"), sol.q)
+        prob = Problem.two_sheet(TWO_SHEET_LEFT, make_sigma("A"), sol.q)
         kern = build_log_kernel(prob)
         limits = edge_limits(prob, kern)
         assert 0.0 < limits.phi_plus_error < 1e-10
@@ -298,11 +296,9 @@ class TestPhiProfile:
         # the x < 0 estimate at ~1e-10 (edges from the phase grid left it
         # at 1.1e-4, flagged).  The reference takes panels an eighth as wide.
         from edgeplasmon import field, solve
-        left = ConductivityTensor.diagonal(0.05j + 0.0005, 0.05j + 0.0005,
-                                           nondimensional=True)
-        sol = solve(Problem.two_sheet(left, make_sigma("A"), 12.0), 12.0)
+        sol = solve(Problem.two_sheet(TWO_SHEET_LEFT, make_sigma("A"), 12.0), 12.0)
         assert sol.converged
-        prob = Problem.two_sheet(left, make_sigma("A"), sol.q)
+        prob = Problem.two_sheet(TWO_SHEET_LEFT, make_sigma("A"), sol.q)
         xs = [-0.1, -1e-3, -1e-4]
         prof = phi_profile(prob, build_log_kernel(prob), xs)
         assert not prof.accuracy_flag.any()

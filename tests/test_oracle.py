@@ -14,14 +14,21 @@ from edgeplasmon import ConductivityTensor, Problem, build_log_kernel
 from edgeplasmon.field import _field_contour
 from edgeplasmon.spectrum import RealAxisZeroError
 from cauchy_oracle import adaptive_phi, mp_phi
+from conftest import TWO_SHEET_LEFT, TWO_SHEET_ROOT, make_sigma
 from test_field import ANISOTROPIC_SIGMA, NEAR_ROOT_Q
 from test_spectrum import random_passive_tensor
 
 
-@pytest.mark.parametrize("name", "ABCD")
+@pytest.mark.parametrize("name", ["A", "B", "C", "D", "two_sheet"])
 def test_root_values_against_mpmath(name, root_kernels):
-    # Phi(xi^+-) enters the dispersion residual directly
-    kernel = root_kernels[name]
+    # Phi(xi^+-) enters the dispersion residual directly; a two-sheet
+    # series stops on its rounding floor, and its estimate must still
+    # bound the error
+    if name == "two_sheet":
+        kernel = build_log_kernel(Problem.two_sheet(TWO_SHEET_LEFT, make_sigma("A"),
+                                                    TWO_SHEET_ROOT))
+    else:
+        kernel = root_kernels[name]
     roots, phi_p, phi_m = kernel.root_constants()
     for value, point in ((phi_p, roots.xi_plus), (phi_m, roots.xi_minus)):
         true = abs(value - mp_phi(kernel, point))

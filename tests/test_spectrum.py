@@ -776,14 +776,19 @@ class TestBlocks:
 
     def test_the_phase_pass_leaves_numpy_ma_unimported(self):
         # np.unique imports numpy.ma on first use (about 14 ms); the start
-        # nodes are merged with a sort instead
+        # nodes are merged with a sort instead.  np.median imports it too:
+        # the two-sheet series takes its rounding floor with np.partition
         code = ("import sys\n"
                 "from edgeplasmon import Problem, build_log_kernel, conjecture_check, rotate\n"
-                "from edgeplasmon import ConductivityTensor\n"
+                "from edgeplasmon import ConductivityTensor, solve\n"
                 "b = ConductivityTensor.diagonal(0.001 + 0.1j, 0.002 + 0.2j, nondimensional=True)\n"
                 "prob = Problem.single_sheet(rotate(b, 1.2566370614359172), 21.657 + 0.217j)\n"
                 "build_log_kernel(prob)\n"
                 "conjecture_check(prob.with_q(0.85 * prob.q))\n"
+                "a = ConductivityTensor.diagonal(0.2j, 0.2j, nondimensional=True)\n"
+                "left = ConductivityTensor.diagonal(0.0005 + 0.05j, 0.0005 + 0.05j,"
+                " nondimensional=True)\n"
+                "assert solve(Problem.two_sheet(left, a, 12.0), 12.0).converged\n"
                 "print('numpy.ma' in sys.modules)\n")
         out = subprocess.run([sys.executable, "-c", code], env=os.environ.copy(),
                              capture_output=True, text=True, check=True)

@@ -24,7 +24,7 @@ from edgeplasmon.branches import principal_log
 from edgeplasmon.field import _field_contour, _vertical_panels
 from edgeplasmon.spectrum import RealAxisZeroError
 from cauchy_oracle import adaptive_phi
-from conftest import make_sigma
+from conftest import INTERFACE_ROOT, TWO_SHEET_LEFT, TWO_SHEET_ROOT, make_sigma
 from test_spectrum import random_passive_tensor
 
 
@@ -276,6 +276,40 @@ class TestCPlus:
                     acc += power / (1 - 4 * n * n)
                 err = abs(mpmath.mpc(gi.real, gi.imag) - 2 * acc / mpmath.pi)
                 assert err <= 4e-16, f"at r = {ri}: {float(err):.2e}"
+
+
+class TestSeriesLength:
+    """N is set by the problem, not by the last bits of q: the beyond-N/4
+    sum of a two-sheet series sits on SERIES_TOL at every N from 512 on,
+    and what stands above its rounding floor does not.  The final N of
+    each series fixes its sequence of doublings from SERIES_N_MIN."""
+
+    @staticmethod
+    def _problem(case, q):
+        if case == "interface":
+            return Problem.interface(make_sigma("A"), q, 2.0, 2.0)
+        if case == "two_sheet":
+            return Problem.two_sheet(TWO_SHEET_LEFT, make_sigma("A"), q)
+        return Problem.single_sheet(make_sigma(case), q)
+
+    @pytest.mark.parametrize("case", ["A", "B", "C", "D", "interface", "two_sheet"])
+    def test_same_n_over_ulp_moves_of_q(self, case, solutions, monkeypatch):
+        root = {"interface": INTERFACE_ROOT, "two_sheet": TWO_SHEET_ROOT}.get(case)
+        root = solutions[case].q if root is None else root
+        sizes = []
+        fft_series = wiener_hopf._fft_series
+
+        def recording(values, kappa):
+            out = fft_series(values, kappa)
+            sizes[-1].append(out[0].size)
+            return out
+
+        monkeypatch.setattr(wiener_hopf, "_fft_series", recording)
+        for k in range(-20, 21):
+            sizes.append([])
+            re = root.real + k * np.spacing(root.real)
+            build_log_kernel(self._problem(case, complex(re, root.imag))).cauchy_table()
+        assert all(n == sizes[0] for n in sizes), sizes
 
 
 class TestCauchyTable:
