@@ -24,10 +24,11 @@ L are split in closed form instead: its ln|xi| growth; the kink at
 theta = pi of its part odd in sqrt(xi^2 + q^2), b/|xi| + e sgn(xi)/xi^2
 + ...; and one log per first-sheet zero of P.  N doubles until the FFT
 coefficients of the smooth remainder beyond N/4 sum below ``SERIES_TOL``,
-or until what they hold above the series' own rounding floor does
-(``_fft_series``): the 3N/4 coefficients there, at the rounding level,
-can sum to about ``SERIES_TOL`` by themselves.  The coefficients left
-out, those at the floor included, bound Phi's error.  When |q| is far below
+or, while that sum is below 100 ``SERIES_TOL``, until what they hold
+above the series' own rounding floor does (``_fft_series``): the 3N/4
+coefficients there, at the rounding level, can sum to about
+``SERIES_TOL`` by themselves.  The coefficients left out, those at the
+floor included, bound Phi's error.  When |q| is far below
 the problem scale, the structure of sqrt(xi^2 + q^2) at |q| is carried by
 a few more series of the same kind, one per factor of up to 16 in scale, so
 that N stays bounded as |q|/scale -> 0.
@@ -236,8 +237,11 @@ SERIES_TOL = 1e-13
 SERIES_N_MIN = 256
 SERIES_N_MAX = 1 << 16
 # a coefficient beyond N/4 counts against SERIES_TOL by what it holds above
-# this many times the series' rounding floor (``_above_floor``)
+# this many times the series' rounding floor (``_above_floor``), and only
+# while their plain sum stays below FLOOR_ALIAS_MAX: a slowly decaying tail
+# is flat enough to pass for a floor, but not small enough
 FLOOR_MARGIN = 4.0
+FLOOR_ALIAS_MAX = 100.0 * SERIES_TOL
 
 # Branch points +-iq well inside the scales of the sheets: below |q| =
 # ROOT_TOP min 2/|sigma_xx|, the root's structure is peeled off in levels
@@ -402,8 +406,8 @@ def _log_ratio(problem: Problem, xi, w_num, w_den):
 def _fft_series(values, kappa: float):
     """FFT coefficients a_n of values(nodes) on the map of kappa, N doubled
     from SERIES_N_MIN until the coefficients beyond N/4 sum below
-    SERIES_TOL, or until what they hold above the rounding floor does
-    (``_above_floor``).  Returns (nodes, a, tail, alias) with tail[K] =
+    SERIES_TOL, or, while that sum is below FLOOR_ALIAS_MAX, until what
+    they hold above the rounding floor does (``_above_floor``).  Returns (nodes, a, tail, alias) with tail[K] =
     Sum_{|n| > K} |a_n| and alias = tail[N/4]."""
     n = SERIES_N_MIN
     while True:
@@ -414,7 +418,8 @@ def _fft_series(values, kappa: float):
         by_order = np.bincount(order, weights=mag)
         tail = np.append(np.cumsum(by_order[::-1])[-2::-1], 0.0)
         alias = tail[n // 4]
-        if alias <= SERIES_TOL or _above_floor(mag, order, n) <= SERIES_TOL:
+        if alias <= SERIES_TOL or (alias <= FLOOR_ALIAS_MAX
+                                   and _above_floor(mag, order, n) <= SERIES_TOL):
             return nodes, a, tail, alias
         if n >= SERIES_N_MAX:
             raise QuadratureError(

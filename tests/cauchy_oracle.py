@@ -22,6 +22,7 @@ import numpy as np
 from edgeplasmon.branches import Sheet, principal_log
 from edgeplasmon.kernel import dp_dxi, p_of_xi
 from edgeplasmon.quadrature import adaptive_gk, adaptive_gk_to_infinity
+from edgeplasmon.spectrum import bulk_zeros
 
 TWO_PI = 2.0 * math.pi
 
@@ -119,7 +120,8 @@ def mp_phi(kernel, z, dps=30):
         marks = {0.0, 0.25 * scale, scale, 4.0 * scale, 16.0 * scale, 64.0 * scale}
         features = [(abs(complex(z).real), abs(complex(z).imag))]
         features += [(abs(r.location.real), abs(r.location.imag))
-                     for rep in kernel.census for r in rep.zeros if r.sheet is Sheet.FIRST]
+                     for _, sheet in prob.signed_sheets()
+                     for r in bulk_zeros(sheet).zeros if r.sheet is Sheet.FIRST]
         for centre, dist in features:
             marks.add(centre)
             for k in range(12):

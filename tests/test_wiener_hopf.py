@@ -22,6 +22,7 @@ from edgeplasmon import (
 from edgeplasmon import wiener_hopf
 from edgeplasmon.branches import principal_log
 from edgeplasmon.field import _field_contour, _vertical_panels
+from edgeplasmon.quadrature import QuadratureError
 from edgeplasmon.spectrum import RealAxisZeroError
 from cauchy_oracle import adaptive_phi
 from conftest import INTERFACE_ROOT, TWO_SHEET_LEFT, TWO_SHEET_ROOT, make_sigma
@@ -310,6 +311,19 @@ class TestSeriesLength:
             re = root.real + k * np.spacing(root.real)
             build_log_kernel(self._problem(case, complex(re, root.imag))).cauchy_table()
         assert all(n == sizes[0] for n in sizes), sizes
+
+    def test_slow_decay_is_not_a_floor(self):
+        # a pole 0.01 off the axis: |a_n| ~ 0.99^n is flat within the floor
+        # margin over (N/4, N/2] at N = 256, with a beyond-N/4 sum of 35
+        nodes, _, _, alias = wiener_hopf._fft_series(lambda xi: 1.0 / (xi - (1.0 + 0.01j)), 1.0)
+        assert nodes.size > wiener_hopf.SERIES_N_MIN
+        assert alias <= wiener_hopf.FLOOR_ALIAS_MAX
+
+    def test_kink_is_not_a_floor(self):
+        # |a_n| ~ n^-2 from the kink of |xi - 1/2| never meets the target;
+        # flat within the floor margin, it would pass for a floor at N = 512
+        with pytest.raises(QuadratureError, match=f"not resolved at N = {wiener_hopf.SERIES_N_MAX}"):
+            wiener_hopf._fft_series(lambda xi: np.abs(xi - 0.5) / (1.0 + xi * xi), 1.0)
 
 
 class TestCauchyTable:
