@@ -14,10 +14,10 @@ Wavenumbers are reported in nondimensional units (q/k0).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import json
 import math
+import multiprocessing
 import sys
 import time
 import warnings
@@ -291,7 +291,8 @@ def _index_rows(points) -> list[dict]:
         results[i] = res
     marginal = [i for i in problems
                 if isinstance(results[i], ConjectureResult) and results[i].nu_star is None]
-    duals = phase_winding([problems[i] for i in marginal], Sheet.SECOND)[3] if marginal else []
+    duals = (phase_winding([problems[i] for i in marginal], Sheet.SECOND, keep_nodes=False)[3]
+             if marginal else [])
     nu_star = dict(zip(marginal, duals))
     rows = []
     for i, res in enumerate(results):
@@ -441,17 +442,62 @@ def cmd_validate(cfg, args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _run_block(block_fn, block, conn):
+    """A child's work: send block_fn(block), or the exception it raised."""
+    try:
+        result = block_fn(block)
+    except Exception as exc:
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
 def _dispatch(block_fn, points, jobs: int):
-    """Split the points into one contiguous block per worker, run
-    block_fn(block) on each and return its rows in input order.  One block
-    is computed in-process: a block pass costs less per row than a round
-    trip to a worker, so each worker gets a single block."""
-    size = max(math.ceil(len(points) / max(jobs, 1)), 1)
+    """Split the points into ``jobs`` contiguous blocks, run block_fn(block)
+    on each and return the rows in input order.  The caller computes the
+    first block itself while each other block runs in its own child
+    process, which sends back its rows, or the exception its block raised,
+    over a one-way pipe; so at most len(blocks) - 1 children start, and
+    none when there is one block.  A block pass costs less per row than a
+    round trip to a child, so each child gets a single block.  A child
+    that exits without sending is a RuntimeError.  No child outlives the
+    call: on an error the children still running are terminated (one may
+    be blocked writing a result larger than the pipe buffer, and a forked
+    child holds a copy of the read end, so closing the caller's would not
+    end that write), then the read ends are closed and every child is
+    joined."""
+    size = max(math.ceil(len(points) / jobs), 1)
     blocks = [points[i:i + size] for i in range(0, len(points), size)]
     if len(blocks) <= 1:
         return block_fn(points)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return [row for rows in pool.map(block_fn, blocks) for row in rows]
+    children = []
+    try:
+        for block in blocks[1:]:
+            receive, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_run_block, args=(block_fn, block, send))
+            child.start()
+            send.close()
+            children.append((child, receive))
+        rows = block_fn(blocks[0])
+        for k, (child, receive) in enumerate(children, 1):
+            try:
+                result = receive.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"the process of block {k + 1} of {len(blocks)} exited "
+                                   f"with code {child.exitcode} before sending its rows") from None
+            if isinstance(result, Exception):
+                raise result
+            rows.extend(result)
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receive in children:
+            receive.close()
+            child.join()
+    return rows
 
 
 COMMANDS = {
@@ -464,6 +510,16 @@ COMMANDS = {
 }
 
 
+def _process_count(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {text!r}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="edgeplasmon",
@@ -473,7 +529,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=False, help="JSON configuration file")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument("--jobs", type=_process_count, default=1,
+                        help="processes, this one included")
     return parser
 
 

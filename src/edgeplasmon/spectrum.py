@@ -411,6 +411,7 @@ def unwrapped_phase_grid(
     *,
     max_step_rad: float = 0.5 * math.pi,
     zeros=None,
+    keep_nodes: bool = True,
 ):
     """Sample arg of ``pfun`` on |xi| <= 100 ``scale``, continuously
     unwrapped, for a block of independent rows at once.
@@ -435,7 +436,9 @@ def unwrapped_phase_grid(
     Returns (nodes, unwrapped_phase, rows, turns): the final nodes of the
     rows that finished, grouped by row in the order the rows finished, with
     their phase and row; and per row its phase change in turns, or the
-    error that stopped it.
+    error that stopped it.  With ``keep_nodes`` false a finished row's
+    nodes are dropped, not kept to the end, and the first three are empty:
+    for callers that read only the turns.
     """
     scales = np.array(scale, dtype=float, ndmin=1)
     zeros = np.zeros((scales.size, 0)) if zeros is None else np.asarray(zeros, dtype=complex)
@@ -505,11 +508,13 @@ def unwrapped_phase_grid(
                 if not more:
                     out[int(rows[first])] = float((ang[last] - ang[first]) / (2.0 * math.pi))
             if not any(refine):
-                done.append((xs, ang, rows))
+                if keep_nodes:
+                    done.append((xs, ang, rows))
                 break
             # the rows that finished leave the arrays
             keep = np.repeat(refine, np.diff(firsts + [rows.size]))
-            done.append((xs[~keep], ang[~keep], rows[~keep]))
+            if keep_nodes:
+                done.append((xs[~keep], ang[~keep], rows[~keep]))
             del ang
             xs, vals, rows = xs[keep], vals[keep], rows[keep]
             bad = bad[keep[:-1]][:xs.size - 1]
@@ -529,7 +534,7 @@ def unwrapped_phase_grid(
     return nodes, phase, node_rows, out
 
 
-def phase_winding(problems, sheet: Sheet):
+def phase_winding(problems, sheet: Sheet, *, keep_nodes: bool = True):
     """arg P on the given sheet, unwrapped on [-m, m] with m = 100 times
     each problem's scale, and its winding number, for a block of problems
     (``unwrapped_phase_grid``, one row per problem).
@@ -538,10 +543,10 @@ def phase_winding(problems, sheet: Sheet):
     ``census_roots``; a row whose census quartic could not be solved keeps
     that error and takes no phase pass.  Returns (nodes, unwrapped_phase,
     rows, windings, scales) with the first three as
-    ``unwrapped_phase_grid`` gives them, and per row its winding number or
-    its error: a RealAxisZeroError when P has a zero or a pole on the axis,
-    or when the phase change is not close to a whole number of turns (tail
-    not converged, or a zero near the axis).
+    ``unwrapped_phase_grid`` gives them (empty unless ``keep_nodes``), and
+    per row its winding number or its error: a RealAxisZeroError when P has
+    a zero or a pole on the axis, or when the phase change is not close to
+    a whole number of turns (tail not converged, or a zero near the axis).
     """
     block = problems if isinstance(problems, _Block) else _Block(problems)
     scales = [problem_scale(p) for p in block.problems]
@@ -555,7 +560,8 @@ def phase_winding(problems, sheet: Sheet):
         rows = [r for r, w in enumerate(windings) if w is None]
         block = block.take(rows)
     xs, ang, node_rows, changes = unwrapped_phase_grid(
-        block.symbol(sheet), [scales[r] for r in rows], zeros=block.census_roots[0])
+        block.symbol(sheet), [scales[r] for r in rows], zeros=block.census_roots[0],
+        keep_nodes=keep_nodes)
     for r, turns in zip(rows, changes):
         if isinstance(turns, Exception):
             windings[r] = turns
@@ -575,12 +581,12 @@ def phase_winding(problems, sheet: Sheet):
 
 def winding_index(problem: Problem) -> int:
     """Krein index: winding number of P(xi) (the ratio P^R/P^L for two sheets)."""
-    return _one(phase_winding([problem], Sheet.FIRST)[3][0])
+    return _one(phase_winding([problem], Sheet.FIRST, keep_nodes=False)[3][0])
 
 
 def dual_winding_index(problem: Problem) -> int:
     """Winding of the second-sheet (dual) symbol P*."""
-    return _one(phase_winding([problem], Sheet.SECOND)[3][0])
+    return _one(phase_winding([problem], Sheet.SECOND, keep_nodes=False)[3][0])
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +745,7 @@ def conjecture_block(problems) -> list:
     rows = [r for r, rep in enumerate(results) if not isinstance(rep, Exception)]
     if len(rows) < len(block):
         block = block.take(rows)
-    windings = phase_winding(block, Sheet.FIRST)[3]
+    windings = phase_winding(block, Sheet.FIRST, keep_nodes=False)[3]
     for r, nu in zip(rows, windings):
         if isinstance(nu, Exception):
             results[r] = nu

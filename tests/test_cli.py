@@ -3,6 +3,9 @@ import dataclasses
 import io
 import json
 import math
+import multiprocessing
+import os
+import time
 
 import numpy as np
 import pytest
@@ -87,6 +90,14 @@ DRUDE_SHEET = {"model": {"kind": "drude", "weight_xx": 1e12, "weight_yy": 2e12, 
 
 
 class TestConfigErrors:
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_usage_error(self, tmp_path, capsys, jobs):
+        path = write_cfg(tmp_path, sweep_cfg())
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", path, "--jobs", jobs])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_missing_config(self, capsys):
         code, _, err = run_cli(capsys, "solve")
         assert code == 2 and "config" in err
@@ -274,16 +285,20 @@ class TestSolveCommand:
         rows = parse_csv(out)
         assert [r["classification"] for r in rows] == ["no-solution"] * 2
 
-    def test_failed_census_keeps_the_other_rows(self, tmp_path, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_census_keeps_the_other_rows(self, tmp_path, capsys, jobs):
         # the census quartic at q = 1e80 is not finite: that guess is a
-        # NO_SOLUTION row, and the root from the other guess is unchanged
-        def rows(guesses):
+        # NO_SOLUTION row, and the root from the other guess is unchanged;
+        # with two processes each guess is a block, one of them in a child
+        def rows(guesses, jobs="1"):
             cfg = {"sheet": D_SHEET, "solve": {"q_guesses": guesses}}
-            code, out, _ = run_cli(capsys, "solve", "--config", write_cfg(tmp_path, cfg))
+            code, out, _ = run_cli(capsys, "solve", "--config", write_cfg(tmp_path, cfg),
+                                   "--jobs", jobs)
             return code, strip_wall(parse_csv(out))
 
-        code, both = rows([[16.4, 0.16], [1e80, 0]])
+        code, both = rows([[16.4, 0.16], [1e80, 0]], jobs)
         assert code == 1
+        assert rows([[16.4, 0.16], [1e80, 0]]) == (code, both)
         assert both[1]["classification"] == "no-solution"
         assert both[1]["nu_k"] == ""
         assert rows([[16.4, 0.16]]) == (0, both[:1])
@@ -374,8 +389,8 @@ class TestIndexCommand:
         passes = []
         phase_winding = spectrum.phase_winding
 
-        def counted(problems, sheet):
-            result = phase_winding(problems, sheet)
+        def counted(problems, sheet, **kwargs):
+            result = phase_winding(problems, sheet, **kwargs)
             passes.append((sheet, len(result[3])))
             return result
 
@@ -570,6 +585,89 @@ class TestSweepCommand:
         code, out, err = run_cli(capsys, "sweep", "--config", write_cfg(tmp_path, cfg))
         assert code == 2 and out == ""
         assert "two-sheet" in err and "phis_pi" in err
+
+
+def in_child() -> bool:
+    return multiprocessing.parent_process() is not None
+
+
+def echo_block(block):
+    return [(os.getpid(), point) for point in block]
+
+
+def raise_in_child(block):
+    if in_child():
+        raise ZeroDivisionError(f"block {block}")
+    return list(block)
+
+
+def exit_in_child(block):
+    if in_child():
+        os._exit(3)
+    return list(block)
+
+
+def raise_beside_a_large_child_result(block):
+    if in_child():
+        return ["x" * 100_000]      # more than a pipe buffer (64 KiB)
+    time.sleep(0.2)                 # the child is now blocked writing it
+    raise ValueError("the first block failed")
+
+
+class TestDispatch:
+    def test_caller_runs_the_first_block(self):
+        rows = cli._dispatch(echo_block, list(range(5)), 3)
+        assert [point for _, point in rows] == list(range(5))
+        pids = [pid for pid, _ in rows]
+        assert pids[:2] == [os.getpid()] * 2
+        assert len(set(pids)) == 3
+        assert multiprocessing.active_children() == []
+
+    def test_exception_in_a_child_reaches_the_caller(self):
+        with pytest.raises(ZeroDivisionError, match=r"block \[2\]"):
+            cli._dispatch(raise_in_child, [1, 2], 2)
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_exits_without_sending(self):
+        with pytest.raises(RuntimeError, match="code 3"):
+            cli._dispatch(exit_in_child, [1, 2, 3], 3)
+        assert multiprocessing.active_children() == []
+
+    def test_child_that_exits_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        index_rows = cli._index_rows
+
+        def exiting_index_rows(points):
+            exit_in_child(points)
+            return index_rows(points)
+
+        monkeypatch.setattr(cli, "_index_rows", exiting_index_rows)
+        cfg = case_a_cfg(index={"q_values": [[12.0, 0.0], [13.0, 0.0]]})
+        code, out, err = run_cli(capsys, "index", "--config", write_cfg(tmp_path, cfg),
+                                 "--jobs", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("numerical failure:") and "code 3" in err
+        assert multiprocessing.active_children() == []
+
+    def test_failing_first_block_beside_a_blocked_child(self):
+        with pytest.raises(ValueError, match="first block"):
+            cli._dispatch(raise_beside_a_large_child_result, [1, 2], 2)
+        assert multiprocessing.active_children() == []
+
+    def test_at_most_one_child_per_block_past_the_first(self, tmp_path, capsys, monkeypatch):
+        started = []
+
+        class Counted(multiprocessing.Process):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(multiprocessing, "Process", Counted)
+        cfg = case_a_cfg(index={"q_values": [[12.0, 0.0], [13.0, 0.0], [14.0, 0.0]]})
+        code, out, _ = run_cli(capsys, "index", "--config", write_cfg(tmp_path, cfg),
+                               "--jobs", "8")
+        assert code == 0 and len(parse_csv(out)) == 3
+        assert len(started) == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestFieldCommand:
