@@ -117,11 +117,23 @@ def log_polar(w):
     return out[()] if out.ndim == 0 else out
 
 
-def unwrapped_angle(w):
+def unwrapped_angle(w, bounds=()):
     """arg w along a 1-D sequence, continued across the cut: each step of
     the principal angle is taken to the nearest whole turn, and the turns
-    are summed.  Agrees with np.unwrap(np.angle(w)) wherever no step is an
-    odd multiple of pi beyond +-pi."""
-    ang = np.angle(w)
-    ang[1:] -= 2.0 * np.pi * np.cumsum(np.round((ang[1:] - ang[:-1]) / (2.0 * np.pi)))
+    are summed, from 0 again after each index in ``bounds`` (sorted), so
+    that independent runs laid end to end unwrap in one pass.  Agrees
+    with np.unwrap(np.angle(w)) on each run wherever no step is an odd
+    multiple of pi beyond +-pi."""
+    ang = np.arctan2(w.imag, w.real)
+    step = np.subtract(ang[1:], ang[:-1])
+    step /= 2.0 * np.pi
+    np.rint(step, out=step)
+    if bounds:
+        # the step out of each run takes back that run's turns
+        step[bounds] = 0.0
+        step[bounds] = -np.add.reduceat(step[:bounds[-1] + 1], [0] + [b + 1 for b in bounds[:-1]])
+    if step.any():
+        step.cumsum(out=step)
+        step *= 2.0 * np.pi
+        ang[1:] -= step
     return ang

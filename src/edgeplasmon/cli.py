@@ -407,10 +407,7 @@ def cmd_asymptote(cfg, args) -> int:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         q_lw = longwave_q(sigma, eps_sum=eps_sum)
-    if eps_sum == 2.0:
-        problem = Problem.single_sheet(sigma, q_lw)
-    else:
-        problem = Problem.interface(sigma, q_lw, eps_sum / 2.0, eps_sum / 2.0)
+    problem = Problem.interface(sigma, q_lw, eps_sum / 2.0, eps_sum / 2.0)
     kernel = build_log_kernel(problem)
     f_full = abs(residual(problem, kernel=kernel))
     lw = LongwaveParams.from_problem(problem)

@@ -21,7 +21,9 @@ block solves the census quartics of every row once, in one stacked
 ``np.linalg.eigvals`` (``_Block.census_roots``); the census attributes
 those roots in one pass (``_census``) and the phase pass is seeded at
 them.  The phase grids of all rows are refined together as flat (row,
-xi) arrays (``unwrapped_phase_grid``).  Each row keeps its own
+xi) arrays (``unwrapped_phase_grid``), unwrapped by the one phase unwrap
+of the package, ``branches.unwrapped_angle``, and a row leaves the arrays
+in the pass in which it finishes or fails.  Each row keeps its own
 arithmetic, so a row gives the same result in any block, and a row that
 fails becomes that row's error without stopping the others.
 ``conjecture_block`` is the block form of ``conjecture_check``;
@@ -40,7 +42,7 @@ import sys
 
 import numpy as np
 
-from .branches import BranchPointError, Sheet, sheet_root, sign_q
+from .branches import BranchPointError, Sheet, sheet_root, sign_q, unwrapped_angle
 from .conductivity import ConductivityTensor
 from .kernel import Problem, Variant, _compose, symbol_terms
 
@@ -289,21 +291,20 @@ EVAL_RUN = 4096
 
 
 def _rowwise(fn, x, rows, out):
-    """(fn(x, rows), whether a row failed) at points of many rows, sorted
-    by row.  An error that marks its points (``at``: a branch point of the
-    root, or a zero of P^L, that is a pole of P^R/P^L on the contour)
-    becomes the error of the rows it hit in ``out``; their points take the
-    value 1 and the other rows are evaluated again."""
+    """fn(x, rows) at points of many rows, sorted by row.  An error that
+    marks its points (``at``: a branch point of the root, or a zero of P^L,
+    that is a pole of P^R/P^L on the contour) becomes the error of the rows
+    it hit in ``out``; their points take the value 1 and the other rows are
+    evaluated again."""
     if x.size > EVAL_RUN:
         cuts = [0, *np.searchsorted(rows, rows[EVAL_RUN::EVAL_RUN]).tolist(), x.size]
-        vals, failed = np.empty(x.shape, dtype=complex), False
+        vals = np.empty(x.shape, dtype=complex)
         for a, b in zip(cuts, cuts[1:]):
             if b > a:
-                vals[a:b], hit = _rowwise(fn, x[a:b], rows[a:b], out)
-                failed |= hit
-        return vals, failed
+                vals[a:b] = _rowwise(fn, x[a:b], rows[a:b], out)
+        return vals
     try:
-        return fn(x, rows), False
+        return fn(x, rows)
     except (BranchPointError, ZeroDivisionError) as exc:
         if not hasattr(exc, "at"):
             raise
@@ -313,8 +314,8 @@ def _rowwise(fn, x, rows, out):
             out[r] = err
         keep = np.array([r is None for r in out]).take(rows)
         vals = np.ones(x.shape, dtype=complex)
-        vals[keep] = _rowwise(fn, x[keep], rows[keep], out)[0]
-        return vals, True
+        vals[keep] = _rowwise(fn, x[keep], rows[keep], out)
+        return vals
 
 
 def _insert(at, *pairs):
@@ -363,8 +364,6 @@ PHASE_GRID_START = 256
 
 # start nodes at Re xi_z + |Im xi_z| times these, around each census zero
 ZERO_SEED_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-
-TWO_PI = 2.0 * np.pi
 
 
 @functools.cache
@@ -426,12 +425,14 @@ def unwrapped_phase_grid(
     distance from the axis has nodes on it.  Each row is refined until its
     adjacent phase steps are below ``max_step_rad`` and its log-modulus
     steps below 0.7, which both makes the unwrap exact and lets callers pin
-    log branches by interpolation; a pass evaluates only the new midpoints,
-    inserts them in order, and the rows that finished leave the arrays.  A
-    row stops with a RealAxisZeroError when its modulus falls below
-    REAL_AXIS_MIN_MODULUS, when it is refined past PHASE_GRID_MAX_NODES, or
-    when ``pfun`` meets a pole or a branch point at one of its nodes
-    (``_rowwise``); the other rows go on.
+    log branches by interpolation.  One pass unwraps every row at once
+    (``branches.unwrapped_angle``, its turns counted afresh at each row),
+    then takes every row that finished or failed out of the arrays in one
+    step, and evaluates and inserts in order only the midpoints of the rows
+    that go on.  A row fails with a RealAxisZeroError when its modulus falls
+    below REAL_AXIS_MIN_MODULUS, when it is refined past
+    PHASE_GRID_MAX_NODES, or when ``pfun`` meets a pole or a branch point
+    at one of its nodes (``_rowwise``); the other rows go on.
 
     Returns (nodes, unwrapped_phase, rows, turns): the final nodes of the
     rows that finished, grouped by row in the order the rows finished, with
@@ -444,24 +445,20 @@ def unwrapped_phase_grid(
     zeros = np.zeros((scales.size, 0)) if zeros is None else np.asarray(zeros, dtype=complex)
     xs, rows = _start_nodes(scales, zeros)
     out: list = [None] * scales.size
-    vals, stale = _rowwise(pfun, xs, rows, out)
+    vals = _rowwise(pfun, xs, rows, out)
     done = []
-    while True:
-        if stale:
-            # the rows that failed leave the arrays
-            keep = np.array([r is None for r in out]).take(rows)
-            xs, vals, rows = xs[keep], vals[keep], rows[keep]
-            stale = False
-        if not rows.size:
-            break
+    while rows.size:
         mod = np.abs(vals)
         if mod.min() < REAL_AXIS_MIN_MODULUS:
-            for r in set(rows[mod < REAL_AXIS_MIN_MODULUS].tolist()):
-                out[r] = RealAxisZeroError(
-                    f"symbol modulus {mod[rows == r].min():.3e} on the real axis; "
-                    "index/splitting undefined (zero on contour)")
-            stale = True
-            continue
+            # these rows fail (a row keeps the first error it meets) and
+            # leave at the end of the pass: their log must stay finite
+            tiny = mod < REAL_AXIS_MIN_MODULUS
+            for r in set(rows[tiny].tolist()):
+                if out[r] is None:
+                    out[r] = RealAxisZeroError(
+                        f"symbol modulus {mod[rows == r].min():.3e} on the real axis; "
+                        "index/splitting undefined (zero on contour)")
+            mod[tiny] = 1.0
         # the last node of each row but the last: no step crosses it
         bounds = ((rows[1:] != rows[:-1]).nonzero()[0].tolist()
                   if rows[0] != rows[-1] else [])
@@ -471,21 +468,9 @@ def unwrapped_phase_grid(
         step = np.subtract(mod[1:], mod[:-1])
         del mod
         bad = np.abs(step, out=step) > 0.7
-        # and where the unwrapped phase steps by more than max_step_rad: the
-        # unwrap of branches.unwrapped_angle, its turns counted from each row
-        ang = np.arctan2(vals.imag, vals.real)
-        np.subtract(ang[1:], ang[:-1], out=step)
-        step /= TWO_PI
-        np.rint(step, out=step)
-        if bounds:
-            # the step out of each row takes back that row's turns, so that
-            # the running count restarts at every row
-            step[bounds] = 0.0
-            step[bounds] = -np.add.reduceat(step, [0] + [b + 1 for b in bounds])[:-1]
-        if step.any():
-            step.cumsum(out=step)
-            step *= TWO_PI
-            ang[1:] -= step
+        # and where the unwrapped phase, its turns counted from each row,
+        # steps by more than max_step_rad
+        ang = unwrapped_angle(vals, bounds)
         np.subtract(ang[1:], ang[:-1], out=step)
         bad |= np.abs(step, out=step) > max_step_rad
         del step
@@ -494,38 +479,38 @@ def unwrapped_phase_grid(
             bad[bounds] = False
         refine = (np.logical_or.reduceat(bad, firsts).tolist() if bounds and bad.any()
                   else [bool(bad.any())] * len(firsts))
-        if rows.size > PHASE_GRID_MAX_NODES:
-            sizes = np.bincount(rows)
-            for first, more in zip(firsts, refine):
-                r = int(rows[first])
-                if more and sizes[r] > PHASE_GRID_MAX_NODES:
-                    out[r] = RealAxisZeroError(
-                        "phase refinement diverged; symbol too close to a real-axis zero")
-                    bad &= rows[1:] != r
-                    stale = True
-        if not all(refine):
-            for first, last, more in zip(firsts, bounds + [rows.size - 1], refine):
-                if not more:
-                    out[int(rows[first])] = float((ang[last] - ang[first]) / (2.0 * math.pi))
-            if not any(refine):
-                if keep_nodes:
-                    done.append((xs, ang, rows))
-                break
-            # the rows that finished leave the arrays
-            keep = np.repeat(refine, np.diff(firsts + [rows.size]))
+        # one exit step: the rows that failed or finished leave the arrays
+        # together, each finished row with its phase change in turns
+        finished, stay = [], []
+        for r, first, last, more in zip(rows.take(firsts).tolist(), firsts,
+                                        bounds + [rows.size - 1], refine):
+            if out[r] is None and more and last - first >= PHASE_GRID_MAX_NODES:
+                out[r] = RealAxisZeroError(
+                    "phase refinement diverged; symbol too close to a real-axis zero")
+            finished.append(out[r] is None and not more)
+            if finished[-1]:
+                out[r] = float((ang[last] - ang[first]) / (2.0 * math.pi))
+            stay.append(out[r] is None)
+        if all(finished):
             if keep_nodes:
-                done.append((xs[~keep], ang[~keep], rows[~keep]))
-            del ang
+                done.append((xs, ang, rows))
+            break
+        if not all(stay):
+            lengths = np.diff(firsts + [rows.size])
+            if keep_nodes and any(finished):
+                gone = np.repeat(finished, lengths)
+                done.append((xs[gone], ang[gone], rows[gone]))
+            if not any(stay):
+                break
+            keep = np.repeat(stay, lengths)
             xs, vals, rows = xs[keep], vals[keep], rows[keep]
             bad = bad[keep[:-1]][:xs.size - 1]
-        else:
-            del ang
+        del ang
         # only the midpoints are new: evaluate them and insert them in order
         at = bad.nonzero()[0] + 1
         mids = 0.5 * (xs[at - 1] + xs[at])
         new_rows = rows.take(at)
-        new_vals, failed = _rowwise(pfun, mids, new_rows, out)
-        stale |= failed
+        new_vals = _rowwise(pfun, mids, new_rows, out)
         xs, vals, rows = _insert(at, (xs, mids), (vals, new_vals), (rows, new_rows))
     if not done:
         return np.zeros(0), np.zeros(0), np.zeros(0, dtype=int), out
@@ -669,18 +654,18 @@ def _census(block: _Block):
         band = MARGINAL_BAND * np.maximum(np.abs(flat), 1.0)
         marginal = ((np.abs(flat.imag) < band) | (np.abs(flat - iq) < band)
                     | (np.abs(flat + iq) < band))
-        # |P| and |P*| at each root, from one root w (P* takes -w); a marginal
-        # root may sit on +-iq, where the square root is not defined, so it is
-        # taken at 1 (never a branch point for Re q != 0) and keeps a nan residual
+        # |P| = |1 + t| and |P*| = |1 - t| at each root, t = (i/2) num/w (P*
+        # takes -w); a marginal root may sit on +-iq, where the root is not
+        # defined, so it is taken at 1 and keeps a nan residual
         xi = np.where(marginal, 1.0, flat)
-        w, _ = _rowwise(lambda x, at: sheet_root(x, block.gather(at // n)[0], Sheet.FIRST),
-                        xi, points, reports)
+        w = _rowwise(lambda x, at: sheet_root(x, block.gather(at // n)[0], Sheet.FIRST),
+                     xi, points, reports)
         # each root is tested on its own sheet alone: that sheet's (a, b, c)
-        q2, signed = block.gather(rows)
-        abc = signed[0][1:] if n == 1 else [np.choose(points % n, [t[k] for t in signed])
-                                            for k in (1, 2, 3)]
-        res = np.abs(_compose((q2, ((1, *abc),)), xi,
-                              np.concatenate([w, -w]).reshape(2, -1))[0])
+        signed = block.gather(rows)[1]
+        a, b, c = signed[0][1:] if n == 1 else [np.choose(points % n, [t[k] for t in signed])
+                                                for k in (1, 2, 3)]
+        t = 0.5j * (a * xi * xi + b * xi + c) / w
+        res = np.abs([1.0 + t, 1.0 - t])
         res[:, marginal] = math.nan
         second = res[1] < res[0]
         residual = np.minimum(res[0], res[1])

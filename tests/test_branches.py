@@ -157,6 +157,18 @@ class TestUnwrappedAngle:
         np.testing.assert_allclose(unwrapped_angle(w), np.unwrap(np.angle(w)),
                                    rtol=0, atol=1e-12)
 
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 40), min_size=1, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_runs_unwrap_as_if_alone(self, seed, lengths):
+        # runs laid end to end, single nodes included, unwrap bit for bit as
+        # each run does alone: the turn count starts again after each bound
+        rng = np.random.default_rng(seed)
+        runs = [rng.uniform(0.1, 10.0, size=n)
+                * np.exp(1j * np.cumsum(rng.normal(scale=2.0, size=n))) for n in lengths]
+        bounds = (np.cumsum(lengths)[:-1] - 1).tolist()
+        alone = np.concatenate([unwrapped_angle(run) for run in runs])
+        assert unwrapped_angle(np.concatenate(runs), bounds).tobytes() == alone.tobytes()
+
     def test_recovers_a_slow_phase(self):
         phase = np.linspace(-3.0, 40.0, 4001)    # starts on the principal branch
         assert np.abs(unwrapped_angle(np.exp(1j * phase)) - phase).max() < 1e-12

@@ -10,10 +10,12 @@ import time
 import numpy as np
 import pytest
 
-from edgeplasmon import cli, selfcheck, spectrum
+from edgeplasmon import Problem, cli, selfcheck, solve, spectrum
 from edgeplasmon.branches import Sheet
 from edgeplasmon.cli import main
+from edgeplasmon.conductivity import EPSILON_0, MU_0
 from edgeplasmon.wiener_hopf import NonzeroIndexError
+from conftest import make_sigma
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +109,11 @@ class TestConfigErrors:
         path.write_text("{not json")
         code, _, err = run_cli(capsys, "solve", "--config", str(path))
         assert code == 2 and "line" in err
+
+    def test_unreadable_config(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "solve", "--config", str(tmp_path / "missing.json"))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read config:") and "missing.json" in err
 
     def test_zero_re_guess_names_field(self, tmp_path, capsys):
         cfg = case_a_cfg()
@@ -265,6 +272,53 @@ class TestSolveCommand:
         row = parse_csv(out)[0]
         assert abs(float(row["re_q"]) - 16.438) / 16.438 < 0.01
         assert abs(float(row["im_q"]) - 0.164) / 0.164 < 0.01
+
+    def test_interface_variant_matches_the_library(self, tmp_path, capsys):
+        # sheet A at the eps_r = 1 | 3 interface (kernel factor 1/2)
+        cfg = case_a_cfg(problem={"variant": "interface", "eps_r1": 1.0, "eps_r2": 3.0},
+                         solve={"q_guesses": [[24.0, 0.0]]})
+        code, out, _ = run_cli(capsys, "solve", "--config", write_cfg(tmp_path, cfg))
+        assert code == 0
+        row = parse_csv(out)[0]
+        sol = solve(Problem.interface(make_sigma("A"), 24.0, 1.0, 3.0), 24.0)
+        assert sol.classification.value == row["classification"] == "discrete-epp"
+        assert (row["re_q"], row["im_q"]) == (cli._fmt(sol.q.real), cli._fmt(sol.q.imag))
+        assert (row["nu_k"], row["iterations"]) == ("0", str(sol.iterations))
+
+    def test_drude_model_sheet(self, tmp_path, capsys):
+        # Drude weights and tau that nondimensionalize to sheet B in vacuum:
+        # sigma = i D/(omega + i/tau), Re/Im = 1/(omega tau) = 0.01
+        omega = 1e12
+        weight = 1.0001 * omega * math.sqrt(EPSILON_0 / MU_0)
+        drude = {"model": {"kind": "drude", "weight_xx": 0.1 * weight,
+                           "weight_yy": 0.2 * weight, "tau": 100.0 / omega}}
+        rows = []
+        for sheet in (drude, {"tensor": {"xx": [0.001, 0.1], "yy": [0.002, 0.2]}}):
+            cfg = {"medium": {"eps_r": 1.0, "mu_r": 1.0, "omega": omega}, "sheet": sheet,
+                   "solve": {"q_guesses": [[14.0, 0.14]]}}
+            code, out, _ = run_cli(capsys, "solve", "--config", write_cfg(tmp_path, cfg))
+            assert code == 0
+            rows.append(parse_csv(out)[0])
+        roots = [complex(float(r["re_q"]), float(r["im_q"])) for r in rows]
+        assert abs(roots[0] - 13.928 - 0.140j) < 1e-3
+        assert abs(roots[0] - roots[1]) < 1e-9 * abs(roots[1])
+
+    def test_medium_by_epsilon_and_mu(self, tmp_path, capsys):
+        # a dimensional (SI) tensor sees the medium through its admittance
+        # sqrt(epsilon/mu): 0.4 i sqrt(eps_0/mu_0) in epsilon = 4 eps_0 is
+        # 0.2 i nondimensional, sheet A, as in eps_r = 4
+        sheet = {"tensor": {"xx": [0.0, 0.4 * math.sqrt(EPSILON_0 / MU_0)],
+                            "yy": [0.0, 0.4 * math.sqrt(EPSILON_0 / MU_0)],
+                            "nondimensional": False}}
+        rows = []
+        for medium in ({"epsilon": 4.0 * EPSILON_0, "mu": MU_0, "omega": 1e12},
+                       {"eps_r": 4.0, "mu_r": 1.0, "omega": 1e12}):
+            cfg = {"medium": medium, "sheet": sheet, "solve": {"q_guesses": [[12.0, 0.0]]}}
+            code, out, _ = run_cli(capsys, "solve", "--config", write_cfg(tmp_path, cfg))
+            assert code == 0
+            rows.append(strip_wall(parse_csv(out)))
+        assert rows[0] == rows[1]
+        assert float(rows[0][0]["re_q"]) == pytest.approx(12.171985, rel=1e-6)
 
     def test_numerical_failure_exit_code(self, tmp_path, capsys):
         cfg = case_a_cfg()
@@ -684,6 +738,14 @@ class TestFieldCommand:
         assert abs(phi_on_sheet) < 1.0  # decays away from phi0 = 1
 
 
+    def test_failed_solve_exits_1(self, tmp_path, capsys):
+        # q_guess 8 lies in the bulk continuum of sheet A: no profile is written
+        cfg = case_a_cfg(field={"q_guess": [8.0, 0.0], "x_values": [0.1]})
+        code, out, err = run_cli(capsys, "field", "--config", write_cfg(tmp_path, cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("field: dispersion solve failed: ")
+
+
 class TestAsymptoteCommand:
     def test_magneto_chain(self, tmp_path, capsys):
         cfg = {
@@ -697,6 +759,26 @@ class TestAsymptoteCommand:
         row = parse_csv(out)[0]
         assert float(row["abs_f_full"]) < 0.05
         assert float(row["rel_err_f_plus"]) < 0.02
+
+    def test_interface_is_the_uniform_sheet_rescaled(self, tmp_path, capsys):
+        # the kernel factor 2/eps_sum scales sigma, so the interface problem
+        # is the uniform one with xi and q scaled by eps_sum/2: q_longwave
+        # doubles at eps_sum = 4, and q_breve and |F| hold to rounding
+        def row(eps_sum):
+            cfg = {"medium": {"eps_r": 1.0, "mu_r": 1.0, "omega": 2 * math.pi * 1e9},
+                   "sheet": {"model": {"kind": "magneto_hydrodynamic",
+                                       "n0": 1.18e15, "b0": 3.575}},
+                   "asymptote": {"eps_sum": eps_sum}}
+            code, out, _ = run_cli(capsys, "asymptote", "--config", write_cfg(tmp_path, cfg))
+            assert code == 0
+            return {k: float(v) for k, v in parse_csv(out)[0].items()}
+
+        uniform, interface = row(2.0), row(4.0)
+        assert interface["re_q_longwave"] == pytest.approx(2.0 * uniform["re_q_longwave"],
+                                                           rel=1e-12)
+        for key in ("re_q_breve", "abs_f_full", "rel_err_f_plus", "rel_err_f_minus"):
+            assert interface[key] == pytest.approx(uniform[key], rel=1e-6)
+        assert interface["abs_f_full"] < 0.05 and interface["rel_err_f_plus"] < 0.02
 
     def test_residual_failure_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

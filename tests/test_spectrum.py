@@ -708,6 +708,13 @@ class TestBlocks:
         failed = assert_rows_do_not_depend_on_their_block(probs)
         event(f"{failed} error rows of {len(probs)}")
 
+    def test_rows_must_have_as_many_signed_sheets(self):
+        # one flat pass composes the same sheets at every node
+        single = Problem.single_sheet(make_sigma("D"), 12.0 + 0.1j)
+        pair = Problem.two_sheet(make_sigma("C"), make_sigma("D"), 12.0 + 0.1j)
+        with pytest.raises(ValueError, match="same number of signed sheets"):
+            spectrum._Block([single, pair])
+
     def test_pole_rows_fail_alone(self):
         probs = [Problem.two_sheet(POLE_LEFT, POLE_RIGHT, -2.0),
                  Problem.two_sheet(make_sigma("C"), make_sigma("D"), 12.0 + 0.1j),
