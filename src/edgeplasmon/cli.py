@@ -72,6 +72,9 @@ def _fmt(value) -> str:
 def _real(value, where: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
+    # json reads NaN and Infinity; an int past the float range is refused too
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     if positive and not value > 0:
         raise ConfigError(f"{where}: expected a positive number, got {value!r}")
     return float(value)
@@ -255,7 +258,7 @@ def _solve_rows(points, tol: float) -> list[dict]:
 def cmd_solve(cfg, args) -> int:
     node = _mapping(cfg.get("solve", {}), "solve")
     guesses = _qs(node.get("q_guesses"), "solve.q_guesses")
-    tol = _real(node.get("tol", 1e-10), "solve.tol")
+    tol = _real(node.get("tol", 1e-10), "solve.tol", positive=True)
     omegas = (_reals(node["omegas"], "solve.omegas", positive=True) if "omegas" in node
               else [_parse_medium(cfg.get("medium")).omega])
     problems = {w: _parse_problem(cfg, _parse_medium(cfg.get("medium"), w), guesses[0])
@@ -291,7 +294,7 @@ def _index_rows(points) -> list[dict]:
         results[i] = res
     marginal = [i for i in problems
                 if isinstance(results[i], ConjectureResult) and results[i].nu_star is None]
-    duals = (phase_winding([problems[i] for i in marginal], Sheet.SECOND, keep_nodes=False)[3]
+    duals = (phase_winding([problems[i] for i in marginal], Sheet.SECOND)[2]
              if marginal else [])
     nu_star = dict(zip(marginal, duals))
     rows = []
@@ -374,7 +377,7 @@ FIELD_COLUMNS = ["x", "re_phi", "im_phi", "error_estimate", "accuracy_flag"]
 def cmd_field(cfg, args) -> int:
     node = _mapping(cfg.get("field"), "field")
     xs = np.asarray(_reals(node.get("x_values"), "field.x_values"))
-    target_error = _real(node.get("target_error", 1e-4), "field.target_error")
+    target_error = _real(node.get("target_error", 1e-4), "field.target_error", positive=True)
     key = "q" if "q" in node else "q_guess"
     q = _q(node.get(key), f"field.{key}")
     problem = _parse_problem(cfg, _parse_medium(cfg.get("medium")), q)

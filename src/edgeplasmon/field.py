@@ -391,6 +391,8 @@ def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
     x_values = np.asarray(x_values, dtype=float)
     if np.any(x_values == 0.0):
         raise ValueError("x = 0 is handled by edge_limits, not the profile")
+    if not np.isfinite(x_values).all():
+        raise ValueError("the profile takes finite x only")
     consts = _constants(kernel)
     xp, xm, cp, cm, *_ = consts
     table = kernel.cauchy_table()

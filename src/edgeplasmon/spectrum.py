@@ -18,14 +18,18 @@ either side.
 
 Both passes run on blocks of problems, one row each (``_Block``).  A
 block solves the census quartics of every row once, in one stacked
-``np.linalg.eigvals`` (``_Block.census_roots``); the census attributes
-those roots in one pass (``_census``) and the phase pass is seeded at
-them.  The phase grids of all rows are refined together as flat (row,
-xi) arrays (``unwrapped_phase_grid``), unwrapped by the one phase unwrap
-of the package, ``branches.unwrapped_angle``, and a row leaves the arrays
-in the pass in which it finishes or fails.  Each row keeps its own
-arithmetic, so a row gives the same result in any block, and a row that
-fails becomes that row's error without stopping the others.
+``np.linalg.eigvals`` (``_Block.census_roots``, with per row the error
+of a census that failed); the census attributes those roots in one pass
+(``_census``) and the phase pass is seeded at them.  The phase pass
+(``unwrapped_phase_grid``) takes one list with an entry per row: the
+rows' errors go in, and a row with an error takes no part in the pass;
+each other row's winding number or error comes out.  The phase grids of
+the rows are refined together as flat (row, xi) arrays, unwrapped by the
+one phase unwrap of the package, ``branches.unwrapped_angle``, and a row
+leaves the arrays in the pass in which it finishes or fails.  Each row
+keeps its own arithmetic, so a row gives the same result in any block,
+and a row that fails becomes that row's error without stopping the
+others.
 ``conjecture_block`` is the block form of ``conjecture_check``;
 ``bulk_zeros``, ``conjecture_check``, ``winding_index``,
 ``dual_winding_index`` and ``build_log_kernel``'s census and phase pass
@@ -76,6 +80,9 @@ REAL_AXIS_MIN_MODULUS = 1e-8
 
 # a phase grid refined past this many nodes means a zero next to the axis
 PHASE_GRID_MAX_NODES = 400_000
+
+# the phase grid is refined until arg P steps by at most this between nodes
+PHASE_STEP_MAX = 0.5 * math.pi
 
 MARGINAL_BAND = 1e-8
 CLASSIFY_RESIDUAL = 1e-6
@@ -198,31 +205,27 @@ class _Block:
     several rows the same values as arrays, so that one numpy pass
     evaluates every row at its own points exactly as a pass over that row
     alone would; and ``census_roots``, the roots of its census quartics,
-    solved once for the census and the phase pass."""
+    solved once for the census and the phase pass, with per row the error
+    of a census that failed."""
 
-    def __init__(self, problems, census_roots=None):
+    def __init__(self, problems):
         self.problems = list(problems)
         self.terms = [symbol_terms(p) for p in self.problems]
         self.signs = tuple([t[0] for t in self.terms[0][1]]) if self.terms else ()
         if len(self.terms) > 1 and len({len(sheets) for _, sheets in self.terms}) > 1:
             raise ValueError("a block takes problems with the same number of signed sheets")
-        self.census_roots = self._census_roots() if census_roots is None else census_roots
+        self.census_roots = self._census_roots()
 
     def __len__(self):
         return len(self.problems)
 
-    def take(self, rows):
-        """The block of the given rows, none of whose census failed, with
-        their census roots."""
-        return _Block([self.problems[r] for r in rows], (self.census_roots[0][rows], {}))
-
     def _census_roots(self):
         """(roots, failed): per row the roots of the census quartic of each
         signed sheet in turn, nan for a sheet with sigma_xx = 0 (no
-        census), from one stacked ``np.linalg.eigvals``; and by sheet,
-        numbered row after row, the error of each whose companion matrix
-        is not finite.  ``eigvals`` refuses a whole stack for one such
-        matrix, which is then solved matrix by matrix."""
+        census), from one stacked ``np.linalg.eigvals``; and per row None,
+        or the error of a census quartic whose companion matrix is not
+        finite.  ``eigvals`` refuses a whole stack for one such matrix,
+        which is then solved matrix by matrix."""
         n = len(self.signs)
         coeffs, at = [], []
         for row, (problem, (_, sheets)) in enumerate(zip(self.problems, self.terms)):
@@ -243,7 +246,7 @@ class _Block:
         companion[:, :4] = np.nan
         np.divide(-coeffs[:, 1:], coeffs[:, :1], where=ok, out=companion[:, :4])
         companion = companion.reshape(-1, 4, 4)
-        failed = {}
+        failed = [None] * len(self)
         try:
             roots = np.linalg.eigvals(companion)
         except np.linalg.LinAlgError:
@@ -252,8 +255,9 @@ class _Block:
                 try:
                     roots[k] = np.linalg.eigvals(matrix)
                 except np.linalg.LinAlgError:
-                    failed[at[k]] = CensusOverflowError(
-                        f"census quartic not finite at q = {self.problems[at[k] // n].q:.6g}")
+                    row = at[k] // n
+                    failed[row] = CensusOverflowError(
+                        f"census quartic not finite at q = {self.problems[row].q:.6g}")
         if len(at) < len(self) * n:
             roots, found = np.full((len(self) * n, 4), np.nan, dtype=complex), roots
             roots[at] = found
@@ -404,14 +408,20 @@ def _start_nodes(scales: np.ndarray, zeros: np.ndarray):
     return start[keep], keep.nonzero()[0]
 
 
-def unwrapped_phase_grid(
-    pfun,
-    scale,
-    *,
-    max_step_rad: float = 0.5 * math.pi,
-    zeros=None,
-    keep_nodes: bool = True,
-):
+def _winding(turns: float):
+    """The winding number of a phase change of ``turns`` turns, or the
+    error when it is not within 0.2 of a whole number of turns (tail not
+    converged, or a zero near the axis) or is nan."""
+    try:
+        nu = round(turns)
+    except ValueError as exc:   # a phase change that is nan
+        return exc
+    return nu if abs(turns - nu) <= 0.2 else RealAxisZeroError(
+        f"phase change {turns:.3f} turns is not close to an integer; "
+        "tail not converged or symbol near a real-axis zero")
+
+
+def unwrapped_phase_grid(pfun, scale, *, zeros=None, out=None):
     """Sample arg of ``pfun`` on |xi| <= 100 ``scale``, continuously
     unwrapped, for a block of independent rows at once.
 
@@ -423,7 +433,7 @@ def unwrapped_phase_grid(
     row of a 2-D array per row, nan as padding) with |Re z| below the end:
     the census zeros of the symbol, so that a feature as narrow as a zero's
     distance from the axis has nodes on it.  Each row is refined until its
-    adjacent phase steps are below ``max_step_rad`` and its log-modulus
+    adjacent phase steps are below PHASE_STEP_MAX and its log-modulus
     steps below 0.7, which both makes the unwrap exact and lets callers pin
     log branches by interpolation.  One pass unwraps every row at once
     (``branches.unwrapped_angle``, its turns counted afresh at each row),
@@ -434,19 +444,24 @@ def unwrapped_phase_grid(
     PHASE_GRID_MAX_NODES, or when ``pfun`` meets a pole or a branch point
     at one of its nodes (``_rowwise``); the other rows go on.
 
-    Returns (nodes, unwrapped_phase, rows, turns): the final nodes of the
-    rows that finished, grouped by row in the order the rows finished, with
-    their phase and row; and per row its phase change in turns, or the
-    error that stopped it.  With ``keep_nodes`` false a finished row's
-    nodes are dropped, not kept to the end, and the first three are empty:
-    for callers that read only the turns.
+    ``out`` holds per row the error that already stops it, or None (all
+    None by default); a row with an error takes no part in the pass.
+    Returns (nodes, unwrapped_phase, out): the final nodes and their phase
+    for a block of one row that finished, empty for any other block, and
+    ``out`` filled in, per row its winding number (``_winding``) or its
+    error.
     """
     scales = np.array(scale, dtype=float, ndmin=1)
     zeros = np.zeros((scales.size, 0)) if zeros is None else np.asarray(zeros, dtype=complex)
-    xs, rows = _start_nodes(scales, zeros)
-    out: list = [None] * scales.size
+    out = [None] * scales.size if out is None else out
+    live = [e is None for e in out]
+    if all(live):
+        xs, rows = _start_nodes(scales, zeros)
+    else:
+        xs, rows = _start_nodes(scales[live], zeros[live])
+        rows = np.flatnonzero(live).take(rows)
     vals = _rowwise(pfun, xs, rows, out)
-    done = []
+    nodes = phase = np.zeros(0)
     while rows.size:
         mod = np.abs(vals)
         if mod.min() < REAL_AXIS_MIN_MODULUS:
@@ -469,10 +484,10 @@ def unwrapped_phase_grid(
         del mod
         bad = np.abs(step, out=step) > 0.7
         # and where the unwrapped phase, its turns counted from each row,
-        # steps by more than max_step_rad
+        # steps by more than PHASE_STEP_MAX
         ang = unwrapped_angle(vals, bounds)
         np.subtract(ang[1:], ang[:-1], out=step)
-        bad |= np.abs(step, out=step) > max_step_rad
+        bad |= np.abs(step, out=step) > PHASE_STEP_MAX
         del step
         firsts = [0] + [b + 1 for b in bounds]
         if bounds:
@@ -480,29 +495,23 @@ def unwrapped_phase_grid(
         refine = (np.logical_or.reduceat(bad, firsts).tolist() if bounds and bad.any()
                   else [bool(bad.any())] * len(firsts))
         # one exit step: the rows that failed or finished leave the arrays
-        # together, each finished row with its phase change in turns
-        finished, stay = [], []
+        # together, each finished row with its winding number
+        stay = []
         for r, first, last, more in zip(rows.take(firsts).tolist(), firsts,
                                         bounds + [rows.size - 1], refine):
             if out[r] is None and more and last - first >= PHASE_GRID_MAX_NODES:
                 out[r] = RealAxisZeroError(
                     "phase refinement diverged; symbol too close to a real-axis zero")
-            finished.append(out[r] is None and not more)
-            if finished[-1]:
-                out[r] = float((ang[last] - ang[first]) / (2.0 * math.pi))
+            if out[r] is None and not more:
+                out[r] = _winding(float((ang[last] - ang[first]) / (2.0 * math.pi)))
             stay.append(out[r] is None)
-        if all(finished):
-            if keep_nodes:
-                done.append((xs, ang, rows))
+        if not any(stay):
+            # a block of one row keeps the nodes and phase of its winding
+            if scales.size == 1 and isinstance(out[0], int):
+                nodes, phase = xs, ang
             break
         if not all(stay):
-            lengths = np.diff(firsts + [rows.size])
-            if keep_nodes and any(finished):
-                gone = np.repeat(finished, lengths)
-                done.append((xs[gone], ang[gone], rows[gone]))
-            if not any(stay):
-                break
-            keep = np.repeat(stay, lengths)
+            keep = np.repeat(stay, np.diff(firsts + [rows.size]))
             xs, vals, rows = xs[keep], vals[keep], rows[keep]
             bad = bad[keep[:-1]][:xs.size - 1]
         del ang
@@ -512,66 +521,39 @@ def unwrapped_phase_grid(
         new_rows = rows.take(at)
         new_vals = _rowwise(pfun, mids, new_rows, out)
         xs, vals, rows = _insert(at, (xs, mids), (vals, new_vals), (rows, new_rows))
-    if not done:
-        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=int), out
-    nodes, phase, node_rows = (done[0] if len(done) == 1 else
-                               (np.concatenate(part) for part in zip(*done)))
-    return nodes, phase, node_rows, out
+    return nodes, phase, out
 
 
-def phase_winding(problems, sheet: Sheet, *, keep_nodes: bool = True):
+def phase_winding(problems, sheet: Sheet, *, out=None):
     """arg P on the given sheet, unwrapped on [-m, m] with m = 100 times
     each problem's scale, and its winding number, for a block of problems
     (``unwrapped_phase_grid``, one row per problem).
 
     Each row's grid is seeded at its census zeros, the block's
-    ``census_roots``; a row whose census quartic could not be solved keeps
-    that error and takes no phase pass.  Returns (nodes, unwrapped_phase,
-    rows, windings, scales) with the first three as
-    ``unwrapped_phase_grid`` gives them (empty unless ``keep_nodes``), and
-    per row its winding number or its error: a RealAxisZeroError when P has
-    a zero or a pole on the axis, or when the phase change is not close to
-    a whole number of turns (tail not converged, or a zero near the axis).
+    ``census_roots``.  ``out`` holds per row an error that keeps the row
+    out of the pass, or None; by default it is the block's census failures,
+    so that a row whose census quartic could not be solved keeps that
+    error.  Returns (nodes, unwrapped_phase, windings, scales): the final
+    nodes and phase of a block of one row, as ``unwrapped_phase_grid``
+    gives them, and per row its scale and its winding number or its error:
+    a RealAxisZeroError when P has a zero or a pole on the axis, or when
+    the phase change is not close to a whole number of turns.
     """
     block = problems if isinstance(problems, _Block) else _Block(problems)
+    roots, failed = block.census_roots
     scales = [problem_scale(p) for p in block.problems]
-    windings: list = [None] * len(block)
-    rows = range(len(block))
-    n = len(block.signs)
-    failed = block.census_roots[1]
-    for k, exc in failed.items():
-        windings[k // n] = windings[k // n] or exc
-    if failed:
-        rows = [r for r, w in enumerate(windings) if w is None]
-        block = block.take(rows)
-    xs, ang, node_rows, changes = unwrapped_phase_grid(
-        block.symbol(sheet), [scales[r] for r in rows], zeros=block.census_roots[0],
-        keep_nodes=keep_nodes)
-    for r, turns in zip(rows, changes):
-        if isinstance(turns, Exception):
-            windings[r] = turns
-            continue
-        try:
-            nu = round(turns)
-        except ValueError as exc:   # a phase change that is nan
-            windings[r] = exc
-            continue
-        windings[r] = nu if abs(turns - nu) <= 0.2 else RealAxisZeroError(
-            f"phase change {turns:.3f} turns is not close to an integer; "
-            "tail not converged or symbol near a real-axis zero")
-    if not isinstance(rows, range):
-        node_rows = np.array(rows, dtype=int).take(node_rows)
-    return xs, ang, node_rows, windings, scales
+    return (*unwrapped_phase_grid(block.symbol(sheet), scales, zeros=roots,
+                                  out=list(failed) if out is None else out), scales)
 
 
 def winding_index(problem: Problem) -> int:
     """Krein index: winding number of P(xi) (the ratio P^R/P^L for two sheets)."""
-    return _one(phase_winding([problem], Sheet.FIRST, keep_nodes=False)[3][0])
+    return _one(phase_winding([problem], Sheet.FIRST)[2][0])
 
 
 def dual_winding_index(problem: Problem) -> int:
     """Winding of the second-sheet (dual) symbol P*."""
-    return _one(phase_winding([problem], Sheet.SECOND, keep_nodes=False)[3][0])
+    return _one(phase_winding([problem], Sheet.SECOND)[2][0])
 
 
 # ---------------------------------------------------------------------------
@@ -635,11 +617,11 @@ def _census(block: _Block):
     reports: list = []      # per signed sheet, row after row
     census = []             # the sheets with a census
     for sheet, (_, a, b, c) in enumerate(t for _, sheets in block.terms for t in sheets):
-        if sheet in failed:
-            reports.append(failed[sheet])
-        elif a != 0:
-            census.append(sheet)
-            reports.append(None)
+        if a != 0:
+            # a row whose census failed reports it on each sheet with a census
+            if failed[sheet // n] is None:
+                census.append(sheet)
+            reports.append(failed[sheet // n])
         elif b != 0 or c != 0:
             reports.append(DegenerateQuadraticError(
                 "degenerate quadratic; formulation requires sigma_xx != 0"))
@@ -723,15 +705,14 @@ class ConjectureResult:
 def conjecture_block(problems) -> list:
     """``conjecture_check`` for every problem of a block, computed together:
     one stacked census (``_census``), then one phase pass on P
-    (``phase_winding``) over the rows whose census succeeded, seeded by
-    the same census roots.  Per problem its ConjectureResult, or its error."""
+    (``phase_winding``) seeded by the same census roots, which the rows
+    whose census failed enter with that error.  Per problem its
+    ConjectureResult, or its error."""
     block = _Block(problems)
     results = _census(block)
-    rows = [r for r, rep in enumerate(results) if not isinstance(rep, Exception)]
-    if len(rows) < len(block):
-        block = block.take(rows)
-    windings = phase_winding(block, Sheet.FIRST, keep_nodes=False)[3]
-    for r, nu in zip(rows, windings):
+    windings = phase_winding(block, Sheet.FIRST, out=[
+        rep if isinstance(rep, Exception) else None for rep in results])[2]
+    for r, nu in enumerate(windings):
         if isinstance(nu, Exception):
             results[r] = nu
             continue

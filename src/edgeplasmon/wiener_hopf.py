@@ -190,7 +190,7 @@ def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
     tail_const = _tail_constant(sheets)
     block = _Block([problem])
     census = _one(_census(block)[0])
-    xs, theta, _, (nu,), (scale,) = phase_winding(block, Sheet.FIRST)
+    xs, theta, (nu,), (scale,) = phase_winding(block, Sheet.FIRST)
     nu = _one(nu)
     # fix the global branch against the right tail alone: arg P(m) must
     # approach Im tail_const (mod 2 pi); this stays well defined for

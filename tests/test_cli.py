@@ -230,10 +230,33 @@ class TestConfigErrors:
         ("solve", case_a_cfg(sheet=DRUDE_SHEET, solve={"omegas": [1e12, -1],
                                                        "q_guesses": [[20.0, 0.2]]}),
          "solve.omegas[1]"),
+        # json reads NaN and Infinity, which no config number may be
+        ("solve", case_a_cfg(solve={"q_guesses": [[math.nan, 0.1]]}),
+         "solve.q_guesses[0][0]: expected a finite number"),
+        ("index", case_a_cfg(index={"q_values": [[math.inf, 0.1]]}),
+         "index.q_values[0][0]: expected a finite number"),
+        ("field", case_a_cfg(field={"q": [12.0, 0.0], "x_values": [math.nan]}),
+         "field.x_values[0]: expected a finite number"),
+        ("field", case_a_cfg(field={"q": [12.0, 0.0], "x_values": [0.1],
+                                    "target_error": -math.inf}), "field.target_error"),
+        ("solve", case_a_cfg(solve={"q_guesses": [[12.0, 0.0]], "tol": -1}),
+         "solve.tol: expected a positive number"),
+        ("field", case_a_cfg(field={"q": [12.0, 0.0], "x_values": [0.1], "target_error": 0}),
+         "field.target_error: expected a positive number"),
+        ("solve", case_a_cfg(medium={"omega": -1}), "medium: "),
+        ("solve", case_a_cfg(sheet=None), "sheet: missing sheet specification"),
+        ("solve", case_a_cfg(sheet={"tensor": {"xx": [0.0, 0.2]}}),
+         "sheet.tensor: missing entry 'yy'"),
+        ("solve", case_a_cfg(sheet={"model": {"kind": "magneto_hydrodynamic", "n0": 1e15,
+                                              "b0": 0}}), "sheet.model: "),
+        ("solve", case_a_cfg(problem={"variant": "three-sheet"}), "problem.variant"),
     ], ids=["sweep-no-q_base", "phis_pi-number", "phis_pi-string-entry", "omegas-number",
             "omegas-string-entry", "q_guesses-number", "x_values-number",
             "target_error-string", "eps_sum-string", "solve-equal-sheets",
-            "index-equal-sheets", "q_base-zero-real-part", "negative-omega"])
+            "index-equal-sheets", "q_base-zero-real-part", "negative-omega",
+            "q_guess-nan", "q_value-infinity", "x_values-nan", "target_error-infinity",
+            "tol-negative", "target_error-zero", "medium-negative-omega", "no-sheet",
+            "tensor-without-yy", "magneto-zero-field", "unknown-variant"])
     def test_config_error(self, tmp_path, capsys, command, cfg, where):
         code, out, err = run_cli(capsys, command, "--config", write_cfg(tmp_path, cfg))
         assert code == 2 and out == ""
@@ -445,7 +468,7 @@ class TestIndexCommand:
 
         def counted(problems, sheet, **kwargs):
             result = phase_winding(problems, sheet, **kwargs)
-            passes.append((sheet, len(result[3])))
+            passes.append((sheet, len(result[2])))
             return result
 
         monkeypatch.setattr(spectrum, "phase_winding", counted)

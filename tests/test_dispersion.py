@@ -433,6 +433,20 @@ class TestLongwave:
         with pytest.raises(ValueError, match="general solver"):
             longwave_q(make_sigma("C"))
 
+    def test_dimensional_tensor_through_the_medium(self):
+        # an SI tensor is nondimensionalized through the medium and the
+        # root comes back in rad/m; without a medium it has no units to take
+        omega = 2 * math.pi * 1e9
+        med = AmbientMedium.vacuum(omega)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sigma = magneto_hydrodynamic(omega=omega, n0=1.18e15,
+                                         b0=100.0 * omega * constants.m_e / constants.e)
+        assert not sigma.nondimensional
+        assert longwave_q(sigma, med) == longwave_q(nondimensionalize(sigma, med)) * med.k0
+        with pytest.raises(ValueError, match="requires a medium"):
+            longwave_q(sigma)
+
     def test_monotonicity_in_gyrotropy(self):
         # doubling sigma_xy - sigma_yx at fixed sigma_xx shrinks |q|
         sbar, _ = magneto_sbar(ratio=50.0)

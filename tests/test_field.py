@@ -224,6 +224,9 @@ class TestPhiProfile:
     def test_rejects_zero(self, root_problems, root_kernels):
         with pytest.raises(ValueError, match="edge_limits"):
             phi_profile(root_problems["A"], root_kernels["A"], [0.0, 0.1])
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite x"):
+                phi_profile(root_problems["A"], root_kernels["A"], [0.1, x])
 
     def test_case_a_decay_and_edge_approach(self, root_problems, root_kernels):
         prob, kern = root_problems["A"], root_kernels["A"]

@@ -1,7 +1,9 @@
+import contextlib
 import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -421,7 +423,7 @@ class TestWindingIndex:
             nu = winding_index(Problem.single_sheet(sigma, q))
             assert winding_index(Problem.single_sheet(sigma, -q)) == -nu
 
-    def test_stable_under_refinement(self):
+    def test_stable_under_refinement(self, monkeypatch):
         prob = Problem.single_sheet(make_sigma("C"), 0.85 * (21.657 + 0.217j))
         from edgeplasmon.spectrum import problem_scale
         scale = problem_scale(prob)
@@ -430,9 +432,10 @@ class TestWindingIndex:
             return p_of_xi(prob, x, Sheet.FIRST)
 
         for step in (0.5 * math.pi, 0.25 * math.pi):
-            xs, ang, rows, (turns,) = unwrapped_phase_grid(pfun, scale, max_step_rad=step)
-            assert round((ang[-1] - ang[0]) / (2 * math.pi)) == round(turns) == -1
-            assert np.all(rows == 0) and np.all(np.diff(xs) > 0)
+            monkeypatch.setattr(spectrum, "PHASE_STEP_MAX", step)
+            xs, ang, (nu,) = unwrapped_phase_grid(pfun, scale)
+            assert round((ang[-1] - ang[0]) / (2 * math.pi)) == nu == -1
+            assert np.all(np.diff(xs) > 0)
 
     def test_real_axis_zero_detected(self):
         # lossless sheet with q below the SPP wavenumber: symbol vanishes on axis
@@ -639,21 +642,58 @@ def _row_summary(result):
                    z.marginal, repr(z.residual)) for z in result.report.zeros))
 
 
+@contextlib.contextmanager
+def recorded_evaluations():
+    """The (xi, rows, values) of every ``pfun`` call of the phase passes
+    run in the ``with`` statement, in order; a call that raises is not
+    recorded."""
+    calls = []
+    symbol = spectrum._Block.symbol
+
+    def recording(block, sheet):
+        pfun = symbol(block, sheet)
+
+        def recorded(xi, rows):
+            vals = pfun(xi, rows)
+            calls.append((xi, rows, vals))
+            return vals
+        return recorded
+
+    with mock.patch.object(spectrum._Block, "symbol", recording):
+        yield calls
+
+
+def _row_points(calls, row):
+    """The points and values of one row in the recorded calls, in order."""
+    return (np.concatenate([xi[rows == row] for xi, rows, _ in calls]),
+            np.concatenate([vals[rows == row] for _, rows, vals in calls]))
+
+
 def assert_rows_do_not_depend_on_their_block(probs):
     """Each row of a block gives what its one-row call gives: nu, the
     census and its zeros bit for bit, nu* from the P* pass, and the error
-    text of a row that fails.  Returns the number of rows that fail."""
+    text of a row that fails.  A row that does not fail evaluates P at the
+    same points, in the same order and to the same values, in the block
+    and alone.  Returns the number of rows that fail."""
     block = [_row_summary(r) for r in conjecture_block(probs)]
     duals = [r if isinstance(r, int) else f"{type(r).__name__}: {r}"
-             for r in phase_winding(probs, Sheet.SECOND)[3]]
-    nodes, phase, rows, _, _ = phase_winding(probs, Sheet.FIRST)
+             for r in phase_winding(probs, Sheet.SECOND)[2]]
+    with recorded_evaluations() as calls:
+        windings = phase_winding(probs, Sheet.FIRST)[2]
     for row, (prob, got, dual) in enumerate(zip(probs, block, duals)):
         assert got == _row_summary(_outcome(conjecture_check, prob))
         assert dual == _outcome(dual_winding_index, prob)
-        # the row's own grid and unwrapped phase, bit for bit
-        alone = phase_winding([prob], Sheet.FIRST)
-        assert np.array_equal(nodes[rows == row], alone[0])
-        assert np.array_equal(phase[rows == row], alone[1])
+        if isinstance(windings[row], Exception):
+            continue
+        with recorded_evaluations() as alone:
+            nodes, _, (nu,), _ = phase_winding([prob], Sheet.FIRST)
+        assert nu == windings[row]
+        points, values = _row_points(calls, row)
+        alone_points, alone_values = _row_points(alone, 0)
+        assert np.array_equal(points, alone_points)
+        assert np.array_equal(values, alone_values)
+        # the one-row pass ends on every point it evaluated, in order
+        assert np.array_equal(nodes, np.sort(alone_points))
     return sum(isinstance(g, str) for g in block)
 
 
@@ -733,7 +773,7 @@ class TestBlocks:
         probs = [make(q) for q in (0.75 * q_d, Q_OVERFLOW, q_d, -0.75 * q_d)]
         results = conjecture_block(probs)
         assert isinstance(results[1], CensusOverflowError)
-        assert isinstance(phase_winding(probs, Sheet.SECOND)[3][1], CensusOverflowError)
+        assert isinstance(phase_winding(probs, Sheet.SECOND)[2][1], CensusOverflowError)
         assert all(not isinstance(r, Exception) for r in results[:1] + results[2:])
         assert assert_rows_do_not_depend_on_their_block(probs) == 1
 
@@ -764,7 +804,7 @@ class TestBlocks:
         probs = [Problem.single_sheet(make_sigma(c), q) for c, q in (
             ("A", 12.172), ("D", 0.75 * (16.438 + 0.164j)), ("C", 21.657 + 0.217j),
             ("C", 0.85 * (21.657 + 0.217j)))]
-        windings = phase_winding(probs, Sheet.FIRST)[3]
+        windings = phase_winding(probs, Sheet.FIRST)[2]
         assert windings[:3] == [0, -1, 0]
         assert "phase refinement diverged" in str(windings[3])
         assert assert_rows_do_not_depend_on_their_block(probs) == 1
