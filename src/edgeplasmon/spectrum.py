@@ -454,12 +454,9 @@ def unwrapped_phase_grid(pfun, scale, *, zeros=None, out=None):
     scales = np.array(scale, dtype=float, ndmin=1)
     zeros = np.zeros((scales.size, 0)) if zeros is None else np.asarray(zeros, dtype=complex)
     out = [None] * scales.size if out is None else out
-    live = [e is None for e in out]
-    if all(live):
-        xs, rows = _start_nodes(scales, zeros)
-    else:
-        xs, rows = _start_nodes(scales[live], zeros[live])
-        rows = np.flatnonzero(live).take(rows)
+    live = np.flatnonzero([e is None for e in out])
+    xs, rows = _start_nodes(scales[live], zeros[live])
+    rows = live.take(rows)
     vals = _rowwise(pfun, xs, rows, out)
     nodes = phase = np.zeros(0)
     while rows.size:
