@@ -37,7 +37,7 @@ from .dispersion import (
 )
 from .branches import Sheet
 from .kernel import Problem
-from .spectrum import ConjectureResult, conjecture_block, phase_winding
+from .spectrum import ConjectureResult, conjecture_block, unwrapped_phase_grid
 from .wiener_hopf import build_log_kernel
 from .field import phi_profile
 
@@ -142,13 +142,16 @@ def _parse_sheet(node, medium: AmbientMedium, where: str = "sheet") -> Conductiv
             f"{where}: exactly one of 'tensor' or 'model' must be given")
     if has_tensor:
         t = _mapping(node["tensor"], f"{where}.tensor")
+        nondimensional = t.get("nondimensional", True)
+        if not isinstance(nondimensional, bool):
+            raise ConfigError(f"{where}.tensor.nondimensional: expected a boolean")
         try:
             sigma = ConductivityTensor(
                 xx=_complex_pair(t["xx"], f"{where}.tensor.xx"),
                 xy=_complex_pair(t.get("xy", [0, 0]), f"{where}.tensor.xy"),
                 yx=_complex_pair(t.get("yx", [0, 0]), f"{where}.tensor.yx"),
                 yy=_complex_pair(t["yy"], f"{where}.tensor.yy"),
-                nondimensional=bool(t.get("nondimensional", True)),
+                nondimensional=nondimensional,
             )
         except KeyError as exc:
             raise ConfigError(f"{where}.tensor: missing entry {exc}") from exc
@@ -277,7 +280,7 @@ INDEX_COLUMNS = ["omega", "re_q", "im_q", "nu_k", "nu_k_star", "n_plus",
 def _index_rows(points) -> list[dict]:
     """The index rows of one block of (problem, omega, q) points, computed
     together: one ``conjecture_block``, then the P* phase pass
-    (``phase_winding`` on the second sheet) for the rows whose census has
+    (``unwrapped_phase_grid`` on the second sheet) for the rows whose census has
     a marginal zero, where the census cannot give nu*.  A numerical failure
     at one point (Re q = 0 included) leaves that row's fields empty and puts
     the error in ``conjecture_agrees``; the other rows go on.  Every row's
@@ -294,7 +297,7 @@ def _index_rows(points) -> list[dict]:
         results[i] = res
     marginal = [i for i in problems
                 if isinstance(results[i], ConjectureResult) and results[i].nu_star is None]
-    duals = (phase_winding([problems[i] for i in marginal], Sheet.SECOND)[2]
+    duals = (unwrapped_phase_grid([problems[i] for i in marginal], Sheet.SECOND)[2]
              if marginal else [])
     nu_star = dict(zip(marginal, duals))
     rows = []
@@ -376,7 +379,9 @@ FIELD_COLUMNS = ["x", "re_phi", "im_phi", "error_estimate", "accuracy_flag"]
 
 def cmd_field(cfg, args) -> int:
     node = _mapping(cfg.get("field"), "field")
-    xs = np.asarray(_reals(node.get("x_values"), "field.x_values"))
+    xs = _reals(node.get("x_values"), "field.x_values")
+    if 0.0 in xs:
+        raise ConfigError(f"field.x_values[{xs.index(0.0)}]: x = 0 is the edge, not in the profile")
     target_error = _real(node.get("target_error", 1e-4), "field.target_error", positive=True)
     key = "q" if "q" in node else "q_guess"
     q = _q(node.get(key), f"field.{key}")

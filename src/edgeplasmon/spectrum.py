@@ -20,16 +20,14 @@ Both passes run on blocks of problems, one row each (``_Block``).  A
 block solves the census quartics of every row once, in one stacked
 ``np.linalg.eigvals`` (``_Block.census_roots``, with per row the error
 of a census that failed); the census attributes those roots in one pass
-(``_census``) and the phase pass is seeded at them.  The phase pass
-(``unwrapped_phase_grid``) takes one list with an entry per row: the
-rows' errors go in, and a row with an error takes no part in the pass;
-each other row's winding number or error comes out.  The phase grids of
-the rows are refined together as flat (row, xi) arrays, unwrapped by the
-one phase unwrap of the package, ``branches.unwrapped_angle``, and a row
-leaves the arrays in the pass in which it finishes or fails.  Each row
-keeps its own arithmetic, so a row gives the same result in any block,
-and a row that fails becomes that row's error without stopping the
-others.
+(``_census``), and the phase pass (``unwrapped_phase_grid``), given the
+block and a sheet, refines the grids of all its rows together, seeded at
+those roots.  The pass takes one list with an entry per row: the rows'
+errors go in (by default the census failures), and a row with an error
+takes no part in the pass; each other row's winding number or error
+comes out.  Each row keeps its own arithmetic, so a row gives the same
+result in any block, and a row that fails becomes that row's error
+without stopping the others.
 ``conjecture_block`` is the block form of ``conjecture_check``;
 ``bulk_zeros``, ``conjecture_check``, ``winding_index``,
 ``dual_winding_index`` and ``build_log_kernel``'s census and phase pass
@@ -65,7 +63,6 @@ __all__ = [
     "conjecture_block",
     "conjecture_check",
     "dual_winding_index",
-    "phase_winding",
     "problem_scale",
     "quadratic_roots",
     "unwrapped_phase_grid",
@@ -80,6 +77,7 @@ REAL_AXIS_MIN_MODULUS = 1e-8
 
 # a phase grid refined past this many nodes means a zero next to the axis
 PHASE_GRID_MAX_NODES = 400_000
+DIVERGED = "phase refinement diverged; symbol too close to a real-axis zero"
 
 # the phase grid is refined until arg P steps by at most this between nodes
 PHASE_STEP_MAX = 0.5 * math.pi
@@ -421,17 +419,16 @@ def _winding(turns: float):
         "tail not converged or symbol near a real-axis zero")
 
 
-def unwrapped_phase_grid(pfun, scale, *, zeros=None, out=None):
-    """Sample arg of ``pfun`` on |xi| <= 100 ``scale``, continuously
-    unwrapped, for a block of independent rows at once.
+def unwrapped_phase_grid(problems, sheet: Sheet, *, out=None):
+    """arg P (P* on the second sheet), continuously unwrapped on |xi| <=
+    100 times each problem's scale, and its winding number, for a block of
+    problems at once: a ``_Block``, or a list of problems, one row each.
 
-    ``scale`` holds one value per row (a number is a block of one row).
-    The rows are held as flat arrays of (row, xi) nodes, sorted by row and
-    then by xi: ``pfun(xi, rows)`` evaluates row rows[k] at the real node
-    xi[k].  A row's start nodes are its scale times the unit grid, plus
-    Re z + |Im z| {0, +-1, +-2} around each of its complex ``zeros`` (one
-    row of a 2-D array per row, nan as padding) with |Re z| below the end:
-    the census zeros of the symbol, so that a feature as narrow as a zero's
+    The rows are flat arrays of (row, xi) nodes, sorted by row and then by
+    xi, that ``block.symbol(sheet)`` evaluates.  A row's start nodes are
+    its ``problem_scale`` times the unit grid, plus Re z + |Im z|
+    {0, +-1, +-2} around each of its census zeros z (``census_roots``)
+    with |Re z| below the end, so that a feature as narrow as a zero's
     distance from the axis has nodes on it.  Each row is refined until its
     adjacent phase steps are below PHASE_STEP_MAX and its log-modulus
     steps below 0.7, which both makes the unwrap exact and lets callers pin
@@ -441,21 +438,24 @@ def unwrapped_phase_grid(pfun, scale, *, zeros=None, out=None):
     step, and evaluates and inserts in order only the midpoints of the rows
     that go on.  A row fails with a RealAxisZeroError when its modulus falls
     below REAL_AXIS_MIN_MODULUS, when it is refined past
-    PHASE_GRID_MAX_NODES, or when ``pfun`` meets a pole or a branch point
-    at one of its nodes (``_rowwise``); the other rows go on.
+    PHASE_GRID_MAX_NODES or a step has no float to split it at (a pole that
+    no node hits), or when P meets a pole or a branch point at one of its
+    nodes (``_rowwise``); the other rows go on.
 
-    ``out`` holds per row the error that already stops it, or None (all
-    None by default); a row with an error takes no part in the pass.
-    Returns (nodes, unwrapped_phase, out): the final nodes and their phase
-    for a block of one row that finished, empty for any other block, and
-    ``out`` filled in, per row its winding number (``_winding``) or its
-    error.
+    ``out`` holds per row the error that already stops it, or None; by
+    default the block's census failures.  A row with an error takes no
+    part in the pass.  Returns (nodes, unwrapped_phase, out, scales): the
+    final nodes and their phase for a block of one row that finished,
+    empty for any other block; ``out`` filled in, per row its winding
+    number (``_winding``) or its error; and per row its scale.
     """
-    scales = np.array(scale, dtype=float, ndmin=1)
-    zeros = np.zeros((scales.size, 0)) if zeros is None else np.asarray(zeros, dtype=complex)
-    out = [None] * scales.size if out is None else out
+    block = problems if isinstance(problems, _Block) else _Block(problems)
+    roots, failed = block.census_roots
+    scales = [problem_scale(p) for p in block.problems]
+    pfun = block.symbol(sheet)
+    out = list(failed) if out is None else out
     live = np.flatnonzero([e is None for e in out])
-    xs, rows = _start_nodes(scales[live], zeros[live])
+    xs, rows = _start_nodes(np.array(scales)[live], roots[live])
     rows = live.take(rows)
     vals = _rowwise(pfun, xs, rows, out)
     nodes = phase = np.zeros(0)
@@ -497,14 +497,13 @@ def unwrapped_phase_grid(pfun, scale, *, zeros=None, out=None):
         for r, first, last, more in zip(rows.take(firsts).tolist(), firsts,
                                         bounds + [rows.size - 1], refine):
             if out[r] is None and more and last - first >= PHASE_GRID_MAX_NODES:
-                out[r] = RealAxisZeroError(
-                    "phase refinement diverged; symbol too close to a real-axis zero")
+                out[r] = RealAxisZeroError(DIVERGED)
             if out[r] is None and not more:
                 out[r] = _winding(float((ang[last] - ang[first]) / (2.0 * math.pi)))
             stay.append(out[r] is None)
         if not any(stay):
             # a block of one row keeps the nodes and phase of its winding
-            if scales.size == 1 and isinstance(out[0], int):
+            if len(scales) == 1 and isinstance(out[0], int):
                 nodes, phase = xs, ang
             break
         if not all(stay):
@@ -514,43 +513,26 @@ def unwrapped_phase_grid(pfun, scale, *, zeros=None, out=None):
         del ang
         # only the midpoints are new: evaluate them and insert them in order
         at = bad.nonzero()[0] + 1
-        mids = 0.5 * (xs[at - 1] + xs[at])
+        lo, hi = xs[at - 1], xs[at]
+        mids = 0.5 * (lo + hi)
         new_rows = rows.take(at)
         new_vals = _rowwise(pfun, mids, new_rows, out)
+        # a step with no float inside repeats for ever: its row fails
+        for r in set(new_rows[(mids == lo) | (mids == hi)].tolist()):
+            if out[r] is None:
+                out[r] = RealAxisZeroError(DIVERGED)
         xs, vals, rows = _insert(at, (xs, mids), (vals, new_vals), (rows, new_rows))
-    return nodes, phase, out
-
-
-def phase_winding(problems, sheet: Sheet, *, out=None):
-    """arg P on the given sheet, unwrapped on [-m, m] with m = 100 times
-    each problem's scale, and its winding number, for a block of problems
-    (``unwrapped_phase_grid``, one row per problem).
-
-    Each row's grid is seeded at its census zeros, the block's
-    ``census_roots``.  ``out`` holds per row an error that keeps the row
-    out of the pass, or None; by default it is the block's census failures,
-    so that a row whose census quartic could not be solved keeps that
-    error.  Returns (nodes, unwrapped_phase, windings, scales): the final
-    nodes and phase of a block of one row, as ``unwrapped_phase_grid``
-    gives them, and per row its scale and its winding number or its error:
-    a RealAxisZeroError when P has a zero or a pole on the axis, or when
-    the phase change is not close to a whole number of turns.
-    """
-    block = problems if isinstance(problems, _Block) else _Block(problems)
-    roots, failed = block.census_roots
-    scales = [problem_scale(p) for p in block.problems]
-    return (*unwrapped_phase_grid(block.symbol(sheet), scales, zeros=roots,
-                                  out=list(failed) if out is None else out), scales)
+    return nodes, phase, out, scales
 
 
 def winding_index(problem: Problem) -> int:
     """Krein index: winding number of P(xi) (the ratio P^R/P^L for two sheets)."""
-    return _one(phase_winding([problem], Sheet.FIRST)[2][0])
+    return _one(unwrapped_phase_grid([problem], Sheet.FIRST)[2][0])
 
 
 def dual_winding_index(problem: Problem) -> int:
     """Winding of the second-sheet (dual) symbol P*."""
-    return _one(phase_winding([problem], Sheet.SECOND)[2][0])
+    return _one(unwrapped_phase_grid([problem], Sheet.SECOND)[2][0])
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +592,6 @@ def _census(block: _Block):
     ``census_roots``, every root of the block attributed in one pass."""
     n = len(block.signs)
     roots, failed = block.census_roots
-    roots = roots.reshape(-1, 4)
     reports: list = []      # per signed sheet, row after row
     census = []             # the sheets with a census
     for sheet, (_, a, b, c) in enumerate(t for _, sheets in block.terms for t in sheets):
@@ -626,7 +607,7 @@ def _census(block: _Block):
             reports.append(SpectrumReport(zeros=(), n_plus=0, n_minus=0, n_star_plus=0,
                                           n_star_minus=0, n_marginal=0))
     if census:
-        flat = (roots if len(census) == len(reports) else roots.take(census, axis=0)).ravel()
+        flat = roots.reshape(-1, 4).take(census, axis=0).ravel()
         points = np.array(census, dtype=int).repeat(4)
         rows = points // n
         iq = np.array([1j * complex(prob.q) for prob in block.problems]).take(rows)
@@ -635,12 +616,12 @@ def _census(block: _Block):
                     | (np.abs(flat + iq) < band))
         # |P| = |1 + t| and |P*| = |1 - t| at each root, t = (i/2) num/w (P*
         # takes -w); a marginal root may sit on +-iq, where the root is not
-        # defined, so it is taken at 1 and keeps a nan residual
+        # defined, so it is taken at 1 (1 + q^2 != 0 when Re q != 0) and
+        # keeps a nan residual
         xi = np.where(marginal, 1.0, flat)
-        w = _rowwise(lambda x, at: sheet_root(x, block.gather(at // n)[0], Sheet.FIRST),
-                     xi, points, reports)
         # each root is tested on its own sheet alone: that sheet's (a, b, c)
-        signed = block.gather(rows)[1]
+        q2, signed = block.gather(rows)
+        w = sheet_root(xi, q2, Sheet.FIRST)
         a, b, c = signed[0][1:] if n == 1 else [np.choose(points % n, [t[k] for t in signed])
                                                 for k in (1, 2, 3)]
         t = 0.5j * (a * xi * xi + b * xi + c) / w
@@ -661,8 +642,7 @@ def _census(block: _Block):
                                       HalfPlane.UPPER if up else HalfPlane.LOWER, f, e))
             counts[i // 4][4 if f else 2 * s2 + (not up)] += 1
         for k, row in enumerate(census):
-            if reports[row] is None:
-                reports[row] = SpectrumReport(tuple(records[4 * k:4 * k + 4]), *counts[k])
+            reports[row] = SpectrumReport(tuple(records[4 * k:4 * k + 4]), *counts[k])
     by_row = [tuple(reports[r * n:(r + 1) * n]) for r in range(len(block))]
     return [next((rep for rep in reps if isinstance(rep, Exception)), reps) for reps in by_row]
 
@@ -702,12 +682,12 @@ class ConjectureResult:
 def conjecture_block(problems) -> list:
     """``conjecture_check`` for every problem of a block, computed together:
     one stacked census (``_census``), then one phase pass on P
-    (``phase_winding``) seeded by the same census roots, which the rows
-    whose census failed enter with that error.  Per problem its
-    ConjectureResult, or its error."""
+    (``unwrapped_phase_grid``) on the same block, seeded by the same
+    census roots, which the rows whose census failed enter with that
+    error.  Per problem its ConjectureResult, or its error."""
     block = _Block(problems)
     results = _census(block)
-    windings = phase_winding(block, Sheet.FIRST, out=[
+    windings = unwrapped_phase_grid(block, Sheet.FIRST, out=[
         rep if isinstance(rep, Exception) else None for rep in results])[2]
     for r, nu in enumerate(windings):
         if isinstance(nu, Exception):

@@ -51,8 +51,8 @@ from .spectrum import (
     _Block,
     _census,
     _one,
-    phase_winding,
     quadratic_roots,
+    unwrapped_phase_grid,
 )
 
 __all__ = [
@@ -176,7 +176,7 @@ def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
     The problem is a block of one row, whose census roots are solved once:
     the census of each signed sheet comes first and is kept on the kernel,
     and the phase is unwrapped on [-m, m] from nodes seeded at the same
-    roots (``phase_winding``, which also gives the winding index).  The
+    roots (``unwrapped_phase_grid``, which also gives the winding index).  The
     global 2-pi-i branch constant is fixed by matching L(m) against the
     analytic tail law.
 
@@ -190,7 +190,7 @@ def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
     tail_const = _tail_constant(sheets)
     block = _Block([problem])
     census = _one(_census(block)[0])
-    xs, theta, (nu,), (scale,) = phase_winding(block, Sheet.FIRST)
+    xs, theta, (nu,), (scale,) = unwrapped_phase_grid(block, Sheet.FIRST)
     nu = _one(nu)
     # fix the global branch against the right tail alone: arg P(m) must
     # approach Im tail_const (mod 2 pi); this stays well defined for

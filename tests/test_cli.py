@@ -250,13 +250,22 @@ class TestConfigErrors:
         ("solve", case_a_cfg(sheet={"model": {"kind": "magneto_hydrodynamic", "n0": 1e15,
                                               "b0": 0}}), "sheet.model: "),
         ("solve", case_a_cfg(problem={"variant": "three-sheet"}), "problem.variant"),
+        # a JSON string is not a boolean: "false" must not read as true
+        ("index", case_a_cfg(sheet={"tensor": {"xx": [0.001, 0.1], "yy": [0.002, 0.2],
+                                               "nondimensional": "false"}},
+                             index={"q_values": [[12.0, 0.0]]}),
+         "sheet.tensor.nondimensional: expected a boolean"),
+        # refused before the dispersion solve that q_guess runs first
+        ("field", case_a_cfg(field={"q_guess": [12.0, 0.0], "x_values": [0.1, 0.0]}),
+         "field.x_values[1]: x = 0 is the edge"),
     ], ids=["sweep-no-q_base", "phis_pi-number", "phis_pi-string-entry", "omegas-number",
             "omegas-string-entry", "q_guesses-number", "x_values-number",
             "target_error-string", "eps_sum-string", "solve-equal-sheets",
             "index-equal-sheets", "q_base-zero-real-part", "negative-omega",
             "q_guess-nan", "q_value-infinity", "x_values-nan", "target_error-infinity",
             "tol-negative", "target_error-zero", "medium-negative-omega", "no-sheet",
-            "tensor-without-yy", "magneto-zero-field", "unknown-variant"])
+            "tensor-without-yy", "magneto-zero-field", "unknown-variant",
+            "nondimensional-string", "x_values-zero"])
     def test_config_error(self, tmp_path, capsys, command, cfg, where):
         code, out, err = run_cli(capsys, command, "--config", write_cfg(tmp_path, cfg))
         assert code == 2 and out == ""
@@ -464,15 +473,15 @@ class TestIndexCommand:
     def count_phase_passes(monkeypatch):
         """(sheet, rows) of every phase pass the CLI runs."""
         passes = []
-        phase_winding = spectrum.phase_winding
+        phase_pass = spectrum.unwrapped_phase_grid
 
         def counted(problems, sheet, **kwargs):
-            result = phase_winding(problems, sheet, **kwargs)
+            result = phase_pass(problems, sheet, **kwargs)
             passes.append((sheet, len(result[2])))
             return result
 
-        monkeypatch.setattr(spectrum, "phase_winding", counted)
-        monkeypatch.setattr(cli, "phase_winding", counted)
+        monkeypatch.setattr(spectrum, "unwrapped_phase_grid", counted)
+        monkeypatch.setattr(cli, "unwrapped_phase_grid", counted)
         return passes
 
     def test_one_phase_pass_per_row(self, tmp_path, capsys, monkeypatch):

@@ -35,7 +35,6 @@ from edgeplasmon.spectrum import (
     PHASE_GRID_START,
     HalfPlane,
     conjecture_block,
-    phase_winding,
     problem_scale,
     unwrapped_phase_grid,
 )
@@ -425,15 +424,9 @@ class TestWindingIndex:
 
     def test_stable_under_refinement(self, monkeypatch):
         prob = Problem.single_sheet(make_sigma("C"), 0.85 * (21.657 + 0.217j))
-        from edgeplasmon.spectrum import problem_scale
-        scale = problem_scale(prob)
-
-        def pfun(x, rows):
-            return p_of_xi(prob, x, Sheet.FIRST)
-
         for step in (0.5 * math.pi, 0.25 * math.pi):
             monkeypatch.setattr(spectrum, "PHASE_STEP_MAX", step)
-            xs, ang, (nu,) = unwrapped_phase_grid(pfun, scale)
+            xs, ang, (nu,), _ = unwrapped_phase_grid([prob], Sheet.FIRST)
             assert round((ang[-1] - ang[0]) / (2 * math.pi)) == nu == -1
             assert np.all(np.diff(xs) > 0)
 
@@ -677,16 +670,16 @@ def assert_rows_do_not_depend_on_their_block(probs):
     and alone.  Returns the number of rows that fail."""
     block = [_row_summary(r) for r in conjecture_block(probs)]
     duals = [r if isinstance(r, int) else f"{type(r).__name__}: {r}"
-             for r in phase_winding(probs, Sheet.SECOND)[2]]
+             for r in unwrapped_phase_grid(probs, Sheet.SECOND)[2]]
     with recorded_evaluations() as calls:
-        windings = phase_winding(probs, Sheet.FIRST)[2]
+        windings = unwrapped_phase_grid(probs, Sheet.FIRST)[2]
     for row, (prob, got, dual) in enumerate(zip(probs, block, duals)):
         assert got == _row_summary(_outcome(conjecture_check, prob))
         assert dual == _outcome(dual_winding_index, prob)
         if isinstance(windings[row], Exception):
             continue
         with recorded_evaluations() as alone:
-            nodes, _, (nu,), _ = phase_winding([prob], Sheet.FIRST)
+            nodes, _, (nu,), _ = unwrapped_phase_grid([prob], Sheet.FIRST)
         assert nu == windings[row]
         points, values = _row_points(calls, row)
         alone_points, alone_values = _row_points(alone, 0)
@@ -763,6 +756,31 @@ class TestBlocks:
         assert "pole on contour" in str(results[0]) and "pole on contour" in str(results[2])
         assert results[1].nu_k == conjecture_check(probs[1]).nu_k
 
+    def test_a_pole_that_no_node_hits_ends_its_row(self):
+        # bisection narrows the step around the pole to adjacent floats,
+        # where a midpoint repeats an end: the row fails there instead of
+        # refining for ever.  Run in a child process, so that a regression
+        # fails on the timeout instead of hanging the suite
+        code = ("import sys\n"
+                "sys.path.insert(0, sys.argv[1])\n"
+                "import pytest\n"
+                "from edgeplasmon import Classification, Problem, RealAxisZeroError, solve\n"
+                "from edgeplasmon import winding_index\n"
+                "from test_spectrum import POLE_LEFT, POLE_RIGHT, make_sigma\n"
+                "from test_spectrum import assert_rows_do_not_depend_on_their_block\n"
+                "prob = Problem.two_sheet(POLE_LEFT, POLE_RIGHT, -2.105890119346925)\n"
+                "with pytest.raises(RealAxisZeroError, match='phase refinement diverged'):\n"
+                "    winding_index(prob)\n"
+                "sol = solve(prob, prob.q)\n"
+                "assert sol.classification is Classification.NO_SOLUTION\n"
+                "assert 'phase refinement diverged' in sol.message\n"
+                "good = [Problem.two_sheet(make_sigma('C'), make_sigma('D'), q)\n"
+                "        for q in (11.0 + 0.1j, 12.0 + 0.1j)]\n"
+                "assert assert_rows_do_not_depend_on_their_block(\n"
+                "    [good[0], prob, good[1]]) == 1\n")
+        subprocess.run([sys.executable, "-c", code, os.path.dirname(__file__)],
+                       env=os.environ.copy(), check=True, timeout=60)
+
     @pytest.mark.parametrize("variant", ["single", "two-sheet"])
     def test_a_census_that_is_not_finite_fails_its_row_alone(self, variant):
         # one non-finite companion matrix makes eigvals refuse the stack;
@@ -773,7 +791,7 @@ class TestBlocks:
         probs = [make(q) for q in (0.75 * q_d, Q_OVERFLOW, q_d, -0.75 * q_d)]
         results = conjecture_block(probs)
         assert isinstance(results[1], CensusOverflowError)
-        assert isinstance(phase_winding(probs, Sheet.SECOND)[2][1], CensusOverflowError)
+        assert isinstance(unwrapped_phase_grid(probs, Sheet.SECOND)[2][1], CensusOverflowError)
         assert all(not isinstance(r, Exception) for r in results[:1] + results[2:])
         assert assert_rows_do_not_depend_on_their_block(probs) == 1
 
@@ -804,7 +822,7 @@ class TestBlocks:
         probs = [Problem.single_sheet(make_sigma(c), q) for c, q in (
             ("A", 12.172), ("D", 0.75 * (16.438 + 0.164j)), ("C", 21.657 + 0.217j),
             ("C", 0.85 * (21.657 + 0.217j)))]
-        windings = phase_winding(probs, Sheet.FIRST)[2]
+        windings = unwrapped_phase_grid(probs, Sheet.FIRST)[2]
         assert windings[:3] == [0, -1, 0]
         assert "phase refinement diverged" in str(windings[3])
         assert assert_rows_do_not_depend_on_their_block(probs) == 1
