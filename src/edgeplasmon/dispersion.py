@@ -345,7 +345,8 @@ def longwave_q(sigma: ConductivityTensor, medium: AmbientMedium | None = None,
     sigma_xy != sigma_yx; only sigma_xx and sigma_xy - sigma_yx enter.
 
     A dimensional tensor is nondimensionalized through ``medium`` and the
-    returned wavenumber is then in rad/m.
+    returned wavenumber is then in rad/m.  An iteration that has not met
+    ``tol`` after ``maxiter`` steps (it can wander) raises ``ValueError``.
     """
     dimensional = not sigma.nondimensional
     if dimensional:
@@ -369,10 +370,11 @@ def longwave_q(sigma: ConductivityTensor, medium: AmbientMedium | None = None,
         q_breve = 1j * complex(sigma.xx) * q * sg / eps_sum
         log_factor = complex(principal_log(2.0 / q_breve))
         q_new = -2.0 * math.pi * eps_sum / (sig_d * (log_factor + 1.0))
-        if abs(q_new - q) <= tol * abs(q_new):
-            q = q_new
+        step, q = abs(q_new - q), q_new
+        if step <= tol * abs(q):
             break
-        q = q_new
+    else:
+        raise ValueError(f"long-wavelength iteration not converged in {maxiter} iterations")
     if dimensional:
         return complex(q) * medium.k0
     return complex(q)

@@ -17,6 +17,8 @@ Every symbol is one product over signed sheets (``Problem.signed_sheets``),
 
 with one root w for all sheets: the sheet itself with sign +1, or for two
 coplanar sheets the right one (+1) and the left one (-1), so P = P^R / P^L.
+A sheet whose numerator is zero (a pure Hall sheet among them) has the
+factor 1; the census (``spectrum._census``) refuses s_xx = 0 otherwise.
 ``_compose`` is the one evaluation of that product, from the scalars of
 ``symbol_terms``: for one problem in ``p_of_xi`` and ``dp_dxi``, and for a
 block of problems, each point with its own problem's scalars, in the
@@ -34,6 +36,14 @@ from .branches import Sheet, sheet_root, sheet_sqrt
 from .conductivity import ConductivityTensor
 
 __all__ = ["Problem", "Variant", "dp_dxi", "khat", "p_of_xi"]
+
+
+# the one message of a sheet with s_xx = 0 and a nonzero numerator
+SIGMA_XX_ZERO = "sigma_xx = 0: degenerate quadratic; the symbol has no ln|xi| tail law"
+
+
+class DegenerateQuadraticError(ValueError):
+    """sigma_xx = 0: the formulation requires a nondegenerate quadratic."""
 
 
 class Variant(enum.Enum):
@@ -111,20 +121,14 @@ class Problem:
         """Nondimensional TM bulk-SPP wavenumber 2i/sigma_xx (kernel-factor scaled)."""
         sxx = self.sigma_eff.xx
         if sxx == 0:
-            raise ValueError("sigma_xx = 0: SPP wavenumber undefined")
+            raise DegenerateQuadraticError(SIGMA_XX_ZERO)
         return 2j / sxx
-
-    def quad_coeffs(self) -> tuple[complex, complex, complex]:
-        """Coefficients (a, b, c) of the numerator a xi^2 + b xi + c."""
-        s = self.sigma_eff
-        q = complex(self.q)
-        return s.xx, s.off_sum * q, s.yy * q * q
 
     def signed_sheets(self) -> tuple[tuple[int, "Problem"], ...]:
         """(sign, single-sheet problem) per factor P_sheet^sign of the symbol:
         ((1, self),), or the right (+1) then the left (-1) sheet of a
-        two-sheet problem, so that the product is P^R/P^L.  A zero sheet is
-        kept (its factor is 1)."""
+        two-sheet problem, so that the product is P^R/P^L.  A sheet whose
+        numerator (``symbol_terms``) is zero is kept (its factor is 1)."""
         if self.variant is not Variant.TWO_SHEET:
             return ((1, self),)
         right, left = (dataclasses.replace(self, variant=Variant.SINGLE_SHEET, sigma=sigma,
@@ -139,11 +143,12 @@ def khat(xi, q: complex):
 
 
 def symbol_terms(problem: Problem):
-    """(q^2, ((sign, a, b, c), ...)): the scalars of P, with (a, b, c) the
-    ``quad_coeffs`` of each signed sheet, all Python products as
-    ``_compose`` takes them."""
+    """(q^2, ((sign, a, b, c), ...)): the scalars of P, with the numerator
+    s_xx xi^2 + (s_xy + s_yx) q xi + s_yy q^2 of each signed sheet's
+    ``sigma_eff``, all Python products as ``_compose`` takes them."""
     q = complex(problem.q)
-    return q * q, tuple([(sign, *side.quad_coeffs()) for sign, side in problem.signed_sheets()])
+    sheets = [(sign, side.sigma_eff) for sign, side in problem.signed_sheets()]
+    return q * q, tuple([(sign, s.xx, s.off_sum * q, s.yy * q * q) for sign, s in sheets])
 
 
 def _compose(terms, xi, w, derivative: bool = False):

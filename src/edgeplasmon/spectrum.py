@@ -46,7 +46,8 @@ import numpy as np
 
 from .branches import BranchPointError, Sheet, sheet_root, sign_q, unwrapped_angle
 from .conductivity import ConductivityTensor
-from .kernel import Problem, Variant, _compose, symbol_terms
+from .kernel import (SIGMA_XX_ZERO, DegenerateQuadraticError, Problem, Variant, _compose,
+                     symbol_terms)
 
 __all__ = [
     "AssignmentRule",
@@ -84,10 +85,6 @@ PHASE_STEP_MAX = 0.5 * math.pi
 
 MARGINAL_BAND = 1e-8
 CLASSIFY_RESIDUAL = 1e-6
-
-
-class DegenerateQuadraticError(ValueError):
-    """sigma_xx = 0: the formulation requires a nondegenerate quadratic."""
 
 
 class DoubleRootError(ValueError):
@@ -148,8 +145,7 @@ def _root_pair(sigma: ConductivityTensor, q: complex):
     sg = sign_q(q)
     sxx = complex(sigma.xx)
     if sxx == 0:
-        raise DegenerateQuadraticError(
-            "degenerate quadratic; formulation requires sigma_xx != 0")
+        raise DegenerateQuadraticError(SIGMA_XX_ZERO)
     s_plus = complex(sigma.off_sum)
     disc = np.sqrt(complex(s_plus * s_plus - 4.0 * sxx * complex(sigma.yy)))
     disc = complex(disc)
@@ -226,11 +222,14 @@ class _Block:
         which is then solved matrix by matrix."""
         n = len(self.signs)
         coeffs, at = [], []
-        for row, (problem, (_, sheets)) in enumerate(zip(self.problems, self.terms)):
-            for j, (_, a, b, c) in enumerate(sheets):
-                if a != 0:
-                    coeffs.append(_census_quartic(a, b, c, complex(problem.q)))
-                    at.append(row * n + j)
+        # numpy scalars of a tensor warn where the quartic overflows: the
+        # check below fails that row, as for a quartic of Python products
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row, (problem, (_, sheets)) in enumerate(zip(self.problems, self.terms)):
+                for j, (_, a, b, c) in enumerate(sheets):
+                    if a != 0:
+                        coeffs.append(_census_quartic(a, b, c, complex(problem.q)))
+                        at.append(row * n + j)
         coeffs = np.array(coeffs, dtype=complex).reshape(-1, 5)
         # the companion matrix of np.roots: ones below the diagonal (flat
         # entries 4, 9, 14), the normalized coefficients in the first row
@@ -347,8 +346,6 @@ def problem_scale(problem: Problem) -> float:
     scale = max(abs(problem.q), 1.0)
     for _, prob in problem.signed_sheets():
         sig = prob.sigma_eff
-        if sig.frobenius == 0:
-            continue
         try:
             xa, xb, _, _ = _root_pair(sig, prob.q)
             scale = max(scale, abs(xa), abs(xb))
@@ -579,7 +576,7 @@ class SpectrumReport:
 
 def _census_quartic(a, b, c, q) -> tuple:
     """Coefficients, highest first, of (a xi^2 + b xi + c)^2 + 4 xi^2 +
-    4 q^2 (``quad_coeffs``, a != 0) as Python products: the companion
+    4 q^2 (``symbol_terms``, a != 0) as Python products: the companion
     matrices that ``np.roots`` builds, without its coefficient trimming,
     are made from these (``_Block._census_roots``)."""
     return (a * a, 2.0 * a * b, b * b + 2.0 * a * c + 4.0, 2.0 * b * c,
@@ -589,7 +586,10 @@ def _census_quartic(a, b, c, q) -> tuple:
 def _census(block: _Block):
     """Per row the tuple of ``bulk_zeros`` reports of its signed sheets, or
     the error of its first sheet that failed: the block's
-    ``census_roots``, every root of the block attributed in one pass."""
+    ``census_roots``, every root of the block attributed in one pass.  The
+    one rule on a sheet: a = 0 with a zero numerator is a factor 1 of P
+    with an empty report, with any other numerator an error, so the logs
+    of a row that passes are those of its sheets with a != 0."""
     n = len(block.signs)
     roots, failed = block.census_roots
     reports: list = []      # per signed sheet, row after row
@@ -601,8 +601,7 @@ def _census(block: _Block):
                 census.append(sheet)
             reports.append(failed[sheet // n])
         elif b != 0 or c != 0:
-            reports.append(DegenerateQuadraticError(
-                "degenerate quadratic; formulation requires sigma_xx != 0"))
+            reports.append(DegenerateQuadraticError(SIGMA_XX_ZERO))
         else:
             reports.append(SpectrumReport(zeros=(), n_plus=0, n_minus=0, n_star_plus=0,
                                           n_star_minus=0, n_marginal=0))

@@ -45,7 +45,6 @@ from .branches import Sheet, log_polar, principal_log, sheet_sqrt, unwrapped_ang
 from .kernel import Problem, _compose, p_of_xi, symbol_terms
 from .quadrature import QuadratureError
 from .spectrum import (
-    DegenerateQuadraticError,
     RealAxisZeroError,
     SpectrumReport,
     _Block,
@@ -81,17 +80,20 @@ class UnwrappedLogKernel:
     Stores an adaptive phase grid on [-m, m] (steps < pi/2) from which the
     2-pi branch of arg P at any real point is recovered by interpolation;
     moduli and principal phases are always evaluated exactly from the
-    symbol, so the series accuracy is not limited by the grid.  ``census``
-    holds the ``bulk_zeros`` report of each of ``problem.signed_sheets()``,
-    in order: the zeros that seeded the grid, that the series subtracts
-    and around which the field contour puts its panel edges.
+    symbol, so the series accuracy is not limited by the grid.  ``sheets``
+    holds the (sign, a, b, c) of each signed sheet (``symbol_terms``), and
+    ``census`` its ``bulk_zeros`` report: the zeros that seeded the grid,
+    that the series subtracts and around which the field contour puts its
+    panel edges.  The logs in L are those of the sheets with a != 0: the
+    census refuses any other sheet whose numerator is not zero.
     """
 
     def __init__(self, problem: Problem, grid: np.ndarray, phase: np.ndarray,
                  scale: float, nu_k: int, tail_const: complex,
-                 census: tuple[SpectrumReport, ...]):
+                 census: tuple[SpectrumReport, ...], sheets: tuple):
         self.problem = problem
         self.census = census
+        self.sheets = sheets
         self.grid = grid
         self.phase = phase
         self.scale = scale
@@ -146,50 +148,38 @@ class UnwrappedLogKernel:
         """(location, sign) of every non-marginal first-sheet zero in the
         census: the zeros of P_sheet, which enter P with the sheet's sign."""
         return [(rec.location, sign)
-                for (sign, _), rep in zip(self.problem.signed_sheets(), self.census)
+                for (sign, *_), rep in zip(self.sheets, self.census)
                 for rec in rep.zeros if rec.sheet is Sheet.FIRST and not rec.marginal]
-
-
-def _signed_sheets(problem: Problem) -> list[tuple[int, Problem]]:
-    """The nonzero sheets of ``problem.signed_sheets()``, whose logs enter L
-    with their signs."""
-    out = [(sign, prob) for sign, prob in problem.signed_sheets()
-           if prob.sigma.frobenius != 0]
-    if any(prob.sigma_eff.xx == 0 for _, prob in out):
-        raise DegenerateQuadraticError(
-            "sigma_xx = 0: symbol does not follow the ln(kappa xi) tail law")
-    return out
 
 
 def _tail_constant(sheets) -> complex:
     """Constant of the large-zeta law L ~ p ln zeta + constant."""
     if len(sheets) == 2:
-        (_, right), (_, left) = sheets
-        return complex(principal_log(right.sigma_eff.xx / left.sigma_eff.xx))
-    return sum((sign * complex(principal_log(0.5j * prob.sigma_eff.xx))
-                for sign, prob in sheets), 0j)
+        (_, right, *_), (_, left, *_) = sheets
+        return complex(principal_log(right / left))
+    return sum((sign * complex(principal_log(0.5j * a)) for sign, a, *_ in sheets), 0j)
 
 
 def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
     """Construct the unwrapped log-symbol for one (sheet, q) configuration.
 
     The problem is a block of one row, whose census roots are solved once:
-    the census of each signed sheet comes first and is kept on the kernel,
-    and the phase is unwrapped on [-m, m] from nodes seeded at the same
-    roots (``unwrapped_phase_grid``, which also gives the winding index).  The
-    global 2-pi-i branch constant is fixed by matching L(m) against the
-    analytic tail law.
+    the census of each signed sheet comes first and is kept on the kernel
+    with the sheets, and the phase is unwrapped on [-m, m] from nodes
+    seeded at the same roots (``unwrapped_phase_grid``, which also gives
+    the winding index).  The global 2-pi-i branch constant is fixed by
+    matching L(m) against the analytic tail law.
 
-    Raises ``DegenerateQuadraticError`` (a ``ValueError``) when a nonzero
-    sheet has sigma_xx = 0, where L has no ln|xi| tail law,
+    Raises ``DegenerateQuadraticError`` (a ``ValueError``) when the census
+    refuses a sheet with sigma_xx = 0, where L has no ln|xi| tail law,
     ``CensusOverflowError`` when a census quartic is not finite,
     ``BranchPointError`` when a grid node is a branch point (q^2 = 0), and
     ``RealAxisZeroError`` when P vanishes on or next to the real axis.
     """
-    sheets = _signed_sheets(problem)
-    tail_const = _tail_constant(sheets)
     block = _Block([problem])
     census = _one(_census(block)[0])
+    sheets = block.terms[0][1]
+    tail_const = _tail_constant([s for s in sheets if s[1] != 0])
     xs, theta, (nu,), (scale,) = unwrapped_phase_grid(block, Sheet.FIRST)
     nu = _one(nu)
     # fix the global branch against the right tail alone: arg P(m) must
@@ -203,7 +193,7 @@ def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
             "rad); symbol tails not converged at the cutoff")
     theta = theta - TWO_PI * k
 
-    return UnwrappedLogKernel(problem, xs, theta, scale, nu, tail_const, census)
+    return UnwrappedLogKernel(problem, xs, theta, scale, nu, tail_const, census, sheets)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +272,13 @@ def _c_plus(r):
     return (0.5 * (1.0 + r) * log_polar((1.0 + u) / (1.0 - u)) / u - 1.0) / math.pi
 
 
-def _kink_taylor(sheets, kappa: float) -> np.ndarray:
+def _kink_taylor(sheets, q: complex, kappa: float) -> np.ndarray:
     """Taylor coefficients pi_0..pi_J in v = 2 kappa xi/(xi^2 + kappa^2) at
     xi = inf of A = sqrt(xi^2 + kappa^2) Sum_sheets sign atanh(y).
 
     Each sheet's log is ln(1 + X) = ln(X^2 - 1)/2 + atanh(y), y = 1/X, and
     only atanh(y), odd in sqrt(xi^2 + q^2), has a kink at theta = pi.  In
-    w = 1/xi, y = -2i w sqrt(1 + q^2 w^2)/(a2 + a1 w + a0 w^2) (``quad_coeffs``);
+    w = 1/xi, y = -2i w sqrt(1 + q^2 w^2)/(a2 + a1 w + a0 w^2) (``sheets``);
     A is analytic in v for |v| < 1, kappa the problem scale, and an FFT on
     |v| = 1/2 gives pi_0 = b = -2i/s_xx, pi_1 = e/(2 kappa), ...: taken in
     v, the coefficients carry no power of kappa, which would overflow at
@@ -299,9 +289,8 @@ def _kink_taylor(sheets, kappa: float) -> np.ndarray:
     u = np.exp(2j * math.pi * np.arange(KINK_SAMPLES) / KINK_SAMPLES) / (4.0 * kappa)
     w = 2.0 * u / (1.0 + np.sqrt(1.0 - 4.0 * (kappa * u) ** 2))
     atanh = np.zeros(u.shape, dtype=complex)
-    for sign, prob in sheets:
-        a2, a1, a0 = prob.quad_coeffs()
-        atanh += sign * np.arctanh(-2j * w * np.sqrt(1.0 + (prob.q * w) ** 2)
+    for sign, a2, a1, a0 in sheets:
+        atanh += sign * np.arctanh(-2j * w * np.sqrt(1.0 + (q * w) ** 2)
                                    / (a2 + a1 * w + a0 * w * w))
     order = np.arange(KINK_ORDER + 1)
     coeffs = np.fft.fft(np.sqrt(1.0 + (kappa * w) ** 2) * atanh / w) / KINK_SAMPLES
@@ -523,12 +512,12 @@ class CauchyTable:
             raise NonzeroIndexError(kernel.nu_k)
         problem, scale = kernel.problem, kernel.scale
         q = complex(problem.q)
-        sheets = _signed_sheets(problem)
-        radii = _root_radii(q, ROOT_TOP * min(
-            (2.0 / abs(prob.sigma_eff.xx) for _, prob in sheets), default=0.0))
+        sheets = [s for s in kernel.sheets if s[1] != 0]
+        radii = _root_radii(q, ROOT_TOP * min((2.0 / abs(a) for _, a, *_ in sheets),
+                                              default=0.0))
         kappa = math.sqrt(radii[-1] * scale)
-        p, c = sum(sign for sign, _ in sheets), kernel.tail_const
-        kink = _KinkSplit(_kink_taylor(sheets, scale), scale)
+        p, c = sum(sign for sign, *_ in sheets), kernel.tail_const
+        kink = _KinkSplit(_kink_taylor(sheets, q, scale), scale)
         # zeros inside the top radius are zeros of P(w_0) alone: the levels
         # carry them
         inner = radii[-1] if len(radii) > 1 else 0.0

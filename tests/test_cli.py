@@ -305,6 +305,22 @@ class TestSolveCommand:
         assert abs(float(row["re_q"]) - 16.438) / 16.438 < 0.01
         assert abs(float(row["im_q"]) - 0.164) / 0.164 < 0.01
 
+    def test_two_sheet_with_a_hall_only_left_sheet(self, tmp_path, capsys):
+        # the left sheet's numerator is zero, so its factor of P is 1: the
+        # solve runs on the right sheet's kernel with the difference's roots
+        cfg = {"problem": {"variant": "two-sheet",
+                           "sheet_left": {"tensor": {"xx": [0, 0], "yy": [0, 0],
+                                                     "xy": [0.1, 0], "yx": [-0.1, 0]}},
+                           "sheet_right": {"tensor": {"xx": [0, 0.2], "yy": [0, 0.2]}}},
+               "solve": {"q_guesses": [[12, 0.1], [11, 0]]}}
+        code, out, _ = run_cli(capsys, "solve", "--config", write_cfg(tmp_path, cfg))
+        rows = parse_csv(out)
+        assert code == 0 and len(rows) == 2
+        for row in rows:
+            assert row["classification"] == "discrete-epp"
+            q = complex(float(row["re_q"]), float(row["im_q"]))
+            assert abs(q - 10.0057804293262) < 1e-8
+
     def test_interface_variant_matches_the_library(self, tmp_path, capsys):
         # sheet A at the eps_r = 1 | 3 interface (kernel factor 1/2)
         cfg = case_a_cfg(problem={"variant": "interface", "eps_r1": 1.0, "eps_r2": 3.0},
@@ -811,6 +827,16 @@ class TestAsymptoteCommand:
         for key in ("re_q_breve", "abs_f_full", "rel_err_f_plus", "rel_err_f_minus"):
             assert interface[key] == pytest.approx(uniform[key], rel=1e-6)
         assert interface["abs_f_full"] < 0.05 and interface["rel_err_f_plus"] < 0.02
+
+    def test_unconverged_longwave_iteration_is_a_numerical_failure(self, tmp_path, capsys):
+        # the long-wavelength fixed point of this passive tensor never settles
+        sxx = [0.1278049019091093, -0.21398536990874187]
+        sxy = [0.09564813429199612, -0.0915097379888608]
+        cfg = {"sheet": {"tensor": {"xx": sxx, "yy": sxx, "xy": sxy,
+                                    "yx": [-v for v in sxy], "nondimensional": True}}}
+        code, out, err = run_cli(capsys, "asymptote", "--config", write_cfg(tmp_path, cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("numerical failure: long-wavelength iteration not converged")
 
     def test_residual_failure_is_a_numerical_failure(self, tmp_path, capsys, monkeypatch):
         def fail(*args, **kwargs):

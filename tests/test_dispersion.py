@@ -316,12 +316,17 @@ class TestClassify:
     def test_census_overflow_and_branch_point_node(self, q, reason):
         # |q| = 1e80 overflows the census quartic; at |q| = 1e-170 q^2
         # rounds to 0, so the census zero xi = 0 is a phase-grid node on
-        # the branch point: no residual, a NO_SOLUTION with its reason
-        prob = Problem.single_sheet(make_sigma("D"), q)
-        sol = solve(prob, q)
-        assert sol.classification is Classification.NO_SOLUTION
-        assert sol.message.startswith("residual undefined at the guess: " + reason)
-        assert classify(prob) is Classification.NO_SOLUTION
+        # the branch point: no residual, a NO_SOLUTION with its reason; the
+        # same for a tensor of numpy scalars (from_matrix), whose quartic
+        # overflows in numpy arithmetic
+        for sigma in (make_sigma("D"),
+                      ConductivityTensor.from_matrix(make_sigma("D").as_matrix(),
+                                                     nondimensional=True)):
+            prob = Problem.single_sheet(sigma, q)
+            sol = solve(prob, q)
+            assert sol.classification is Classification.NO_SOLUTION
+            assert sol.message.startswith("residual undefined at the guess: " + reason)
+            assert classify(prob) is Classification.NO_SOLUTION
 
     @pytest.mark.parametrize("q", [1e44, 1e60, 1e76, 1e77])
     def test_large_q_is_classified_without_warnings(self, q):
@@ -432,6 +437,18 @@ class TestLongwave:
     def test_symmetric_tensor_rejected(self):
         with pytest.raises(ValueError, match="general solver"):
             longwave_q(make_sigma("C"))
+
+    def test_iteration_that_does_not_settle_raises(self):
+        # a passive gyrotropic tensor with |sigma_d/sigma_xx| > 1, so no
+        # warning: its iterates at 200, 5000 and 5001 steps are 12.44 -
+        # 29.49i, 19.01 - 13.76i and -61.59 - 44.19i, no root of the relation
+        sxx = 0.1278049019091093 - 0.21398536990874187j
+        sxy = 0.09564813429199612 - 0.0915097379888608j
+        sigma = ConductivityTensor(sxx, sxy, -sxy, sxx, nondimensional=True)
+        assert sigma.is_passive() and abs(sigma.off_diff / sigma.xx) >= 1.0
+        for maxiter in (200, 5000):
+            with pytest.raises(ValueError, match="not converged in"):
+                longwave_q(sigma, maxiter=maxiter)
 
     def test_dimensional_tensor_through_the_medium(self):
         # an SI tensor is nondimensionalized through the medium and the

@@ -24,7 +24,7 @@ from edgeplasmon.branches import principal_log
 from edgeplasmon.field import _field_contour, _vertical_panels
 from edgeplasmon.quadrature import QuadratureError
 from edgeplasmon.spectrum import RealAxisZeroError
-from cauchy_oracle import adaptive_phi
+from cauchy_oracle import adaptive_phi, mp_phi
 from conftest import INTERFACE_ROOT, TWO_SHEET_LEFT, TWO_SHEET_ROOT, make_sigma
 from test_spectrum import random_passive_tensor
 
@@ -515,3 +515,37 @@ class TestZeroLeftSheet:
         two = solve(Problem.two_sheet(ZERO_SHEET, sigma, guess), guess)
         assert two.converged, two.message
         assert abs(two.q - one.q) <= 1e-8 * abs(one.q)
+
+
+# sigma_xx = sigma_yy = 0 and sigma_xy = -sigma_yx: its numerator is zero,
+# so its factor of P is 1, and it enters the two-sheet problem only
+# through the difference tensor, that is through xi^+- and C^+-
+HALL_LEFT = ConductivityTensor(0, 0.02, -0.02, 0, nondimensional=True)
+HALL_ROOT = 12.5753008 + 0.1142138j
+
+
+class TestHallOnlyLeftSheet:
+    @pytest.mark.parametrize("q", [HALL_ROOT, -9.3 + 0.05j])
+    def test_kernel_is_the_right_sheet_kernel(self, q):
+        two = build_log_kernel(Problem.two_sheet(HALL_LEFT, make_sigma("B"), q))
+        one = build_log_kernel(Problem.single_sheet(make_sigma("B"), q))
+        assert HALL_LEFT.is_passive()
+        assert np.array_equal(two.grid, one.grid)
+        assert np.array_equal(two.phase, one.phase)
+        roots = quadratic_roots(two.problem.sigma, q)
+        pts = [roots.xi_plus, roots.xi_minus]
+        phi = cauchy_transform(one, pts)
+        assert np.array_equal(cauchy_transform(two, pts), phi)
+        # the residual is the right sheet's split at the difference's roots
+        assert residual(two.problem, kernel=two) == complex(
+            roots.c_plus * np.exp(-phi[0]) + roots.c_minus * np.exp(-phi[1]))
+
+    def test_solve_and_mpmath(self):
+        sol = solve(Problem.two_sheet(HALL_LEFT, make_sigma("B"), 13.0), 13.0)
+        assert sol.converged, sol.message
+        assert abs(sol.residual) < 1e-10
+        assert abs(sol.q - HALL_ROOT) < 1e-6
+        kernel = build_log_kernel(Problem.two_sheet(HALL_LEFT, make_sigma("B"), sol.q))
+        roots, phi_p, phi_m = kernel.root_constants()
+        for value, point in ((phi_p, roots.xi_plus), (phi_m, roots.xi_minus)):
+            assert abs(value - mp_phi(kernel, point)) < 1e-12
