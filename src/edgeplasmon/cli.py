@@ -483,7 +483,8 @@ def _dispatch(block_fn, points, jobs: int):
             child.start()
             send.close()
             children.append((child, receive))
-        rows = block_fn(blocks[0])
+        # a copy: the rows of the other blocks are appended to it
+        rows = list(block_fn(blocks[0]))
         for k, (child, receive) in enumerate(children, 1):
             try:
                 result = receive.recv()

@@ -133,11 +133,16 @@ class DispersionSolution:
 
 def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
           maxiter: int = 60) -> DispersionSolution:
-    """Damped complex secant iteration on the dispersion residual.
+    """Damped complex secant iteration on the dispersion residual, with
+    Muller's three-point step near the root.
 
-    A step is at most 0.3 |q| long, and it is accepted only where the
-    residual is defined and |F| is below its value at the last iterate;
-    otherwise it is halved, up to seven times.  When no trial point lowers
+    Once three iterates exist, the step goes to the root nearer the last
+    iterate of the quadratic through them (D. E. Muller, MTAC 10 (1956)
+    208), but only when neither that step nor the secant step through the
+    last two is longer than 0.3 |q|; otherwise it is the secant step,
+    clamped at 0.3 |q|.  Either step is accepted only where the residual
+    is defined and |F| is below its value at the last iterate; otherwise
+    it is halved, up to seven times.  When no trial point lowers
     |F|, the defined one of least |F| is taken; when none is defined, the
     iteration path is blocked.  For two sheets this keeps the first step
     off the jumps of A(q), where a zero of the left sheet crosses the real
@@ -178,6 +183,7 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
                            f"residual undefined at the guess: {exc}",
                            getattr(exc, "nu_k", None))
 
+    q_back = f_back = None      # the iterate before q0, once there is one
     it = 0
     while it < maxiter:
         if abs(f1) < tol:
@@ -187,6 +193,10 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
             return no_solution(q1, f1, "secant stalled (flat residual)")
         step = -f1 * (q1 - q0) / denom
         max_step = 0.3 * abs(q1)
+        if q_back is not None and abs(step) <= max_step:
+            three_point = _muller_step((q_back, q0, q1), (f_back, f0, f1))
+            if abs(three_point) <= max_step:
+                step = three_point
         if abs(step) > max_step:
             step *= max_step / abs(step)
         q_next = q1 + step
@@ -214,6 +224,7 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
         if best is None:
             return no_solution(q1, f1,
                                "iteration path blocked: " + "; ".join(index_flips[-3:]))
+        q_back, f_back = q0, f0
         q0, f0 = q1, f1
         q1, f1, kernel1 = best
         it += 1
@@ -230,6 +241,22 @@ def solve(problem: Problem, q_guess: complex, *, tol: float = 1e-10,
         q=q1, residual=f1, iterations=n_eval, nu_k_at_solution=0,
         classification=Classification.DISCRETE_EPP, validity=validity, census=census,
         message=message)
+
+
+def _muller_step(qs, fs) -> complex:
+    """Step from the last of three points to the root, nearer it, of the
+    quadratic through (q_k, f_k); nan when the points do not define one
+    (two of them coincide) or the quadratic has no root."""
+    (q0, q1, q2), (f0, f1, f2) = qs, fs
+    h1, h2 = q1 - q0, q2 - q1
+    if h1 == 0 or h2 == 0 or h1 + h2 == 0:
+        return complex(math.nan, math.nan)
+    d1, d2 = (f1 - f0) / h1, (f2 - f1) / h2
+    a = (d2 - d1) / (h1 + h2)
+    b = a * h2 + d2
+    root = complex(np.sqrt(b * b - 4.0 * a * f2))
+    den = b + root if abs(b + root) >= abs(b - root) else b - root
+    return -2.0 * f2 / den if den != 0 else complex(math.nan, math.nan)
 
 
 def classify(problem: Problem, *, tol: float = 1e-8) -> Classification:

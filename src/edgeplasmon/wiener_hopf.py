@@ -45,6 +45,8 @@ from .branches import Sheet, log_polar, principal_log, sheet_sqrt, unwrapped_ang
 from .kernel import Problem, _compose, p_of_xi, symbol_terms
 from .quadrature import QuadratureError
 from .spectrum import (
+    DegenerateQuadraticError,
+    DoubleRootError,
     RealAxisZeroError,
     SpectrumReport,
     _Block,
@@ -133,10 +135,14 @@ class UnwrappedLogKernel:
         return self.memo("root_constants", self._root_constants)
 
     def _root_constants(self):
-        # the table first: it raises NonzeroIndexError, which callers
-        # classify, before quadratic_roots can raise DoubleRootError
-        self.cauchy_table()
-        roots = quadratic_roots(self.problem.sigma, self.problem.q)
+        try:
+            roots = quadratic_roots(self.problem.sigma, self.problem.q)
+        except (DegenerateQuadraticError, DoubleRootError):
+            # NonzeroIndexError, which callers classify, comes first
+            self.cauchy_table()
+            raise
+        # the table is built inside the one cauchy_transform call, so each
+        # root_constants call reaches it, nu_K != 0 included
         phi_p, phi_m = cauchy_transform(self, [roots.xi_plus, roots.xi_minus])
         return roots, complex(phi_p), complex(phi_m)
 
@@ -247,8 +253,11 @@ ROOT_ORDER = 8
 KINK_ORDER = 7
 KINK_SAMPLES = 64
 
-# Up to this many points the power sums are one matrix product
+# Up to this many points of a side the power sums are taken from the
+# powers of r, and up to ONE_PASS_POINTS points Phi takes both sides in
+# one pass, where the per-call work outweighs the per-point work
 POWERS_MAX_POINTS = 64
+ONE_PASS_POINTS = 1024
 
 # Below |r| = DEEP_RADIUS the kink is summed from its first KINK_TERMS
 # coefficients (|r|^KINK_TERMS < 1e-19): its closed form's r^-J terms
@@ -286,15 +295,30 @@ def _kink_taylor(sheets, q: complex, kappa: float) -> np.ndarray:
     np.arctanh stays here: the 64 arguments y are small, where the log
     ratio of ``_c_plus`` would cancel.
     """
-    u = np.exp(2j * math.pi * np.arange(KINK_SAMPLES) / KINK_SAMPLES) / (4.0 * kappa)
+    circle, powers_of_two = _kink_samples()
+    u = circle / (4.0 * kappa)
     w = 2.0 * u / (1.0 + np.sqrt(1.0 - 4.0 * (kappa * u) ** 2))
     atanh = np.zeros(u.shape, dtype=complex)
     for sign, a2, a1, a0 in sheets:
         atanh += sign * np.arctanh(-2j * w * np.sqrt(1.0 + (q * w) ** 2)
                                    / (a2 + a1 * w + a0 * w * w))
-    order = np.arange(KINK_ORDER + 1)
     coeffs = np.fft.fft(np.sqrt(1.0 + (kappa * w) ** 2) * atanh / w) / KINK_SAMPLES
-    return coeffs[order] * 2.0 ** order
+    return coeffs[:KINK_ORDER + 1] * powers_of_two
+
+
+@functools.cache
+def _kink_samples():
+    """The unit circle of ``_kink_taylor``'s KINK_SAMPLES points and 2^k,
+    k = 0..J.  Built on first use, so importing the package does no
+    numerical work."""
+    circle = np.exp(2j * math.pi * np.arange(KINK_SAMPLES) / KINK_SAMPLES)
+    return _frozen(circle), _frozen(2.0 ** np.arange(KINK_ORDER + 1))
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only: a cached constant must not be changed."""
+    array.flags.writeable = False
+    return array
 
 
 @functools.cache
@@ -329,29 +353,51 @@ class _KinkSplit:
         sin, pi_map, deep, c0, at_pi = _kink_matrices()
         tau = sin @ pis
         self.f0 = complex(c0 @ tau) / kappa
-        self.at_pi, self.sides = {}, {}     # at_pi[s] = Sum_{n>0} f_{s n} (-1)^n
+        self.at_pi, self.deep = {}, {}      # at_pi[s] = Sum_{n>0} f_{s n} (-1)^n
+        self.near = []
         for sign, t in ((1, tau), (-1, tau[::-1])):
             self.at_pi[sign] = complex(at_pi @ t) / kappa
-            self.sides[sign] = (t[::-1], (pi_map @ t)[::-1], deep @ t / kappa)
+            self.deep[sign] = deep @ t / kappa
+            # the coefficients of T and r Pi as columns, highest power
+            # first: the zero makes Pi's Horner pass end with the factor r
+            columns = np.array([t[::-1], np.append((pi_map @ t)[::-1], 0.0)]).T[:, :, None]
+            self.near.append(list(columns))
 
     def values(self, xi: np.ndarray) -> np.ndarray:
         """f on the real axis."""
         rr = xi * xi + self.kappa ** 2
         return np.polyval(self.pis[::-1], 2.0 * self.kappa * xi / rr) / np.sqrt(rr)
 
-    def plus_sum(self, r: np.ndarray, sign: int) -> np.ndarray:
-        """Sum_{n>0} f_{sign n} r^n for |r| <= 1, r != -1."""
-        t, pi_n, deep = self.sides[sign]
+    def plus_sum(self, r: np.ndarray, n_up: int) -> np.ndarray:
+        """Sum_{n>0} f_{s n} r^n for |r| <= 1, r != -1, with s = 1 for the
+        first n_up points and s = -1 for the others."""
         out = np.empty(r.shape, dtype=complex)
         near = np.abs(r) >= DEEP_RADIUS
         # a branch with no points is skipped: the root pair xi+- is often
         # all near or all deep
         if near.any():
             rn = r[near]
-            out[near] = ((np.polyval(t, rn) * _c_plus(rn) + np.polyval(pi_n, rn) * rn)
-                         * rn ** -KINK_ORDER / self.kappa)
-        if not near.all():
-            out[~near] = r[~near, None] ** np.arange(1, KINK_TERMS + 1) @ deep
+            # named, not a temporary: numpy swaps the factors of a product
+            # with a large temporary on its right, and a complex product's
+            # last bit depends on their order
+            c_plus = _c_plus(rn)
+            # T and r Pi of both sides in one Horner pass, the first k
+            # points with the coefficients of s = 1
+            k = np.count_nonzero(near[:n_up])
+            acc = np.empty((2, rn.size), dtype=complex)
+            sides = [(view, columns) for view, columns
+                     in zip((acc[:, :k], acc[:, k:]), self.near) if view.size]
+            for view, columns in sides:
+                view[:] = columns[0]
+            for j in range(1, 2 * KINK_ORDER + 1):
+                acc *= rn
+                for view, columns in sides:
+                    view += columns[j]
+            out[near] = (c_plus * acc[0] + acc[1]) * rn ** -KINK_ORDER / self.kappa
+        for sign, part in ((1, slice(0, n_up)), (-1, slice(n_up, r.size))):
+            deep = ~near[part]
+            if deep.any():
+                out[part][deep] = _power_sums(self.deep[sign], r[part][deep])
         return out
 
 
@@ -400,10 +446,10 @@ def _fft_series(values, kappa: float):
     Sum_{|n| > K} |a_n| and alias = tail[N/4]."""
     n = SERIES_N_MIN
     while True:
-        nodes = kappa * np.tan(0.5 * math.pi * (2.0 * np.arange(n) + 1.0 - n) / n)
-        k = np.fft.fftfreq(n, 1.0 / n)
-        a = np.fft.fft(values(nodes)) * (-1.0) ** k * np.exp(-1j * math.pi * k / n) / n
-        mag, order = np.abs(a), np.abs(k).astype(int)
+        unit, twiddle, order = _fft_constants(n)
+        nodes = kappa * unit
+        a = np.fft.fft(values(nodes)) * twiddle
+        mag = np.abs(a)
         by_order = np.bincount(order, weights=mag)
         tail = np.append(np.cumsum(by_order[::-1])[-2::-1], 0.0)
         alias = tail[n // 4]
@@ -415,6 +461,17 @@ def _fft_series(values, kappa: float):
                 f"spectral series of L not resolved at N = {n}: coefficients "
                 f"beyond N/4 sum to {alias:.3e} > {SERIES_TOL:.1e}")
         n *= 2
+
+
+@functools.cache
+def _fft_constants(n: int):
+    """The q-independent parts of an N-point series: the unit nodes
+    tan(theta_j/2), the factor (-1)^k e^{-i pi k/N}/N that takes the FFT
+    of the node values to a_k, and |k|.  Built on first use, once per N."""
+    k = np.fft.fftfreq(n, 1.0 / n)
+    unit = np.tan(0.5 * math.pi * (2.0 * np.arange(n) + 1.0 - n) / n)
+    twiddle = (-1.0) ** k * np.exp(-1j * math.pi * k / n) / n
+    return _frozen(unit), _frozen(twiddle), _frozen(np.abs(k).astype(int))
 
 
 def _above_floor(mag: np.ndarray, order: np.ndarray, n: int) -> float:
@@ -447,13 +504,26 @@ class _Series:
         self.coeffs = {1: a_pos, -1: a_neg}
         self.error = float(tail[order] + alias)
 
+    def plus_sum(self, r: np.ndarray, n_up: int) -> np.ndarray:
+        """Sum_{n>0} a_{s n} r^n, with s = 1 for the first n_up points and
+        s = -1 for the others."""
+        out = np.empty(r.size, dtype=complex)
+        out[:n_up] = _power_sums(self.coeffs[1], r[:n_up])
+        out[n_up:] = _power_sums(self.coeffs[-1], r[n_up:])
+        return out
+
 
 def _power_sums(row: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Sum_{n=1}^{K} row[n-1] r^n: by Horner over a batch of points, by
-    one product with the powers of r for a few (where the K steps of the
-    loop would cost more than the arithmetic)."""
+    """Sum_{n=1}^{K} row[n-1] r^n: by Horner over a batch of points, from
+    the powers of r for a few (where the K steps of the loop would cost
+    more than the arithmetic).  Either way each point's sum is reduced on
+    its own, in an order that does not depend on the other points."""
     if r.size <= POWERS_MAX_POINTS:
-        return row @ np.cumprod(np.broadcast_to(r, (row.size, r.size)), axis=0)
+        powers = np.empty((r.size, row.size), dtype=complex)
+        powers[:] = r[:, None]
+        np.multiply.accumulate(powers, axis=1, out=powers)
+        powers *= row
+        return powers.sum(axis=1)
     acc = np.zeros(r.size, dtype=complex)
     for coef in row[::-1]:
         acc += coef
@@ -549,29 +619,59 @@ class CauchyTable:
         consts = {s: s * half0 + s_inf - 0.25j * math.pi * p for s in (1, -1)}
         return cls(nodes, series, kink, zeros, p, consts)
 
-    def _side(self, z, s):
-        """Phi above (s = 1) or below (s = -1) the axis, or its boundary
-        value on it from that side, with every series summed at rho(s z)."""
-        out = sum(_power_sums(part.coeffs[s], _rho(part.kappa, s * z))
-                  for part in self.series)
-        out += self.kink.plus_sum(_rho(self.kink.kappa, s * z), s)
-        out = s * (out + 0.5 * self.p * log_polar(z + s * 1j * self.kappa)) + self.consts[s]
-        for zero in self.zeros:
-            if s * zero[0].imag < 0:
-                out += s * _zero_log(z, zero)
-        return out
-
     def phi(self, xi0):
         """Phi at a batch of points anywhere in the plane: each point on
         its own side, and the principal value (the mean of both sides) on
-        the axis."""
+        the axis.  A batch of up to ONE_PASS_POINTS points takes one pass
+        for both sides, a larger one a pass per side."""
         xi0 = np.atleast_1d(np.asarray(xi0, dtype=complex))
         z = xi0.ravel()
+        above, below = z.imag > 0, z.imag < 0
+        on_axis = ~(above | below)
+        z_axis = z[on_axis]
         vals = np.empty(z.size, dtype=complex)
-        for s, m in ((1, z.imag > 0), (-1, z.imag < 0)):
-            if m.any():
-                vals[m] = self._side(z[m], s)
-        axis = z.imag == 0
-        if axis.any():
-            vals[axis] = 0.5 * (self._side(z[axis], 1) + self._side(z[axis], -1))
+        if z.size <= ONE_PASS_POINTS:
+            # the points above, on the axis, below and on the axis again:
+            # the first n_up of them on the side above
+            n_above, n_up = np.count_nonzero(above), z.size - np.count_nonzero(below)
+            out = self._pass(np.concatenate([z[above], z_axis, z[below], z_axis]), n_up)
+            vals[above], vals[below] = out[:n_above], out[n_up:z.size]
+            axis_up, axis_down = out[n_above:n_up], out[z.size:]
+        else:
+            # a pass per side, on arrays half the size
+            vals[above] = self._pass(z[above], np.count_nonzero(above))
+            vals[below] = self._pass(z[below], 0)
+            axis_up, axis_down = np.split(self._pass(np.tile(z_axis, 2), z_axis.size), 2)
+        vals[on_axis] = 0.5 * (axis_up + axis_down)
         return vals.reshape(xi0.shape)
+
+    def _pass(self, zs, n_up):
+        """Phi at the points zs, the first n_up on side s = 1 (above the
+        axis, or on it from above) and the others on side s = -1, in one
+        pass: one rho map per series, one ``log_polar`` and one zero log
+        per zero, with the sums of each side taken apart from the other
+        side's."""
+        if not zs.size:
+            return zs.copy()
+        up, down = slice(0, n_up), slice(n_up, zs.size)
+        w = zs.copy()           # s z
+        w[down] *= -1.0
+        first, *rest = self.series
+        out = first.plus_sum(_rho(first.kappa, w), n_up)
+        for part in rest:
+            out += part.plus_sum(_rho(part.kappa, w), n_up)
+        r = _rho(self.kink.kappa, w)
+        del w                   # the kink's sums hold the most temporaries
+        out += self.kink.plus_sum(r, n_up)
+        shifted = zs.copy()     # z + s i kappa
+        shifted[up] += 1j * self.kappa
+        shifted[down] -= 1j * self.kappa
+        out += 0.5 * self.p * log_polar(shifted)
+        out[down] *= -1.0
+        out[up] += self.consts[1]
+        out[down] += self.consts[-1]
+        for zero in self.zeros:
+            # a zero above the axis enters the side below, one below the side above
+            s, side = (-1, down) if zero[0].imag > 0 else (1, up)
+            out[side] += s * _zero_log(zs[side], zero)
+        return out

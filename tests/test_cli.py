@@ -716,7 +716,22 @@ def raise_beside_a_large_child_result(block):
     raise ValueError("the first block failed")
 
 
+SHARED_ROWS = ["a", "b", "c"]
+
+
+def shared_rows_block(block):
+    return SHARED_ROWS
+
+
 class TestDispatch:
+    def test_rows_of_the_first_block_are_copied(self):
+        # the caller's block function returns one list it keeps: the other
+        # blocks' rows go into a copy, not into that list
+        rows = cli._dispatch(shared_rows_block, list(range(6)), 2)
+        assert rows == SHARED_ROWS * 2 and rows is not SHARED_ROWS
+        assert SHARED_ROWS == ["a", "b", "c"]
+        assert multiprocessing.active_children() == []
+
     def test_caller_runs_the_first_block(self):
         rows = cli._dispatch(echo_block, list(range(5)), 3)
         assert [point for _, point in rows] == list(range(5))

@@ -35,6 +35,16 @@ from cauchy_oracle import direct_f_pm
 from conftest import CASE_REFERENCE_Q, TWO_SHEET_LEFT, TWO_SHEET_ROOT, make_sigma
 
 
+# the roots of sheets A-D to 17 digits, frozen from the solver (the
+# benchmark's reference roots)
+FROZEN_ROOTS = {
+    "A": 12.171985323661607 + 0.0j,
+    "B": 13.927609728644148 + 0.13927609731699217j,
+    "C": 21.65652120766199 + 0.21656521213883617j,
+    "D": 16.43769927047608 + 0.1643769926791393j,
+}
+
+
 def magneto_sbar(ratio=100.0, omega=2 * math.pi * 1e9, n0=1.18e15):
     """Nondimensional magneto-hydrodynamic tensor at |omega_c/omega| = ratio."""
     b0 = ratio * omega * constants.m_e / constants.e
@@ -215,6 +225,83 @@ class TestSolve:
                    for q in evaluated[2:])
         assert sol.q == evaluated[-1]
         assert sol.message.startswith("no convergence in 1 iterations")
+
+    @staticmethod
+    def _quadratic_root(qs, fs):
+        """The root nearer qs[-1] of the quadratic through (qs, fs), from
+        its Vandermonde system and np.roots."""
+        coeffs = np.linalg.solve(np.vander(np.array(qs), 3), np.array(fs))
+        roots = np.roots(coeffs)
+        return complex(roots[np.argmin(np.abs(roots - qs[-1]))])
+
+    def test_three_point_step_once_three_iterates_exist(self, monkeypatch):
+        # tanh(q - 10) from 11: the first step is the secant step and
+        # lowers |F|; the next evaluation is the root of the quadratic
+        # through the three iterates, not the secant point of the last two
+        f = lambda q: cmath.tanh(q - 10.0)
+        evaluated = self._synthetic(monkeypatch, f)
+        sol = solve(Problem.single_sheet(make_sigma("A"), 11.0), 11.0)
+        q0, q1, q2, q3 = evaluated[:4]
+        assert q2 == pytest.approx(q1 - f(q1) * (q1 - q0) / (f(q1) - f(q0)), rel=1e-14)
+        assert abs(f(q2)) < abs(f(q1))
+        assert q3 == pytest.approx(self._quadratic_root([q0, q1, q2], [f(q0), f(q1), f(q2)]),
+                                   rel=1e-9)
+        secant = q2 - f(q2) * (q2 - q1) / (f(q2) - f(q1))
+        assert abs(q3 - secant) > 0.1
+        assert sol.converged and sol.q == pytest.approx(10.0, abs=1e-10)
+
+    def test_secant_step_where_it_is_clamped(self, monkeypatch):
+        # sqrt(q) - sqrt(10) from 20: at the second step the secant step is
+        # longer than 0.3 |q| and the three-point step is not; the clamped
+        # secant step is taken, as from a far guess before
+        f = lambda q: cmath.sqrt(q) - math.sqrt(10.0)
+        evaluated = self._synthetic(monkeypatch, f)
+        solve(Problem.single_sheet(make_sigma("A"), 20.0), 20.0, maxiter=2)
+        q0, q1, q2, q3 = evaluated[:4]
+        limit = 0.3 * abs(q2)
+        secant = -f(q2) * (q2 - q1) / (f(q2) - f(q1))
+        three_point = self._quadratic_root([q0, q1, q2], [f(q0), f(q1), f(q2)]) - q2
+        assert abs(secant) > limit > abs(three_point)
+        assert q3 == pytest.approx(q2 + secant * limit / abs(secant), rel=1e-14)
+
+    def test_three_point_step_that_raises_the_residual_is_halved(self, monkeypatch):
+        # (1 + 0.2i)(q - 10) + 0.16 sin(4.1 (q - 10)) from 11.8: the
+        # quadratic through the first three iterates puts its root where |F|
+        # is larger than at the last iterate, so that step is halved, and
+        # the half step lowers |F|
+        f = lambda q: (1.0 + 0.2j) * (q - 10.0) + 0.16 * cmath.sin(4.1 * (q - 10.0))
+        evaluated = self._synthetic(monkeypatch, f)
+        sol = solve(Problem.single_sheet(make_sigma("A"), 11.8), 11.8)
+        q0, q1, q2, q3, q4 = evaluated[:5]
+        assert q3 == pytest.approx(self._quadratic_root([q0, q1, q2], [f(q0), f(q1), f(q2)]),
+                                   rel=1e-9)
+        assert abs(f(q3)) > abs(f(q2)) > abs(f(q4))
+        assert q4 == pytest.approx(q2 + 0.5 * (q3 - q2), rel=1e-14)
+        assert sol.converged and sol.q == pytest.approx(10.0, abs=1e-10)
+
+    def test_five_percent_guesses_of_the_reference_sheets(self):
+        # q_ref (1 +- 0.05) on sheets A-D: 56 residuals in all with the
+        # secant step alone, 49 with the three-point step near the root
+        total = 0
+        for name, root in FROZEN_ROOTS.items():
+            for factor in (0.95, 1.05):
+                guess = factor * CASE_REFERENCE_Q[name]
+                sol = solve(Problem.single_sheet(make_sigma(name), guess), guess)
+                assert sol.converged
+                assert abs(sol.q - root) <= 1e-8 * abs(root)
+                total += sol.iterations
+        assert total <= 49
+
+    def test_magnetoplasmon_solves_from_far_and_small_guesses(self):
+        # the three-point step is kept to the local regime: from above the
+        # root and from far below it, no solve takes more residuals than
+        # with the secant step alone (10, 17, 28 and 46)
+        sbar = ConductivityTensor(
+            -2e-4j, -0.02 - 2e-7j, 0.02 + 2e-7j, -2e-4j, nondimensional=True)
+        sols = [solve(Problem.single_sheet(sbar, q), q) for q in (200.0, 2.0, 0.1, 1e-3)]
+        assert all(sol.converged for sol in sols)
+        assert all(sol.iterations <= most for sol, most in zip(sols, (10, 17, 28, 46)))
+        assert all(abs(sol.q - sols[0].q) <= 1e-8 * abs(sols[0].q) for sol in sols)
 
     @pytest.mark.parametrize("guess", [11.4, 12.0, 12.566, 12.6])
     def test_two_sheet_solve_from_the_real_axis(self, guess):

@@ -174,6 +174,49 @@ class TestCauchyTransformBatch:
             ConductivityTensor.diagonal(0, 0, nondimensional=True), 4.0))
         assert list(cauchy_transform(kernel, [1j, -2.0])) == [0, 0]
 
+    @pytest.mark.parametrize("name", ["A", "B", "C", "D", "magneto"])
+    def test_one_pass_equals_the_point_calls_bit_for_bit(self, name, root_kernels):
+        # points above, below and on the axis, the root pair among them,
+        # near the axis and deep in both half-planes (where the kink is
+        # summed as a series), and on the levels of a small |q|: both sides
+        # share one pass, but each side's sums are taken on their own, so a
+        # point's value does not depend on the other points of its call
+        if name == "magneto":
+            sbar = ConductivityTensor(
+                -2e-4j, -0.02 - 2e-7j, 0.02 + 2e-7j, -2e-4j, nondimensional=True)
+            kernel = build_log_kernel(Problem.single_sheet(sbar, 0.1))
+        else:
+            kernel = root_kernels[name]
+        r = quadratic_roots(kernel.problem.sigma, kernel.problem.q)
+        kappa = kernel.scale
+        pts = np.array([r.xi_plus, r.xi_minus, 0.3 * kappa + 1e-7j * kappa,
+                        -1.5 * kappa - 1e-7j * kappa, 4.0 * kappa + 0j, -0.7 * kappa + 0j,
+                        0.2 * kappa + 1.1j * kappa, -0.1 * kappa - 0.9j * kappa,
+                        30.0 * kappa + 2j * kappa, 1e-3 * kappa + 0j, -1e-3j * kappa])
+        table = kernel.cauchy_table()
+        single = np.array([table.phi(z)[0] for z in pts])
+        assert np.array_equal(table.phi(pts), single)
+        assert np.array_equal(table.phi(pts[::-1]), single[::-1])
+        assert np.array_equal(table.phi(pts[:2]), single[:2])
+
+    def test_one_residual_reaches_phi_once(self, monkeypatch):
+        # each residual takes Phi at the root pair in one cauchy_transform
+        # call, nu_K != 0 included (the table is built inside it), so
+        # counting those calls counts residuals
+        calls = []
+        transform = wiener_hopf.cauchy_transform
+
+        def counting(kernel, xi0):
+            calls.append(np.size(xi0))
+            return transform(kernel, xi0)
+
+        monkeypatch.setattr(wiener_hopf, "cauchy_transform", counting)
+        residual(Problem.single_sheet(make_sigma("B"), 13.9 + 0.14j))
+        assert calls == [2]
+        with pytest.raises(NonzeroIndexError):
+            residual(Problem.single_sheet(make_sigma("C"), 0.87 * (21.657 + 0.217j)))
+        assert calls == [2, 2]
+
 
 class TestBoundaryValues:
     def test_plemelj_sum_is_log_symbol(self, root_kernels):
