@@ -16,13 +16,16 @@ algebraic tails in closed form.
 
 Both routines use one real-axis contour per kernel: t -+ i delta with
 delta = 1e-7 kappa, GK15 panels on [-span, span], span = max(40 kappa,
-3|q|), at most kappa/8 wide (and at most 3/max|x| for a profile), with
-panel edges added around the census zeros kept on the kernel, at their
-distance from the axis times 0, +-1, +-2, ..., +-16.  One ``CauchyTable.phi``
-call on the points of both sides gives Phi there (x > 0 and the edge
-limits use the lower side, x < 0 the upper one), memoized on the
-kernel, so whichever of ``edge_limits`` and ``phi_profile`` runs second
-reuses it.  Both add Phi's error estimate, carried through s_+-.
+3|q|), at most kappa/4 wide (and at most 3/max|x| for a profile,
+``_panel_width``), with panel edges added around the census zeros kept
+on the kernel, at their distance from the axis times 0, +-1, +-2, ...,
++-16.  One ``CauchyTable.phi`` call on the points of both sides gives Phi
+there (x > 0 and the edge limits use the lower side, x < 0 the upper
+one), and s_+- with Int |s_+-| follow once per side; the contour is
+memoized on the kernel, so whichever of ``edge_limits`` and
+``phi_profile`` runs second reuses it.  A profile's rotated tails, two
+per x, take one more ``CauchyTable.phi`` call between them.  Both
+routines add Phi's error estimate, carried through s_+-.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ def edge_limits(problem: Problem, kernel: UnwrappedLogKernel) -> EdgeLimits:
     # phi(0+) = C^+ - (1/2 pi i) Int [C^+ a/(xi-xi^+) + C^- b/(xi-xi^-)]
     # e^{-Q_-(xi)} dxi, whose closed-down evaluation is C^+ + C^-; computing
     # the integral numerically cross-checks the splitting.
-    contour = _field_contour(kernel, kernel.scale / 8.0)
+    contour = _field_contour(kernel, _panel_width(kernel))
     table = kernel.cauchy_table()
     span, delta = contour.span, contour.delta
 
@@ -126,7 +129,7 @@ def edge_limits(problem: Problem, kernel: UnwrappedLogKernel) -> EdgeLimits:
         # e^{-Q_-} = e^{+Phi} below the axis
         return _bracket(consts, xi) * np.exp(table.phi(xi))
 
-    s_vals = _bracket(consts, contour.nodes - 1j * delta) * np.exp(contour.phi_below)
+    s_vals, s_abs = contour.s[1.0]
     panels, diff = gk_panel_sums(s_vals.reshape(contour.half.size, -1), contour.half)
     integral = complex(panels.sum())
     # two-term power tails, no oscillation (x -> 0+ limit already taken)
@@ -135,7 +138,7 @@ def edge_limits(problem: Problem, kernel: UnwrappedLogKernel) -> EdgeLimits:
     integral += _tail_value(fit_r[:2], 1.5, span)
     integral += _tail_value(fit_l[:2], 1.5, span)
     # an error dPhi moves s_- = bracket e^{Phi} by |s_-| dPhi
-    phi_err = table.error_estimate * _abs_integral(s_vals, contour.half)
+    phi_err = table.error_estimate * s_abs
     err = (float(np.abs(diff).sum()) + fit_r[2] + fit_l[2] + phi_err) / (2.0 * math.pi)
     phi_plus = cp - integral / TWO_PI_I
     return EdgeLimits(complex(phi_plus), complex(phi_minus), complex(div_coeff),
@@ -303,14 +306,25 @@ def _panel_nodes(span: float, max_width: float, kernel: UnwrappedLogKernel):
     edges = np.linspace(-span, span, n_panels + 1)
     zeros = np.array([loc for loc, _ in kernel.first_sheet_zeros()], dtype=complex)
     inner = (zeros.real[:, None] + np.abs(zeros.imag)[:, None] * ZERO_EDGE_OFFSETS).ravel()
-    edges = np.unique(np.concatenate([edges, inner[np.abs(inner) < span]]))
+    # sorted, a repeated edge taken once (np.unique imports numpy.ma on first use)
+    edges = np.sort(np.concatenate([edges, inner[np.abs(inner) < span]]))
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     nodes, _ = gk_nodes_weights(edges[:-1], edges[1:])
     return nodes.ravel(), 0.5 * np.diff(edges)
 
 
+def _panel_width(kernel: UnwrappedLogKernel, xmax: float = 0.0) -> float:
+    """The widest field-contour panel: kappa/4, and for a profile out to
+    |x| = xmax at most 3/xmax, over which e^{i t x} turns 3 radians."""
+    width = kernel.scale / 4.0
+    return width if xmax == 0.0 else min(width, 3.0 / xmax)
+
+
 @dataclasses.dataclass(frozen=True)
 class _Contour:
-    """The real-axis field contour t -+ i delta and Phi on both sides."""
+    """The real-axis field contour t -+ i delta, Phi on both sides, and
+    s_+- = bracket e^{Phi} there with Int |s_+-|, keyed by side: 1.0 is
+    s_- below the axis (x > 0 and the edge limits), -1.0 is s_+ above it."""
 
     span: float
     delta: float
@@ -318,6 +332,7 @@ class _Contour:
     half: np.ndarray           # panel half widths
     phi_below: np.ndarray      # Phi(t - i delta)
     phi_above: np.ndarray      # Phi(t + i delta)
+    s: dict                    # side -> (s values, Int |s|)
 
 
 def _field_contour(kernel: UnwrappedLogKernel, width: float) -> _Contour:
@@ -333,7 +348,13 @@ def _field_contour(kernel: UnwrappedLogKernel, width: float) -> _Contour:
         nodes, half = _panel_nodes(span, max_width=width, kernel=kernel)
         below, above = np.split(kernel.cauchy_table().phi(
             np.concatenate([nodes - 1j * delta, nodes + 1j * delta])), 2)
-        return _Contour(span, delta, nodes, half, below, above)
+        # e^{-Q_-} = e^{+Phi} below the axis, e^{+Q_+} = e^{+Phi} above it
+        consts = _constants(kernel)
+        s = {}
+        for side, phi_v in ((1.0, below), (-1.0, above)):
+            vals = _bracket(consts, nodes - 1j * side * delta) * np.exp(phi_v)
+            s[side] = (vals, _abs_integral(vals, half))
+        return _Contour(span, delta, nodes, half, below, above, s)
 
     return kernel.memo(("field_contour", width), build)
 
@@ -348,31 +369,39 @@ def _vertical_panels(length: float, struct: float):
     return nodes.ravel(), 0.5 * np.diff(edges)
 
 
-def _rotated_tail(prob: Problem, table, consts, end: complex,
-                  x: float) -> tuple[complex, float, float]:
-    """Tail Int s(xi) e^(i xi x) dxi from xi = end out to infinity, taken
-    along the vertical ray where e^(i xi x) decays (upward for x > 0,
-    downward for x < 0).
+def _rotated_tails(prob: Problem, table, consts,
+                   tails) -> list[tuple[complex, float, float]]:
+    """Tails Int s(xi) e^(i xi x) dxi from xi = end out to infinity, one
+    per (end, x) in ``tails``, each taken along the vertical ray where
+    e^(i xi x) decays (upward for x > 0, downward for x < 0).
 
     Beyond the span the symbol has no zeros, so the integrand continues
     analytically across the real axis: for x > 0, e^{-Q_-} -> e^{Phi}/P
     above it, and for x < 0, e^{+Q_+} -> P e^{Phi} below it.  Exponential
-    decay makes the truncation error negligible for every |x|.  Returns
-    the tail, its embedded-rule error and Int |integrand|.
+    decay makes the truncation error negligible for every |x|.  The nodes
+    of all rays take one ``CauchyTable.phi`` call and one ``p_of_xi``
+    call.  Returns, per tail, the tail, its embedded-rule error and
+    Int |integrand|.
     """
-    rot = 1.0 if x > 0 else -1.0
-    length = 45.0 / abs(x)
-    s_nodes, s_half = _vertical_panels(length, struct=abs(end.real))
-    xi = end + 1j * rot * s_nodes
+    rays = [(end, x, *_vertical_panels(45.0 / abs(x), struct=abs(end.real)))
+            for end, x in tails]
+    xi = np.concatenate([end + 1j * np.sign(x) * s_nodes for end, x, s_nodes, _ in rays])
+    x_at = np.concatenate([np.full(s_nodes.size, x) for _, x, s_nodes, _ in rays])
     factor = np.exp(table.phi(xi))
-    crossed = xi.imag * rot > 0
+    crossed = np.sign(xi.imag) == np.sign(x_at)
     if crossed.any():
         p = p_of_xi(prob, xi[crossed])
-        factor[crossed] = factor[crossed] / p if x > 0 else factor[crossed] * p
-    vals = _bracket(consts, xi) * factor * np.exp(1j * xi * x)
-    panels, diff = gk_panel_sums(vals.reshape(s_half.size, -1), s_half)
-    return (1j * rot * complex(panels.sum()), float(np.abs(diff).sum()),
-            _abs_integral(vals, s_half))
+        f = factor[crossed]
+        factor[crossed] = np.where(x_at[crossed] > 0, f / p, f * p)
+    vals = _bracket(consts, xi) * factor * np.exp(1j * xi * x_at)
+    out, start = [], 0
+    for _, x, s_nodes, s_half in rays:
+        ray = vals[start:start + s_nodes.size]
+        start += s_nodes.size
+        panels, diff = gk_panel_sums(ray.reshape(s_half.size, -1), s_half)
+        out.append((1j * np.sign(x) * complex(panels.sum()), float(np.abs(diff).sum()),
+                    _abs_integral(ray, s_half)))
+    return out
 
 
 def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
@@ -396,27 +425,21 @@ def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
     consts = _constants(kernel)
     xp, xm, cp, cm, *_ = consts
     table = kernel.cauchy_table()
-    xmax = np.abs(x_values).max(initial=0.0)
-    width = kernel.scale / 8.0 if xmax == 0.0 else min(kernel.scale / 8.0, 3.0 / xmax)
-    contour = _field_contour(kernel, width)
-    nodes, half, delta = contour.nodes, contour.half, contour.delta
-    # e^{-Q_-} = e^{+Phi} below the axis (x > 0); e^{+Q_+} = e^{+Phi} above it (x < 0)
-    s_vals, s_abs = {}, {}
-    for side, phi_v in ((1.0, contour.phi_below), (-1.0, contour.phi_above)):
-        if np.any(x_values * side > 0):
-            xi = nodes - 1j * side * delta
-            s_vals[side] = _bracket(consts, xi) * np.exp(phi_v)
-            s_abs[side] = _abs_integral(s_vals[side], half)
+    contour = _field_contour(kernel, _panel_width(kernel, np.abs(x_values).max(initial=0.0)))
+    nodes, half, delta, span = contour.nodes, contour.half, contour.delta, contour.span
+    # the rotated tails from both ends of every x's side of the contour
+    all_tails = _rotated_tails(problem, table, consts, [
+        (end - 1j * np.sign(x) * delta, x) for x in x_values for end in (span, -span)])
 
     phi = np.empty(x_values.shape, dtype=complex)
     err = np.empty(x_values.shape, dtype=float)
     for i, x in enumerate(x_values):
         side = 1.0 if x > 0 else -1.0
+        s_vals, s_abs = contour.s[side]
         # contour factor e^{i xi x} = e^{i t x} e^{side * delta * x}
         osc = np.exp(1j * nodes * x + delta * side * x)
-        panels, diff = gk_panel_sums((s_vals[side] * osc).reshape(half.size, -1), half)
-        tails = [_rotated_tail(problem, table, consts, end - 1j * side * delta, x)
-                 for end in (contour.span, -contour.span)]
+        panels, diff = gk_panel_sums((s_vals * osc).reshape(half.size, -1), half)
+        tails = all_tails[2 * i:2 * i + 2]
         integral = panels.sum() + tails[0][0] - tails[1][0]
         if side > 0:
             # Lambda_- e^{-Q_-} = C^+/(xi-xi^+) + C^-/(xi-xi^-) - s_-
@@ -425,7 +448,7 @@ def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
             # Lambda_+ e^{+Q_+} = -C^+/(xi-xi^+) - C^-/(xi-xi^-) + s_+
             phi[i] = cm * np.exp(1j * xm * x) + integral / TWO_PI_I
         # |e^{i xi x}| = e^{side delta x} on the contour
-        s_int = s_abs[side] * math.exp(side * delta * x) + tails[0][2] + tails[1][2]
+        s_int = s_abs * math.exp(side * delta * x) + tails[0][2] + tails[1][2]
         err[i] = (abs(diff.sum()) + tails[0][1] + tails[1][1]
                   + table.error_estimate * s_int) / (2.0 * math.pi)
 

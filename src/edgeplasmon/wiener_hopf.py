@@ -518,6 +518,14 @@ def _power_sums(row: np.ndarray, r: np.ndarray) -> np.ndarray:
     the powers of r for a few (where the K steps of the loop would cost
     more than the arithmetic).  Either way each point's sum is reduced on
     its own, in an order that does not depend on the other points."""
+    if row.size == 1:
+        # numpy broadcasts a one-term row through another complex-product
+        # loop for one point than for many, which rounds differently; the
+        # product in real arithmetic rounds the same for any batch
+        c, out = row[0], np.empty(r.shape, dtype=complex)
+        out.real = c.real * r.real - c.imag * r.imag
+        out.imag = c.real * r.imag + c.imag * r.real
+        return out
     if r.size <= POWERS_MAX_POINTS:
         powers = np.empty((r.size, row.size), dtype=complex)
         powers[:] = r[:, None]

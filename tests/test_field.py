@@ -1,5 +1,8 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -13,11 +16,11 @@ from edgeplasmon import (
     phi_profile,
     spp_decomposition,
 )
-from edgeplasmon import wiener_hopf
-from edgeplasmon.field import _e_power, _field_contour
+from edgeplasmon import field, wiener_hopf
+from edgeplasmon.field import _e_power, _field_contour, _panel_width
 from edgeplasmon.wiener_hopf import CauchyTable
 from cauchy_oracle import adaptive_phi
-from conftest import TWO_SHEET_LEFT, make_sigma
+from conftest import TWO_SHEET_LEFT, TWO_SHEET_ROOT, make_sigma
 
 # a strongly anisotropic sheet whose symbol dips sharply near the axis
 ANISOTROPIC_SIGMA = ConductivityTensor(
@@ -37,6 +40,11 @@ NEAR_ROOT_Q = (
     48.54517884725514 + 7.802683628688954j,
     48.54517879294491 + 7.802683622853255j,
 )
+
+
+# profile points of the panel-width test: both sides, at the edge, near it
+# and where the 3/|x| oscillation cap takes over from kappa/4
+PANEL_TEST_X = (1e-5, -1e-5, -0.07, 0.35, 2.0, -2.0)
 
 
 class TestTailIntegrals:
@@ -108,7 +116,7 @@ class TestEdgeLimits:
         # panels once missed it and left Phi off by up to 2.8e-6 near
         # t = -24.6 (the oracle's own error there is ~2.3e-10)
         kernel = build_log_kernel(Problem.single_sheet(ANISOTROPIC_SIGMA, NEAR_ROOT_Q[0]))
-        contour = _field_contour(kernel, kernel.scale / 8.0)
+        contour = _field_contour(kernel, _panel_width(kernel))
         t = contour.nodes
         pick = np.concatenate([np.arange(0, t.size, 97),
                                np.flatnonzero(np.abs(t + 24.6) < 1.0)[::3]])
@@ -145,7 +153,7 @@ class TestEdgeLimits:
             phi_profile(prob, kern, [-0.4, -0.07, 0.1, 0.35])
             if not first_limits:
                 edge_limits(prob, kern)
-            nodes = _field_contour(kern, kern.scale / 8.0).nodes.size
+            nodes = _field_contour(kern, _panel_width(kern)).nodes.size
             contour = [n for n in calls if n == 2 * nodes]
             assert len(contour) == 1
             assert sum(calls) - contour[0] < 0.1 * contour[0]
@@ -188,6 +196,76 @@ class TestEdgeLimits:
         monkeypatch.setattr(wiener_hopf, "SERIES_N_MIN", 2 * kern.cauchy_table().nodes.size)
         ref = edge_limits(prob, build_log_kernel(prob))
         assert abs(limits.phi_plus - ref.phi_plus) <= limits.phi_plus_error
+
+
+class TestFieldContour:
+    @pytest.mark.parametrize("name", ["A", "B", "C", "D", "two-sheet"])
+    def test_panels_within_the_error_estimates(self, name, root_problems, monkeypatch):
+        # the contour's panels against panels 8 times narrower: phi and
+        # phi(0+) move by no more than their own error estimates.  The
+        # two-sheet problem has the left sheet's zeros, poles of P^R/P^L,
+        # at +-(38.70 + 0.19i), near the contour
+        if name == "two-sheet":
+            prob = Problem.two_sheet(TWO_SHEET_LEFT, make_sigma("A"), TWO_SHEET_ROOT)
+            xs = PANEL_TEST_X + (-0.1, -1e-3)
+        else:
+            prob, xs = root_problems[name], PANEL_TEST_X
+        kern = build_log_kernel(prob)
+        limits = edge_limits(prob, kern)
+        profiles = [phi_profile(prob, kern, [x]) for x in xs]
+        panel_nodes = field._panel_nodes
+        monkeypatch.setattr(field, "_panel_nodes", lambda span, max_width, kernel:
+                            panel_nodes(span, max_width / 8.0, kernel))
+        ref_kern = build_log_kernel(prob)
+        ref_limits = edge_limits(prob, ref_kern)
+        assert abs(limits.phi_plus - ref_limits.phi_plus) <= limits.phi_plus_error
+        for x, prof in zip(xs, profiles):
+            ref = phi_profile(prob, ref_kern, [x])
+            assert not prof.accuracy_flag.any(), x
+            assert abs(prof.phi[0] - ref.phi[0]) <= prof.error_estimate[0], x
+
+    def test_one_phi_call_for_all_rotated_tails(self, root_problems, monkeypatch):
+        # on a kernel whose contour is built, a profile reaches Phi once and
+        # P once, for the two rotated tails of every x together
+        phi_calls, p_calls = [], []
+        phi, p_of_xi = CauchyTable.phi, field.p_of_xi
+
+        def counted_phi(table, xi0):
+            phi_calls.append(np.size(xi0))
+            return phi(table, xi0)
+
+        def counted_p(problem, xi):
+            p_calls.append(np.size(xi))
+            return p_of_xi(problem, xi)
+
+        monkeypatch.setattr(CauchyTable, "phi", counted_phi)
+        monkeypatch.setattr(field, "p_of_xi", counted_p)
+        prob = root_problems["C"]
+        kern = build_log_kernel(prob)
+        edge_limits(prob, kern)
+        phi_calls.clear()
+        xs = [-0.4, -0.07, 1e-3, 0.1, 0.35]
+        phi_profile(prob, kern, xs)
+        span = _field_contour(kern, _panel_width(kern)).span
+        rays = sum(2 * field._vertical_panels(45.0 / abs(x), struct=span)[0].size for x in xs)
+        assert phi_calls == [rays]
+        assert len(p_calls) == 1
+
+    def test_field_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on first use (about 12 ms); the
+        # contour's panel edges are merged with a sort instead
+        code = ("import sys\n"
+                "from edgeplasmon import Problem, build_log_kernel, edge_limits, phi_profile\n"
+                "from edgeplasmon import ConductivityTensor, rotate\n"
+                "b = ConductivityTensor.diagonal(0.001 + 0.1j, 0.002 + 0.2j, nondimensional=True)\n"
+                "prob = Problem.single_sheet(rotate(b, 1.2566370614359172), 21.657 + 0.217j)\n"
+                "kern = build_log_kernel(prob)\n"
+                "edge_limits(prob, kern)\n"
+                "phi_profile(prob, kern, [-0.2, -0.05, 0.05, 0.2])\n"
+                "print('numpy.ma' in sys.modules)\n")
+        out = subprocess.run([sys.executable, "-c", code], env=os.environ.copy(),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestSppDecomposition:
@@ -298,7 +376,7 @@ class TestPhiProfile:
         # where |P| peaks at 666 on the axis; panel edges around them keep
         # the x < 0 estimate at ~1e-10 (edges from the phase grid left it
         # at 1.1e-4, flagged).  The reference takes panels an eighth as wide.
-        from edgeplasmon import field, solve
+        from edgeplasmon import solve
         sol = solve(Problem.two_sheet(TWO_SHEET_LEFT, make_sigma("A"), 12.0), 12.0)
         assert sol.converged
         prob = Problem.two_sheet(TWO_SHEET_LEFT, make_sigma("A"), sol.q)

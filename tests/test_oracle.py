@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from edgeplasmon import ConductivityTensor, Problem, build_log_kernel
-from edgeplasmon.field import _field_contour
+from edgeplasmon.field import _field_contour, _panel_width
 from edgeplasmon.spectrum import RealAxisZeroError
 from cauchy_oracle import adaptive_phi, mp_phi
 from conftest import TWO_SHEET_LEFT, TWO_SHEET_ROOT, make_sigma
@@ -41,7 +41,7 @@ def test_near_axis_zero_against_mpmath():
     # the first-sheet zero at -24.606+0.153i; the adaptive oracle is off by
     # ~2.3e-10 there (within its own estimate), the series is not
     kernel = build_log_kernel(Problem.single_sheet(ANISOTROPIC_SIGMA, NEAR_ROOT_Q[0]))
-    contour = _field_contour(kernel, kernel.scale / 8.0)
+    contour = _field_contour(kernel, _panel_width(kernel))
     table = kernel.cauchy_table()
     for i in np.argsort(np.abs(contour.nodes + 24.606))[:3]:
         z = contour.nodes[i] - 1j * contour.delta

@@ -21,7 +21,7 @@ from edgeplasmon import (
 )
 from edgeplasmon import wiener_hopf
 from edgeplasmon.branches import principal_log
-from edgeplasmon.field import _field_contour, _vertical_panels
+from edgeplasmon.field import _field_contour, _panel_width, _vertical_panels
 from edgeplasmon.quadrature import QuadratureError
 from edgeplasmon.spectrum import RealAxisZeroError
 from cauchy_oracle import adaptive_phi, mp_phi
@@ -198,6 +198,16 @@ class TestCauchyTransformBatch:
         assert np.array_equal(table.phi(pts), single)
         assert np.array_equal(table.phi(pts[::-1]), single[::-1])
         assert np.array_equal(table.phi(pts[:2]), single[:2])
+
+    def test_one_term_power_sums_do_not_depend_on_the_batch(self, rng):
+        # a series cut at order 1 has a one-term row: its sums too must
+        # give each point the same bits alone as among 64 others
+        row = rng.normal(size=1) + 1j * rng.normal(size=1)
+        r = 0.9 * np.exp(2j * math.pi * rng.uniform(size=64)) * rng.uniform(size=64)
+        batch = wiener_hopf._power_sums(row, r)
+        assert np.array_equal(batch, [wiener_hopf._power_sums(row, r[i:i + 1])[0]
+                                      for i in range(r.size)])
+        assert np.allclose(batch, row[0] * r, rtol=1e-15)
 
     def test_one_residual_reaches_phi_once(self, monkeypatch):
         # each residual takes Phi at the root pair in one cauchy_transform
@@ -442,9 +452,9 @@ class TestCauchyTableOracle:
         self._check_refined(kernel, self._contour_points(kernel, rng, 601, 150), monkeypatch)
 
     def test_rotated_tail_rays(self, kernel, monkeypatch):
-        # the vertical rays of field._rotated_tail from the ends of the
+        # the vertical rays of field._rotated_tails from the ends of the
         # field contour
-        contour = _field_contour(kernel, kernel.scale / 8.0)
+        contour = _field_contour(kernel, _panel_width(kernel))
         span, delta = contour.span, contour.delta
         rays = []
         for x in (0.05, -0.07, 0.35, -0.4):
@@ -459,7 +469,7 @@ class TestCauchyTableOracle:
     def test_conjugate_side_from_the_shared_pass(self, kernel):
         # the field contour's upper side comes out of its lower side's
         # series pass, bit for bit what a separate call gives
-        contour = _field_contour(kernel, kernel.scale / 8.0)
+        contour = _field_contour(kernel, _panel_width(kernel))
         table = kernel.cauchy_table()
         upper = table.phi(contour.nodes + 1j * contour.delta)
         lower = table.phi(contour.nodes - 1j * contour.delta)
