@@ -9,23 +9,23 @@ With the splitting in hand, the potential on either side of the edge is
 normalized to phi0 = 1.  The 1/(xi - xi^+-) partial-fraction pieces of
 Lambda are integrated in closed form (they give the C^+ e^{i xi^+ x} /
 -C^- e^{i xi^- x} terms); the remainder decays algebraically and is
-integrated on a contour shifted off the axis by a small delta.  Beyond
-the panelized span the profile contour turns into the half-plane where
-e^{i xi x} decays; the x -> 0 edge integral instead adds its fitted
-algebraic tails in closed form.
+integrated on a contour shifted off the axis by a small delta.
 
 Both routines use one real-axis contour per kernel: t -+ i delta with
 delta = 1e-7 kappa, GK15 panels on [-span, span], span = max(40 kappa,
 3|q|), at most kappa/4 wide (and at most 3/max|x| for a profile,
 ``_panel_width``), with panel edges added around the census zeros kept
 on the kernel, at their distance from the axis times 0, +-1, +-2, ...,
-+-16.  One ``CauchyTable.phi`` call on the points of both sides gives Phi
-there (x > 0 and the edge limits use the lower side, x < 0 the upper
-one), and s_+- with Int |s_+-| follow once per side; the contour is
-memoized on the kernel, so whichever of ``edge_limits`` and
-``phi_profile`` runs second reuses it.  A profile's rotated tails, two
-per x, take one more ``CauchyTable.phi`` call between them.  Both
-routines add Phi's error estimate, carried through s_+-.
++-16.  One ``CauchyTable.phi`` call on both sides gives Phi there, and
+s_+- with Int |s_+-| follow once per side; the contour is memoized on
+the kernel, so whichever routine runs second reuses it.  One side
+integral, ``_contour_integral``, serves both: x >= 0 (the edge limit is
+x = 0) takes the lower side, x < 0 the upper one.  The tails beyond the
+span are its inputs, each tail set from one ``CauchyTable.phi`` call:
+for x = 0 two-term algebraic fits at +-span, for a profile the rays
+from +-span into the half-plane where e^{i xi x} decays.  Its one error
+rule adds the moduli of the panels' embedded-rule misses, the tails'
+errors, and Phi's error carried through s_+-.
 """
 
 from __future__ import annotations
@@ -122,25 +122,8 @@ def edge_limits(problem: Problem, kernel: UnwrappedLogKernel) -> EdgeLimits:
     # the integral numerically cross-checks the splitting.
     contour = _field_contour(kernel, _panel_width(kernel))
     table = kernel.cauchy_table()
-    span, delta = contour.span, contour.delta
-
-    def s_minus(t):
-        xi = t - 1j * delta
-        # e^{-Q_-} = e^{+Phi} below the axis
-        return _bracket(consts, xi) * np.exp(table.phi(xi))
-
-    s_vals, s_abs = contour.s[1.0]
-    panels, diff = gk_panel_sums(s_vals.reshape(contour.half.size, -1), contour.half)
-    integral = complex(panels.sum())
-    # two-term power tails, no oscillation (x -> 0+ limit already taken)
-    fit_r = _fit_tail(s_minus, span, 1.5)
-    fit_l = _fit_tail(lambda t: s_minus(-t), span, 1.5)
-    integral += _tail_value(fit_r[:2], 1.5, span)
-    integral += _tail_value(fit_l[:2], 1.5, span)
-    # an error dPhi moves s_- = bracket e^{Phi} by |s_-| dPhi
-    phi_err = table.error_estimate * s_abs
-    err = (float(np.abs(diff).sum()) + fit_r[2] + fit_l[2] + phi_err) / (2.0 * math.pi)
-    phi_plus = cp - integral / TWO_PI_I
+    integral, err = _contour_integral(table, contour, 0.0, _fit_tails(table, consts, contour))
+    phi_plus = cp - complex(integral) / TWO_PI_I
     return EdgeLimits(complex(phi_plus), complex(phi_minus), complex(div_coeff),
                       phi_plus_error=err)
 
@@ -218,12 +201,11 @@ def spp_decomposition(problem: Problem, kernel: UnwrappedLogKernel) -> SppDecomp
         for w in locs[i + 1:]:
             if abs(z - w) < DEGENERATE_POLE_BAND * scale:
                 raise ValueError("coincident SPP zeros; residue decomposition singular")
-    modes = []
-    for z in locs:
-        e_qp = np.exp(cauchy_transform(kernel, z))   # e^{Q_+(xi_l)}, Im z > 0
-        amp = -_bracket(consts, z) * e_qp / dp_dxi(problem, z)
-        modes.append(SppMode(wavenumber=z, amplitude=complex(amp)))
-    modes.sort(key=lambda m: m.wavenumber.imag)
+    zs = np.array(locs, dtype=complex)
+    e_qp = np.exp(cauchy_transform(kernel, zs))   # e^{Q_+(xi_l)}, Im xi_l > 0
+    amps = -_bracket(consts, zs) * e_qp / dp_dxi(problem, zs)
+    modes = sorted((SppMode(wavenumber=z, amplitude=complex(amp)) for z, amp in zip(locs, amps)),
+                   key=lambda m: m.wavenumber.imag)
     return SppDecomposition(
         modes=tuple(modes),
         explicit_wavenumber=xp,
@@ -247,45 +229,50 @@ class FieldProfile:
 
 def _e_power(power: float, cut: float) -> float:
     """Int_cut^inf t^(-power) dt for power > 1."""
-    if power <= 1.0:
-        raise ValueError("divergent tail: power <= 1")
     return cut ** (1.0 - power) / (power - 1.0)
 
 
-def _fit_tail(s_fun, cut: float, power: float):
-    """Two-term amplitude fit s(t) ~ A t^-power + B t^-(power+1) on [0.8c, c].
-
-    Returns (A, B, tail_error).  The fit absorbs the next-order term, which
-    matters when the leading amplitude nearly vanishes (at dispersion
-    roots the leading coefficient is the residual A(q) itself).
-    tail_error estimates the error of the fitted tail integral from the
-    fit's miss at an interior checkpoint: the miss is taken to come from
-    a next-order term D t^-(power+2), whose tail integral the same fit
-    misses by a fixed multiple of its checkpoint miss (about 77 c).
-    """
+def _fit_tail(samples, cut: float):
+    """(Int_c^inf fit, its error, |A| e(1.5) + |B| e(2.5) >= Int |fit|) for
+    s(t) ~ A t^-1.5 + B t^-2.5 fitted to the samples of s at 0.8c and c.
+    The second term matters where A nearly vanishes (at dispersion roots A
+    is the residual A(q) itself).  The error comes from the fit's miss at
+    the third sample, at 0.9c, taken to come from a term D t^-3.5, whose
+    tail integral the same fit misses by a fixed multiple of its miss there
+    (about 77 c)."""
+    power = 1.5
     t1, t2, t3 = 0.8 * cut, cut, 0.9 * cut
-    s1, s2, s3 = s_fun(np.array([t1, t2, t3]))
+    s1, s2, s3 = samples
     m = np.array([[t1 ** -power, t1 ** -(power + 1.0)],
                   [t2 ** -power, t2 ** -(power + 1.0)]], dtype=complex)
     coef_a, coef_b = np.linalg.solve(m, np.array([s1, s2]))
     resid = abs(s3 - coef_a * t3 ** -power - coef_b * t3 ** -(power + 1.0))
+    e_a, e_b = _e_power(power, cut), _e_power(power + 1.0, cut)
     # the same fit of the unit next-order term: its checkpoint miss and
     # the error of its fitted tail integral
     nxt = power + 2.0
     n_a, n_b = np.linalg.solve(m.real, np.array([t1 ** -nxt, t2 ** -nxt]))
     miss = t3 ** -nxt - n_a * t3 ** -power - n_b * t3 ** -(power + 1.0)
-    tail_miss = _e_power(nxt, cut) - _tail_value((n_a, n_b), power, cut)
-    return complex(coef_a), complex(coef_b), float(resid * abs(tail_miss / miss))
+    tail_miss = _e_power(nxt, cut) - (n_a * e_a + n_b * e_b)
+    coef_a, coef_b = complex(coef_a), complex(coef_b)
+    return (coef_a * e_a + coef_b * e_b, float(resid * abs(tail_miss / miss)),
+            abs(coef_a) * e_a + abs(coef_b) * e_b)
+
+
+def _fit_tails(table, consts, contour) -> list[tuple[complex, float, float]]:
+    """The edge integral's fitted tails beyond +span and -span, without
+    oscillation (the x -> 0+ limit is taken): s_- at both ends' three
+    samples takes one ``CauchyTable.phi`` call."""
+    t = contour.span * np.array([0.8, 1.0, 0.9])
+    xi = np.concatenate([t, -t]) - 1j * contour.delta
+    # e^{-Q_-} = e^{+Phi} below the axis
+    s = _bracket(consts, xi) * np.exp(table.phi(xi))
+    return [_fit_tail(s[:3], contour.span), _fit_tail(s[3:], contour.span)]
 
 
 def _abs_integral(vals: np.ndarray, half: np.ndarray) -> float:
     """Int |f| over GK15 panels from the values of f at their nodes."""
     return float(gk_panel_sums(np.abs(vals).reshape(half.size, -1), half)[0].sum())
-
-
-def _tail_value(coefs, power: float, cut: float) -> complex:
-    a_c, b_c = coefs
-    return a_c * _e_power(power, cut) + b_c * _e_power(power + 1.0, cut)
 
 
 # panel edges at Re xi_z + |Im xi_z| times these, around each census zero
@@ -369,22 +356,20 @@ def _vertical_panels(length: float, struct: float):
     return nodes.ravel(), 0.5 * np.diff(edges)
 
 
-def _rotated_tails(prob: Problem, table, consts,
-                   tails) -> list[tuple[complex, float, float]]:
-    """Tails Int s(xi) e^(i xi x) dxi from xi = end out to infinity, one
-    per (end, x) in ``tails``, each taken along the vertical ray where
-    e^(i xi x) decays (upward for x > 0, downward for x < 0).
-
-    Beyond the span the symbol has no zeros, so the integrand continues
-    analytically across the real axis: for x > 0, e^{-Q_-} -> e^{Phi}/P
-    above it, and for x < 0, e^{+Q_+} -> P e^{Phi} below it.  Exponential
-    decay makes the truncation error negligible for every |x|.  The nodes
-    of all rays take one ``CauchyTable.phi`` call and one ``p_of_xi``
-    call.  Returns, per tail, the tail, its embedded-rule error and
-    Int |integrand|.
-    """
-    rays = [(end, x, *_vertical_panels(45.0 / abs(x), struct=abs(end.real)))
-            for end, x in tails]
+def _rotated_tails(prob: Problem, table, consts, contour: _Contour,
+                   x_values) -> list[list[tuple[complex, float, float]]]:
+    """Per x, the tails Int s(xi) e^(i xi x) dxi beyond +-span of x's side
+    of the contour with their embedded-rule errors and Int |integrand|,
+    each along the vertical ray from its end where e^(i xi x) decays
+    (upward for x > 0, downward for x < 0).  Beyond the span the symbol
+    has no zeros, so the integrand continues across the real axis: for
+    x > 0, e^{-Q_-} -> e^{Phi}/P above it, for x < 0, e^{+Q_+} -> P e^{Phi}
+    below it.  Exponential decay makes the truncation error negligible for
+    every |x|.  An x's two rays share their panels, and all rays take one
+    ``CauchyTable.phi`` call and one ``p_of_xi`` call."""
+    span, delta = contour.span, contour.delta
+    rays = [(end - 1j * np.sign(x) * delta, x, *ray) for x in x_values
+            for ray in [_vertical_panels(45.0 / abs(x), struct=span)] for end in (span, -span)]
     xi = np.concatenate([end + 1j * np.sign(x) * s_nodes for end, x, s_nodes, _ in rays])
     x_at = np.concatenate([np.full(s_nodes.size, x) for _, x, s_nodes, _ in rays])
     factor = np.exp(table.phi(xi))
@@ -395,13 +380,37 @@ def _rotated_tails(prob: Problem, table, consts,
         factor[crossed] = np.where(x_at[crossed] > 0, f / p, f * p)
     vals = _bracket(consts, xi) * factor * np.exp(1j * xi * x_at)
     out, start = [], 0
-    for _, x, s_nodes, s_half in rays:
+    for end, x, s_nodes, s_half in rays:
         ray = vals[start:start + s_nodes.size]
         start += s_nodes.size
         panels, diff = gk_panel_sums(ray.reshape(s_half.size, -1), s_half)
-        out.append((1j * np.sign(x) * complex(panels.sum()), float(np.abs(diff).sum()),
-                    _abs_integral(ray, s_half)))
-    return out
+        # the tail before -span is minus the ray integral from it
+        out.append((1j * np.sign(x) * np.sign(end.real) * complex(panels.sum()),
+                    float(np.abs(diff).sum()), _abs_integral(ray, s_half)))
+    return [out[i:i + 2] for i in range(0, len(out), 2)]
+
+
+def _contour_integral(table, contour: _Contour, x: float, tails):
+    """Int s(xi) e^(i xi x) dxi on x's side of the contour (s_- below the
+    axis for x >= 0, s_+ above it for x < 0) plus the (value, error,
+    Int |integrand|) ``tails``, and its error over 2 pi: the panels'
+    embedded-rule misses in modulus, the tails' errors, and Phi's error
+    through s, which an error dPhi moves by |s| dPhi."""
+    side = 1.0 if x >= 0 else -1.0
+    s_vals, s_int = contour.s[side]
+    if x != 0.0:
+        # e^{i xi x} = e^{i t x} e^{side delta x} on the contour; named, as
+        # s_vals * np.exp(...) lets numpy swap the factors (last-bit moves)
+        osc = np.exp(1j * contour.nodes * x + contour.delta * side * x)
+        s_vals = s_vals * osc
+        s_int = s_int * math.exp(side * contour.delta * x)
+    panels, diff = gk_panel_sums(s_vals.reshape(contour.half.size, -1), contour.half)
+    integral, err = panels.sum(), float(np.abs(diff).sum())
+    for value, tail_err, tail_abs in tails:
+        integral += value
+        err += tail_err
+        s_int += tail_abs
+    return integral, (err + table.error_estimate * s_int) / (2.0 * math.pi)
 
 
 def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
@@ -415,42 +424,33 @@ def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
     run along contours shifted off the axis by delta; beyond the panelized
     span the path turns into the half-plane where the oscillation decays
     exponentially.  Per-point error estimates (embedded Gauss rule and
-    Phi's error through s_+-) drive the accuracy flags.
+    Phi's error through s_+-) drive the accuracy flags.  ``x_values`` is
+    a 1-D sequence of finite, nonzero x, possibly empty: ``ValueError``
+    otherwise.
     """
     x_values = np.asarray(x_values, dtype=float)
+    if x_values.ndim != 1:
+        raise ValueError(f"the profile takes a 1-D sequence of x, not shape {x_values.shape}")
     if np.any(x_values == 0.0):
         raise ValueError("x = 0 is handled by edge_limits, not the profile")
     if not np.isfinite(x_values).all():
         raise ValueError("the profile takes finite x only")
+    phi = np.empty(x_values.shape, dtype=complex)
+    err = np.empty(x_values.shape, dtype=float)
+    if not x_values.size:
+        return FieldProfile(x=x_values, phi=phi, error_estimate=err, accuracy_flag=err > target_error)
     consts = _constants(kernel)
     xp, xm, cp, cm, *_ = consts
     table = kernel.cauchy_table()
-    contour = _field_contour(kernel, _panel_width(kernel, np.abs(x_values).max(initial=0.0)))
-    nodes, half, delta, span = contour.nodes, contour.half, contour.delta, contour.span
-    # the rotated tails from both ends of every x's side of the contour
-    all_tails = _rotated_tails(problem, table, consts, [
-        (end - 1j * np.sign(x) * delta, x) for x in x_values for end in (span, -span)])
-
-    phi = np.empty(x_values.shape, dtype=complex)
-    err = np.empty(x_values.shape, dtype=float)
+    contour = _field_contour(kernel, _panel_width(kernel, np.abs(x_values).max()))
+    tails = _rotated_tails(problem, table, consts, contour, x_values)
     for i, x in enumerate(x_values):
-        side = 1.0 if x > 0 else -1.0
-        s_vals, s_abs = contour.s[side]
-        # contour factor e^{i xi x} = e^{i t x} e^{side * delta * x}
-        osc = np.exp(1j * nodes * x + delta * side * x)
-        panels, diff = gk_panel_sums((s_vals * osc).reshape(half.size, -1), half)
-        tails = all_tails[2 * i:2 * i + 2]
-        integral = panels.sum() + tails[0][0] - tails[1][0]
-        if side > 0:
+        integral, err[i] = _contour_integral(table, contour, x, tails[i])
+        if x > 0:
             # Lambda_- e^{-Q_-} = C^+/(xi-xi^+) + C^-/(xi-xi^-) - s_-
             phi[i] = cp * np.exp(1j * xp * x) - integral / TWO_PI_I
         else:
             # Lambda_+ e^{+Q_+} = -C^+/(xi-xi^+) - C^-/(xi-xi^-) + s_+
             phi[i] = cm * np.exp(1j * xm * x) + integral / TWO_PI_I
-        # |e^{i xi x}| = e^{side delta x} on the contour
-        s_int = s_abs * math.exp(side * delta * x) + tails[0][2] + tails[1][2]
-        err[i] = (abs(diff.sum()) + tails[0][1] + tails[1][1]
-                  + table.error_estimate * s_int) / (2.0 * math.pi)
-
     return FieldProfile(x=x_values, phi=phi, error_estimate=err,
                         accuracy_flag=err > target_error)

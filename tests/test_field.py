@@ -18,6 +18,7 @@ from edgeplasmon import (
 )
 from edgeplasmon import field, wiener_hopf
 from edgeplasmon.field import _e_power, _field_contour, _panel_width
+from edgeplasmon.quadrature import gk_panel_sums
 from edgeplasmon.wiener_hopf import CauchyTable
 from cauchy_oracle import adaptive_phi
 from conftest import TWO_SHEET_LEFT, TWO_SHEET_ROOT, make_sigma
@@ -158,6 +159,23 @@ class TestEdgeLimits:
             assert len(contour) == 1
             assert sum(calls) - contour[0] < 0.1 * contour[0]
 
+    def test_one_phi_call_for_both_fitted_tails(self, root_problems, monkeypatch):
+        # once the contour exists, the edge limits reach Phi once, at the
+        # three fit samples of each end together
+        calls = []
+        phi = CauchyTable.phi
+
+        def counted(table, xi0):
+            calls.append(np.size(xi0))
+            return phi(table, xi0)
+
+        prob = root_problems["C"]
+        kern = build_log_kernel(prob)
+        _field_contour(kern, _panel_width(kern))
+        monkeypatch.setattr(CauchyTable, "phi", counted)
+        edge_limits(prob, kern)
+        assert calls == [6]
+
     def test_kernel_freed_without_cycle_collection(self, root_problems):
         # kernel -> memo -> table must not point back at the kernel, or the
         # kernel and its memoized arrays wait for a cyclic collection
@@ -251,6 +269,21 @@ class TestFieldContour:
         assert phi_calls == [rays]
         assert len(p_calls) == 1
 
+    def test_one_set_of_ray_panels_per_x(self, root_problems, monkeypatch):
+        # the rays from both ends of an x's side share their panels
+        calls = []
+        vertical_panels = field._vertical_panels
+
+        def counted(length, struct):
+            calls.append(length)
+            return vertical_panels(length, struct)
+
+        monkeypatch.setattr(field, "_vertical_panels", counted)
+        prob = root_problems["C"]
+        xs = [-0.4, -0.07, 0.1, 0.35]
+        phi_profile(prob, build_log_kernel(prob), xs)
+        assert calls == [45.0 / abs(x) for x in xs]
+
     def test_field_leaves_numpy_ma_unimported(self):
         # np.unique imports numpy.ma on first use (about 12 ms); the
         # contour's panel edges are merged with a sort instead
@@ -277,6 +310,18 @@ class TestSppDecomposition:
         # wavenumbers are exactly the census zeros (shared computation)
         census_locs = {z.location for z in dec.census.upper_first_sheet()}
         assert {m.wavenumber for m in dec.modes} == census_locs
+
+    def test_amplitudes_match_the_one_point_residues(self, root_problems, root_kernels):
+        # the residues, taken at all zeros in one call per factor, against
+        # the residue formula at each zero alone
+        for name in "ABCD":
+            prob, kern = root_problems[name], root_kernels[name]
+            consts = field._constants(kern)
+            for mode in spp_decomposition(prob, kern).modes:
+                z = mode.wavenumber
+                ref = (-field._bracket(consts, z) * np.exp(wiener_hopf.cauchy_transform(kern, z))
+                       / field.dp_dxi(prob, z))
+                assert abs(mode.amplitude - ref) <= 1e-15 * abs(ref), name
 
     def test_empty_census_empty_sum(self, root_problems, root_kernels):
         # case A has no nonmarginal upper zeros beyond... it has one mode;
@@ -305,6 +350,33 @@ class TestPhiProfile:
         for x in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite x"):
                 phi_profile(root_problems["A"], root_kernels["A"], [0.1, x])
+
+    def test_input_shapes(self, root_problems, root_kernels):
+        # an empty x gives an empty profile; a scalar or 2-D x is refused
+        prob, kern = root_problems["A"], root_kernels["A"]
+        prof = phi_profile(prob, kern, [])
+        assert prof.x.shape == prof.phi.shape == prof.error_estimate.shape == (0,)
+        assert prof.accuracy_flag.shape == (0,) and prof.accuracy_flag.dtype == bool
+        for xs in (0.1, [[0.1, -0.1]]):
+            with pytest.raises(ValueError, match="1-D"):
+                phi_profile(prob, kern, xs)
+
+    @pytest.mark.parametrize("name", "ABCD")
+    @pytest.mark.parametrize("x", [2.0, -2.0])
+    def test_error_estimate_holds_the_panel_misses_in_modulus(self, name, x, root_problems,
+                                                              root_kernels):
+        # the estimate adds the moduli of the contour panels' embedded-rule
+        # misses, as the edge limits and the rotated tails do; their signed
+        # sum can cancel to far below its terms (5.2e-17 against 1.9e-13 on
+        # A at x = -2)
+        prob, kern = root_problems[name], root_kernels[name]
+        prof = phi_profile(prob, kern, [x])
+        contour = _field_contour(kern, _panel_width(kern, abs(x)))
+        side = 1.0 if x > 0 else -1.0
+        osc = np.exp(1j * contour.nodes * x + contour.delta * side * x)
+        vals = contour.s[side][0] * osc
+        _, diff = gk_panel_sums(vals.reshape(contour.half.size, -1), contour.half)
+        assert prof.error_estimate[0] >= np.abs(diff).sum() / (2.0 * math.pi)
 
     def test_case_a_decay_and_edge_approach(self, root_problems, root_kernels):
         prob, kern = root_problems["A"], root_kernels["A"]
