@@ -11,21 +11,23 @@ Lambda are integrated in closed form (they give the C^+ e^{i xi^+ x} /
 -C^- e^{i xi^- x} terms); the remainder decays algebraically and is
 integrated on a contour shifted off the axis by a small delta.
 
-Both routines use one real-axis contour per kernel: t -+ i delta with
+Both routines use one real-axis contour per kernel: t - i delta with
 delta = 1e-7 kappa, GK15 panels on [-span, span], span = max(40 kappa,
 3|q|), at most kappa/4 wide (and at most 3/max|x| for a profile,
 ``_panel_width``), with panel edges added around the census zeros kept
 on the kernel, at their distance from the axis times 0, +-1, +-2, ...,
-+-16.  One ``CauchyTable.phi`` call on both sides gives Phi there, and
-s_+- with Int |s_+-| follow once per side; the contour is memoized on
-the kernel, so whichever routine runs second reuses it.  One side
-integral, ``_contour_integral``, serves both: x >= 0 (the edge limit is
-x = 0) takes the lower side, x < 0 the upper one.  The tails beyond the
-span are its inputs, each tail set from one ``CauchyTable.phi`` call:
-for x = 0 two-term algebraic fits at +-span, for a profile the rays
-from +-span into the half-plane where e^{i xi x} decays.  Its one error
-rule adds the moduli of the panels' embedded-rule misses, the tails'
-errors, and Phi's error carried through s_+-.
++-16.  One ``CauchyTable.phi`` call gives Phi there and s_- = bracket
+e^{Phi}; the x < 0 integrand e^{+Q_+} = P e^{Phi} continues from above
+the axis to the same nodes (nothing in the 2 delta strip stops it), so
+s_+ = s_- P takes one ``p_of_xi`` call.  Both, with Int |s_+-|, are
+memoized on the kernel, so whichever routine runs second reuses them.
+One side integral, ``_contour_integral``, serves both signs of x (the
+edge limit is x = 0).  The tails beyond the span are its inputs, each
+tail set from one ``CauchyTable.phi`` call: for x = 0 two-term
+algebraic fits at +-span, for a profile the rays from +-span - i delta
+into the half-plane where e^{i xi x} decays.  Its one error rule adds
+the moduli of the panels' embedded-rule misses, the tails' errors, and
+Phi's error carried through s_+-.
 """
 
 from __future__ import annotations
@@ -51,6 +53,8 @@ __all__ = [
 ]
 
 TWO_PI_I = 2j * math.pi
+# the roundings of a closed-form limit, per unit of its terms' moduli
+ROUNDING = 4.0 * np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +64,8 @@ TWO_PI_I = 2j * math.pi
 
 @dataclasses.dataclass(frozen=True)
 class EdgeLimits:
-    """phi(0+), phi(0-) (phi0 = 1) and the divergence coefficient.
+    """phi(0+), phi(0-) (phi0 = 1), the divergence coefficient and the
+    limits' error estimates (Phi's error and, for phi(0-), roundings).
 
     ``divergence_coefficient`` is A = C^+ e^{-Q_+(xi^+)} + C^- e^{Q_-(xi^-)},
     the prefactor of the divergent edge integral; its vanishing *is* the
@@ -73,6 +78,7 @@ class EdgeLimits:
     phi_minus: complex
     divergence_coefficient: complex
     phi_plus_error: float = 0.0
+    phi_minus_error: float = 0.0
 
 
 def _constants(kernel: UnwrappedLogKernel):
@@ -104,18 +110,27 @@ def edge_limits(problem: Problem, kernel: UnwrappedLogKernel) -> EdgeLimits:
     consts = _constants(kernel)
     xp, xm, cp, cm, a, b = consts
     div_coeff = cp * a + cm * b
+    # the closed forms take Phi(xi^+-) through a/b = e^{Phi(xi^-) - Phi(xi^+)}
+    # alone: an error dPhi in each Phi moves a limit by 2 dPhi |d limit /
+    # d ln(a/b)| to first order.  phi(0-) adds its roundings, 4 eps times its
+    # terms' moduli: on a mirror-symmetric sheet the first-order term is 0
+    phi_err = 2.0 * kernel.cauchy_table().error_estimate
 
     if problem.variant is Variant.TWO_SHEET:
         phi_plus = 1.0 + div_coeff * xm * (1.0 / b) / (xp - xm)
         phi_minus = 1.0 - div_coeff * xp * (1.0 / a) / (xp - xm)
-        # phi(0+) - 1 = xm (C^+ a/b + C^-)/(xp - xm) with a/b = e^{Phi(xi^-) -
-        # Phi(xi^+)}: an error dPhi in each Phi moves it by twice
-        # |xm C^+ a/b/(xp - xm)| dPhi, to first order
-        err = 2.0 * kernel.cauchy_table().error_estimate * abs(xm * cp * a / (b * (xp - xm)))
+        # phi(0+) = 1 + xm (C^+ a/b + C^-)/(xp - xm), phi(0-) = 1 - xp (C^+ +
+        # C^- b/a)/(xp - xm)
+        plus_err = phi_err * abs(xm * cp * a / (b * (xp - xm)))
+        terms = np.array([1.0, xp * cp / (xp - xm), xp * cm * b / (a * (xp - xm))])
+        minus_err = phi_err * abs(terms[2]) + ROUNDING * np.abs(terms).sum()
         return EdgeLimits(complex(phi_plus), complex(phi_minus), complex(div_coeff),
-                          phi_plus_error=err)
+                          phi_plus_error=plus_err, phi_minus_error=float(minus_err))
 
     phi_minus = -(cp * xm * a + cm * xp * b) * (1.0 / a - 1.0 / b) / (xp - xm)
+    # phi(0-) = (C^+ xm a/b + C^- xp - C^+ xm - C^- xp b/a)/(xp - xm)
+    terms = np.array([cp * xm * a / b, cm * xp * b / a, cp * xm, cm * xp]) / (xp - xm)
+    minus_err = phi_err * abs(terms[0] + terms[1]) + ROUNDING * np.abs(terms).sum()
 
     # phi(0+) = C^+ - (1/2 pi i) Int [C^+ a/(xi-xi^+) + C^- b/(xi-xi^-)]
     # e^{-Q_-(xi)} dxi, whose closed-down evaluation is C^+ + C^-; computing
@@ -125,7 +140,7 @@ def edge_limits(problem: Problem, kernel: UnwrappedLogKernel) -> EdgeLimits:
     integral, err = _contour_integral(table, contour, 0.0, _fit_tails(table, consts, contour))
     phi_plus = cp - complex(integral) / TWO_PI_I
     return EdgeLimits(complex(phi_plus), complex(phi_minus), complex(div_coeff),
-                      phi_plus_error=err)
+                      phi_plus_error=err, phi_minus_error=float(minus_err))
 
 
 # ---------------------------------------------------------------------------
@@ -309,23 +324,23 @@ def _panel_width(kernel: UnwrappedLogKernel, xmax: float = 0.0) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class _Contour:
-    """The real-axis field contour t -+ i delta, Phi on both sides, and
-    s_+- = bracket e^{Phi} there with Int |s_+-|, keyed by side: 1.0 is
-    s_- below the axis (x > 0 and the edge limits), -1.0 is s_+ above it."""
+    """The real-axis field contour t - i delta, Phi there, and s_+- with
+    Int |s_+-|, keyed by side: 1.0 is s_- = bracket e^{Phi} (x > 0 and
+    the edge limits), -1.0 is s_+ = s_- P (x < 0)."""
 
     span: float
     delta: float
     nodes: np.ndarray          # t, GK15 nodes of [-span, span]
     half: np.ndarray           # panel half widths
     phi_below: np.ndarray      # Phi(t - i delta)
-    phi_above: np.ndarray      # Phi(t + i delta)
     s: dict                    # side -> (s values, Int |s|)
 
 
 def _field_contour(kernel: UnwrappedLogKernel, width: float) -> _Contour:
     """The contour with panels at most ``width`` wide, memoized on the
     kernel: ``edge_limits`` and ``phi_profile`` share it whenever their
-    widths agree, and one ``CauchyTable.phi`` call gives both sides."""
+    widths agree.  It takes one ``CauchyTable.phi`` and one ``p_of_xi``
+    call."""
     def build():
         # the error of the edge limits' fitted tails falls like span^-2.5:
         # on sheet D at its root |phi(0+) - 1| is 1.6e-4 at 20 kappa,
@@ -333,15 +348,13 @@ def _field_contour(kernel: UnwrappedLogKernel, width: float) -> _Contour:
         span = max(40.0 * kernel.scale, 3.0 * abs(kernel.problem.q))
         delta = 1e-7 * kernel.scale
         nodes, half = _panel_nodes(span, max_width=width, kernel=kernel)
-        below, above = np.split(kernel.cauchy_table().phi(
-            np.concatenate([nodes - 1j * delta, nodes + 1j * delta])), 2)
-        # e^{-Q_-} = e^{+Phi} below the axis, e^{+Q_+} = e^{+Phi} above it
-        consts = _constants(kernel)
-        s = {}
-        for side, phi_v in ((1.0, below), (-1.0, above)):
-            vals = _bracket(consts, nodes - 1j * side * delta) * np.exp(phi_v)
-            s[side] = (vals, _abs_integral(vals, half))
-        return _Contour(span, delta, nodes, half, below, above, s)
+        xi = nodes - 1j * delta
+        below = kernel.cauchy_table().phi(xi)
+        # e^{-Q_-} = e^{+Phi} below the axis, and e^{+Q_+} = P e^{+Phi}
+        minus = _bracket(_constants(kernel), xi) * np.exp(below)
+        plus = minus * p_of_xi(kernel.problem, xi)
+        s = {1.0: (minus, _abs_integral(minus, half)), -1.0: (plus, _abs_integral(plus, half))}
+        return _Contour(span, delta, nodes, half, below, s)
 
     return kernel.memo(("field_contour", width), build)
 
@@ -358,17 +371,17 @@ def _vertical_panels(length: float, struct: float):
 
 def _rotated_tails(prob: Problem, table, consts, contour: _Contour,
                    x_values) -> list[list[tuple[complex, float, float]]]:
-    """Per x, the tails Int s(xi) e^(i xi x) dxi beyond +-span of x's side
-    of the contour with their embedded-rule errors and Int |integrand|,
-    each along the vertical ray from its end where e^(i xi x) decays
+    """Per x, the tails Int s(xi) e^(i xi x) dxi beyond +-span of the
+    contour with their embedded-rule errors and Int |integrand|, each
+    along the vertical ray from +-span - i delta where e^(i xi x) decays
     (upward for x > 0, downward for x < 0).  Beyond the span the symbol
     has no zeros, so the integrand continues across the real axis: for
-    x > 0, e^{-Q_-} -> e^{Phi}/P above it, for x < 0, e^{+Q_+} -> P e^{Phi}
-    below it.  Exponential decay makes the truncation error negligible for
-    every |x|.  An x's two rays share their panels, and all rays take one
-    ``CauchyTable.phi`` call and one ``p_of_xi`` call."""
+    x > 0, e^{-Q_-} -> e^{Phi}/P above it, and for x < 0, e^{+Q_+} = P
+    e^{Phi} below it.  Exponential decay makes the truncation error
+    negligible for every |x|.  An x's two rays share their panels, and
+    all rays take one ``CauchyTable.phi`` call and one ``p_of_xi`` call."""
     span, delta = contour.span, contour.delta
-    rays = [(end - 1j * np.sign(x) * delta, x, *ray) for x in x_values
+    rays = [(end - 1j * delta, x, *ray) for x in x_values
             for ray in [_vertical_panels(45.0 / abs(x), struct=span)] for end in (span, -span)]
     xi = np.concatenate([end + 1j * np.sign(x) * s_nodes for end, x, s_nodes, _ in rays])
     x_at = np.concatenate([np.full(s_nodes.size, x) for _, x, s_nodes, _ in rays])
@@ -391,19 +404,18 @@ def _rotated_tails(prob: Problem, table, consts, contour: _Contour,
 
 
 def _contour_integral(table, contour: _Contour, x: float, tails):
-    """Int s(xi) e^(i xi x) dxi on x's side of the contour (s_- below the
-    axis for x >= 0, s_+ above it for x < 0) plus the (value, error,
-    Int |integrand|) ``tails``, and its error over 2 pi: the panels'
-    embedded-rule misses in modulus, the tails' errors, and Phi's error
-    through s, which an error dPhi moves by |s| dPhi."""
-    side = 1.0 if x >= 0 else -1.0
-    s_vals, s_int = contour.s[side]
+    """Int s(xi) e^(i xi x) dxi along the contour (s_- for x >= 0, s_+
+    for x < 0) plus the (value, error, Int |integrand|) ``tails``, and
+    its error over 2 pi: the panels' embedded-rule misses in modulus, the
+    tails' errors, and Phi's error through s, which an error dPhi moves
+    by |s| dPhi."""
+    s_vals, s_int = contour.s[1.0 if x >= 0 else -1.0]
     if x != 0.0:
-        # e^{i xi x} = e^{i t x} e^{side delta x} on the contour; named, as
+        # e^{i xi x} = e^{i t x} e^{delta x} on the contour; named, as
         # s_vals * np.exp(...) lets numpy swap the factors (last-bit moves)
-        osc = np.exp(1j * contour.nodes * x + contour.delta * side * x)
+        osc = np.exp(1j * contour.nodes * x + contour.delta * x)
         s_vals = s_vals * osc
-        s_int = s_int * math.exp(side * contour.delta * x)
+        s_int = s_int * math.exp(contour.delta * x)
     panels, diff = gk_panel_sums(s_vals.reshape(contour.half.size, -1), contour.half)
     integral, err = panels.sum(), float(np.abs(diff).sum())
     for value, tail_err, tail_abs in tails:
@@ -420,8 +432,8 @@ def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
     x > 0 (on the sheet):  phi = C^+ e^{i xi^+ x} - (1/2 pi i) Int s_-(xi)
     e^{i xi x} dxi with s_- = [C^- b/(xi-xi^-) + C^+ a/(xi-xi^+)] e^{-Q_-};
     x < 0: phi = C^- e^{i xi^- x} + (1/2 pi i) Int s_+(xi) e^{i xi x} dxi
-    with s_+ = [C^+ a/(xi-xi^+) + C^- b/(xi-xi^-)] e^{Q_+}.  The integrals
-    run along contours shifted off the axis by delta; beyond the panelized
+    with s_+ = [C^+ a/(xi-xi^+) + C^- b/(xi-xi^-)] e^{Q_+}.  Both integrals
+    run along the contour delta below the axis; beyond the panelized
     span the path turns into the half-plane where the oscillation decays
     exponentially.  Per-point error estimates (embedded Gauss rule and
     Phi's error through s_+-) drive the accuracy flags.  ``x_values`` is

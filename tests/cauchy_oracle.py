@@ -88,7 +88,20 @@ def _adaptive_chunk(kernel, points, rtol):
     return values, res.error / (2.0 * math.pi)
 
 
+# mp_phi values by (problem, z, dps): a kernel is a function of its problem,
+# and the root values serve more than one test
+_MP_PHI = {}
+
+
 def mp_phi(kernel, z, dps=30):
+    """Phi(z) off the axis to ``dps`` digits by ``mpmath.quad``, cached."""
+    key = (kernel.problem, complex(z), dps)
+    if key not in _MP_PHI:
+        _MP_PHI[key] = _mp_phi(kernel, z, dps)
+    return _MP_PHI[key]
+
+
+def _mp_phi(kernel, z, dps):
     """Phi(z) off the axis to ``dps`` digits by ``mpmath.quad``: the pair
     +-t of the symmetric integral is summed over t > 0, with breakpoints
     at the near-pole, at the near-axis zeros of every sheet's P and on the

@@ -21,7 +21,7 @@ from edgeplasmon.field import _e_power, _field_contour, _panel_width
 from edgeplasmon.quadrature import gk_panel_sums
 from edgeplasmon.wiener_hopf import CauchyTable
 from cauchy_oracle import adaptive_phi
-from conftest import TWO_SHEET_LEFT, TWO_SHEET_ROOT, make_sigma
+from conftest import INTERFACE_ROOT, TWO_SHEET_LEFT, TWO_SHEET_ROOT, make_sigma
 
 # a strongly anisotropic sheet whose symbol dips sharply near the axis
 ANISOTROPIC_SIGMA = ConductivityTensor(
@@ -41,6 +41,51 @@ NEAR_ROOT_Q = (
     48.54517884725514 + 7.802683628688954j,
     48.54517879294491 + 7.802683622853255j,
 )
+
+
+# profile points of the continuation tests, from far out to the edge
+CONTINUATION_X = (-2.0, -0.4, -0.07, -1e-3, -1e-5)
+
+
+def upper_side_profile(kernel, xs):
+    """phi(x < 0) and its error estimate from the contour's upper side:
+    s_+ = bracket e^{Phi(t + i delta)} on the profile contour's panels and
+    rays from +-span + i delta downward, where e^{Q_+} crosses the axis as
+    P e^{Phi}.  The profile takes s_+ = s_- P below the axis instead."""
+    table, consts = kernel.cauchy_table(), field._constants(kernel)
+    _, xm, _, cm, *_ = consts
+    contour = _field_contour(kernel, _panel_width(kernel, np.abs(xs).max()))
+    span, delta, t, half = contour.span, contour.delta, contour.nodes, contour.half
+    s_up = field._bracket(consts, t + 1j * delta) * np.exp(table.phi(t + 1j * delta))
+    phi, err = [], []
+    for x in xs:
+        vals = s_up * np.exp(1j * t * x - delta * x)
+        panels, diff = gk_panel_sums(vals.reshape(half.size, -1), half)
+        total, miss = panels.sum(), np.abs(diff).sum()
+        s_abs = field._abs_integral(vals, half)
+        s_nodes, s_half = field._vertical_panels(45.0 / abs(x), struct=span)
+        for end in (span, -span):
+            xi = end + 1j * delta - 1j * s_nodes
+            factor = np.exp(table.phi(xi))
+            below = xi.imag < 0
+            factor[below] *= field.p_of_xi(kernel.problem, xi[below])
+            ray = field._bracket(consts, xi) * factor * np.exp(1j * xi * x)
+            panels, diff = gk_panel_sums(ray.reshape(s_half.size, -1), s_half)
+            # the tail beyond +span is the ray integral, before -span minus it
+            total += -1j * np.sign(end) * panels.sum()
+            miss += np.abs(diff).sum()
+            s_abs += field._abs_integral(ray, s_half)
+        phi.append(cm * np.exp(1j * xm * x) + total / (2j * math.pi))
+        err.append((miss + table.error_estimate * s_abs) / (2.0 * math.pi))
+    return np.array(phi), np.array(err)
+
+
+def assert_continuation_holds(kernel, xs):
+    """The profile below the axis agrees with the upper side's within the
+    sum of both error estimates."""
+    prof = phi_profile(kernel.problem, kernel, xs)
+    ref, ref_err = upper_side_profile(kernel, xs)
+    assert np.all(np.abs(prof.phi - ref) <= prof.error_estimate + ref_err), xs
 
 
 # profile points of the panel-width test: both sides, at the edge, near it
@@ -135,8 +180,9 @@ class TestEdgeLimits:
 
     def test_shares_one_contour_pass_with_the_profile(self, root_problems,
                                                       monkeypatch):
-        # one phi pass over the real-axis contour, for both sides, whichever
-        # of edge_limits and phi_profile runs first
+        # one phi pass over the real-axis contour, below the axis only,
+        # whichever of edge_limits and phi_profile runs first; besides it,
+        # Phi(xi^+-), the six fit samples and the rays of all x
         calls = []
         phi = CauchyTable.phi
 
@@ -146,18 +192,19 @@ class TestEdgeLimits:
 
         monkeypatch.setattr(CauchyTable, "phi", counted)
         prob = root_problems["C"]
+        xs = [-0.4, -0.07, 0.1, 0.35]
         for first_limits in (True, False):
             calls.clear()
             kern = build_log_kernel(prob)
             if first_limits:
                 edge_limits(prob, kern)
-            phi_profile(prob, kern, [-0.4, -0.07, 0.1, 0.35])
+            phi_profile(prob, kern, xs)
             if not first_limits:
                 edge_limits(prob, kern)
-            nodes = _field_contour(kern, _panel_width(kern)).nodes.size
-            contour = [n for n in calls if n == 2 * nodes]
-            assert len(contour) == 1
-            assert sum(calls) - contour[0] < 0.1 * contour[0]
+            contour = _field_contour(kern, _panel_width(kern))
+            rays = sum(2 * field._vertical_panels(45.0 / abs(x), struct=contour.span)[0].size
+                       for x in xs)
+            assert sorted(calls) == sorted([2, contour.nodes.size, 6, rays])
 
     def test_one_phi_call_for_both_fitted_tails(self, root_problems, monkeypatch):
         # once the contour exists, the edge limits reach Phi once, at the
@@ -242,9 +289,28 @@ class TestFieldContour:
             assert not prof.accuracy_flag.any(), x
             assert abs(prof.phi[0] - ref.phi[0]) <= prof.error_estimate[0], x
 
+    @pytest.mark.parametrize("name", ["A", "B", "C", "D", "interface", "anisotropic",
+                                      "two-sheet"])
+    def test_x_below_zero_continues_from_the_upper_side(self, name, root_problems):
+        # e^{Q_+} above the axis and P e^{Phi} below it are one analytic
+        # function in between: the profile's x < 0 integral on the lower
+        # side matches the upper side's.  ANISOTROPIC_SIGMA has a zero of P
+        # 0.153 above the axis, the two-sheet problem poles of P at
+        # +-(38.70 + 0.19i)
+        if name == "interface":
+            prob = Problem.interface(make_sigma("A"), INTERFACE_ROOT, 2.0, 2.0)
+        elif name == "anisotropic":
+            prob = Problem.single_sheet(ANISOTROPIC_SIGMA, NEAR_ROOT_Q[0])
+        elif name == "two-sheet":
+            prob = Problem.two_sheet(TWO_SHEET_LEFT, make_sigma("A"), TWO_SHEET_ROOT)
+        else:
+            prob = root_problems[name]
+        assert_continuation_holds(build_log_kernel(prob), CONTINUATION_X)
+
     def test_one_phi_call_for_all_rotated_tails(self, root_problems, monkeypatch):
         # on a kernel whose contour is built, a profile reaches Phi once and
-        # P once, for the two rotated tails of every x together
+        # P once, for the two rotated tails of every x together; the
+        # contour's own P call (for s_+) comes with the edge limits
         phi_calls, p_calls = [], []
         phi, p_of_xi = CauchyTable.phi, field.p_of_xi
 
@@ -264,10 +330,11 @@ class TestFieldContour:
         phi_calls.clear()
         xs = [-0.4, -0.07, 1e-3, 0.1, 0.35]
         phi_profile(prob, kern, xs)
-        span = _field_contour(kern, _panel_width(kern)).span
-        rays = sum(2 * field._vertical_panels(45.0 / abs(x), struct=span)[0].size for x in xs)
+        contour = _field_contour(kern, _panel_width(kern))
+        rays = sum(2 * field._vertical_panels(45.0 / abs(x), struct=contour.span)[0].size
+                   for x in xs)
         assert phi_calls == [rays]
-        assert len(p_calls) == 1
+        assert len(p_calls) == 2 and p_calls[0] == contour.nodes.size
 
     def test_one_set_of_ray_panels_per_x(self, root_problems, monkeypatch):
         # the rays from both ends of an x's side share their panels

@@ -1,7 +1,9 @@
 """The spectral series of Phi against independent references: 30-digit
 ``mpmath`` quadrature at the reference roots, next to a near-axis zero of
 the symbol and at |q| far below the problem scale, and the adaptive
-Cauchy integral over random passive tensors, also at small |q|."""
+Cauchy integral over random passive tensors, also at small |q|; and the
+x < 0 field integrand continued below the axis against its upper side
+over random passive tensors."""
 
 import math
 
@@ -10,12 +12,12 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from edgeplasmon import ConductivityTensor, Problem, build_log_kernel
+from edgeplasmon import ConductivityTensor, Problem, build_log_kernel, edge_limits
 from edgeplasmon.field import _field_contour, _panel_width
 from edgeplasmon.spectrum import RealAxisZeroError
 from cauchy_oracle import adaptive_phi, mp_phi
 from conftest import TWO_SHEET_LEFT, TWO_SHEET_ROOT, make_sigma
-from test_field import ANISOTROPIC_SIGMA, NEAR_ROOT_Q
+from test_field import ANISOTROPIC_SIGMA, NEAR_ROOT_Q, assert_continuation_holds
 from test_spectrum import random_passive_tensor
 
 
@@ -34,6 +36,26 @@ def test_root_values_against_mpmath(name, root_kernels):
         true = abs(value - mp_phi(kernel, point))
         assert true < 1e-12, f"{name} at {point}: {true:.2e}"
         assert true <= kernel.cauchy_table().error_estimate
+
+
+@pytest.mark.parametrize("name", ["A", "B", "C", "D", "two_sheet"])
+def test_phi_minus_error_bounds_the_closed_form_at_mpmath_values(name, root_kernels):
+    # phi(0-) is a closed form in C^+-, xi^+- and a, b = e^{-Phi(xi^+-)}:
+    # with mpmath's Phi(xi^+-) it moves by no more than phi_minus_error
+    if name == "two_sheet":
+        kernel = build_log_kernel(Problem.two_sheet(TWO_SHEET_LEFT, make_sigma("A"),
+                                                    TWO_SHEET_ROOT))
+    else:
+        kernel = root_kernels[name]
+    roots, _, _ = kernel.root_constants()
+    xp, xm, cp, cm = roots.xi_plus, roots.xi_minus, roots.c_plus, roots.c_minus
+    a, b = (np.exp(-mp_phi(kernel, point)) for point in (xp, xm))
+    if name == "two_sheet":
+        true = 1.0 - (cp * a + cm * b) * xp / (a * (xp - xm))
+    else:
+        true = -(cp * xm * a + cm * xp * b) * (1.0 / a - 1.0 / b) / (xp - xm)
+    limits = edge_limits(kernel.problem, kernel)
+    assert abs(limits.phi_minus - true) <= limits.phi_minus_error < 1e-10
 
 
 def test_near_axis_zero_against_mpmath():
@@ -92,6 +114,17 @@ def test_random_tensor_series_properties(case):
     assert np.abs(table.phi(pts) - ref).max() < 1e-10
     assert table.error_estimate < 1e-10
     assert math.isfinite(table.error_estimate)
+
+
+@settings(max_examples=45, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(zero_index_kernels())
+def test_random_tensor_continuation_below_the_axis(case):
+    # s_+ = s_- P below the axis against e^{Q_+} above it, at q off the
+    # roots (the identity holds at any q), for |x| from 1e-4 to 10 over
+    # the problem scale
+    kernel, rng = case
+    assert_continuation_holds(kernel, -np.sort(10.0 ** rng.uniform(-4.0, 1.0, 3)) / kernel.scale)
 
 
 MAGNETO_SIGMA = ConductivityTensor(-2e-4j, -0.02 - 2e-7j, 0.02 + 2e-7j, -2e-4j,

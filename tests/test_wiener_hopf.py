@@ -466,16 +466,6 @@ class TestCauchyTableOracle:
         self._check(kernel, rays[::7])
         self._check_refined(kernel, rays, monkeypatch)
 
-    def test_conjugate_side_from_the_shared_pass(self, kernel):
-        # the field contour's upper side comes out of its lower side's
-        # series pass, bit for bit what a separate call gives
-        contour = _field_contour(kernel, _panel_width(kernel))
-        table = kernel.cauchy_table()
-        upper = table.phi(contour.nodes + 1j * contour.delta)
-        lower = table.phi(contour.nodes - 1j * contour.delta)
-        assert np.array_equal(contour.phi_above, upper)
-        assert np.array_equal(contour.phi_below, lower)
-
     def test_on_axis_principal_value(self, kernel, rng, monkeypatch):
         t = kernel.cauchy_table().nodes
         inside = np.flatnonzero(np.abs(t[:-1]) < 40.0 * kernel.scale)
