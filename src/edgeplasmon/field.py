@@ -13,21 +13,29 @@ integrated on a contour shifted off the axis by a small delta.
 
 Both routines use one real-axis contour per kernel: t - i delta with
 delta = 1e-7 kappa, GK15 panels on [-span, span], span = max(40 kappa,
-3|q|), at most kappa/4 wide (and at most 3/max|x| for a profile,
-``_panel_width``), with panel edges added around the census zeros kept
-on the kernel, at their distance from the axis times 0, +-1, +-2, ...,
-+-16.  One ``CauchyTable.phi`` call gives Phi there and s_- = bracket
-e^{Phi}; the x < 0 integrand e^{+Q_+} = P e^{Phi} continues from above
-the axis to the same nodes (nothing in the 2 delta strip stops it), so
-s_+ = s_- P takes one ``p_of_xi`` call.  Both, with Int |s_+-|, are
+3|q|), graded in two parts (``_panel_nodes``).  The inner part, [-inner,
+inner] with inner = max(4 kappa, twice the farthest census zero or
+bracket pole), holds the structure of P: panels at most kappa/4 wide
+(and at most 3/max|x| for a profile, ``_panel_width``), with panel edges
+added around the census zeros kept on the kernel, and around the
+bracket poles xi^+- nearer the axis than that width, at their distance
+from the axis times 0, +-1, +-2, ..., +-16; below kappa, edges at
++-(|q|/4) 1.25^k resolve the branch points +-iq when |q| < kappa.
+Beyond +-inner the panels grow by 1.25 each out to +-span, where s_- is
+smooth.  One ``CauchyTable.phi`` call gives Phi on every node and s_- =
+bracket e^{Phi}; the x < 0 integrand e^{+Q_+} = P e^{Phi} continues from
+above the axis to the same nodes (nothing in the 2 delta strip stops
+it), so s_+ = s_- P takes one ``p_of_xi`` call, on the inner nodes, made
+by the first x < 0 profile.  Both, with Int |s_+-| per panel, are
 memoized on the kernel, so whichever routine runs second reuses them.
 One side integral, ``_contour_integral``, serves both signs of x (the
-edge limit is x = 0).  The tails beyond the span are its inputs, each
-tail set from one ``CauchyTable.phi`` call: for x = 0 two-term
-algebraic fits at +-span, for a profile the rays from +-span - i delta
-into the half-plane where e^{i xi x} decays.  Its one error rule adds
-the moduli of the panels' embedded-rule misses, the tails' errors, and
-Phi's error carried through s_+-.
+edge limit is x = 0): the edge limit integrates every panel and adds
+two-term algebraic tails fitted at +-span, a profile integrates the
+inner panels and adds the rays from +-inner - i delta into the
+half-plane where e^{i xi x} decays; each tail set takes one
+``CauchyTable.phi`` call.  Its one error rule adds the moduli of the
+panels' embedded-rule misses, the tails' errors, and Phi's error
+carried through s_+-.
 """
 
 from __future__ import annotations
@@ -285,76 +293,138 @@ def _fit_tails(table, consts, contour) -> list[tuple[complex, float, float]]:
     return [_fit_tail(s[:3], contour.span), _fit_tail(s[3:], contour.span)]
 
 
+def _abs_panels(vals: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Int |f| over each GK15 panel from the values of f at its nodes."""
+    return gk_panel_sums(np.abs(vals).reshape(half.size, -1), half)[0]
+
+
 def _abs_integral(vals: np.ndarray, half: np.ndarray) -> float:
     """Int |f| over GK15 panels from the values of f at their nodes."""
-    return float(gk_panel_sums(np.abs(vals).reshape(half.size, -1), half)[0].sum())
+    return float(_abs_panels(vals, half).sum())
 
 
 # panel edges at Re xi_z + |Im xi_z| times these, around each census zero
 ZERO_EDGE_OFFSETS = np.array([-16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0, 8.0, 16.0])
+# the inner part of the field contour spans at least INNER_SPAN kappa (and
+# twice the farthest census zero or bracket pole); beyond it the panel
+# edges grow by EDGE_GROWTH per panel out to the span, as they do from
+# |q|/4 up to kappa around the branch points +-iq
+INNER_SPAN = 4.0
+EDGE_GROWTH = 1.25
+
+
+def _sorted_edges(edges: np.ndarray) -> np.ndarray:
+    """The edges sorted, a repeated edge taken once (np.unique imports
+    numpy.ma on first use)."""
+    edges = np.sort(edges)
+    return edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+
+
+def _grown(start: float, stop: float) -> np.ndarray:
+    """start EDGE_GROWTH^k for k = 0, 1, ..., below stop."""
+    edges = start * EDGE_GROWTH ** np.arange(math.ceil(math.log(stop / start, EDGE_GROWTH)))
+    return edges[edges < stop]
 
 
 def _panel_nodes(span: float, max_width: float, kernel: UnwrappedLogKernel):
-    """GK15 nodes tiling [-span, span], 15 per panel in order, and the
-    panel half widths.
+    """The graded tiling of [-span, span]: its GK15 nodes, 15 per panel
+    in order with the inner panels first, the panel half widths, the end
+    of the inner part and its number of panels.
 
-    Each non-marginal first-sheet census zero xi_z of every signed sheet
-    adds panel edges at Re xi_z + |Im xi_z| {0, +-1, +-2, +-4, +-8, +-16}:
-    a zero (or, for two sheets, a pole of P^R/P^L) at distance d from the
-    axis makes a peak of width d there, which these panels resolve even
-    where the uniform oscillation-capped tiling is coarse.
+    The inner part, [-inner, inner] with inner = max(4 kappa, 2 max|c|)
+    over the census zeros and the bracket poles c (at most the span; two
+    sheets' bracket poles can lie beyond kappa), holds every singularity
+    of the integrand, so the profile's rays from +-inner clear them.  It
+    has uniform panels at most ``max_width`` wide, plus edges at Re c +
+    |Im c| {0, +-1, +-2, +-4, +-8, +-16} around each non-marginal
+    first-sheet census zero c of every signed sheet, and around each
+    bracket pole nearer the axis than ``max_width``: a zero, a pole of
+    P^R/P^L or a pole of the bracket at distance d from the axis makes a
+    peak of width d there, which these panels resolve where the uniform
+    tiling is coarse.  When |q| < kappa, edges at +-(|q|/4) 1.25^k below
+    kappa resolve the branch points +-iq.  Beyond +-inner, where s_-
+    decays smoothly like t^-1.5, the edges grow as +-inner 1.25^k out to
+    +-span (the edge limit alone reads those panels).
     """
-    n_panels = int(np.ceil(2.0 * span / max_width))
-    edges = np.linspace(-span, span, n_panels + 1)
+    scale = kernel.scale
     zeros = np.array([loc for loc, _ in kernel.first_sheet_zeros()], dtype=complex)
-    inner = (zeros.real[:, None] + np.abs(zeros.imag)[:, None] * ZERO_EDGE_OFFSETS).ravel()
-    # sorted, a repeated edge taken once (np.unique imports numpy.ma on first use)
-    edges = np.sort(np.concatenate([edges, inner[np.abs(inner) < span]]))
-    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
-    nodes, _ = gk_nodes_weights(edges[:-1], edges[1:])
-    return nodes.ravel(), 0.5 * np.diff(edges)
+    roots = kernel.root_constants()[0]
+    poles = np.array([roots.xi_plus, roots.xi_minus])
+    inner = min(max(INNER_SPAN * scale, 2.0 * np.abs(np.append(zeros, poles)).max()), span)
+    centres = np.concatenate([zeros, poles[np.abs(poles.imag) < max_width]])
+    marks = (centres.real[:, None] + np.abs(centres.imag)[:, None] * ZERO_EDGE_OFFSETS).ravel()
+    marks = marks[np.abs(marks) < span]
+    q = abs(kernel.problem.q)
+    near = _grown(0.25 * q, scale) if q < scale else np.empty(0)
+    uniform = np.linspace(-inner, inner, int(np.ceil(2.0 * inner / max_width)) + 1)
+    mid = _sorted_edges(np.concatenate([uniform, near, -near, marks[np.abs(marks) < inner]]))
+    grown = np.append(_grown(inner, span), span)
+    right = _sorted_edges(np.concatenate([grown, marks[marks >= inner]]))
+    left = -_sorted_edges(np.concatenate([grown, -marks[marks <= -inner]]))[::-1]
+    lo = np.concatenate([mid[:-1], left[:-1], right[:-1]])
+    hi = np.concatenate([mid[1:], left[1:], right[1:]])
+    nodes, _ = gk_nodes_weights(lo, hi)
+    return nodes.ravel(), 0.5 * (hi - lo), inner, mid.size - 1
 
 
 def _panel_width(kernel: UnwrappedLogKernel, xmax: float = 0.0) -> float:
-    """The widest field-contour panel: kappa/4, and for a profile out to
-    |x| = xmax at most 3/xmax, over which e^{i t x} turns 3 radians."""
+    """The widest inner field-contour panel: kappa/4, and for a profile
+    out to |x| = xmax at most 3/xmax, over which e^{i t x} turns 3
+    radians."""
     width = kernel.scale / 4.0
     return width if xmax == 0.0 else min(width, 3.0 / xmax)
 
 
 @dataclasses.dataclass(frozen=True)
 class _Contour:
-    """The real-axis field contour t - i delta, Phi there, and s_+- with
-    Int |s_+-|, keyed by side: 1.0 is s_- = bracket e^{Phi} (x > 0 and
-    the edge limits), -1.0 is s_+ = s_- P (x < 0)."""
+    """The graded real-axis field contour t - i delta, Phi there, and s_+-
+    with Int |s_+-| per panel, keyed by side: 1.0 is s_- = bracket
+    e^{Phi} on every panel (x > 0 and the edge limits), -1.0 is s_+ = s_-
+    P on the inner panels (x < 0), added by ``add_s_plus``.  The edge
+    limit integrates every panel, a profile the ``n_inner`` panels of
+    [-inner, inner], which come first."""
 
     span: float
+    inner: float
     delta: float
     nodes: np.ndarray          # t, GK15 nodes of [-span, span]
     half: np.ndarray           # panel half widths
+    n_inner: int               # panels on [-inner, inner]
     phi_below: np.ndarray      # Phi(t - i delta)
-    s: dict                    # side -> (s values, Int |s|)
+    s: dict                    # side -> (s values, Int |s| per panel)
+
+    @property
+    def inner_nodes(self) -> int:
+        """The number of nodes on the inner panels."""
+        return self.n_inner * (self.nodes.size // self.half.size)
+
+    def add_s_plus(self, problem: Problem) -> None:
+        """s_+ = s_- P on the inner nodes, once, with one ``p_of_xi``
+        call: e^{+Q_+} = P e^{+Phi} continues from above the axis to the
+        contour (nothing in the 2 delta strip stops it)."""
+        if -1.0 not in self.s:
+            n = self.inner_nodes
+            plus = self.s[1.0][0][:n] * p_of_xi(problem, self.nodes[:n] - 1j * self.delta)
+            self.s[-1.0] = (plus, _abs_panels(plus, self.half[:self.n_inner]))
 
 
 def _field_contour(kernel: UnwrappedLogKernel, width: float) -> _Contour:
-    """The contour with panels at most ``width`` wide, memoized on the
-    kernel: ``edge_limits`` and ``phi_profile`` share it whenever their
-    widths agree.  It takes one ``CauchyTable.phi`` and one ``p_of_xi``
-    call."""
+    """The contour with inner panels at most ``width`` wide, memoized on
+    the kernel: ``edge_limits`` and ``phi_profile`` share it whenever
+    their widths agree.  It takes one ``CauchyTable.phi`` call."""
     def build():
         # the error of the edge limits' fitted tails falls like span^-2.5:
         # on sheet D at its root |phi(0+) - 1| is 1.6e-4 at 20 kappa,
         # 4.7e-5 at 32 kappa and 2.7e-5 at 40 kappa
         span = max(40.0 * kernel.scale, 3.0 * abs(kernel.problem.q))
         delta = 1e-7 * kernel.scale
-        nodes, half = _panel_nodes(span, max_width=width, kernel=kernel)
+        nodes, half, inner, n_inner = _panel_nodes(span, max_width=width, kernel=kernel)
         xi = nodes - 1j * delta
         below = kernel.cauchy_table().phi(xi)
-        # e^{-Q_-} = e^{+Phi} below the axis, and e^{+Q_+} = P e^{+Phi}
+        # e^{-Q_-} = e^{+Phi} below the axis
         minus = _bracket(_constants(kernel), xi) * np.exp(below)
-        plus = minus * p_of_xi(kernel.problem, xi)
-        s = {1.0: (minus, _abs_integral(minus, half)), -1.0: (plus, _abs_integral(plus, half))}
-        return _Contour(span, delta, nodes, half, below, s)
+        return _Contour(span, inner, delta, nodes, half, n_inner, below,
+                        {1.0: (minus, _abs_panels(minus, half))})
 
     return kernel.memo(("field_contour", width), build)
 
@@ -371,18 +441,20 @@ def _vertical_panels(length: float, struct: float):
 
 def _rotated_tails(prob: Problem, table, consts, contour: _Contour,
                    x_values) -> list[list[tuple[complex, float, float]]]:
-    """Per x, the tails Int s(xi) e^(i xi x) dxi beyond +-span of the
-    contour with their embedded-rule errors and Int |integrand|, each
-    along the vertical ray from +-span - i delta where e^(i xi x) decays
-    (upward for x > 0, downward for x < 0).  Beyond the span the symbol
-    has no zeros, so the integrand continues across the real axis: for
-    x > 0, e^{-Q_-} -> e^{Phi}/P above it, and for x < 0, e^{+Q_+} = P
-    e^{Phi} below it.  Exponential decay makes the truncation error
-    negligible for every |x|.  An x's two rays share their panels, and
-    all rays take one ``CauchyTable.phi`` call and one ``p_of_xi`` call."""
-    span, delta = contour.span, contour.delta
+    """Per x, the tails Int s(xi) e^(i xi x) dxi beyond the contour's
+    inner part with their embedded-rule errors and Int |integrand|, each
+    along the vertical ray from +-inner - i delta where e^(i xi x) decays
+    (upward for x > 0, downward for x < 0).  Beyond +-inner, at least
+    twice the farthest census zero or bracket pole and four times kappa
+    >= |q|, the integrand has no zeros, poles or branch points, so it
+    continues across the real axis: for x > 0, e^{-Q_-} -> e^{Phi}/P above it, and
+    for x < 0, e^{+Q_+} = P e^{Phi} below it.  Exponential decay makes
+    the truncation error negligible for every |x|.  An x's two rays
+    share their panels, and all rays take one ``CauchyTable.phi`` call
+    and one ``p_of_xi`` call."""
+    inner, delta = contour.inner, contour.delta
     rays = [(end - 1j * delta, x, *ray) for x in x_values
-            for ray in [_vertical_panels(45.0 / abs(x), struct=span)] for end in (span, -span)]
+            for ray in [_vertical_panels(45.0 / abs(x), struct=inner)] for end in (inner, -inner)]
     xi = np.concatenate([end + 1j * np.sign(x) * s_nodes for end, x, s_nodes, _ in rays])
     x_at = np.concatenate([np.full(s_nodes.size, x) for _, x, s_nodes, _ in rays])
     factor = np.exp(table.phi(xi))
@@ -397,7 +469,7 @@ def _rotated_tails(prob: Problem, table, consts, contour: _Contour,
         ray = vals[start:start + s_nodes.size]
         start += s_nodes.size
         panels, diff = gk_panel_sums(ray.reshape(s_half.size, -1), s_half)
-        # the tail before -span is minus the ray integral from it
+        # the tail before -inner is minus the ray integral from it
         out.append((1j * np.sign(x) * np.sign(end.real) * complex(panels.sum()),
                     float(np.abs(diff).sum()), _abs_integral(ray, s_half)))
     return [out[i:i + 2] for i in range(0, len(out), 2)]
@@ -405,18 +477,21 @@ def _rotated_tails(prob: Problem, table, consts, contour: _Contour,
 
 def _contour_integral(table, contour: _Contour, x: float, tails):
     """Int s(xi) e^(i xi x) dxi along the contour (s_- for x >= 0, s_+
-    for x < 0) plus the (value, error, Int |integrand|) ``tails``, and
-    its error over 2 pi: the panels' embedded-rule misses in modulus, the
-    tails' errors, and Phi's error through s, which an error dPhi moves
-    by |s| dPhi."""
-    s_vals, s_int = contour.s[1.0 if x >= 0 else -1.0]
-    if x != 0.0:
+    for x < 0; every panel for x = 0, the inner ones otherwise) plus the
+    (value, error, Int |integrand|) ``tails``, and its error over 2 pi:
+    the panels' embedded-rule misses in modulus, the tails' errors, and
+    Phi's error through s, which an error dPhi moves by |s| dPhi."""
+    s_vals, s_abs = contour.s[1.0 if x >= 0 else -1.0]
+    if x == 0.0:
+        s_int = float(s_abs.sum())
+    else:
+        s_vals, s_abs = s_vals[:contour.inner_nodes], s_abs[:contour.n_inner]
         # e^{i xi x} = e^{i t x} e^{delta x} on the contour; named, as
         # s_vals * np.exp(...) lets numpy swap the factors (last-bit moves)
-        osc = np.exp(1j * contour.nodes * x + contour.delta * x)
+        osc = np.exp(1j * contour.nodes[:s_vals.size] * x + contour.delta * x)
         s_vals = s_vals * osc
-        s_int = s_int * math.exp(contour.delta * x)
-    panels, diff = gk_panel_sums(s_vals.reshape(contour.half.size, -1), contour.half)
+        s_int = float(s_abs.sum()) * math.exp(contour.delta * x)
+    panels, diff = gk_panel_sums(s_vals.reshape(s_abs.size, -1), contour.half[:s_abs.size])
     integral, err = panels.sum(), float(np.abs(diff).sum())
     for value, tail_err, tail_abs in tails:
         integral += value
@@ -455,6 +530,8 @@ def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
     xp, xm, cp, cm, *_ = consts
     table = kernel.cauchy_table()
     contour = _field_contour(kernel, _panel_width(kernel, np.abs(x_values).max()))
+    if (x_values < 0).any():
+        contour.add_s_plus(problem)
     tails = _rotated_tails(problem, table, consts, contour, x_values)
     for i, x in enumerate(x_values):
         integral, err[i] = _contour_integral(table, contour, x, tails[i])

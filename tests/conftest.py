@@ -35,6 +35,11 @@ TWO_SHEET_LEFT = ConductivityTensor.diagonal(0.05j + 0.0005, 0.05j + 0.0005,
                                              nondimensional=True)
 TWO_SHEET_ROOT = 10.130399992286975 + 0.8674088676379806j
 INTERFACE_ROOT = 24.343970647319406 + 0.0j
+# the magnetoplasmon sheet, whose scale 2/|s_xx| = 1e4 lies far above |q|,
+# and the root the solver converges to from 44.15
+MAGNETO_SIGMA = ConductivityTensor(-2e-4j, -0.02 - 2e-7j, 0.02 + 2e-7j, -2e-4j,
+                                   nondimensional=True)
+MAGNETO_ROOT = 44.150349402338456 - 0.0005137276885023112j
 
 
 def make_sigma(name: str) -> ConductivityTensor:

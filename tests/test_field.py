@@ -21,7 +21,8 @@ from edgeplasmon.field import _e_power, _field_contour, _panel_width
 from edgeplasmon.quadrature import gk_panel_sums
 from edgeplasmon.wiener_hopf import CauchyTable
 from cauchy_oracle import adaptive_phi
-from conftest import INTERFACE_ROOT, TWO_SHEET_LEFT, TWO_SHEET_ROOT, make_sigma
+from conftest import (INTERFACE_ROOT, MAGNETO_ROOT, MAGNETO_SIGMA, TWO_SHEET_LEFT,
+                      TWO_SHEET_ROOT, make_sigma)
 
 # a strongly anisotropic sheet whose symbol dips sharply near the axis
 ANISOTROPIC_SIGMA = ConductivityTensor(
@@ -41,6 +42,21 @@ NEAR_ROOT_Q = (
     48.54517884725514 + 7.802683628688954j,
     48.54517879294491 + 7.802683622853255j,
 )
+
+
+# a two-sheet draw of tests/test_oracle.py's zero_index_kernels (seed 46)
+# at q off its roots: its bracket pole xi^+ = 21.41 - 0.021i lies 0.021
+# below the axis (xi^- = -14.84 - 0.20i)
+POLE_NEAR_AXIS = Problem.two_sheet(
+    ConductivityTensor(0.005077206583227478 + 0.20497545392167665j,
+                       -0.012309607436317923 - 0.05699363192169503j,
+                       0.011283586076805366 - 0.05699363192169503j,
+                       0.003755482612087013 + 0.05813669892919088j, nondimensional=True),
+    ConductivityTensor(0.004931008337863431 + 0.04808065289748681j,
+                       0.07194011712555759 - 0.030708077834861257j,
+                       -0.07100657282808706 - 0.030708077834861257j,
+                       0.002809344731044378 + 0.1876609842307185j, nondimensional=True),
+    19.61843346838294 + 0.044037570668147855j)
 
 
 # profile points of the continuation tests, from far out to the edge
@@ -202,7 +218,7 @@ class TestEdgeLimits:
             if not first_limits:
                 edge_limits(prob, kern)
             contour = _field_contour(kern, _panel_width(kern))
-            rays = sum(2 * field._vertical_panels(45.0 / abs(x), struct=contour.span)[0].size
+            rays = sum(2 * field._vertical_panels(45.0 / abs(x), struct=contour.inner)[0].size
                        for x in xs)
             assert sorted(calls) == sorted([2, contour.nodes.size, 6, rays])
 
@@ -237,6 +253,14 @@ class TestEdgeLimits:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_magnetoplasmon_root(self):
+        # |q| = 44 lies far below the scale kappa = 1e4: panel edges from
+        # |q|/4 up to kappa resolve the branch points +-iq, which kappa/4
+        # panels once missed (phi(0+) = 1.306 with phi_plus_error 4.5)
+        prob = Problem.single_sheet(MAGNETO_SIGMA, MAGNETO_ROOT)
+        el = edge_limits(prob, build_log_kernel(prob))
+        assert abs(el.phi_plus - 1.0) <= el.phi_plus_error <= 1e-4
 
     def test_two_sheet_limits(self):
         zero = ConductivityTensor.diagonal(0, 0, nondimensional=True)
@@ -309,8 +333,8 @@ class TestFieldContour:
 
     def test_one_phi_call_for_all_rotated_tails(self, root_problems, monkeypatch):
         # on a kernel whose contour is built, a profile reaches Phi once and
-        # P once, for the two rotated tails of every x together; the
-        # contour's own P call (for s_+) comes with the edge limits
+        # P once, for the two rotated tails of every x together; its other
+        # P call builds s_+ on the inner nodes
         phi_calls, p_calls = [], []
         phi, p_of_xi = CauchyTable.phi, field.p_of_xi
 
@@ -331,10 +355,64 @@ class TestFieldContour:
         xs = [-0.4, -0.07, 1e-3, 0.1, 0.35]
         phi_profile(prob, kern, xs)
         contour = _field_contour(kern, _panel_width(kern))
-        rays = sum(2 * field._vertical_panels(45.0 / abs(x), struct=contour.span)[0].size
+        rays = sum(2 * field._vertical_panels(45.0 / abs(x), struct=contour.inner)[0].size
                    for x in xs)
         assert phi_calls == [rays]
-        assert len(p_calls) == 2 and p_calls[0] == contour.nodes.size
+        assert len(p_calls) == 2 and p_calls[0] == contour.inner_nodes
+
+    def test_graded_tiling(self, root_kernels):
+        # uniform panels on the inner part, at least 4 kappa; beyond it
+        # panels 1.25 times wider each out to the span, which the edge
+        # limit alone reads (5 130 Phi points on the uniform tiling)
+        kern = root_kernels["C"]
+        contour = _field_contour(kern, _panel_width(kern))
+        assert contour.nodes.size <= 1500
+        assert contour.inner >= 4.0 * kern.scale
+        inner = contour.nodes[:contour.inner_nodes]
+        assert np.abs(inner).max() < contour.inner
+        assert np.all(2.0 * contour.half[:contour.n_inner] <= _panel_width(kern) * (1 + 1e-12))
+        assert 2.0 * contour.half[contour.n_inner:].max() <= 0.25 * contour.span
+        assert np.abs(contour.nodes).max() < contour.span
+
+    def test_s_plus_built_on_the_first_x_below_zero(self, root_problems, monkeypatch):
+        # the edge limits and x > 0 read s_- alone; the first x < 0 profile
+        # builds s_+ = s_- P on the inner nodes with one P call, which
+        # later profiles reuse
+        p_calls = []
+        p_of_xi = field.p_of_xi
+
+        def counted_p(problem, xi):
+            p_calls.append(np.size(xi))
+            return p_of_xi(problem, xi)
+
+        monkeypatch.setattr(field, "p_of_xi", counted_p)
+        prob = root_problems["C"]
+        kern = build_log_kernel(prob)
+        edge_limits(prob, kern)
+        assert p_calls == []
+        contour = _field_contour(kern, _panel_width(kern))
+        inner_nodes = contour.inner_nodes
+        phi_profile(prob, kern, [0.1, 0.35])
+        assert -1.0 not in contour.s and inner_nodes not in p_calls
+        phi_profile(prob, kern, [-0.4, 0.1])
+        assert p_calls.count(inner_nodes) == 1
+        assert contour.s[-1.0][0].size == inner_nodes
+        phi_profile(prob, kern, [-0.07])
+        assert p_calls.count(inner_nodes) == 1
+
+    def test_bracket_pole_near_the_axis(self, monkeypatch):
+        # a bracket pole 0.021 below the contour makes a peak of that width:
+        # panel edges around it keep the profile unflagged (the estimates
+        # read 0.67-0.70 without them), and panels an eighth as wide move
+        # it by no more than its estimate
+        xs = [-0.3, -0.01, 0.01, 0.3]
+        prof = phi_profile(POLE_NEAR_AXIS, build_log_kernel(POLE_NEAR_AXIS), xs)
+        assert not prof.accuracy_flag.any()
+        panel_nodes = field._panel_nodes
+        monkeypatch.setattr(field, "_panel_nodes", lambda span, max_width, kernel:
+                            panel_nodes(span, max_width / 8.0, kernel))
+        ref = phi_profile(POLE_NEAR_AXIS, build_log_kernel(POLE_NEAR_AXIS), xs)
+        assert np.all(np.abs(prof.phi - ref.phi) <= prof.error_estimate)
 
     def test_one_set_of_ray_panels_per_x(self, root_problems, monkeypatch):
         # the rays from both ends of an x's side share their panels
@@ -435,14 +513,16 @@ class TestPhiProfile:
         # the estimate adds the moduli of the contour panels' embedded-rule
         # misses, as the edge limits and the rotated tails do; their signed
         # sum can cancel to far below its terms (5.2e-17 against 1.9e-13 on
-        # A at x = -2)
+        # A at x = -2).  A profile integrates the inner panels
         prob, kern = root_problems[name], root_kernels[name]
         prof = phi_profile(prob, kern, [x])
         contour = _field_contour(kern, _panel_width(kern, abs(x)))
         side = 1.0 if x > 0 else -1.0
-        osc = np.exp(1j * contour.nodes * x + contour.delta * side * x)
-        vals = contour.s[side][0] * osc
-        _, diff = gk_panel_sums(vals.reshape(contour.half.size, -1), contour.half)
+        n = contour.inner_nodes
+        osc = np.exp(1j * contour.nodes[:n] * x + contour.delta * side * x)
+        vals = contour.s[side][0][:n] * osc
+        half = contour.half[:contour.n_inner]
+        _, diff = gk_panel_sums(vals.reshape(half.size, -1), half)
         assert prof.error_estimate[0] >= np.abs(diff).sum() / (2.0 * math.pi)
 
     def test_case_a_decay_and_edge_approach(self, root_problems, root_kernels):
@@ -509,6 +589,19 @@ class TestPhiProfile:
         prob, kern = root_problems["A"], root_kernels["A"]
         prof = phi_profile(prob, kern, np.array([0.2]), target_error=1e-16)
         assert prof.accuracy_flag.all()
+
+    def test_magnetoplasmon_profile(self):
+        # |q| = 44 far below kappa = 1e4: the profile on the inner part
+        # (+-4 kappa, 21 600 nodes at 3/0.05 wide) and rays from its ends;
+        # the uniform tiling to +-40 kappa took 200 010 nodes and left
+        # estimates of 2.8e-6
+        prob = Problem.single_sheet(MAGNETO_SIGMA, MAGNETO_ROOT)
+        kern = build_log_kernel(prob)
+        xs = [-0.05, -0.01, 0.01, 0.05]
+        prof = phi_profile(prob, kern, xs)
+        assert not prof.accuracy_flag.any()
+        assert np.all(prof.error_estimate < 1e-8)
+        assert _field_contour(kern, _panel_width(kern, 0.05)).nodes.size <= 22_000
 
     def test_two_sheet_profile_resolves_the_left_sheet_poles(self, monkeypatch):
         # the left sheet's zeros at +-(38.70 + 0.19i) are poles of P^R/P^L,

@@ -12,11 +12,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from edgeplasmon import ConductivityTensor, Problem, build_log_kernel, edge_limits
+from edgeplasmon import Problem, build_log_kernel, edge_limits, field, phi_profile
 from edgeplasmon.field import _field_contour, _panel_width
 from edgeplasmon.spectrum import RealAxisZeroError
 from cauchy_oracle import adaptive_phi, mp_phi
-from conftest import TWO_SHEET_LEFT, TWO_SHEET_ROOT, make_sigma
+from conftest import MAGNETO_SIGMA, TWO_SHEET_LEFT, TWO_SHEET_ROOT, make_sigma
 from test_field import ANISOTROPIC_SIGMA, NEAR_ROOT_Q, assert_continuation_holds
 from test_spectrum import random_passive_tensor
 
@@ -119,16 +119,31 @@ def test_random_tensor_series_properties(case):
 @settings(max_examples=45, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.filter_too_much])
 @given(zero_index_kernels())
+def test_random_tensor_rays_from_the_inner_part(case):
+    # the profile's rays start at the ends of the contour's inner part:
+    # the same profile from rays at +-40 kappa, the uniform tiling's ends,
+    # agrees within the sum of both estimates, at q off the roots, for
+    # |x| from 1e-4 to 10 over the problem scale on both sides
+    kernel, rng = case
+    xs = 10.0 ** rng.uniform(-4.0, 1.0, 4) * rng.choice([-1.0, 1.0], 4) / kernel.scale
+    prof = phi_profile(kernel.problem, kernel, xs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(field, "INNER_SPAN", 40.0)
+        far = build_log_kernel(kernel.problem)
+        ref = phi_profile(far.problem, far, xs)
+        assert _field_contour(far, _panel_width(far, np.abs(xs).max())).inner >= 40.0 * far.scale
+    assert np.all(np.abs(prof.phi - ref.phi) <= prof.error_estimate + ref.error_estimate), xs
+
+
+@settings(max_examples=45, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(zero_index_kernels())
 def test_random_tensor_continuation_below_the_axis(case):
     # s_+ = s_- P below the axis against e^{Q_+} above it, at q off the
     # roots (the identity holds at any q), for |x| from 1e-4 to 10 over
     # the problem scale
     kernel, rng = case
     assert_continuation_holds(kernel, -np.sort(10.0 ** rng.uniform(-4.0, 1.0, 3)) / kernel.scale)
-
-
-MAGNETO_SIGMA = ConductivityTensor(-2e-4j, -0.02 - 2e-7j, 0.02 + 2e-7j, -2e-4j,
-                                   nondimensional=True)
 
 
 def test_small_q_against_mpmath():

@@ -453,14 +453,14 @@ class TestCauchyTableOracle:
 
     def test_rotated_tail_rays(self, kernel, monkeypatch):
         # the vertical rays of field._rotated_tails from the ends of the
-        # field contour
+        # field contour's inner part
         contour = _field_contour(kernel, _panel_width(kernel))
-        span, delta = contour.span, contour.delta
+        inner, delta = contour.inner, contour.delta
         rays = []
         for x in (0.05, -0.07, 0.35, -0.4):
-            s_nodes, _ = _vertical_panels(45.0 / abs(x), struct=span)
+            s_nodes, _ = _vertical_panels(45.0 / abs(x), struct=inner)
             rot = 1.0 if x > 0 else -1.0
-            for end in (span, -span):
+            for end in (inner, -inner):
                 rays.append(end - 1j * rot * delta + 1j * rot * s_nodes)
         rays = np.concatenate(rays)
         self._check(kernel, rays[::7])
