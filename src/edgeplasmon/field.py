@@ -21,13 +21,15 @@ added around the census zeros kept on the kernel, and around the
 bracket poles xi^+- nearer the axis than that width, at their distance
 from the axis times 0, +-1, +-2, ..., +-16; below kappa, edges at
 +-(|q|/4) 1.25^k resolve the branch points +-iq when |q| < kappa.
-Beyond +-inner the panels grow by 1.25 each out to +-span, where s_- is
-smooth.  One ``CauchyTable.phi`` call gives Phi on every node and s_- =
-bracket e^{Phi}; the x < 0 integrand e^{+Q_+} = P e^{Phi} continues from
-above the axis to the same nodes (nothing in the 2 delta strip stops
-it), so s_+ = s_- P takes one ``p_of_xi`` call, on the inner nodes, made
-by the first x < 0 profile.  Both, with Int |s_+-| per panel, are
-memoized on the kernel, so whichever routine runs second reuses them.
+Beyond +-inner, where s_- is smooth, the edge limit's contour (panels
+kappa/4 wide) grows its panels by 1.25 each out to +-span; a narrower
+profile contour stops at +-inner.  One ``CauchyTable.phi`` call gives
+Phi on every node and s_- = bracket e^{Phi}; the x < 0 integrand
+e^{+Q_+} = P e^{Phi} continues from above the axis to the same nodes
+(nothing in the 2 delta strip stops it), so s_+ = s_- P takes one
+``p_of_xi`` call, on the inner nodes, made by the first x < 0 profile.
+Both, with Int |s_+-| per panel, are memoized on the kernel, so
+whichever routine runs second reuses them.
 One side integral, ``_contour_integral``, serves both signs of x (the
 edge limit is x = 0): the edge limit integrates every panel and adds
 two-term algebraic tails fitted at +-span, a profile integrates the
@@ -145,7 +147,8 @@ def edge_limits(problem: Problem, kernel: UnwrappedLogKernel) -> EdgeLimits:
     # the integral numerically cross-checks the splitting.
     contour = _field_contour(kernel, _panel_width(kernel))
     table = kernel.cauchy_table()
-    integral, err = _contour_integral(table, contour, 0.0, _fit_tails(table, consts, contour))
+    integral, err = _contour_integral(table, contour, contour.s_minus, 0.0,
+                                      _fit_tails(table, consts, contour))
     phi_plus = cp - complex(integral) / TWO_PI_I
     return EdgeLimits(complex(phi_plus), complex(phi_minus), complex(div_coeff),
                       phi_plus_error=err, phi_minus_error=float(minus_err))
@@ -344,7 +347,8 @@ def _panel_nodes(span: float, max_width: float, kernel: UnwrappedLogKernel):
     tiling is coarse.  When |q| < kappa, edges at +-(|q|/4) 1.25^k below
     kappa resolve the branch points +-iq.  Beyond +-inner, where s_-
     decays smoothly like t^-1.5, the edges grow as +-inner 1.25^k out to
-    +-span (the edge limit alone reads those panels).
+    +-span (the edge limit alone reads those panels, and
+    ``_field_contour`` keeps them on its contour only).
     """
     scale = kernel.scale
     zeros = np.array([loc for loc, _ in kernel.first_sheet_zeros()], dtype=complex)
@@ -377,41 +381,32 @@ def _panel_width(kernel: UnwrappedLogKernel, xmax: float = 0.0) -> float:
 
 @dataclasses.dataclass(frozen=True)
 class _Contour:
-    """The graded real-axis field contour t - i delta, Phi there, and s_+-
-    with Int |s_+-| per panel, keyed by side: 1.0 is s_- = bracket
-    e^{Phi} on every panel (x > 0 and the edge limits), -1.0 is s_+ = s_-
-    P on the inner panels (x < 0), added by ``add_s_plus``.  The edge
-    limit integrates every panel, a profile the ``n_inner`` panels of
-    [-inner, inner], which come first."""
+    """The graded real-axis field contour t - i delta, Phi there, and s_-
+    = bracket e^{Phi} with Int |s_-| per panel.  A profile integrates the
+    ``n_inner`` panels of [-inner, inner], which come first; the edge
+    limit's contour (panels kappa/4 wide) also has the outer panels out to
+    the span, which the edge limit alone reads."""
 
     span: float
     inner: float
     delta: float
-    nodes: np.ndarray          # t, GK15 nodes of [-span, span]
+    nodes: np.ndarray          # t, GK15 nodes
     half: np.ndarray           # panel half widths
     n_inner: int               # panels on [-inner, inner]
     phi_below: np.ndarray      # Phi(t - i delta)
-    s: dict                    # side -> (s values, Int |s| per panel)
+    s_minus: tuple             # (s_- values, Int |s_-| per panel)
 
     @property
     def inner_nodes(self) -> int:
         """The number of nodes on the inner panels."""
         return self.n_inner * (self.nodes.size // self.half.size)
 
-    def add_s_plus(self, problem: Problem) -> None:
-        """s_+ = s_- P on the inner nodes, once, with one ``p_of_xi``
-        call: e^{+Q_+} = P e^{+Phi} continues from above the axis to the
-        contour (nothing in the 2 delta strip stops it)."""
-        if -1.0 not in self.s:
-            n = self.inner_nodes
-            plus = self.s[1.0][0][:n] * p_of_xi(problem, self.nodes[:n] - 1j * self.delta)
-            self.s[-1.0] = (plus, _abs_panels(plus, self.half[:self.n_inner]))
-
 
 def _field_contour(kernel: UnwrappedLogKernel, width: float) -> _Contour:
     """The contour with inner panels at most ``width`` wide, memoized on
     the kernel: ``edge_limits`` and ``phi_profile`` share it whenever
-    their widths agree.  It takes one ``CauchyTable.phi`` call."""
+    their widths agree.  A narrower contour serves profiles alone and
+    stops at +-inner.  It takes one ``CauchyTable.phi`` call."""
     def build():
         # the error of the edge limits' fitted tails falls like span^-2.5:
         # on sheet D at its root |phi(0+) - 1| is 1.6e-4 at 20 kappa,
@@ -419,14 +414,32 @@ def _field_contour(kernel: UnwrappedLogKernel, width: float) -> _Contour:
         span = max(40.0 * kernel.scale, 3.0 * abs(kernel.problem.q))
         delta = 1e-7 * kernel.scale
         nodes, half, inner, n_inner = _panel_nodes(span, max_width=width, kernel=kernel)
+        if width != _panel_width(kernel):
+            nodes, half = nodes[:n_inner * (nodes.size // half.size)], half[:n_inner]
         xi = nodes - 1j * delta
         below = kernel.cauchy_table().phi(xi)
         # e^{-Q_-} = e^{+Phi} below the axis
         minus = _bracket(_constants(kernel), xi) * np.exp(below)
         return _Contour(span, inner, delta, nodes, half, n_inner, below,
-                        {1.0: (minus, _abs_panels(minus, half))})
+                        (minus, _abs_panels(minus, half)))
 
     return kernel.memo(("field_contour", width), build)
+
+
+def _s_plus(problem: Problem, kernel: UnwrappedLogKernel, width: float):
+    """(s_+ values, Int |s_+| per panel) = s_- P on the inner nodes of
+    the contour ``_field_contour(kernel, width)``, memoized on the kernel
+    and built with one ``p_of_xi`` call: e^{+Q_+} = P e^{+Phi} continues
+    from above the axis to the contour (nothing in the 2 delta strip
+    stops it)."""
+    contour = _field_contour(kernel, width)
+
+    def build():
+        n = contour.inner_nodes
+        plus = contour.s_minus[0][:n] * p_of_xi(problem, contour.nodes[:n] - 1j * contour.delta)
+        return plus, _abs_panels(plus, contour.half[:contour.n_inner])
+
+    return kernel.memo(("field_s_plus", width), build)
 
 
 def _vertical_panels(length: float, struct: float):
@@ -475,13 +488,14 @@ def _rotated_tails(prob: Problem, table, consts, contour: _Contour,
     return [out[i:i + 2] for i in range(0, len(out), 2)]
 
 
-def _contour_integral(table, contour: _Contour, x: float, tails):
-    """Int s(xi) e^(i xi x) dxi along the contour (s_- for x >= 0, s_+
-    for x < 0; every panel for x = 0, the inner ones otherwise) plus the
-    (value, error, Int |integrand|) ``tails``, and its error over 2 pi:
-    the panels' embedded-rule misses in modulus, the tails' errors, and
-    Phi's error through s, which an error dPhi moves by |s| dPhi."""
-    s_vals, s_abs = contour.s[1.0 if x >= 0 else -1.0]
+def _contour_integral(table, contour: _Contour, s, x: float, tails):
+    """Int s(xi) e^(i xi x) dxi along the contour, for s = (values, Int
+    |s| per panel) of s_- (x >= 0) or s_+ (x < 0), on every panel for x =
+    0 and the inner ones otherwise, plus the (value, error, Int
+    |integrand|) ``tails``, and its error over 2 pi: the panels'
+    embedded-rule misses in modulus, the tails' errors, and Phi's error
+    through s, which an error dPhi moves by |s| dPhi."""
+    s_vals, s_abs = s
     if x == 0.0:
         s_int = float(s_abs.sum())
     else:
@@ -529,12 +543,13 @@ def phi_profile(problem: Problem, kernel: UnwrappedLogKernel, x_values,
     consts = _constants(kernel)
     xp, xm, cp, cm, *_ = consts
     table = kernel.cauchy_table()
-    contour = _field_contour(kernel, _panel_width(kernel, np.abs(x_values).max()))
-    if (x_values < 0).any():
-        contour.add_s_plus(problem)
+    width = _panel_width(kernel, np.abs(x_values).max())
+    contour = _field_contour(kernel, width)
+    s_plus = _s_plus(problem, kernel, width) if (x_values < 0).any() else None
     tails = _rotated_tails(problem, table, consts, contour, x_values)
     for i, x in enumerate(x_values):
-        integral, err[i] = _contour_integral(table, contour, x, tails[i])
+        s = contour.s_minus if x > 0 else s_plus
+        integral, err[i] = _contour_integral(table, contour, s, x, tails[i])
         if x > 0:
             # Lambda_- e^{-Q_-} = C^+/(xi-xi^+) + C^-/(xi-xi^-) - s_-
             phi[i] = cp * np.exp(1j * xp * x) - integral / TWO_PI_I
