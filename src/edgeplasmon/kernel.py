@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 
 import numpy as np
 
@@ -131,6 +132,13 @@ class Problem:
         numerator (``symbol_terms``) is zero is kept (its factor is 1)."""
         if self.variant is not Variant.TWO_SHEET:
             return ((1, self),)
+        return self._sheet_pair
+
+    @functools.cached_property
+    def _sheet_pair(self) -> tuple[tuple[int, "Problem"], ...]:
+        """The two-sheet ``signed_sheets``, built once per problem.  Not a
+        field, so equality, hashing and ``with_q`` do not see it; a single
+        sheet is not cached, which would tie it in a cycle with itself."""
         right, left = (dataclasses.replace(self, variant=Variant.SINGLE_SHEET, sigma=sigma,
                                            sigma_left=None, sigma_right=None)
                        for sigma in (self.sigma_right, self.sigma_left))

@@ -19,7 +19,11 @@ rational basis (``CauchyTable``; J.A.C. Weideman, Math. Comp. 64 (1995)
 745).  The map xi = kappa tan(theta/2) takes the real axis onto the circle
 rho = e^{i theta} = (kappa + i xi)/(kappa - i xi) and the upper half-plane
 into |rho| < 1, so a Fourier series in theta splits term by term: rho^n is
-a plus function for n > 0 and a minus function for n < 0.  Three parts of
+a plus function for n > 0 and a minus function for n < 0.  The map scale
+kappa is free; the series takes kappa = min(scale, 2 sqrt(|q| scale)),
+between the branch points +-iq and the problem scale (``MAP_SPREAD``),
+which resolves the reference roots, the two-sheet one included, at
+N = 256.  Three parts of
 L are split in closed form instead: its ln|xi| growth; the kink at
 theta = pi of its part odd in sqrt(xi^2 + q^2), b/|xi| + e sgn(xi)/xi^2
 + ...; and one log per first-sheet zero of P.  N doubles until the FFT
@@ -247,6 +251,11 @@ FLOOR_ALIAS_MAX = 100.0 * SERIES_TOL
 ROOT_TOP = 0.1
 ROOT_RATIO = 16.0
 ROOT_ORDER = 8
+# With no levels the top series' map sits at MAP_SPREAD times the geometric
+# mean sqrt(|q| scale), at most the scale, which resolves the same series
+# with fewer nodes; with levels it stays at sqrt(kappa_m scale), where the
+# wider map needed more.
+MAP_SPREAD = 2.0
 
 # Order J of the closed-form kink split: the remainder's coefficients then
 # fall like n^-(J+3), and the four reference roots need N = 256.
@@ -323,11 +332,14 @@ def _frozen(array: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _kink_matrices():
-    """Constant maps from tau_m, m = -J..J: SIN (columns k = 0..J) gives
-    the tau_m of sin(theta)^k; PI the Pi_n, n = -J+1..J, with
-    Pi_n = Sum_{m>=n} tau_m c_{m-n} (n >= 1), -Sum_{m<n} tau_m c_{n-m}
-    (n <= 0); DEEP kappa f_n, n = 1..KINK_TERMS; C0 kappa f_0; AT_PI
-    kappa Sum_{n>0} f_n (-1)^n, from c_+(-1) = -1/pi.  Built on first use,
+    """One constant map from pi_0..pi_J to every constant of ``_KinkSplit``,
+    by rows: kappa f_0; kappa Sum_{n>0} f_{s n} (-1)^n for s = 1, -1, from
+    c_+(-1) = -1/pi; kappa f_{s n}, n = 1..KINK_TERMS, for s = 1, -1; then
+    per s the Horner columns of ``_KinkSplit.plus_sum``, highest power
+    first, each the pair (T, r Pi).  Each row is linear in the tau_m,
+    m = -J..J, and ``sin`` maps pi_k to the tau_m of sin(theta)^k; the side
+    s = -1 takes tau reversed, and Pi_n = Sum_{m>=n} tau_m c_{m-n} (n >= 1),
+    -Sum_{m<n} tau_m c_{n-m} (n <= 0), n = -J+1..J.  Built on first use,
     so importing the package does no numerical work."""
     j = KINK_ORDER
     m = np.arange(-j, j + 1)
@@ -336,7 +348,14 @@ def _kink_matrices():
     n = np.arange(-j + 1, j + 1)[:, None]
     pi = np.where(n >= 1, _c(m - n) * (m >= n), -_c(n - m) * (m < n))
     at_pi = -(-1.0) ** m / math.pi + (-1.0) ** n[:, 0] @ pi
-    return sin, pi, _c(np.arange(1, KINK_TERMS + 1)[:, None] - m), _c(m), at_pi
+    deep = _c(np.arange(1, KINK_TERMS + 1)[:, None] - m)
+    # the columns of T and r Pi: the zero row makes Pi's Horner pass end
+    # with the factor r
+    near = np.stack([np.eye(m.size)[::-1], np.vstack([pi[::-1], np.zeros(m.size)])],
+                    axis=1).reshape(-1, m.size)
+    # a row for s = -1 is the row for s = 1 on tau reversed
+    from_tau = np.vstack([_c(m), at_pi, at_pi[::-1], deep, deep[:, ::-1], near, near[:, ::-1]])
+    return _frozen(from_tau @ sin)
 
 
 class _KinkSplit:
@@ -345,23 +364,20 @@ class _KinkSplit:
     kappa.  On the circle f = cos(theta/2) T(rho)/kappa with the Laurent
     polynomial T = Sum_{|m|<=J} tau_m rho^m, so f_n = Sum_m tau_m c_{n-m}/kappa
     and Sum_{n>0} f_n r^n = [T(r) c_+(r) + Pi(r)]/kappa (``_kink_matrices``).
-    The n < 0 side is the same with tau reversed.
+    The n < 0 side is the same with tau reversed.  Every constant is a row
+    of one product with pi/kappa.
     """
 
     def __init__(self, pis: np.ndarray, kappa: float):
         self.pis, self.kappa = pis, kappa
-        sin, pi_map, deep, c0, at_pi = _kink_matrices()
-        tau = sin @ pis
-        self.f0 = complex(c0 @ tau) / kappa
-        self.at_pi, self.deep = {}, {}      # at_pi[s] = Sum_{n>0} f_{s n} (-1)^n
-        self.near = []
-        for sign, t in ((1, tau), (-1, tau[::-1])):
-            self.at_pi[sign] = complex(at_pi @ t) / kappa
-            self.deep[sign] = deep @ t / kappa
-            # the coefficients of T and r Pi as columns, highest power
-            # first: the zero makes Pi's Horner pass end with the factor r
-            columns = np.array([t[::-1], np.append((pi_map @ t)[::-1], 0.0)]).T[:, :, None]
-            self.near.append(list(columns))
+        rows = _kink_matrices() @ (pis / kappa)
+        deep_end = 3 + 2 * KINK_TERMS
+        self.f0 = complex(rows[0])
+        # at_pi[s] = Sum_{n>0} f_{s n} (-1)^n
+        self.at_pi = {1: complex(rows[1]), -1: complex(rows[2])}
+        self.deep = {1: rows[3:3 + KINK_TERMS], -1: rows[3 + KINK_TERMS:deep_end]}
+        # per side, the columns (T, r Pi)/kappa of each Horner step
+        self.near = rows[deep_end:].reshape(2, 2 * KINK_ORDER + 1, 2, 1)
 
     def values(self, xi: np.ndarray) -> np.ndarray:
         """f on the real axis."""
@@ -393,7 +409,7 @@ class _KinkSplit:
                 acc *= rn
                 for view, columns in sides:
                     view += columns[j]
-            out[near] = (c_plus * acc[0] + acc[1]) * rn ** -KINK_ORDER / self.kappa
+            out[near] = (c_plus * acc[0] + acc[1]) * rn ** -KINK_ORDER
         for sign, part in ((1, slice(0, n_up)), (-1, slice(n_up, r.size))):
             deep = ~near[part]
             if deep.any():
@@ -550,11 +566,15 @@ class CauchyTable:
 
     each point on its own side only, and the mean of both sides on the
     axis (the principal value).  K_s are the kink's closed-form sums (on
-    the map of the problem scale; the series' kappa, sqrt(kappa_m scale),
-    balances the branch points at +-i kappa_m against it) and l_z the zero
-    logs; C_s = s (a_0 + f_0 + c)/2 + S - i pi p/4 holds the regularization
-    at infinity S = (Sum_{n<0} - Sum_{n>0}) (a_n + f_n) (-1)^n/2.  Two
-    sheets take the difference of the sheets' laws.
+    the map of the problem scale) and l_z the zero logs.  The series' kappa
+    lies between the branch points at +-i kappa_m and the scale: without
+    levels min(scale, MAP_SPREAD sqrt(|q| scale)), which takes N = 256 at
+    the reference roots and at the two-sheet root (512 at sqrt(|q| scale));
+    with levels sqrt(kappa_m scale), where the wider map raised N from 1024
+    to 2048 on the magnetoplasmon sheet.  C_s = s (a_0 + f_0 + c)/2 + S
+    - i pi p/4 holds the regularization at infinity S = (Sum_{n<0} -
+    Sum_{n>0}) (a_n + f_n) (-1)^n/2.  Two sheets take the difference of
+    the sheets' laws.
 
     kappa_m is |q| unless |q| is below ROOT_TOP times the smallest 2/|s_xx|
     of the sheets.  One map cannot resolve both the root's branch points
@@ -593,7 +613,8 @@ class CauchyTable:
         sheets = [s for s in kernel.sheets if s[1] != 0]
         radii = _root_radii(q, ROOT_TOP * min((2.0 / abs(a) for _, a, *_ in sheets),
                                               default=0.0))
-        kappa = math.sqrt(radii[-1] * scale)
+        kappa = (math.sqrt(radii[-1] * scale) if len(radii) > 1
+                 else min(scale, MAP_SPREAD * math.sqrt(radii[0] * scale)))
         p, c = sum(sign for sign, *_ in sheets), kernel.tail_const
         kink = _KinkSplit(_kink_taylor(sheets, q, scale), scale)
         # zeros inside the top radius are zeros of P(w_0) alone: the levels

@@ -183,3 +183,17 @@ class TestTwoSheet:
         assert right.sigma.isclose(make_sigma("A"), 0)
         single = Problem.single_sheet(make_sigma("A"), 11.0)
         assert single.signed_sheets() == ((1, single),)
+
+    def test_signed_sheets_built_once(self):
+        # the two sheets are built once per problem, and the cache is not
+        # a field: equality, hashing, repr and with_q see only the fields
+        two = Problem.two_sheet(make_sigma("B"), make_sigma("A"), 11.0)
+        fresh = Problem.two_sheet(make_sigma("B"), make_sigma("A"), 11.0)
+        repr_before = repr(two)
+        sheets = two.signed_sheets()
+        assert two.signed_sheets() is sheets
+        assert two == fresh and hash(two) == hash(fresh) and repr(two) == repr_before
+        moved = two.with_q(12.0)
+        assert moved != two and moved == fresh.with_q(12.0)
+        assert [side.q for _, side in moved.signed_sheets()] == [12.0, 12.0]
+        assert [side.q for _, side in two.signed_sheets()] == [11.0, 11.0]

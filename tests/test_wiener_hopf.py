@@ -25,7 +25,8 @@ from edgeplasmon.field import _field_contour, _panel_width, _vertical_panels
 from edgeplasmon.quadrature import QuadratureError
 from edgeplasmon.spectrum import RealAxisZeroError
 from cauchy_oracle import adaptive_phi, mp_phi
-from conftest import INTERFACE_ROOT, TWO_SHEET_LEFT, TWO_SHEET_ROOT, make_sigma
+from conftest import (INTERFACE_ROOT, MAGNETO_ROOT, MAGNETO_SIGMA, TWO_SHEET_LEFT, TWO_SHEET_ROOT,
+                      make_sigma)
 from test_spectrum import random_passive_tensor
 
 
@@ -334,9 +335,11 @@ class TestCPlus:
 
 class TestSeriesLength:
     """N is set by the problem, not by the last bits of q: the beyond-N/4
-    sum of a two-sheet series sits on SERIES_TOL at every N from 512 on,
-    and what stands above its rounding floor does not.  The final N of
-    each series fixes its sequence of doublings from SERIES_N_MIN."""
+    sum of a two-sheet series sits near SERIES_TOL at every N, and what
+    stands above its rounding floor does not.  The final N of each series
+    fixes its sequence of doublings from SERIES_N_MIN.  The top series'
+    map, at 2 sqrt(|q| scale) up to the scale, resolves every reference
+    root at N = 256, the two-sheet root included."""
 
     @staticmethod
     def _problem(case, q):
@@ -344,26 +347,51 @@ class TestSeriesLength:
             return Problem.interface(make_sigma("A"), q, 2.0, 2.0)
         if case == "two_sheet":
             return Problem.two_sheet(TWO_SHEET_LEFT, make_sigma("A"), q)
+        if case == "magneto":
+            return Problem.single_sheet(MAGNETO_SIGMA, q)
         return Problem.single_sheet(make_sigma(case), q)
 
-    @pytest.mark.parametrize("case", ["A", "B", "C", "D", "interface", "two_sheet"])
-    def test_same_n_over_ulp_moves_of_q(self, case, solutions, monkeypatch):
-        root = {"interface": INTERFACE_ROOT, "two_sheet": TWO_SHEET_ROOT}.get(case)
-        root = solutions[case].q if root is None else root
+    @staticmethod
+    def _sizes(problem, monkeypatch):
+        """(table, the final N of each series) of a fresh build."""
         sizes = []
         fft_series = wiener_hopf._fft_series
 
         def recording(values, kappa):
             out = fft_series(values, kappa)
-            sizes[-1].append(out[0].size)
+            sizes.append(out[0].size)
             return out
 
-        monkeypatch.setattr(wiener_hopf, "_fft_series", recording)
+        with monkeypatch.context() as patch:
+            patch.setattr(wiener_hopf, "_fft_series", recording)
+            table = build_log_kernel(problem).cauchy_table()
+        return table, sizes
+
+    @pytest.mark.parametrize("case", ["A", "B", "C", "D", "interface", "two_sheet"])
+    def test_same_n_over_ulp_moves_of_q(self, case, solutions, monkeypatch):
+        root = {"interface": INTERFACE_ROOT, "two_sheet": TWO_SHEET_ROOT}.get(case)
+        root = solutions[case].q if root is None else root
+        sizes, estimates = [], []
         for k in range(-20, 21):
-            sizes.append([])
             re = root.real + k * np.spacing(root.real)
-            build_log_kernel(self._problem(case, complex(re, root.imag))).cauchy_table()
-        assert all(n == sizes[0] for n in sizes), sizes
+            table, n = self._sizes(self._problem(case, complex(re, root.imag)), monkeypatch)
+            sizes.append(n)
+            estimates.append(table.error_estimate)
+        assert all(n == [256] for n in sizes), sizes
+        # at the root itself; ulp moves of a two-sheet q reach 4.8e-13
+        assert estimates[20] <= 2e-13
+
+    @pytest.mark.parametrize("case", ["B", "D"])
+    def test_below_the_root(self, case, solutions, monkeypatch):
+        # at 0.3 q_root the map of sqrt(|q| scale) needed N = 512
+        _, sizes = self._sizes(self._problem(case, 0.3 * solutions[case].q), monkeypatch)
+        assert sizes == [256]
+
+    def test_magnetoplasmon_root_keeps_its_levels(self, monkeypatch):
+        # |q| = 44 far below the scale 1e4: the top series and two levels,
+        # each on the map of its own radii
+        _, sizes = self._sizes(self._problem("magneto", MAGNETO_ROOT), monkeypatch)
+        assert len(sizes) == 3 and max(sizes) <= 1024, sizes
 
     def test_slow_decay_is_not_a_floor(self):
         # a pole 0.01 off the axis: |a_n| ~ 0.99^n is flat within the floor
@@ -497,6 +525,50 @@ class TestCauchyTableOracle:
         out = table.phi(np.array([1.0 + 1e-7j, -3.0, 2.0 - 5.0j]))
         assert np.array_equal(out, np.zeros(3, dtype=complex))
         assert table.error_estimate == 0.0
+
+
+@st.composite
+def level_free_problems(draw):
+    """A random passive tensor (tests/test_spectrum.py), alone or, in three
+    draws of ten, the right sheet beside another, at a q of either sign
+    with |q| from 0.1 to 5 times its 2/|sigma_xx|: at or above ROOT_TOP
+    times the scale of the sheets, so the table has no root levels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sigma = random_passive_tensor(rng)
+    size = 10.0 ** rng.uniform(-1.0, math.log10(5.0)) * 2.0 / abs(sigma.xx)
+    q = complex(size * rng.choice([-1.0, 1.0]), rng.normal(scale=0.1) * size)
+    if rng.uniform() < 0.3:
+        return Problem.two_sheet(random_passive_tensor(rng), sigma, q), rng
+    return Problem.single_sheet(sigma, q), rng
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(level_free_problems())
+def test_map_scale_against_the_geometric_mean_map(case):
+    # the top series on the map of min(scale, 2 sqrt(|q| scale)) against
+    # the same table on the map of sqrt(|q| scale): on the axis (principal
+    # values), next to it and off it, within the sum of both estimates
+    problem, rng = case
+    try:
+        kernel = build_log_kernel(problem)
+    except RealAxisZeroError:
+        assume(False)
+    assume(kernel.nu_k == 0)
+    table = kernel.cauchy_table()
+    scale, size = kernel.scale, abs(problem.q)
+    assert len(table.series) == 1
+    assert table.kappa == min(scale, wiener_hopf.MAP_SPREAD * math.sqrt(size * scale))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wiener_hopf, "MAP_SPREAD", 1.0)
+        mean_map = build_log_kernel(problem).cauchy_table()
+    assert mean_map.kappa == math.sqrt(size * scale)
+    x = rng.uniform(-4.0, 4.0, 12) * scale
+    pts = np.concatenate([x, x + 1e-9j * scale, x - 1e-9j * scale,
+                          (rng.uniform(-3.0, 3.0, 12) + 1j * rng.uniform(0.01, 2.0, 12)
+                           * rng.choice([-1.0, 1.0], 12)) * scale])
+    gap = np.abs(table.phi(pts) - mean_map.phi(pts)).max()
+    assert gap <= table.error_estimate + mean_map.error_estimate
 
 
 ZERO_SHEET = ConductivityTensor.diagonal(0, 0, nondimensional=True)
