@@ -268,10 +268,10 @@ def classify(problem: Problem, *, tol: float = 1e-8) -> Classification:
     (``RESIDUAL_FAILURES``) the result is NO_SOLUTION, as from ``solve``.
     """
     try:
-        kernel = build_log_kernel(problem)
-        if kernel.nu_k > 0:
-            return Classification.CONTINUUM_REGION
-        f = residual(problem, kernel=kernel)    # nu_K < 0 raises here
+        f = residual(problem)
+    except NonzeroIndexError as exc:
+        return (Classification.CONTINUUM_REGION if exc.nu_k > 0
+                else Classification.NO_SOLUTION)
     except RESIDUAL_FAILURES:
         return Classification.NO_SOLUTION
     return (Classification.DISCRETE_EPP if abs(f) < tol

@@ -32,12 +32,12 @@ Both, with Int |s_+-| per panel, are memoized on the kernel, so
 whichever routine runs second reuses them.
 One side integral, ``_contour_integral``, serves both signs of x (the
 edge limit is x = 0): the edge limit integrates every panel and adds
-two-term algebraic tails fitted at +-span, a profile integrates the
-inner panels and adds the rays from +-inner - i delta into the
-half-plane where e^{i xi x} decays; each tail set takes one
-``CauchyTable.phi`` call.  Its one error rule adds the moduli of the
-panels' embedded-rule misses, the tails' errors, and Phi's error
-carried through s_+-.
+two-term algebraic tails fitted at +-span, whose samples share the
+contour's ``CauchyTable.phi`` call, a profile integrates the inner
+panels and adds the rays from +-inner - i delta into the half-plane
+where e^{i xi x} decays, which take one call for all its x.  Its one
+error rule adds the moduli of the panels' embedded-rule misses, the
+tails' errors, and Phi's error carried through s_+-.
 """
 
 from __future__ import annotations
@@ -146,9 +146,8 @@ def edge_limits(problem: Problem, kernel: UnwrappedLogKernel) -> EdgeLimits:
     # e^{-Q_-(xi)} dxi, whose closed-down evaluation is C^+ + C^-; computing
     # the integral numerically cross-checks the splitting.
     contour = _field_contour(kernel, _panel_width(kernel))
-    table = kernel.cauchy_table()
-    integral, err = _contour_integral(table, contour, contour.s_minus, 0.0,
-                                      _fit_tails(table, consts, contour))
+    integral, err = _contour_integral(kernel.cauchy_table(), contour, contour.s_minus, 0.0,
+                                      contour.tails)
     phi_plus = cp - complex(integral) / TWO_PI_I
     return EdgeLimits(complex(phi_plus), complex(phi_minus), complex(div_coeff),
                       phi_plus_error=err, phi_minus_error=float(minus_err))
@@ -267,33 +266,24 @@ def _fit_tail(samples, cut: float):
     tail integral the same fit misses by a fixed multiple of its miss there
     (about 77 c)."""
     power = 1.5
-    t1, t2, t3 = 0.8 * cut, cut, 0.9 * cut
-    s1, s2, s3 = samples
-    m = np.array([[t1 ** -power, t1 ** -(power + 1.0)],
-                  [t2 ** -power, t2 ** -(power + 1.0)]], dtype=complex)
-    coef_a, coef_b = np.linalg.solve(m, np.array([s1, s2]))
-    resid = abs(s3 - coef_a * t3 ** -power - coef_b * t3 ** -(power + 1.0))
+    t = cut * np.array([0.8, 1.0, 0.9])
+
+    def fit(s):
+        # A + B/t = s t^power at the first two samples, in closed form,
+        # and the fit's miss at the third
+        a1, a2 = s[0] * t[0] ** power, s[1] * t[1] ** power
+        coef_b = (a1 - a2) * t[0] * t[1] / (t[1] - t[0])
+        coef_a = a2 - coef_b / t[1]
+        return coef_a, coef_b, s[2] - coef_a * t[2] ** -power - coef_b * t[2] ** -(power + 1.0)
+
+    coef_a, coef_b, resid = fit(samples)
     e_a, e_b = _e_power(power, cut), _e_power(power + 1.0, cut)
     # the same fit of the unit next-order term: its checkpoint miss and
     # the error of its fitted tail integral
-    nxt = power + 2.0
-    n_a, n_b = np.linalg.solve(m.real, np.array([t1 ** -nxt, t2 ** -nxt]))
-    miss = t3 ** -nxt - n_a * t3 ** -power - n_b * t3 ** -(power + 1.0)
-    tail_miss = _e_power(nxt, cut) - (n_a * e_a + n_b * e_b)
-    coef_a, coef_b = complex(coef_a), complex(coef_b)
-    return (coef_a * e_a + coef_b * e_b, float(resid * abs(tail_miss / miss)),
-            abs(coef_a) * e_a + abs(coef_b) * e_b)
-
-
-def _fit_tails(table, consts, contour) -> list[tuple[complex, float, float]]:
-    """The edge integral's fitted tails beyond +span and -span, without
-    oscillation (the x -> 0+ limit is taken): s_- at both ends' three
-    samples takes one ``CauchyTable.phi`` call."""
-    t = contour.span * np.array([0.8, 1.0, 0.9])
-    xi = np.concatenate([t, -t]) - 1j * contour.delta
-    # e^{-Q_-} = e^{+Phi} below the axis
-    s = _bracket(consts, xi) * np.exp(table.phi(xi))
-    return [_fit_tail(s[:3], contour.span), _fit_tail(s[3:], contour.span)]
+    n_a, n_b, miss = fit(t ** -(power + 2.0))
+    tail_miss = _e_power(power + 2.0, cut) - (n_a * e_a + n_b * e_b)
+    return (complex(coef_a * e_a + coef_b * e_b), float(abs(resid * tail_miss / miss)),
+            float(abs(coef_a) * e_a + abs(coef_b) * e_b))
 
 
 def _abs_panels(vals: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -385,7 +375,8 @@ class _Contour:
     = bracket e^{Phi} with Int |s_-| per panel.  A profile integrates the
     ``n_inner`` panels of [-inner, inner], which come first; the edge
     limit's contour (panels kappa/4 wide) also has the outer panels out to
-    the span, which the edge limit alone reads."""
+    the span and the fitted tails beyond it, which the edge limit alone
+    reads."""
 
     span: float
     inner: float
@@ -395,6 +386,7 @@ class _Contour:
     n_inner: int               # panels on [-inner, inner]
     phi_below: np.ndarray      # Phi(t - i delta)
     s_minus: tuple             # (s_- values, Int |s_-| per panel)
+    tails: list | None         # ``_fit_tail`` beyond +span and -span, or None
 
     @property
     def inner_nodes(self) -> int:
@@ -406,7 +398,10 @@ def _field_contour(kernel: UnwrappedLogKernel, width: float) -> _Contour:
     """The contour with inner panels at most ``width`` wide, memoized on
     the kernel: ``edge_limits`` and ``phi_profile`` share it whenever
     their widths agree.  A narrower contour serves profiles alone and
-    stops at +-inner.  It takes one ``CauchyTable.phi`` call."""
+    stops at +-inner.  It takes one ``CauchyTable.phi`` call, which on
+    the edge limit's contour also takes s_- at the samples of its fitted
+    tails, 0.8, 1 and 0.9 span at either end (``_fit_tail``), without
+    oscillation (the x -> 0+ limit is taken)."""
     def build():
         # the error of the edge limits' fitted tails falls like span^-2.5:
         # on sheet D at its root |phi(0+) - 1| is 1.6e-4 at 20 kappa,
@@ -414,14 +409,18 @@ def _field_contour(kernel: UnwrappedLogKernel, width: float) -> _Contour:
         span = max(40.0 * kernel.scale, 3.0 * abs(kernel.problem.q))
         delta = 1e-7 * kernel.scale
         nodes, half, inner, n_inner = _panel_nodes(span, max_width=width, kernel=kernel)
-        if width != _panel_width(kernel):
+        full = width == _panel_width(kernel)
+        if not full:
             nodes, half = nodes[:n_inner * (nodes.size // half.size)], half[:n_inner]
-        xi = nodes - 1j * delta
+        n = nodes.size
+        t = span * np.array([0.8, 1.0, 0.9]) if full else np.empty(0)
+        xi = np.concatenate([nodes, t, -t]) - 1j * delta
         below = kernel.cauchy_table().phi(xi)
         # e^{-Q_-} = e^{+Phi} below the axis
         minus = _bracket(_constants(kernel), xi) * np.exp(below)
-        return _Contour(span, inner, delta, nodes, half, n_inner, below,
-                        (minus, _abs_panels(minus, half)))
+        tails = [_fit_tail(minus[n:n + 3], span), _fit_tail(minus[n + 3:], span)] if full else None
+        return _Contour(span, inner, delta, nodes, half, n_inner, below[:n],
+                        (minus[:n], _abs_panels(minus[:n], half)), tails)
 
     return kernel.memo(("field_contour", width), build)
 

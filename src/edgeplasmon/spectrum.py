@@ -30,8 +30,8 @@ result in any block, and a row that fails becomes that row's error
 without stopping the others.
 ``conjecture_block`` is the block form of ``conjecture_check``;
 ``bulk_zeros``, ``conjecture_check``, ``winding_index``,
-``dual_winding_index`` and ``build_log_kernel``'s census and phase pass
-are blocks of one row.
+``dual_winding_index`` and ``build_log_kernel``'s census and its check of
+P on the census seeds alone (``_axis_check``) are blocks of one row.
 """
 
 from __future__ import annotations
@@ -520,6 +520,32 @@ def unwrapped_phase_grid(problems, sheet: Sheet, *, out=None):
                 out[r] = RealAxisZeroError(DIVERGED)
         xs, vals, rows = _insert(at, (xs, mids), (vals, new_vals), (rows, new_rows))
     return nodes, phase, out, scales
+
+
+def _axis_check(block: _Block, scale: float) -> None:
+    """P of a block of one row on its census seeds alone, Re z + |Im z|
+    ZERO_SEED_OFFSETS inside the phase pass's end, where a zero of P or of
+    P^L next to the axis puts them.  It fails as the pass fails a row
+    there: on a pole or a branch point at a node (``_rowwise``), or where
+    |P| or |P^L| is below REAL_AXIS_MIN_MODULUS (a pole that no node
+    hits, onto which the pass bisects)."""
+    roots = block.census_roots[0][0]
+    end = PHASE_GRID_END * scale
+    xs = np.append((roots.real[:, None] + np.abs(roots.imag)[:, None] * ZERO_SEED_OFFSETS).ravel(), end)
+    xs = xs[np.abs(xs) <= end]
+    out = [None]
+    vals = _rowwise(block.symbol(Sheet.FIRST), xs, np.zeros(xs.size, dtype=int), out)
+    _one(out[0])
+    q2, sheets = block.terms[0]
+    xi = xs.astype(complex)
+    checks = [(vals, "symbol", "index/splitting undefined (zero on contour)")]
+    # the divisor sheet's factor alone: its zero is a pole of P
+    checks += [(_compose((q2, (sheet,)), xi, sheet_root(xi, q2))[0], "P^L",
+                "index undefined (pole on contour)") for sheet in sheets[1:]]
+    for vals, name, why in checks:
+        low = np.abs(vals).min()
+        if low < REAL_AXIS_MIN_MODULUS:
+            raise RealAxisZeroError(f"{name} modulus {low:.3e} on the real axis; {why}")
 
 
 def winding_index(problem: Problem) -> int:

@@ -8,11 +8,12 @@ so both split functions are values of the same Cauchy transform
 Phi(xi0) = (1/2 pi i) Int L(xi')/(xi'-xi0) dxi' of the continuously
 unwrapped log L = ln|P| + i arg P:  Q_+ = Phi above the axis and
 Q_- = -Phi below it.  The branch of L is pinned by continuous unwrapping
-along the real axis plus the requirement that L match the principal
-large-xi form (ln of i*sigma_xx*xi/2 for a single sheet), which is what
-makes the dispersion-relation logarithms land on the branch the edge
-condition needs.  L grows like ln|xi|; the integral is symmetric at
-infinity.
+along the series' own nodes, from the principal large-xi form (ln of
+i*sigma_xx*xi/2 for a single sheet) at xi -> -inf, which is what makes
+the dispersion-relation logarithms land on the branch the edge
+condition needs; the whole turns it ends on are the index nu_K, and
+nu_K != 0 stops the series before any FFT.  L grows like ln|xi|; the
+integral is symmetric at infinity.
 
 Phi has one representation per kernel, a spectral series on Weideman's
 rational basis (``CauchyTable``; J.A.C. Weideman, Math. Comp. 64 (1995)
@@ -49,15 +50,16 @@ from .branches import Sheet, log_polar, principal_log, sheet_sqrt, unwrapped_ang
 from .kernel import Problem, _compose, p_of_xi, symbol_terms
 from .quadrature import QuadratureError
 from .spectrum import (
+    PHASE_STEP_MAX,
     DegenerateQuadraticError,
     DoubleRootError,
-    RealAxisZeroError,
     SpectrumReport,
+    _axis_check,
     _Block,
     _census,
     _one,
+    problem_scale,
     quadratic_roots,
-    unwrapped_phase_grid,
 )
 
 __all__ = [
@@ -83,42 +85,23 @@ class NonzeroIndexError(RuntimeError):
 class UnwrappedLogKernel:
     """Continuously unwrapped ln P along the real axis.
 
-    Stores an adaptive phase grid on [-m, m] (steps < pi/2) from which the
-    2-pi branch of arg P at any real point is recovered by interpolation;
-    moduli and principal phases are always evaluated exactly from the
-    symbol, so the series accuracy is not limited by the grid.  ``sheets``
-    holds the (sign, a, b, c) of each signed sheet (``symbol_terms``), and
-    ``census`` its ``bulk_zeros`` report: the zeros that seeded the grid,
-    that the series subtracts and around which the field contour puts its
-    panel edges.  The logs in L are those of the sheets with a != 0: the
-    census refuses any other sheet whose numerator is not zero.
+    The series forms L at its own nodes, where its 2-pi turns and
+    ``nu_k`` come from (``_turns``).  ``sheets`` holds the (sign, a, b, c)
+    of each signed sheet (``symbol_terms``), and ``census`` its
+    ``bulk_zeros`` report: the zeros that the series subtracts and around
+    which the field contour puts its panel edges.  The logs in L are
+    those of the sheets with a != 0: the census refuses any other sheet
+    whose numerator is not zero.
     """
 
-    def __init__(self, problem: Problem, grid: np.ndarray, phase: np.ndarray,
-                 scale: float, nu_k: int, tail_const: complex,
+    def __init__(self, problem: Problem, scale: float, tail_const: complex,
                  census: tuple[SpectrumReport, ...], sheets: tuple):
         self.problem = problem
         self.census = census
         self.sheets = sheets
-        self.grid = grid
-        self.phase = phase
         self.scale = scale
-        self.nu_k = nu_k
         self.tail_const = tail_const      # L ~ p ln(zeta) + tail_const, p in {-1, 0, 1}
         self._cache: dict = {}
-
-    # -- symbol evaluations on the real axis ----------------------------
-
-    def log_values(self, zeta):
-        """L(zeta) = ln|P| + i * (unwrapped arg P), vectorized over real zeta."""
-        zeta = np.asarray(zeta, dtype=float)
-        vals = p_of_xi(self.problem, zeta, Sheet.FIRST)
-        pa = np.angle(vals)
-        ref = np.interp(zeta, self.grid, self.phase,
-                        left=self.phase[0], right=self.phase[-1])
-        n = np.round((ref - pa) / TWO_PI)
-        out = np.log(np.abs(vals)) + 1j * (pa + TWO_PI * n)
-        return out[()] if out.ndim == 0 else out
 
     # -- memoized derived objects ---------------------------------------
 
@@ -154,6 +137,16 @@ class UnwrappedLogKernel:
         """The spectral series of Phi, built once per kernel."""
         return self.memo("table", lambda: CauchyTable.build(self))
 
+    @property
+    def nu_k(self) -> int:
+        """The winding index nu_K: the whole turns of L on the series'
+        nodes, which the table build counts before any FFT."""
+        try:
+            self.cauchy_table()
+        except NonzeroIndexError as exc:
+            return exc.nu_k
+        return 0
+
     def first_sheet_zeros(self) -> list[tuple[complex, int]]:
         """(location, sign) of every non-marginal first-sheet zero in the
         census: the zeros of P_sheet, which enter P with the sheet's sign."""
@@ -175,35 +168,25 @@ def build_log_kernel(problem: Problem) -> UnwrappedLogKernel:
 
     The problem is a block of one row, whose census roots are solved once:
     the census of each signed sheet comes first and is kept on the kernel
-    with the sheets, and the phase is unwrapped on [-m, m] from nodes
-    seeded at the same roots (``unwrapped_phase_grid``, which also gives
-    the winding index).  The global 2-pi-i branch constant is fixed by
-    matching L(m) against the analytic tail law.
+    with the sheets, and P is evaluated once on the nodes seeded at the
+    same roots (``spectrum._axis_check``), where a zero or a pole of P
+    next to the axis shows.  L itself, its branch and nu_K come with the
+    series (``CauchyTable.build``).
 
     Raises ``DegenerateQuadraticError`` (a ``ValueError``) when the census
     refuses a sheet with sigma_xx = 0, where L has no ln|xi| tail law,
     ``CensusOverflowError`` when a census quartic is not finite,
-    ``BranchPointError`` when a grid node is a branch point (q^2 = 0), and
-    ``RealAxisZeroError`` when P vanishes on or next to the real axis.
+    ``BranchPointError`` when a seed node is a branch point (q^2 = 0), and
+    ``RealAxisZeroError`` when P or P^L vanishes on or next to the real
+    axis (a zero or a pole on the contour).
     """
     block = _Block([problem])
     census = _one(_census(block)[0])
     sheets = block.terms[0][1]
-    tail_const = _tail_constant([s for s in sheets if s[1] != 0])
-    xs, theta, (nu,), (scale,) = unwrapped_phase_grid(block, Sheet.FIRST)
-    nu = _one(nu)
-    # fix the global branch against the right tail alone: arg P(m) must
-    # approach Im tail_const (mod 2 pi); this stays well defined for
-    # nonzero winding, where the two tails differ by 2 pi nu
-    drift = theta[-1] - tail_const.imag
-    k = round(drift / TWO_PI)
-    if abs(drift - TWO_PI * k) > 1.0:
-        raise RealAxisZeroError(
-            f"failed to close the phase normalization (tail drift {drift:.3f} "
-            "rad); symbol tails not converged at the cutoff")
-    theta = theta - TWO_PI * k
-
-    return UnwrappedLogKernel(problem, xs, theta, scale, nu, tail_const, census, sheets)
+    scale = problem_scale(problem)
+    _axis_check(block, scale)
+    return UnwrappedLogKernel(problem, scale, _tail_constant([s for s in sheets if s[1] != 0]),
+                              census, sheets)
 
 
 # ---------------------------------------------------------------------------
@@ -454,28 +437,52 @@ def _log_ratio(problem: Problem, xi, w_num, w_den):
     return np.log(np.abs(ratio)) + 1j * unwrapped_angle(ratio)
 
 
+def _turns(reduced: np.ndarray):
+    """The turns n of L = ln|P| + i (arg P + 2 pi n) at the sorted nodes:
+    ``reduced``, arg P less the phase of the series' closed-form parts,
+    continued by ``unwrapped_angle``'s rule (each step to the nearest
+    whole turn) from the turn nearest 0 at xi -> -inf.  None (unresolved
+    at this N) while a step stays above PHASE_STEP_MAX or the end is more
+    than 0.2 off a whole turn; ``NonzeroIndexError`` at nu_K != 0."""
+    n = np.empty(reduced.shape)
+    n[0] = -round(reduced[0] / TWO_PI)
+    n[1:] = np.rint((reduced[:-1] - reduced[1:]) / TWO_PI)
+    n.cumsum(out=n)
+    phase = reduced + TWO_PI * n
+    turns = phase[-1] / TWO_PI
+    nu = round(turns)
+    if np.abs(phase[1:] - phase[:-1]).max() > PHASE_STEP_MAX or abs(turns - nu) > 0.2:
+        return None
+    if nu:
+        raise NonzeroIndexError(nu)
+    return n
+
+
 def _fft_series(values, kappa: float):
     """FFT coefficients a_n of values(nodes) on the map of kappa, N doubled
-    from SERIES_N_MIN until the coefficients beyond N/4 sum below
-    SERIES_TOL, or, while that sum is below FLOOR_ALIAS_MAX, until what
-    they hold above the rounding floor does (``_above_floor``).  Returns (nodes, a, tail, alias) with tail[K] =
-    Sum_{|n| > K} |a_n| and alias = tail[N/4]."""
+    from SERIES_N_MIN while values(nodes) is None (L's turns unresolved),
+    then until the coefficients beyond N/4 sum below SERIES_TOL, or,
+    while that sum is below FLOOR_ALIAS_MAX, until what they hold above
+    the rounding floor does (``_above_floor``).  Returns (nodes, a, tail,
+    alias) with tail[K] = Sum_{|n| > K} |a_n| and alias = tail[N/4]."""
     n = SERIES_N_MIN
     while True:
         unit, twiddle, order = _fft_constants(n)
         nodes = kappa * unit
-        a = np.fft.fft(values(nodes)) * twiddle
-        mag = np.abs(a)
-        by_order = np.bincount(order, weights=mag)
-        tail = np.append(np.cumsum(by_order[::-1])[-2::-1], 0.0)
-        alias = tail[n // 4]
-        if alias <= SERIES_TOL or (alias <= FLOOR_ALIAS_MAX
-                                   and _above_floor(mag, order, n) <= SERIES_TOL):
-            return nodes, a, tail, alias
+        vals = values(nodes)
+        why = "L's turns unresolved (a phase step above pi/2, or an end off a whole turn)"
+        if vals is not None:
+            a = np.fft.fft(vals) * twiddle
+            mag = np.abs(a)
+            by_order = np.bincount(order, weights=mag)
+            tail = np.append(np.cumsum(by_order[::-1])[-2::-1], 0.0)
+            alias = tail[n // 4]
+            if alias <= SERIES_TOL or (alias <= FLOOR_ALIAS_MAX
+                                       and _above_floor(mag, order, n) <= SERIES_TOL):
+                return nodes, a, tail, alias
+            why = f"coefficients beyond N/4 sum to {alias:.3e} > {SERIES_TOL:.1e}"
         if n >= SERIES_N_MAX:
-            raise QuadratureError(
-                f"spectral series of L not resolved at N = {n}: coefficients "
-                f"beyond N/4 sum to {alias:.3e} > {SERIES_TOL:.1e}")
+            raise QuadratureError(f"spectral series of L not resolved at N = {n}: {why}")
         n *= 2
 
 
@@ -606,8 +613,6 @@ class CauchyTable:
 
     @classmethod
     def build(cls, kernel: UnwrappedLogKernel) -> "CauchyTable":
-        if kernel.nu_k != 0:
-            raise NonzeroIndexError(kernel.nu_k)
         problem, scale = kernel.problem, kernel.scale
         q = complex(problem.q)
         sheets = [s for s in kernel.sheets if s[1] != 0]
@@ -627,12 +632,20 @@ class CauchyTable:
             return sheet_sqrt(xi, q, Sheet.FIRST) if j == 0 else _stand_in_root(xi, q, radii[j])
 
         def remainder(nodes):
-            rem = (kernel.log_values(nodes) - c - kink.values(nodes)
-                   - 0.5 * p * np.log(nodes * nodes + kappa ** 2))
+            vals = p_of_xi(problem, nodes)
+            pa = np.angle(vals)
+            parts = [kink.values(nodes)]
             if len(radii) > 1:
-                rem -= _log_ratio(problem, nodes, root(nodes, 0), root(nodes, len(radii) - 1))
-            for zero in zeros:
-                rem -= _zero_log(nodes, zero)
+                parts.append(_log_ratio(problem, nodes, root(nodes, 0), root(nodes, len(radii) - 1)))
+            parts += [_zero_log(nodes, zero) for zero in zeros]
+            # L's turns: None, or raises, unless they resolve to nu_K = 0
+            n = _turns(pa - sum(part.imag for part in parts) - c.imag)
+            if n is None:
+                return None
+            rem = (np.log(np.abs(vals)) + 1j * (pa + TWO_PI * n) - c - parts[0]
+                   - 0.5 * p * np.log(nodes * nodes + kappa ** 2))
+            for part in parts[1:]:
+                rem -= part
             return rem
 
         nodes, a, tail, alias = _fft_series(remainder, kappa)

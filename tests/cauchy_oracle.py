@@ -6,8 +6,9 @@ kernel's log values with linear subtraction of L about t0 = Re xi0, exact
 closed forms for the subtracted part, and the tail |z| > span folded onto
 a finite interval with the pair +-z summed (the symmetric integral at
 infinity).  All points are integrated in one adaptive pass that shares
-every evaluation of L; each meets its own tolerance.  It shares no code
-with the spectral series beyond ``log_values``.
+every evaluation of L; each meets its own tolerance.  L comes from the
+phase pass (``selfcheck.grid_log``), which shares no code with the
+spectral series.
 
 ``direct_f_pm`` integrates f^+- = +-2 pi i sg(q) Q_+-(xi^+-) in the scaled
 long-wavelength variables straight from the symbol, sharing no code with
@@ -22,6 +23,7 @@ import numpy as np
 from edgeplasmon.branches import Sheet, principal_log
 from edgeplasmon.kernel import dp_dxi, p_of_xi
 from edgeplasmon.quadrature import adaptive_gk, adaptive_gk_to_infinity
+from edgeplasmon.selfcheck import grid_log
 from edgeplasmon.spectrum import bulk_zeros
 
 TWO_PI = 2.0 * math.pi
@@ -55,7 +57,8 @@ def _adaptive_chunk(kernel, points, rtol):
     scale = kernel.scale
     span = max(max(64.0 * scale, 4.0 * abs(x)) for x in points)
     t0 = np.clip(points.real, -0.75 * span, 0.75 * span)
-    c0 = kernel.log_values(t0)
+    log_values = grid_log(kernel)
+    c0 = log_values(t0)
     t0c = t0.astype(complex)
     c1 = dp_dxi(kernel.problem, t0c) / p_of_xi(kernel.problem, t0c)
     xc, t0c, c0c, c1c = (v[:, None] for v in (points, t0, c0, c1))
@@ -68,7 +71,7 @@ def _adaptive_chunk(kernel, points, rtol):
         # can round to s = 2 under deep bisection
         u = np.maximum(2.0 - s[tail], 1e-14)
         zeta = span / u
-        lz, lp, lm = np.split(kernel.log_values(np.concatenate([z, zeta, -zeta])),
+        lz, lp, lm = np.split(log_values(np.concatenate([z, zeta, -zeta])),
                               [z.size, z.size + zeta.size])
         out = np.empty((points.size, s.size), dtype=complex)
         out[:, main] = (lz - c0c - c1c * (z - t0c)) / (z - xc) * span
@@ -107,9 +110,10 @@ def _mp_phi(kernel, z, dps):
     at the near-pole, at the near-axis zeros of every sheet's P and on the
     kernel's scale.  P is the product of the signed sheets' symbols
     (P^R/P^L for two sheets).  The 2-pi branch of arg P at each t comes
-    from the kernel's unwrapped phase grid, moduli and principal phases
-    from P in ``dps``-digit arithmetic."""
+    from the phase pass (``grid_log``), moduli and principal phases from P
+    in ``dps``-digit arithmetic."""
     prob = kernel.problem
+    log_values = grid_log(kernel)
     with mp.workdps(dps):
         sheets = [(sign, [mp.mpc(v) for v in (sheet.sigma_eff.xx, sheet.sigma_eff.off_sum,
                                                sheet.sigma_eff.yy)])
@@ -121,8 +125,7 @@ def _mp_phi(kernel, z, dps):
             p = mp.mpc(1)
             for sign, (sxx, s_off, syy) in sheets:
                 p *= (1 + 0.5j * (sxx * t * t + s_off * q * t + syy * q * q) / root) ** sign
-            ref = float(np.interp(float(t), kernel.grid, kernel.phase,
-                                  left=kernel.phase[0], right=kernel.phase[-1]))
+            ref = float(log_values(float(t)).imag)
             arg = mp.arg(p)
             return mp.log(abs(p)) + 1j * (arg + 2 * mp.pi * round((ref - float(arg)) / TWO_PI))
 

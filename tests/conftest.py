@@ -90,6 +90,13 @@ def assert_close(actual, expected, tol, what=""):
     assert err <= tol, f"{what}: {actual} vs {expected} (rel err {err:.3e} > {tol:g})"
 
 
+def series_log(kernel, x):
+    """The series' L at real x: the jump Phi(x + i0) - Phi(x - i0)."""
+    x = np.asarray(x, dtype=float)
+    table = kernel.cauchy_table()
+    return table.phi(x + 1e-300j) - table.phi(x - 1e-300j)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import types
 import warnings
 
@@ -9,12 +10,14 @@ from scipy import constants
 
 from edgeplasmon import (
     AmbientMedium,
+    BranchPointError,
     Classification,
     ConductivityTensor,
     DoubleRootError,
     LongwaveParams,
     NonzeroIndexError,
     Problem,
+    RealAxisZeroError,
     classify,
     f_pm,
     f_pm_mellin,
@@ -27,12 +30,14 @@ from edgeplasmon import (
     trace_curve,
     vm_isotropic_residual,
 )
-from edgeplasmon import dispersion
+from edgeplasmon import dispersion, wiener_hopf
 from edgeplasmon.branches import principal_log
 from edgeplasmon.quadrature import QuadratureError
 from edgeplasmon.wiener_hopf import CauchyTable, build_log_kernel
 from cauchy_oracle import direct_f_pm
-from conftest import CASE_REFERENCE_Q, TWO_SHEET_LEFT, TWO_SHEET_ROOT, make_sigma
+from conftest import (CASE_REFERENCE_Q, INTERFACE_ROOT, TWO_SHEET_LEFT, TWO_SHEET_ROOT,
+                      make_sigma)
+from test_spectrum import POLE_LEFT, POLE_RIGHT
 
 
 # the roots of sheets A-D to 17 digits, frozen from the solver (the
@@ -440,6 +445,89 @@ class TestClassify:
         prob = Problem.single_sheet(make_sigma("C"), solutions["C"].q)
         assert solve(prob, prob.q).classification is Classification.NO_SOLUTION
         assert classify(prob) is Classification.NO_SOLUTION
+
+
+class TestKernelRoute:
+    """build_log_kernel, residual, solve and classify reach each outcome
+    without the phase pass: P on the census seeds, then L's turns on the
+    series' nodes.  The phase pass raises in every package module that
+    binds it."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_the_phase_pass(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the phase pass was called")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("edgeplasmon") and hasattr(module, "unwrapped_phase_grid"):
+                monkeypatch.setattr(module, "unwrapped_phase_grid", refused)
+
+    @pytest.mark.parametrize("prob", [
+        Problem.single_sheet(make_sigma("D"), FROZEN_ROOTS["D"]),
+        Problem.interface(make_sigma("A"), INTERFACE_ROOT, 2.0, 2.0),
+        Problem.two_sheet(TWO_SHEET_LEFT, make_sigma("A"), TWO_SHEET_ROOT),
+    ], ids=["D", "interface", "two_sheet"])
+    def test_roots(self, prob):
+        kernel = build_log_kernel(prob)
+        assert kernel.nu_k == 0
+        assert abs(residual(prob, kernel=kernel)) < 1e-8
+        assert classify(prob) is Classification.DISCRETE_EPP
+        sol = solve(prob, prob.q * 1.01)
+        assert sol.converged and abs(sol.q - prob.q) < 1e-8 * abs(prob.q)
+
+    @pytest.mark.parametrize("q", [-2.0, -2.1, -1.7, 2.3])
+    def test_poles_on_the_axis(self, q):
+        # the lossless left sheet's real zeros, poles of P^R/P^L, on seeds
+        prob = Problem.two_sheet(POLE_LEFT, POLE_RIGHT, q)
+        with pytest.raises(RealAxisZeroError, match="pole on contour"):
+            build_log_kernel(prob)
+        sol = solve(prob, q)
+        assert sol.classification is Classification.NO_SOLUTION
+        assert sol.message.startswith("residual undefined at the guess: ")
+        assert "pole on contour" in sol.message
+        assert classify(prob) is Classification.NO_SOLUTION
+
+    def test_a_pole_that_no_seed_hits(self, monkeypatch):
+        # the phase pass bisects onto this pole until adjacent floats; the
+        # kernel finds P^L below REAL_AXIS_MIN_MODULUS on the seeds, with
+        # no series built, so no doubling towards SERIES_N_MAX
+        def no_series(*args):
+            raise AssertionError("a series was built")
+
+        monkeypatch.setattr(wiener_hopf, "_fft_series", no_series)
+        prob = Problem.two_sheet(POLE_LEFT, POLE_RIGHT, -2.105890119346925)
+        with pytest.raises(RealAxisZeroError, match="pole on contour"):
+            build_log_kernel(prob)
+        sol = solve(prob, prob.q)
+        assert sol.classification is Classification.NO_SOLUTION
+        assert "pole on contour" in sol.message
+        assert classify(prob) is Classification.NO_SOLUTION
+
+    def test_branch_point_at_a_seed(self):
+        # q^2 rounds to 0: a seed node lands on the branch point
+        prob = Problem.single_sheet(make_sigma("D"), 1e-170)
+        with pytest.raises(BranchPointError):
+            build_log_kernel(prob)
+        sol = solve(prob, prob.q)
+        assert sol.classification is Classification.NO_SOLUTION
+        assert sol.message == ("residual undefined at the guess: "
+                               "xi^2 + q^2 = 0: branch point of the kernel")
+        assert classify(prob) is Classification.NO_SOLUTION
+
+    @pytest.mark.parametrize("name, factor", [("C", 0.87), ("D", 0.765)])
+    @pytest.mark.parametrize("sign, nu", [(1, -1), (-1, 1)])
+    def test_pockets(self, name, factor, sign, nu):
+        # the four nu_K != 0 pockets of the benchmark's dispersion batch
+        prob = Problem.single_sheet(make_sigma(name), sign * factor * FROZEN_ROOTS[name])
+        kernel = build_log_kernel(prob)
+        assert kernel.nu_k == nu
+        with pytest.raises(NonzeroIndexError) as exc:
+            residual(prob, kernel=kernel)
+        assert exc.value.nu_k == nu
+        sol = solve(prob, prob.q)
+        assert (sol.classification, sol.nu_k_at_solution) == (Classification.NO_SOLUTION, nu)
+        assert classify(prob) is (Classification.CONTINUUM_REGION if nu > 0
+                                  else Classification.NO_SOLUTION)
 
 
 class TestTraceCurve:

@@ -39,7 +39,9 @@ from edgeplasmon.spectrum import (
     unwrapped_phase_grid,
 )
 from edgeplasmon.kernel import p_of_xi
-from conftest import make_sigma
+from edgeplasmon.quadrature import QuadratureError
+from edgeplasmon.selfcheck import grid_log
+from conftest import make_sigma, series_log
 
 
 def random_passive_tensor(rng):
@@ -54,6 +56,28 @@ def random_passive_tensor(rng):
     hall = rng.normal(scale=0.05)
     return ConductivityTensor(rot.xx, rot.xy - hall, rot.yx + hall, rot.yy,
                               nondimensional=True)
+
+
+def general_passive_tensor(rng):
+    """A general passive sheet: a complex Gaussian 2x2 matrix times
+    U(0.01, 0.3), drawn again until it is passive with |sigma_xx| > 1e-3.
+    Where Im sigma_xx > 0 it is conjugated, which keeps it passive, in 4
+    draws of 5: nu* != 0 is found mostly at Im sigma_xx < 0."""
+    while True:
+        m = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) * rng.uniform(0.01, 0.3)
+        if m[0, 0].imag > 0 and rng.uniform() < 0.8:
+            m = m.conj()
+        sigma = ConductivityTensor.from_matrix(m, nondimensional=True)
+        if sigma.is_passive() and abs(sigma.xx) > 1e-3:
+            return sigma
+
+
+def near_lossless_tensor(rng):
+    """A diagonal sheet with Re sigma log-uniform from 1e-9 to 1e-3 and Im
+    sigma from 0.02 to 0.3."""
+    re, im = 10.0 ** rng.uniform(-9.0, -3.0, 2), rng.uniform(0.02, 0.3, 2)
+    return ConductivityTensor.diagonal(complex(re[0], im[0]), complex(re[1], im[1]),
+                                       nondimensional=True)
 
 
 class TestQuadraticRoots:
@@ -366,24 +390,62 @@ def _pocket_problem(variant):
     return Problem.two_sheet(zero, make_sigma("C"), q)
 
 
-def _check_kernel_index_and_reflection(prob):
-    # the log-kernel's index is the winding index, and q -> -q maps
-    # P(xi) to P(-xi), which reverses the winding
+@st.composite
+def wide_problems(draw, variant):
+    """(problem, rng): a sheet of ``random_passive_tensor``,
+    ``general_passive_tensor`` or ``near_lossless_tensor`` (the left sheet
+    of a two-sheet problem drawn the same way), at q = +-f 2/|sigma_xx|
+    (1 + i t): half the draws f in [0.3, 1.5] and t in [0, 0.15], the law
+    of ``problems`` that finds the nonzero-index pockets, half f
+    log-uniform from 1e-4 to 5 and t in [-0.1, 0.3]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = (random_passive_tensor, general_passive_tensor, near_lossless_tensor)
+    sigma = kinds[rng.integers(3)](rng)
+    if rng.uniform() < 0.5:
+        f, t = rng.uniform(0.3, 1.5), rng.uniform(0.0, 0.15)
+    else:
+        f, t = 10.0 ** rng.uniform(-4.0, math.log10(5.0)), rng.uniform(-0.1, 0.3)
+    q = rng.choice([-1.0, 1.0]) * f * 2.0 / abs(sigma.xx) * complex(1.0, t)
+    if variant == "single":
+        return Problem.single_sheet(sigma, q), rng
+    if variant == "interface":
+        return Problem.interface(sigma, q, rng.uniform(1.0, 6.0), rng.uniform(1.0, 6.0)), rng
+    return Problem.two_sheet(kinds[rng.integers(3)](rng), sigma, q), rng
+
+
+def _check_kernel_index_and_reflection(prob, units=None):
+    # the log kernel's index, the turns of L on the series' nodes, is the
+    # winding index of the phase pass, and q -> -q maps P(xi) to P(-xi),
+    # which reverses the winding.  At nu_K = 0 the series' L, the jump
+    # Phi(x + i0) - Phi(x - i0), is the phase pass's L at the real x:
+    # ``units`` times the scale, and as many times |q|
     nu = winding_index(prob)
-    assert build_log_kernel(prob).nu_k == nu
+    kernel = build_log_kernel(prob)
+    assert kernel.nu_k == nu
     assert winding_index(prob.with_q(-prob.q)) == -nu
+    if nu == 0 and units is not None:
+        x = np.concatenate([units * kernel.scale, units * abs(prob.q)])
+        bound = 2.0 * kernel.cauchy_table().error_estimate + 1e-12
+        assert np.abs(series_log(kernel, x) - grid_log(kernel)(x)).max() <= bound
     return nu
 
 
 class TestWindingIndex:
     @pytest.mark.parametrize("variant", ["single", "interface", "two-sheet"])
     @given(data=st.data())
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=67, deadline=None, derandomize=True, database=None)
     def test_kernel_index_and_reflection(self, variant, data):
-        prob = data.draw(problems(variant))
+        # 201 draws over the three variants: about 0.8 s in all (Python
+        # 3.11, numpy 2.x, one core)
+        prob, rng = data.draw(wide_problems(variant))
         try:
-            nu = _check_kernel_index_and_reflection(prob)
+            nu = _check_kernel_index_and_reflection(prob, rng.uniform(-4.0, 4.0, 6))
         except RealAxisZeroError:
+            event("zero or pole on the axis")
+            reject()
+        except QuadratureError:
+            # the series of L does not resolve
+            event("unresolved")
             reject()
         event(f"nu = {nu}")
 
@@ -765,8 +827,10 @@ class TestBlocks:
     def test_a_pole_that_no_node_hits_ends_its_row(self):
         # bisection narrows the step around the pole to adjacent floats,
         # where a midpoint repeats an end: the row fails there instead of
-        # refining for ever.  Run in a child process, so that a regression
-        # fails on the timeout instead of hanging the suite
+        # refining for ever.  The solve's kernel takes P^L on the census
+        # seeds alone, where it is below REAL_AXIS_MIN_MODULUS.  Run in a
+        # child process, so that a regression fails on the timeout instead
+        # of hanging the suite
         code = ("import sys\n"
                 "sys.path.insert(0, sys.argv[1])\n"
                 "import pytest\n"
@@ -779,7 +843,7 @@ class TestBlocks:
                 "    winding_index(prob)\n"
                 "sol = solve(prob, prob.q)\n"
                 "assert sol.classification is Classification.NO_SOLUTION\n"
-                "assert 'phase refinement diverged' in sol.message\n"
+                "assert 'pole on contour' in sol.message\n"
                 "good = [Problem.two_sheet(make_sigma('C'), make_sigma('D'), q)\n"
                 "        for q in (11.0 + 0.1j, 12.0 + 0.1j)]\n"
                 "assert assert_rows_do_not_depend_on_their_block(\n"
